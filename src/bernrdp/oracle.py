@@ -273,12 +273,15 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = GridSpec(200, 3)) -> float:
     lo, hi = glo.copy(), ghi.copy()
     best = math.inf
     best_z = glo.copy()
+    # D - d1 - d2 can round a hair below q3 (at D = sum q the box is a point)
+    slack = 1e-12 * max(1.0, D)
     for _ in range(1 + grid.refinement_rounds):
         d1 = np.linspace(lo[0], hi[0], res)[:, None]
         d2 = np.linspace(lo[1], hi[1], res)[None, :]
         d3 = D - d1 - d2
+        d3 = np.where(np.abs(d3 - q[2]) <= slack, q[2], d3)
         total = p_needed(d1, q[0]) + p_needed(d2, q[1]) \
-            + np.where((d3 >= q[2]) & (d3 <= 1.0), p_needed(np.clip(d3, 0.0, 1.0), q[2]), np.inf)
+            + np.where((d3 >= q[2]) & (d3 <= 1.0), p_needed(np.clip(d3, q[2], 1.0), q[2]), np.inf)
         if not np.isfinite(total).any():
             if math.isfinite(best):
                 break

@@ -11,7 +11,15 @@ plane splits into three regions:
   B: zero rate.  A reconstruction independent of the source is feasible.
   C: both budgets bind.  Each component solves a two-multiplier
      stationarity system inside its U region; the shared multipliers
-     (alpha, beta) are tuned so the allocations meet the budgets.
+     (alpha, beta) are tuned so the allocations meet the budgets.  Every
+     search here is one root finder, ``_bracketed_newton``: Newton steps
+     with analytic slopes, kept inside a bracket that each evaluation
+     shrinks.  The brackets rest on monotonicity (the gradient map of a
+     convex function is monotone): a component's beta gap falls as p grows
+     along its fixed-alpha contour, sum d falls as alpha grows at fixed
+     beta, and sum p falls as beta grows along the curve sum d = D.  The
+     slopes come from the inverse Hessian of R per component, summed into
+     the 2x2 sensitivity of (sum d, sum p) to (alpha, beta).
 
 Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
@@ -25,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import ScalarRegion, rd_boundary, scalar_rdp
 from .errors import ConvergenceError, DomainError
@@ -49,6 +56,11 @@ SNAP_RTOL_S = 1e-4
 SNAP_RTOL_A = 1e-9
 
 _TINY = 1e-300
+
+#: Within this distance (relative to q) of the (q, q) corner, d - p and
+#: 2q - d - p keep too few digits to resolve the stationarity system or its
+#: slopes; a component whose perception root lies there takes the corner.
+_CORNER_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -350,36 +362,136 @@ def _d_of_alpha(alpha: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return c / (s + np.sqrt(s * s + (1.0 - s) * c))
 
 
-_P_BISECT_ITERS = 64
+def _gap_slopes(d, p, q):
+    """Partial derivatives (A_d, A_p, B_p) of the alpha gap A and the beta
+    gap B in (d, p); B_d = A_p because both gaps are minus the gradient of
+    the same rate.  [[A_d, A_p], [A_p, B_p]] is minus the Hessian of R, so
+    it is negative definite inside U."""
+    x, y = d - p, d + p
+    xu = 1.0 / x + 1.0 / (2.0 * (1.0 - q) - x)
+    yv = 1.0 / y + 1.0 / (2.0 * q - y)
+    a_d = -0.5 * (xu + yv)
+    return a_d, 0.5 * (xu - yv), a_d + 1.0 / (q - p) + 1.0 / (1.0 - q + p)
 
 
-def _component_dp(alpha: float, beta: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _bracketed_newton(f, x, lo, hi, ftol: float = 0.0, xtol=0.0):
+    """Elementwise roots of decreasing functions by Newton steps kept
+    inside a bracket.
+
+    ``f(x, idx)`` returns the values and slopes at ``x`` of the entries
+    ``idx`` that are still iterating.  Each entry starts at ``x`` in
+    [lo, hi]; either end may be infinite.  An evaluation with a positive
+    value moves lo up to the evaluated point, any other moves hi down, so
+    the root stays bracketed.  The next iterate is the Newton point if it
+    lies strictly inside the bracket, and otherwise the midpoint.  While
+    the end the root lies towards has not been evaluated, that end is
+    replaced by a cap 1, 2, 4, ... beyond the current point (clipped to
+    the end), and the fallback is the cap: a root on the end is then
+    reached, and a root beyond it shows as a bracket collapsed onto the
+    end.
+
+    An entry stops at an evaluated point with |value| <= ftol, or after a
+    step no longer than xtol; a collapsed bracket gives a zero step.
+    Returns the roots and the number of calls of ``f``.
+    """
+    x, lo, hi = (np.array(v, dtype=float)
+                 for v in np.broadcast_arrays(np.atleast_1d(x), lo, hi))
+    xtol = np.broadcast_to(np.asarray(xtol, dtype=float), x.shape)
+    lo_seen = np.zeros(x.shape, dtype=bool)
+    hi_seen = np.zeros(x.shape, dtype=bool)
+    reach = np.ones(x.shape)
+    idx = np.arange(x.size)
+    roots = x.copy()
+    for calls in range(1, MAX_ROOT_ITER + 1):
+        fx, slope = f(x, idx)
+        up = fx > 0.0
+        lo = np.where(up, x, lo)
+        hi = np.where(up, hi, x)
+        lo_seen |= up
+        hi_seen |= ~up
+        # while the end the root lies towards is unexplored, steps reach no
+        # further than the cap
+        unseen = np.where(up, ~hi_seen, ~lo_seen)
+        cap = np.clip(x + np.where(up, reach, -reach), lo, hi)
+        low = np.where(unseen & ~up, cap, lo)
+        high = np.where(unseen & up, cap, hi)
+        newton = x - fx / slope
+        usable = ((newton > low) & (newton < high)) | (newton == x)  # or lost to rounding
+        nxt = np.where(usable, newton, np.where(unseen, cap, 0.5 * (lo + hi)))
+        reach = np.where(unseen & ~usable, 2.0 * reach, reach)
+        hit = np.abs(fx) <= ftol
+        done = hit | (np.abs(nxt - x) <= xtol)
+        x = np.where(hit, x, nxt)
+        if done.any():
+            roots[idx[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                return roots, calls
+            idx, x, lo, hi, lo_seen, hi_seen, reach, xtol = (
+                a[keep] for a in (idx, x, lo, hi, lo_seen, hi_seen, reach, xtol))
+    raise ConvergenceError("bracketed Newton search did not converge")
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _component_dp(alpha: float, beta: float, q: np.ndarray):
     """Per-component minimizer of R(d, p, q) + alpha d + beta p over
-    d, p >= 0, vectorized over components.
+    d, p >= 0, vectorized over components, with the sensitivity of the
+    totals.
 
-    Either an interior stationary point of the U region (found by
-    bisecting p along the fixed-alpha contour, where the beta gap is
-    decreasing), or the p = 0 edge when the gap at p = 0 already sits at
-    or below beta.  When the gap never reaches beta the bisection
-    converges to the corner (q, q), which is the subdifferential solution
-    there.
+    Returns (d, p, jac), where jac[i, j] is the derivative of
+    (sum d, sum p)[i] with respect to (alpha, beta)[j].
+
+    At p = 0 the stationarity condition has the closed form
+    ``_d_p_zero``; a component stays on that edge when its beta gap there
+    is already at or below beta.  Otherwise p solves
+    phi(p) = B(d(p), p) - beta = 0, with d(p) from the alpha equation.
+    phi is decreasing in p (the gradient map of the convex rate is
+    monotone) and positive at p = 0, so [0, q) brackets its root and
+    ``_bracketed_newton`` solves it with the implicit slope
+    phi' = B_p - B_d A_p / A_d, from the alpha equation A(d, p) = alpha.
+    Every call starts at p = 0, so the result is a function of (alpha,
+    beta) alone, which the brackets of the multiplier searches rely on;
+    only the components that have not converged iterate.  A component
+    whose phi stays positive up to q (1 - _CORNER_RTOL) collapses its
+    bracket there and returns the corner (q, q), the subdifferential
+    solution, stored as p = q (1 - 1e-15) with d from the alpha equation.
+
+    The sensitivities are the inverse of [[A_d, A_p], [B_d, B_p]] for
+    interior components, d/dalpha of ``_d_p_zero`` (and nothing in beta)
+    on the p = 0 edge, and zero at the corner.
     """
     d = _d_p_zero(alpha, q)
     p = np.zeros_like(q)
+    jac = np.zeros((2, 2))
     active = _beta_gap(d, p, q) > beta
+    edge_a_d = _gap_slopes(d[~active], 0.0, q[~active])[0]
+    jac[0, 0] = float(np.sum(1.0 / edge_a_d))
     if np.any(active):
         qa = q[active]
-        lo = np.zeros_like(qa)
-        hi = qa * (1.0 - 1e-15)
-        for _ in range(_P_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            above = _beta_gap(_d_of_alpha(alpha, mid, qa), mid, qa) > beta
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        pa = 0.5 * (lo + hi)
+        edge = qa * (1.0 - _CORNER_RTOL)
+
+        def phi(pa, idx):
+            qi = qa[idx]
+            di = _d_of_alpha(alpha, pa, qi)
+            a_d, a_p, b_p = _gap_slopes(di, pa, qi)
+            return _beta_gap(di, pa, qi) - beta, b_p - a_p * a_p / a_d
+
+        # phi carries rounding noise of a few 1e-16 times the gaps' size
+        pa, _ = _bracketed_newton(phi, 0.0, 0.0, edge, ftol=1e-15 * max(1.0, beta),
+                                  xtol=4e-16 * qa)
+        inner = pa < edge
+        pa = np.where(inner, pa, qa * (1.0 - 1e-15))
+        da = _d_of_alpha(alpha, pa, qa)
         p[active] = pa
-        d[active] = _d_of_alpha(alpha, pa, qa)
-    return d, p
+        d[active] = da
+        a_d, a_p, b_p = _gap_slopes(da, pa, qa)
+        det = a_d * b_p - a_p * a_p
+        # rounding near the corner can leave the computed Hessian indefinite
+        inner &= (a_d < 0.0) & (det > 0.0)
+        sens = (np.array([b_p, -a_p, a_d])[:, inner] / det[inner]).sum(axis=1)
+        jac += np.array([[sens[0], sens[1]], [sens[1], sens[2]]])
+    return d, p, jac
 
 
 def solve_component_c(alpha: float, beta: float, q: float) -> tuple[float, float]:
@@ -395,85 +507,138 @@ def solve_component_c(alpha: float, beta: float, q: float) -> tuple[float, float
     if not 0.0 < q <= 0.5:
         raise DomainError("solve_component_c needs 0 < q <= 1/2")
     q_eff = min(float(q), 0.5 - HALF_CLAMP)
-    d, p = _component_dp(float(alpha), float(beta), np.array([q_eff]))
+    d, p, _ = _component_dp(float(alpha), float(beta), np.array([q_eff]))
     return float(d[0]), float(p[0])
 
 
-def _root(f, lo: float, hi: float, resid_tol: float, what: str) -> float:
-    """Bracketed root of a monotone decreasing f, residual-checked.
-
-    brentq terminates on interval width; on staircase-like profiles it can
-    stop beside a sharp ramp, so when the residual is still large the
-    final bracket is re-bisected on sign down to float exhaustion.
-    """
-    try:
-        x = brentq(f, lo, hi, xtol=1e-30, rtol=8.9e-16, maxiter=MAX_ROOT_ITER)
-    except ValueError as exc:  # pragma: no cover - brackets are pre-checked
-        raise ConvergenceError(f"{what}: bracketing failed") from exc
-    fx = f(x)
-    if abs(fx) <= resid_tol:
-        return x
-    a, b = (x, hi) if fx > 0.0 else (lo, x)
-    for _ in range(MAX_ROOT_ITER):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if f(m) > 0.0:
-            a = m
-        else:
-            b = m
-    m = 0.5 * (a + b)
-    return m if abs(f(m)) < abs(fx) else x
+#: Lower bracket end of both multiplier searches: smaller multipliers are
+#: not resolvable in float64 (the snap paths serve those budgets).
+_MULTIPLIER_MIN = 1e-12
+#: The first beta tried.
+_BETA_START = 1e-2
+#: Steps of log alpha and log beta below this are lost to rounding.
+_LOG_XTOL = 1e-14
 
 
-def _solve_c_multipliers(q: np.ndarray, D: float, P: float,
-                         resid_d: float, resid_p: float):
+def _log_resid(total: float, target: float) -> float:
+    """log(total / target), -inf when the total vanishes; a residual of
+    size r here means a budget residual of about r * target."""
+    return math.log(total / target) if total > 0.0 else -math.inf
+
+
+def _p_zero_alpha(q: np.ndarray, D: float) -> tuple[float, int]:
+    """The single multiplier of the P = 0 problem: sum _d_p_zero(alpha) = D,
+    strictly decreasing from sum 2q(1-q) > D at alpha = 0.  Since
+    _d_p_zero <= 2 sqrt(q(1-q) / expm1(2 alpha)), the sum is at most D at
+    alpha_hi below, which closes the bracket.  The search starts at the
+    exact root for n equal components with the same sum of sqrt(q(1-q)),
+    which is the root itself for a homogeneous source."""
+    w = q * (1.0 - q)
+    root_w = float(np.sum(np.sqrt(w)))
+    alpha_hi = 0.5 * math.log1p((2.0 * root_w / D) ** 2)
+    w_eq = (root_w / q.size) ** 2
+    s = max(4.0 * w_eq * q.size / D, 2.0)  # 1 + sqrt(1 + 4 w expm1(2 alpha))
+    alpha0 = min(0.5 * math.log1p(s * (s - 2.0) / (4.0 * w_eq)), alpha_hi)
+
+    def f(a, _idx):
+        d = _d_p_zero(float(a[0]), q)
+        total = float(d.sum())
+        slope = float(np.sum(1.0 / _gap_slopes(d, 0.0, q)[0])) / total
+        return np.array([_log_resid(total, D)]), np.array([slope])
+
+    # to float64 resolution: this path defines R(D, 0), the upper end of
+    # every region-C rate at this D
+    a, calls = _bracketed_newton(f, alpha0, 0.0, alpha_hi, ftol=1e-15)
+    return float(a[0]), calls
+
+
+def _solve_c_multipliers(q: np.ndarray, D: float, P: float, tol_d: float, tol_p: float):
     """Find alpha, beta > 0 with sum d = D and sum p = P.
 
-    Nested bracketed search: at fixed beta, sum d is strictly decreasing
-    in alpha (inner root); along the inner solution curve, sum p is
-    strictly decreasing in beta (outer root).  Both facts follow from
-    monotonicity of the gradient map of a convex function, and the
-    bracket sign checks re-verify them on every run.
+    Two nested ``_bracketed_newton`` searches, both on log scales because
+    the multipliers range over many decades.
+
+    Inner: at fixed beta, sum d is strictly decreasing in alpha, from above
+    D near alpha = 0 down to 0 as alpha grows, so log alpha in
+    [log _MULTIPLIER_MIN, inf) brackets the root.  The slope comes from
+    J00 = d(sum d)/d alpha of the kernel.
+
+    Outer: along the inner solution curve, sum p is strictly decreasing in
+    beta, and it is 0 < P once beta exceeds every component's beta gap at
+    p = 0, so log beta in [log _MULTIPLIER_MIN, log b_hi] brackets the
+    root.  The slope is the Schur complement J11 - J10 J01 / J00.
+
+    Both monotonicity facts follow from monotonicity of the gradient map of
+    a convex function, and every evaluation re-checks them by moving the
+    bracket.  Where components switch between the p = 0 edge and the
+    corner together, sum d jumps across D; the inner search then ends on
+    the jump and the outer one bisects on the sign of sum p - P.
+
+    Each inner search starts from the previous one's alpha moved along the
+    inner curve to first order.  Both searches aim at a hundredth of the
+    budget tolerances and stop earlier only where float64 resolves the
+    multiplier no further.  The result is the evaluation that came
+    closest to both budgets, accepted within the tolerances.
     """
-    evals = [0]
+    evals = 0
+    last = {}
+    best = (math.inf, None)  # (larger budget residual in tolerances, solution)
 
-    def sum_d(alpha: float, beta: float) -> float:
-        evals[0] += 1
-        return float(_component_dp(alpha, beta, q)[0].sum())
+    def alpha_for(beta: float, alpha0: float) -> bool:
+        def f(s, _idx):
+            nonlocal evals, best
+            evals += 1
+            alpha = math.exp(float(s[0]))
+            d, p, jac = _component_dp(alpha, beta, q)
+            last.update(alpha=alpha, beta=beta, d=d, p=p, jac=jac)
+            total = float(d.sum())
+            miss = max(abs(total - D) / tol_d, abs(float(p.sum()) - P) / tol_p)
+            if miss < best[0]:
+                best = (miss, (alpha, beta, d, p))
+            return np.array([_log_resid(total, D)]), np.array([jac[0, 0] * alpha / total])
 
-    def alpha_for(beta: float) -> float:
-        f = lambda a: sum_d(a, beta) - D
-        lo = 1e-12
-        if f(lo) <= 0.0:
-            raise ConvergenceError("distortion budget touches the zero-rate edge")
-        hi = 1.0
-        while f(hi) > 0.0:
-            hi *= 2.0
-            if hi > 2.0 ** 40:  # pragma: no cover
-                raise ConvergenceError("no bracket for the distortion multiplier")
-        return _root(f, lo, hi, resid_d, "distortion multiplier")
+        _bracketed_newton(f, math.log(alpha0), math.log(_MULTIPLIER_MIN), math.inf,
+                          ftol=0.01 * tol_d / D, xtol=_LOG_XTOL)
+        return abs(float(last["d"].sum()) - D) <= 0.5 * tol_d
 
-    def g(beta: float) -> float:
-        a = alpha_for(beta)
-        evals[0] += 1
-        return float(_component_dp(a, beta, q)[1].sum()) - P
+    def g(t, _idx):
+        beta = math.exp(float(t[0]))
+        if "slope" in last:  # first-order step along the inner curve
+            alpha0 = max(last["alpha"] + last["slope"] * (beta - last["beta"]),
+                         _MULTIPLIER_MIN)
+        else:
+            alpha0 = _alpha_start(q, D)
+        on_curve = alpha_for(beta, alpha0)
+        (j00, j01), (_, j11) = last["jac"]
+        # d alpha / d beta along the inner curve (none when no component moves)
+        last["slope"] = -j01 / j00 if j00 < 0.0 else 0.0
+        total = float(last["p"].sum())
+        # on a jump of sum d only the sign of the residual is known
+        slope = math.nan
+        if on_curve and total > 0.0:
+            slope = (j11 + j01 * last["slope"]) * beta / total
+        return np.array([_log_resid(total, P)]), np.array([slope])
 
     b_hi = float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0  # all p = 0 above
-    b_lo = None
-    for probe in (1e-2, 1e-4, 1e-6, 1e-8, 1e-9):
-        if probe >= b_hi:
-            continue
-        if g(probe) > 0.0:
-            b_lo = probe
-            break
-        b_hi = probe
-    if b_lo is None:
-        raise ConvergenceError("perception budget touches the region boundary")
-    beta = _root(g, b_lo, b_hi, resid_p, "perception multiplier")
-    alpha = alpha_for(beta)
-    d, p = _component_dp(alpha, beta, q)
-    return alpha, beta, d, p, evals[0]
+    t0 = min(math.log(_BETA_START), math.log(b_hi) - 1.0)
+    try:
+        _bracketed_newton(g, t0, math.log(_MULTIPLIER_MIN), math.log(b_hi),
+                          ftol=0.01 * tol_p / P, xtol=_LOG_XTOL)
+    except ConvergenceError:
+        pass  # the best evaluation may still meet the budgets
+    miss, solution = best
+    if miss > 1.0:
+        raise ConvergenceError("no multipliers meet both budgets")
+    return (*solution, evals)
+
+
+def _alpha_start(q: np.ndarray, D: float) -> float:
+    """First alpha tried: the water level's multiplier, which alpha
+    approaches as beta -> 0 below sum q; a small value above it."""
+    if D < float(q.sum()):
+        level = float(water_fill(q, D).max())
+        return math.log((1.0 - level) / level)
+    return 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -632,29 +797,19 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         if s_val - P <= SNAP_RTOL_S * max(1.0, s_val):
             return _scatter_zeros(_snap_s_boundary(q, budget, notes), pos, q_all, budget)
 
-    resid_d = 0.01 * budget_rtol * max(1.0, D)
-    resid_p = 0.01 * budget_rtol * max(1.0, P)
+    tol_d = budget_rtol * max(1.0, D)
+    tol_p = budget_rtol * max(1.0, P)
 
     if P == 0.0:
-        evals = [0]
-
-        def f(a):
-            evals[0] += 1
-            return float(_d_p_zero(a, q).sum()) - D
-
-        hi = 1.0
-        while f(hi) > 0.0:
-            hi *= 2.0
-        alpha = _root(f, 1e-12, hi, resid_d, "p=0 distortion multiplier")
+        alpha, iters = _p_zero_alpha(q, D)
         d = _d_p_zero(alpha, q)
         p = np.zeros_like(d)
         gaps = _beta_gap(d, p, q)
         beta = float(np.max(gaps))
         lam = np.maximum(beta - gaps, 0.0)
-        iters = evals[0]
     else:
         try:
-            alpha, beta, d, p, iters = _solve_c_multipliers(q, D, P, resid_d, resid_p)
+            alpha, beta, d, p, iters = _solve_c_multipliers(q, D, P, tol_d, tol_p)
         except ConvergenceError:
             # boundary-hugging budgets that escaped the snap window
             snap = _snap_t_boundary if D < sum_q else _snap_s_boundary

@@ -191,6 +191,12 @@ class TestVerify:
         assert set(rec["stages"]) == {"scalar_channel", "vector_allocation", "s_curve"}
         assert rec["pass"] is True
 
+    def test_s_curve_at_sum_q_does_not_exit_3(self, capsys):
+        code, out, _ = run_cli(["verify", "--q", "0.05,0.25,0.45", "--budget-count", "2"],
+                               capsys)
+        assert code != 3
+        assert "s_curve" in json.loads(out)["stages"]
+
     def test_n4_vector_exits_5(self, capsys):
         code, _, err = run_cli(["verify", "--q", "0.3,0.2,0.15,0.1",
                                 "--budget-count", "2"], capsys)

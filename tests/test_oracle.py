@@ -124,6 +124,12 @@ class TestSOfDOracle:
                 oracle = s_of_d_oracle(src, D, GridSpec(200, 3))
                 assert abs(oracle - s_of_d(src, D).value) <= 2e-3
 
+    def test_box_collapsed_to_a_point(self):
+        # at D = sum q the distortion box is the single split d = q, where
+        # D - d1 - d2 rounds a hair below q3
+        src = normalize([0.05, 0.25, 0.45])
+        assert s_of_d_oracle(src, 0.75) >= s_of_d(src, 0.75).value - 1e-9
+
     def test_errors(self):
         with pytest.raises(SizeError):
             s_of_d_oracle([0.1] * 4, 1.0)

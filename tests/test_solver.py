@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import bernrdp as br
-from bernrdp import (BudgetPair, ConvergenceError, DomainError, ScalarRegion,
+from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, ScalarRegion,
                      classify, length_bounds, normalize, rdp, rdp_p_zero,
                      s_of_d, scalar_rdp, solve_component_c, solve_region_a,
                      solve_region_b, solve_region_c, t_of_d, water_fill)
+from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _component_dp, _d_of_alpha,
+                            _d_p_zero)
 
 H2_03 = 0.610864302054893463
 SUM_H2_03_01 = 0.935947275446341703           # h2(0.3) + h2(0.1)
@@ -313,6 +315,103 @@ class TestComponentSystem:
             solve_component_c(0.1, 0.2, 0.0)
 
 
+def _bisection_component_dp(alpha, beta, q):
+    """Reference kernel: the p = 0 edge test, then 64 bisection steps on p
+    in [0, q(1 - 1e-15)] along the fixed-alpha contour."""
+    d = _d_p_zero(alpha, q)
+    p = np.zeros_like(q)
+    active = _beta_gap(d, p, q) > beta
+    if np.any(active):
+        qa = q[active]
+        lo = np.zeros_like(qa)
+        hi = qa * (1.0 - 1e-15)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            above = _beta_gap(_d_of_alpha(alpha, mid, qa), mid, qa) > beta
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        pa = 0.5 * (lo + hi)
+        p[active] = pa
+        d[active] = _d_of_alpha(alpha, pa, qa)
+    return d, p
+
+
+def _corner_beta(alpha, q):
+    """Limit of the beta gap at the (q, q) corner along the fixed-alpha
+    contour, where p = q - e and d = q + k e with
+    (1 + k) / (1 - k) = e^{-2 alpha} (1 - q) / q.  A slightly larger beta
+    puts the root just below q; a smaller one puts the component on the
+    corner."""
+    r = math.exp(-2.0 * alpha) * (1.0 - q) / q
+    k = (r - 1.0) / (r + 1.0)
+    return -0.5 * math.log(4.0 * q * (1.0 - q) / (1.0 - k * k))
+
+
+def _totals(alpha, beta, q):
+    d, p, _ = _component_dp(alpha, beta, q)
+    return np.array([d.sum(), p.sum()])
+
+
+class TestComponentKernel:
+    Q = np.array([0.01, 0.05, 0.2, 0.35, 0.5 - 1e-9])  # last one at the 1/2 clamp
+
+    def test_matches_bisection_on_grid(self):
+        kinds = set()
+        for alpha in (0.01, 0.1, 0.5, 1.5, 4.0):
+            for beta in (1e-4, 1e-2, 0.1, 0.5, 2.0, 10.0):
+                d, p, _ = _component_dp(alpha, beta, self.Q)
+                d_ref, p_ref = _bisection_component_dp(alpha, beta, self.Q)
+                assert np.abs(d - d_ref).max() <= 1e-12, (alpha, beta)
+                assert np.abs(p - p_ref).max() <= 1e-12, (alpha, beta)
+                kinds |= {"edge" if pr == 0.0 else "corner" if qi - pr <= 1e-12 else "interior"
+                          for pr, qi in zip(p_ref, self.Q)}
+        assert kinds == {"edge", "interior", "corner"}
+
+    def test_matches_bisection_next_to_the_corner(self):
+        closest = 1.0
+        for alpha in (0.1, 0.5, 1.5):
+            for q in (0.05, 0.2, 0.35):
+                for delta in (1e-2, 1e-3, 1e-4, -1e-3, -1e-1):
+                    beta = _corner_beta(alpha, q) + delta
+                    if beta <= 0.0:
+                        continue
+                    qv = np.array([q])
+                    d, p, _ = _component_dp(alpha, beta, qv)
+                    d_ref, p_ref = _bisection_component_dp(alpha, beta, qv)
+                    assert abs(d[0] - d_ref[0]) <= 1e-12, (alpha, q, delta)
+                    assert abs(p[0] - p_ref[0]) <= 1e-12, (alpha, q, delta)
+                    if delta > 0.0:
+                        closest = min(closest, (q - p_ref[0]) / q)
+        assert closest < 1e-3  # some roots sat within 0.1% of the corner
+
+    def test_roots_inside_the_corner_band(self):
+        # within _CORNER_RTOL * q of q, d - p and 2q - d - p keep too few
+        # digits to place the root; both kernels land within a few band
+        # widths of the corner
+        alpha, q = 1.5, np.array([0.05])
+        band = _CORNER_RTOL * q[0]
+        for delta in (1e-9, 1e-11, 1e-13):
+            beta = _corner_beta(alpha, 0.05) + delta
+            d, p, _ = _component_dp(alpha, beta, q)
+            d_ref, p_ref = _bisection_component_dp(alpha, beta, q)
+            assert 0.0 < q[0] - p_ref[0] < band
+            assert 0.0 < q[0] - p[0] <= 4.0 * band
+            assert abs(d[0] - d_ref[0]) <= 4.0 * band
+
+    def test_sensitivities_match_finite_differences(self):
+        q = np.array([0.05, 0.2, 0.35, 0.45])
+        for alpha, beta in ((0.5, 0.1), (1.5, 0.1), (1.5, 0.5), (4.0, 0.5), (4.0, 0.01)):
+            _, p, jac = _component_dp(alpha, beta, q)
+            assert np.any(p > 0.0)
+            assert jac[0, 0] < 0.0 and jac[1, 1] <= 0.0
+            assert np.linalg.det(jac) >= -1e-12
+            for j, h in enumerate((1e-6 * alpha, 1e-6 * beta)):
+                step = np.array([h, 0.0]) if j == 0 else np.array([0.0, h])
+                fd = (_totals(alpha + step[0], beta + step[1], q)
+                      - _totals(alpha - step[0], beta - step[1], q)) / (2.0 * h)
+                assert fd == pytest.approx(jac[:, j], rel=1e-5, abs=1e-9), (alpha, beta, j)
+
+
 class TestRegionC:
     def test_single_source_matches_scalar(self):
         res = solve_region_c([0.3], (0.2, 0.05))
@@ -363,6 +462,33 @@ class TestRegionC:
         assert res.residuals[0] <= 1e-12
         assert res.residuals[1] <= 1e-12
         assert res.rate <= 1e-6  # continuous with the zero-rate region
+
+
+class TestRegionCNearS:
+    """Budgets just below a small S(D), where both multipliers are tiny and
+    components sit next to the zero-rate corner of their Lagrangian."""
+
+    def test_four_components(self):
+        q = [0.4, 0.25, 0.1, 0.05]
+        D, P = 1.12887, 0.00062778
+        res = rdp(q, (D, P), check=True)
+        assert res.region == "C"
+        assert rdp(q, (D, math.inf)).rate - 1e-12 <= res.rate <= rdp(q, (D, 0.0)).rate + 1e-12
+        assert res.multiplier_iterations < 4081
+
+    def test_ten_components_checked_or_refused(self):
+        raw = [0.303, 0.2784, 0.2549, 0.4451, 0.5045, 0.5535, 0.9955, 0.7927, 0.6222, 0.989]
+        D, P = 3.518211, 0.00319866
+        try:
+            res = rdp(raw, (D, P), check=True)
+        except BernRdpError:
+            return
+        assert res.region == "C"
+        assert abs(res.allocation.d.sum() - D) <= 1e-8 * D
+        assert abs(res.allocation.p.sum() - P) <= 1e-8
+        qeff = np.minimum(normalize(raw).q, 0.5 - 1e-9)
+        total = float(np.sum(scalar_rdp(res.allocation.d, res.allocation.p, qeff)))
+        assert res.rate == pytest.approx(total, abs=1e-12)
 
 
 class TestRdpDispatch:
