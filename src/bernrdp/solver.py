@@ -19,7 +19,9 @@ plane splits into three regions:
      along its fixed-alpha contour, sum d falls as alpha grows at fixed
      beta, and sum p falls as beta grows along the curve sum d = D.  The
      slopes come from the inverse Hessian of R per component, summed into
-     the 2x2 sensitivity of (sum d, sum p) to (alpha, beta).
+     the 2x2 sensitivity of (sum d, sum p) to (alpha, beta).  Where a
+     component's minimizer jumps, sum d = D is met by a convex blend of
+     the allocations on the two sides of the jump.
 
 Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
@@ -251,9 +253,13 @@ def water_fill(q: np.ndarray, D: float) -> np.ndarray:
     raise ConvergenceError("water level scan failed")  # pragma: no cover
 
 
-def _t_curve(q: np.ndarray, D: float) -> float:
-    d = water_fill(q, D)
+def _t_of_fill(q: np.ndarray, d: np.ndarray) -> float:
+    """T(D) from the water-filled distortions d at D."""
     return float(np.sum(d * (1.0 - 2.0 * q) / (1.0 - 2.0 * d)))
+
+
+def _t_curve(q: np.ndarray, D: float) -> float:
+    return _t_of_fill(q, water_fill(q, D))
 
 
 def t_of_d(src, D: float) -> float:
@@ -541,9 +547,12 @@ def _p_zero_alpha(q: np.ndarray, D: float) -> tuple[float, int]:
     alpha0 = min(0.5 * math.log1p(s * (s - 2.0) / (4.0 * w_eq)), alpha_hi)
 
     def f(a, _idx):
-        d = _d_p_zero(float(a[0]), q)
+        alpha = float(a[0])
+        d = _d_p_zero(alpha, q)
         total = float(d.sum())
-        slope = float(np.sum(1.0 / _gap_slopes(d, 0.0, q)[0])) / total
+        # d = 4w / (1 + r) with r = sqrt(1 + 4w expm1(2 alpha)), so
+        # dd/dalpha = -e^{2 alpha} d^2 / r = -e^{2 alpha} d^3 / (4w - d)
+        slope = -math.exp(2.0 * alpha) * float(np.sum(d ** 3 / (4.0 * w - d))) / total
         return np.array([_log_resid(total, D)]), np.array([slope])
 
     # to float64 resolution: this path defines R(D, 0), the upper end of
@@ -552,93 +561,145 @@ def _p_zero_alpha(q: np.ndarray, D: float) -> tuple[float, int]:
     return float(a[0]), calls
 
 
-def _solve_c_multipliers(q: np.ndarray, D: float, P: float, tol_d: float, tol_p: float):
-    """Find alpha, beta > 0 with sum d = D and sum p = P.
+def _blend(above, below, D: float, gap_tol: float):
+    """Convex combination of two kernel points (alpha, beta, d, p) whose sum
+    of d lies above and below D, weighted to meet D, or None if it may be
+    too far from optimal.
+
+    Each point i minimizes the Lagrangian at its own multipliers m_i and
+    meets the budget totals s_i = (sum d, sum p).  So at the totals s the
+    blend meets, the optimal rate is at least R_i + m_i.(s_i - s) for both,
+    and, R being convex, the blend's rate exceeds that bound by at most
+    w (1 - w) |(m_1 - m_2).(s_1 - s_2)| for weight w.  The blend is kept
+    when this gap is at most gap_tol.  On the two sides of a jump of the
+    minimizer the multipliers are adjacent floats, and the gap vanishes."""
+    s_hi, s_lo = ((float(pt[2].sum()), float(pt[3].sum())) for pt in (above, below))
+    w = (s_hi[0] - D) / (s_hi[0] - s_lo[0])
+    gap = w * (1.0 - w) * abs(sum((above[j] - below[j]) * (s_hi[j] - s_lo[j])
+                                  for j in (0, 1)))
+    if gap > gap_tol:
+        return None
+    return (above[0], above[1], (1.0 - w) * above[2] + w * below[2],
+            (1.0 - w) * above[3] + w * below[3])
+
+
+def _solve_c_multipliers(q: np.ndarray, D: float, P: float, tol_d: float,
+                         tol_p: float, alpha0: float):
+    """Find alpha, beta > 0 with sum d = D and sum p = P, starting from
+    alpha0.
 
     Two nested ``_bracketed_newton`` searches, both on log scales because
     the multipliers range over many decades.
 
-    Inner: at fixed beta, sum d is strictly decreasing in alpha, from above
-    D near alpha = 0 down to 0 as alpha grows, so log alpha in
+    Inner: at fixed beta, sum d is decreasing in alpha, from above D near
+    alpha = 0 down to 0 as alpha grows, so log alpha in
     [log _MULTIPLIER_MIN, inf) brackets the root.  The slope comes from
     J00 = d(sum d)/d alpha of the kernel.
 
-    Outer: along the inner solution curve, sum p is strictly decreasing in
-    beta, and it is 0 < P once beta exceeds every component's beta gap at
-    p = 0, so log beta in [log _MULTIPLIER_MIN, log b_hi] brackets the
-    root.  The slope is the Schur complement J11 - J10 J01 / J00.
+    Outer: along the inner solution curve, sum p is decreasing in beta,
+    and it is 0 < P once beta exceeds every component's beta gap at p = 0,
+    so log beta in [log _MULTIPLIER_MIN, log b_hi] brackets the root.  The
+    slope is the Schur complement J11 - J10 J01 / J00.
 
     Both monotonicity facts follow from monotonicity of the gradient map of
     a convex function, and every evaluation re-checks them by moving the
-    bracket.  Where components switch between the p = 0 edge and the
-    corner together, sum d jumps across D; the inner search then ends on
-    the jump and the outer one bisects on the sign of sum p - P.
+    bracket.  Where the Lagrangian of a component is flat, or nearly so,
+    along its zero-rate edge from (2q(1-q), 0) to (q, q) (beta / alpha
+    close to 1 - 2q), its minimizer jumps along the edge between adjacent
+    floats of alpha, and sum d = D has no float root.  The inner search
+    then ends on the jump, and the point of the inner curve is the blend of
+    the evaluations on its two sides that meets sum d = D (``_blend``); the
+    outer search bisects there, having no slope.
 
     Each inner search starts from the previous one's alpha moved along the
     inner curve to first order.  Both searches aim at a hundredth of the
     budget tolerances and stop earlier only where float64 resolves the
-    multiplier no further.  The result is the evaluation that came
-    closest to both budgets, accepted within the tolerances.
+    multiplier no further.  The result is the kernel point or blend that
+    came closest to both budgets, accepted within the tolerances.
+
+    Returns (alpha, beta, d, p, kernel calls), or None when no point meets
+    the budgets and one of them needs a multiplier below _MULTIPLIER_MIN.
+    Raises ConvergenceError when the search fails otherwise.
     """
     evals = 0
     last = {}
-    best = (math.inf, None)  # (larger budget residual in tolerances, solution)
+    best = (math.inf, None)  # (larger budget residual in tolerances, point)
+    floor = False  # a root lay below _MULTIPLIER_MIN
+    log_min = math.log(_MULTIPLIER_MIN)
 
-    def alpha_for(beta: float, alpha0: float) -> bool:
+    def consider(point):
+        nonlocal best
+        miss = max(abs(float(point[2].sum()) - D) / tol_d,
+                   abs(float(point[3].sum()) - P) / tol_p)
+        if miss < best[0]:
+            best = (miss, point)
+
+    def gap_tol(point) -> float:
+        # a hundredth of the rate change the budget tolerances allow
+        return 0.01 * (point[0] * tol_d + point[1] * tol_p)
+
+    def alpha_for(beta: float, alpha0: float):
+        """The point of the inner curve at beta and how the search reached
+        it, "smooth" or "blend"; off the curve, the last evaluation and
+        None."""
+        near = [None, None]  # the evaluations closest above and below D
+
         def f(s, _idx):
-            nonlocal evals, best
+            nonlocal evals, floor
             evals += 1
             alpha = math.exp(float(s[0]))
             d, p, jac = _component_dp(alpha, beta, q)
-            last.update(alpha=alpha, beta=beta, d=d, p=p, jac=jac)
             total = float(d.sum())
-            miss = max(abs(total - D) / tol_d, abs(float(p.sum()) - P) / tol_p)
-            if miss < best[0]:
-                best = (miss, (alpha, beta, d, p))
+            point = near[total <= D] = (alpha, beta, d, p)
+            consider(point)
+            last.update(alpha=alpha, jac=jac, point=point)
+            floor |= total <= D and float(s[0]) <= log_min
             return np.array([_log_resid(total, D)]), np.array([jac[0, 0] * alpha / total])
 
-        _bracketed_newton(f, math.log(alpha0), math.log(_MULTIPLIER_MIN), math.inf,
+        _bracketed_newton(f, math.log(alpha0), log_min, math.inf,
                           ftol=0.01 * tol_d / D, xtol=_LOG_XTOL)
-        return abs(float(last["d"].sum()) - D) <= 0.5 * tol_d
+        for point in near:
+            if point is not None and abs(float(point[2].sum()) - D) <= 0.5 * tol_d:
+                return point, "smooth"
+        if None not in near:
+            point = _blend(near[0], near[1], D, gap_tol(near[0]))
+            if point is not None:
+                consider(point)
+                return point, "blend"
+        return last["point"], None
 
     def g(t, _idx):
+        nonlocal floor
         beta = math.exp(float(t[0]))
+        start = alpha0
         if "slope" in last:  # first-order step along the inner curve
-            alpha0 = max(last["alpha"] + last["slope"] * (beta - last["beta"]),
-                         _MULTIPLIER_MIN)
-        else:
-            alpha0 = _alpha_start(q, D)
-        on_curve = alpha_for(beta, alpha0)
+            start = max(last["alpha"] + last["slope"] * (beta - last["beta"]),
+                        _MULTIPLIER_MIN)
+        point, how = alpha_for(beta, start)
         (j00, j01), (_, j11) = last["jac"]
         # d alpha / d beta along the inner curve (none when no component moves)
-        last["slope"] = -j01 / j00 if j00 < 0.0 else 0.0
-        total = float(last["p"].sum())
-        # on a jump of sum d only the sign of the residual is known
+        last.update(beta=beta, slope=-j01 / j00 if j00 < 0.0 else 0.0)
+        total = float(point[3].sum())
+        floor |= bool(how) and total <= P and float(t[0]) <= log_min
+        # on a jump, or off the inner curve, only the sign is of use
         slope = math.nan
-        if on_curve and total > 0.0:
+        if how == "smooth" and total > 0.0:
             slope = (j11 + j01 * last["slope"]) * beta / total
         return np.array([_log_resid(total, P)]), np.array([slope])
 
     b_hi = float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0  # all p = 0 above
     t0 = min(math.log(_BETA_START), math.log(b_hi) - 1.0)
     try:
-        _bracketed_newton(g, t0, math.log(_MULTIPLIER_MIN), math.log(b_hi),
+        _bracketed_newton(g, t0, log_min, math.log(b_hi),
                           ftol=0.01 * tol_p / P, xtol=_LOG_XTOL)
     except ConvergenceError:
-        pass  # the best evaluation may still meet the budgets
-    miss, solution = best
-    if miss > 1.0:
-        raise ConvergenceError("no multipliers meet both budgets")
-    return (*solution, evals)
-
-
-def _alpha_start(q: np.ndarray, D: float) -> float:
-    """First alpha tried: the water level's multiplier, which alpha
-    approaches as beta -> 0 below sum q; a small value above it."""
-    if D < float(q.sum()):
-        level = float(water_fill(q, D).max())
-        return math.log((1.0 - level) / level)
-    return 1e-3
+        pass  # a point found on the way may still meet the budgets
+    miss, point = best
+    if miss <= 1.0:
+        return (*point, evals)
+    if floor:
+        return None
+    raise ConvergenceError("no multipliers meet both budgets")
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +794,11 @@ def _c_labels(d: np.ndarray, q: np.ndarray) -> list[ScalarRegion]:
             for i in range(q.size)]
 
 
-def _snap_t_boundary(q, budget, notes) -> RdpResult:
+def _snap_t_boundary(q, d, budget, notes) -> RdpResult:
     """(D, P) within a hair of the T(D) curve: reuse the water-filled
-    distortions and scale the perception bounds down to meet P exactly.
+    distortions d and scale the perception bounds down to meet P exactly.
     The allocation is feasible and every pair sits in the closure of U,
     so the rate overshoot is quadratic in the boundary distance."""
-    d = water_fill(q, budget.D)
     lower = np.asarray(rd_boundary(d, q), dtype=float)
     p = _spread_perception(lower, budget.P)
     level = float(d.max())
@@ -789,13 +849,20 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     # Budgets hugging a boundary leave the multipliers too small to
     # resolve; serve those from the boundary allocation instead.
     if D < sum_q:
-        t_val = _t_curve(q, D)
-        if t_val - P <= SNAP_RTOL_A * max(1.0, t_val):
-            return _scatter_zeros(_snap_t_boundary(q, budget, notes), pos, q_all, budget)
+        fill = water_fill(q, D)
+        t_val = _t_of_fill(q, fill)
+        hugging = t_val - P <= SNAP_RTOL_A * max(1.0, t_val)
     else:
         s_val = _s_curve(q, D).value
-        if s_val - P <= SNAP_RTOL_S * max(1.0, s_val):
-            return _scatter_zeros(_snap_s_boundary(q, budget, notes), pos, q_all, budget)
+        hugging = s_val - P <= SNAP_RTOL_S * max(1.0, s_val)
+
+    def snap() -> RdpResult:
+        if D < sum_q:
+            return _snap_t_boundary(q, fill, budget, notes)
+        return _snap_s_boundary(q, budget, notes)
+
+    if hugging:
+        return _scatter_zeros(snap(), pos, q_all, budget)
 
     tol_d = budget_rtol * max(1.0, D)
     tol_p = budget_rtol * max(1.0, P)
@@ -808,12 +875,20 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         beta = float(np.max(gaps))
         lam = np.maximum(beta - gaps, 0.0)
     else:
-        try:
-            alpha, beta, d, p, iters = _solve_c_multipliers(q, D, P, tol_d, tol_p)
-        except ConvergenceError:
-            # boundary-hugging budgets that escaped the snap window
-            snap = _snap_t_boundary if D < sum_q else _snap_s_boundary
-            return _scatter_zeros(snap(q, budget, notes), pos, q_all, budget)
+        # below sum q, alpha tends to the water level's multiplier as beta -> 0
+        alpha0 = math.log((1.0 - fill.max()) / fill.max()) if D < sum_q else 1e-3
+        found = _solve_c_multipliers(q, D, P, tol_d, tol_p, alpha0)
+        if found is None:
+            # multipliers below resolution although the budgets escaped the
+            # snap window; the boundary allocation is feasible but serves
+            # only while it beats the rate at P = 0, which bounds R(D, P)
+            out = snap()
+            d = _d_p_zero(_p_zero_alpha(q, D)[0], q)
+            if out.rate > _allocation(d, np.zeros_like(d), q).total_rate + 1e-12:
+                raise ConvergenceError("multipliers below resolution near the "
+                                       "region boundary; no snapped allocation fits")
+            return _scatter_zeros(out, pos, q_all, budget)
+        alpha, beta, d, p, iters = found
         gaps = _beta_gap(d, p, q)
         lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))
 

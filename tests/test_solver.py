@@ -16,8 +16,8 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      classify, length_bounds, normalize, rdp, rdp_p_zero,
                      s_of_d, scalar_rdp, solve_component_c, solve_region_a,
                      solve_region_b, solve_region_c, t_of_d, water_fill)
-from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _component_dp, _d_of_alpha,
-                            _d_p_zero)
+from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _blend, _component_dp,
+                            _d_of_alpha, _d_p_zero)
 
 H2_03 = 0.610864302054893463
 SUM_H2_03_01 = 0.935947275446341703           # h2(0.3) + h2(0.1)
@@ -464,9 +464,23 @@ class TestRegionC:
         assert res.rate <= 1e-6  # continuous with the zero-rate region
 
 
+def _dual_bound(raw, D, P, res):
+    """Lower bound on the optimal rate from the certificate's multipliers:
+    the kernel's Lagrangian minimizer x at (nu, mu) gives
+    R(D, P) >= R(x) + nu (sum d(x) - D) + mu (sum p(x) - P)."""
+    q = np.minimum(normalize(raw).q, 0.5 - 1e-9)
+    q = q[q > 0.0]
+    nu, mu = res.certificate.nu, res.certificate.mu
+    d, p, _ = _component_dp(nu, mu, q)
+    return float(np.sum(scalar_rdp(d, p, q))) + nu * (d.sum() - D) + mu * (p.sum() - P)
+
+
 class TestRegionCNearS:
     """Budgets just below a small S(D), where both multipliers are tiny and
     components sit next to the zero-rate corner of their Lagrangian."""
+
+    TEN = [0.303, 0.2784, 0.2549, 0.4451, 0.5045, 0.5535, 0.9955, 0.7927, 0.6222, 0.989]
+    TEN_DP = (3.518211, 0.00319866)
 
     def test_four_components(self):
         q = [0.4, 0.25, 0.1, 0.05]
@@ -477,8 +491,8 @@ class TestRegionCNearS:
         assert res.multiplier_iterations < 4081
 
     def test_ten_components_checked_or_refused(self):
-        raw = [0.303, 0.2784, 0.2549, 0.4451, 0.5045, 0.5535, 0.9955, 0.7927, 0.6222, 0.989]
-        D, P = 3.518211, 0.00319866
+        raw = self.TEN
+        D, P = self.TEN_DP
         try:
             res = rdp(raw, (D, P), check=True)
         except BernRdpError:
@@ -489,6 +503,57 @@ class TestRegionCNearS:
         qeff = np.minimum(normalize(raw).q, 0.5 - 1e-9)
         total = float(np.sum(scalar_rdp(res.allocation.d, res.allocation.p, qeff)))
         assert res.rate == pytest.approx(total, abs=1e-12)
+        assert res.rate <= rdp(raw, (D, 0.0)).rate + 1e-12
+
+    @pytest.mark.parametrize("raw, D, P, parent_rate", [
+        (TEN, *TEN_DP, None),
+        ([0.5278125088659839, 0.31813656847053806, 0.23157951621406048, 0.9511782787436883,
+          0.13269777263389793, 0.5025277899584487, 0.22366796490947405, 0.8118586684336861],
+         2.39799418653028, 0.5633119408752424, 8.108869742340374e-09),
+        ([0.36416229807777845, 0.28730653608731493, 0.10839476338543341, 0.8762896426779009,
+          0.6078379019517387, 0.9833838722013164],
+         1.4769439217528386, 0.5333501380051179, None),
+    ])
+    def test_budgets_outside_the_snap_window_are_solved(self, raw, D, P, parent_rate):
+        # beta / alpha lands next to 1 - 2q of one component, where its
+        # Lagrangian is nearly flat along its zero-rate edge: its p moves by
+        # whole per cents of q between adjacent floats of alpha, so sum d = D
+        # has no float root.  These searches used to fall back to a snap;
+        # the search now blends the evaluations on either side.  The nested
+        # brentq search failed the budget check on the first and last and
+        # solved the second.
+        res = rdp(raw, (D, P))
+        assert not res.notes
+        assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
+        if parent_rate is not None:
+            assert res.rate <= parent_rate + 1e-12
+
+    def test_unresolved_search_snaps_only_below_the_p_zero_rate(self, monkeypatch):
+        monkeypatch.setattr(br.solver, "_solve_c_multipliers", lambda *args: None)
+        # the S(D) snap shaves p off whole components: 4.65e-4 nats here,
+        # above R(D, 0) = 4.0e-6
+        with pytest.raises(ConvergenceError):
+            rdp(self.TEN, self.TEN_DP)
+        res = rdp([0.3, 0.1], (0.3, 0.01))
+        assert any("snapped" in note for note in res.notes)
+        assert res.rate <= rdp([0.3, 0.1], (0.3, 0.0)).rate
+
+
+class TestBlend:
+    def test_meets_d_between_equal_multipliers(self):
+        above = (1.0, 0.5, np.array([0.3, 0.2]), np.array([0.0, 0.1]))
+        below = (1.0, 0.5, np.array([0.1, 0.2]), np.array([0.2, 0.1]))
+        alpha, beta, d, p = _blend(above, below, 0.4, gap_tol=0.0)
+        assert (alpha, beta) == (1.0, 0.5)
+        assert d.sum() == pytest.approx(0.4, abs=1e-15)
+        np.testing.assert_allclose(p, [0.1, 0.1])
+
+    def test_refuses_distant_multipliers(self):
+        above = (1.0, 0.5, np.array([0.3]), np.array([0.0]))
+        below = (2.0, 0.5, np.array([0.1]), np.array([0.2]))
+        # gap bound w (1 - w) |1 x 0.2| = 0.05 at w = 1/2
+        assert _blend(above, below, 0.2, gap_tol=0.049) is None
+        assert _blend(above, below, 0.2, gap_tol=0.051) is not None
 
 
 class TestRdpDispatch:
