@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .core import ScalarRegion, h2, h3, rd_boundary, scalar_rdp, scalar_region
 from .errors import BernRdpError, ConvergenceError, DomainError, SizeError
 from .graph import (EdgeAllocation, EdgeProbabilityMatrix, GraphRdpResult,
-                    edge_list, flatten, graph_rdp, load_matrix)
+                    flatten, graph_rdp, load_matrix)
 from .oracle import (GridSpec, ScalarChannel, allocation_grid_oracle,
                      s_of_d_oracle, scalar_channel_oracle)
 from .solver import (Allocation, BernoulliVectorSource, BudgetPair,
@@ -22,7 +22,7 @@ __all__ = [
     "EdgeProbabilityMatrix", "GraphRdpResult", "GridSpec", "KktCertificate",
     "PlaneRegion", "RdpResult", "SCurvePoint", "ScalarChannel",
     "ScalarRegion", "SizeError", "allocation_grid_oracle",
-    "check_certificate", "classify", "edge_list", "flatten", "graph_rdp",
+    "check_certificate", "classify", "flatten", "graph_rdp",
     "h2", "h3", "in_region_closure", "kkt_gradient_residuals",
     "length_bounds", "load_matrix", "normalize", "rd_boundary", "rdp",
     "rdp_p_zero", "s_of_d", "s_of_d_oracle", "scalar_channel_oracle",

@@ -25,8 +25,8 @@ from . import __version__
 from .errors import ConvergenceError, DomainError, SizeError
 from .graph import graph_rdp, load_matrix
 from .oracle import GridSpec, allocation_grid_oracle, s_of_d_oracle, scalar_channel_oracle
-from .core import scalar_rdp
-from .solver import (BudgetPair, classify, length_bounds, normalize, rdp,
+from .core import ScalarRegion, scalar_rdp
+from .solver import (_LN2, BudgetPair, classify, length_bounds, normalize, rdp,
                      s_of_d, t_of_d)
 
 EXIT_OK = 0
@@ -35,7 +35,8 @@ EXIT_CONVERGENCE = 3
 EXIT_VERIFY = 4
 EXIT_SIZE = 5
 
-_LN2 = math.log(2.0)
+#: Output names of the component label codes (see KktCertificate).
+_REGION_NAMES = tuple(r.value for r in ScalarRegion)
 
 
 class VerificationFailure(Exception):
@@ -121,17 +122,11 @@ def _source_from(args):
 def _base_record(src, budget: BudgetPair, result) -> dict:
     cert = result.certificate
     alloc = result.allocation
-    rows = []
-    for i in range(src.n):
-        rows.append({
-            "index": i,
-            "original_index": int(src.permutation[i]),
-            "q": float(src.q[i]),
-            "d": float(alloc.d[i]),
-            "p": float(alloc.p[i]),
-            "rate_nats": float(alloc.per_component_rate[i]),
-            "region": cert.component_regions[i].value,
-        })
+    cols = zip(src.permutation.tolist(), src.q.tolist(), alloc.d.tolist(), alloc.p.tolist(),
+               alloc.per_component_rate.tolist(), cert.component_regions.tolist())
+    rows = [{"index": i, "original_index": k, "q": q, "d": d, "p": p, "rate_nats": r,
+             "region": _REGION_NAMES[code]}
+            for i, (k, q, d, p, r, code) in enumerate(cols)]
     return {
         "D": budget.D,
         "P": budget.P,
@@ -279,8 +274,11 @@ def cmd_region(args, out) -> int:
 def cmd_graph(args, out) -> int:
     if args.matrix is None:
         raise DomainError("graph needs --matrix")
-    with open(args.matrix, "rb") as fh:
-        matrix = load_matrix(fh)
+    try:
+        with open(args.matrix, "rb") as fh:
+            matrix = load_matrix(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read --matrix {args.matrix!r}: {exc.strerror or exc}") from exc
     budget = BudgetPair(args.D, args.P)
     gres = graph_rdp(matrix, budget)
     result = gres.result
@@ -296,8 +294,9 @@ def cmd_graph(args, out) -> int:
                       "perception": result.residuals[1]},
         "solver": {"iterations": result.multiplier_iterations,
                    "notes": list(result.notes)},
-        "edges": [{"i": e.i, "j": e.j, "q": e.q, "d": e.d, "p": e.p,
-                   "rate_nats": e.rate} for e in gres.edges],
+        "edges": [{"i": i, "j": j, "q": q, "d": d, "p": p, "rate_nats": r}
+                  for i, j, q, d, p, r in zip(*(a.tolist() for a in (
+                      gres.i, gres.j, gres.q, gres.d, gres.p, gres.edge_rate)))],
     }
     if args.format == "csv":
         fields = ["i", "j", "q", "d", "p", "rate_nats", "total_rate_nats", "region"]

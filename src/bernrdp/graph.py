@@ -6,13 +6,18 @@ probabilities, and the graph RDP function is the vector solver applied to
 that source.  Allocation results are reported per edge (i, j); the
 distortion and perception shares are invariant under the normalization
 flips, so undoing them is purely an indexing matter.
+
+Edges are held as arrays in row-major upper-triangle order
+(``np.triu_indices(n, 1)``): ``flatten`` returns the vertex index arrays
+(i, j), and ``GraphRdpResult`` carries i, j, q, d, p and the per-edge rate
+as arrays in that order.  Its ``edges`` rows, one ``EdgeAllocation`` per
+edge, are built only when first read.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,9 @@ class EdgeProbabilityMatrix:
             raise DomainError("a graph source needs at least 2 vertices")
         if probs.shape != (n, n):
             raise DomainError(f"probs must be {n}x{n}, got {probs.shape}")
+        if not np.all(np.isfinite(probs)):
+            i, j = np.argwhere(~np.isfinite(probs))[0]
+            raise DomainError(f"probs[{i}][{j}]={float(probs[i, j])!r} is not finite")
         asym = np.abs(probs - probs.T)
         if np.any(asym > _SYM_TOL):
             i, j = np.unravel_index(int(np.argmax(asym)), probs.shape)
@@ -58,8 +66,10 @@ def load_matrix(source) -> EdgeProbabilityMatrix:
     ``n_vertices`` (int) and ``probs`` (dense row list).
 
     Accepts bytes, text, or a readable file object.  Symmetry is enforced
-    within 1e-12 and then made exact; any larger mismatch or a nonzero
-    diagonal is a validation error naming the offending entry.
+    within 1e-12 and then made exact; any larger mismatch, a nonzero
+    diagonal or a non-finite entry is a validation error naming the
+    offending entry.  So is a non-integer ``n_vertices`` or a ``probs``
+    that is not a dense list of rows of numbers.
     """
     if isinstance(source, (bytes, bytearray)):
         text = source.decode("utf-8")
@@ -76,22 +86,26 @@ def load_matrix(source) -> EdgeProbabilityMatrix:
         raise DomainError(f"matrix file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n_vertices" not in doc or "probs" not in doc:
         raise DomainError('matrix file needs keys "n_vertices" and "probs"')
-    return EdgeProbabilityMatrix(int(doc["n_vertices"]), np.asarray(doc["probs"], dtype=float))
+    n = doc["n_vertices"]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f'"n_vertices" must be an integer, got {n!r}')
+    try:
+        probs = np.asarray(doc["probs"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f'"probs" must be a list of {n} rows of {n} numbers') from exc
+    return EdgeProbabilityMatrix(n, probs)
 
 
-def edge_list(n_vertices: int) -> list[tuple[int, int]]:
-    """Upper-triangle edges (i, j), i < j, in row-major order; this is the
-    component order used by flatten."""
-    return [(i, j) for i in range(n_vertices) for j in range(i + 1, n_vertices)]
-
-
-def flatten(matrix: EdgeProbabilityMatrix) -> tuple[BernoulliVectorSource, list[tuple[int, int]]]:
+def flatten(matrix: EdgeProbabilityMatrix) -> tuple[BernoulliVectorSource,
+                                                    tuple[np.ndarray, np.ndarray]]:
     """View the graph as a Bernoulli vector source: one component per
-    upper-triangle edge.  Returns the normalized source and the edge list
-    mapping raw component index -> (i, j)."""
-    edges = edge_list(matrix.n_vertices)
-    raw_q = np.array([matrix.probs[i, j] for i, j in edges])
-    return normalize(raw_q), edges
+    upper-triangle edge (i, j), i < j, in row-major order.  Returns the
+    normalized source and the vertex index arrays (i, j) mapping raw
+    component index k -> edge (i[k], j[k])."""
+    i, j = np.triu_indices(matrix.n_vertices, 1)
+    return normalize(matrix.probs[i, j]), (i, j)
 
 
 @dataclass(frozen=True)
@@ -108,30 +122,39 @@ class EdgeAllocation:
 
 @dataclass(frozen=True)
 class GraphRdpResult:
-    """Vector-solver result plus the allocation indexed by edge."""
+    """Vector-solver result plus the allocation indexed by edge.
+
+    ``i``, ``j``, ``q``, ``d``, ``p`` and ``edge_rate`` are per-edge arrays
+    in raw edge order (the order of ``flatten``): the vertices, the edge
+    probability (the matrix entry), the distortion and perception
+    shares and the rate contribution in nats.  ``edges`` holds the same
+    data as ``EdgeAllocation`` rows; they are built when first read.
+    """
 
     result: RdpResult
-    edges: tuple[EdgeAllocation, ...]
+    i: np.ndarray
+    j: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+    p: np.ndarray
+    edge_rate: np.ndarray
 
     @property
     def rate(self) -> float:
         return self.result.rate
 
+    @functools.cached_property
+    def edges(self) -> tuple[EdgeAllocation, ...]:
+        cols = (self.i, self.j, self.q, self.d, self.p, self.edge_rate)
+        return tuple(EdgeAllocation(*row) for row in zip(*(c.tolist() for c in cols)))
+
 
 def graph_rdp(matrix: EdgeProbabilityMatrix, budget) -> GraphRdpResult:
     """RDP function of the ER graph at budgets (D, P): the vector solver on
     the flattened source, with the allocation reported per original edge."""
-    source, edges = flatten(matrix)
+    source, (i, j) = flatten(matrix)
     result = rdp(source, budget)
-    by_raw_d = np.empty(source.n)
-    by_raw_p = np.empty(source.n)
-    by_raw_r = np.empty(source.n)
-    by_raw_d[source.permutation] = result.allocation.d
-    by_raw_p[source.permutation] = result.allocation.p
-    by_raw_r[source.permutation] = result.allocation.per_component_rate
-    rows = tuple(
-        EdgeAllocation(i=e[0], j=e[1], q=float(matrix.probs[e[0], e[1]]),
-                       d=float(by_raw_d[k]), p=float(by_raw_p[k]),
-                       rate=float(by_raw_r[k]))
-        for k, e in enumerate(edges))
-    return GraphRdpResult(result=result, edges=rows)
+    alloc = result.allocation
+    by_raw = np.empty((3, source.n))
+    by_raw[:, source.permutation] = (alloc.d, alloc.p, alloc.per_component_rate)
+    return GraphRdpResult(result, i, j, matrix.probs[i, j], *by_raw)

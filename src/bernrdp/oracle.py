@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import scalar_rdp
+from .core import _xlogx, scalar_rdp
 from .errors import ConvergenceError, DomainError, SizeError
 from .solver import BernoulliVectorSource, BudgetPair, _as_budget, _as_source
 
@@ -70,13 +70,6 @@ class ScalarChannel:
     b: float
 
 
-def _plogp(m: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(m)
-    pos = m > 0.0
-    out[pos] = m[pos] * np.log(m[pos])
-    return out
-
-
 def _shrink(lo: float, hi: float, center: float, spacing: float) -> tuple[float, float]:
     return max(lo, center - _HALO * spacing), min(hi, center + _HALO * spacing)
 
@@ -108,10 +101,10 @@ def scalar_channel_oracle(q: float, D: float, P: float,
         A = a[:, None]
         B = b[None, :]
         # I = H(X) + H(Xhat) - H(X, Xhat), every term from the joint cells
-        joint = (_plogp((1.0 - q) * (1.0 - A)) + _plogp((1.0 - q) * A)
-                 + _plogp(q * B) + _plogp(q * (1.0 - B)))
+        joint = (_xlogx((1.0 - q) * (1.0 - A)) + _xlogx((1.0 - q) * A)
+                 + _xlogx(q * B) + _xlogx(q * (1.0 - B)))
         qhat = (1.0 - q) * A + q * (1.0 - B)
-        info = hx + joint - _plogp(qhat) - _plogp(1.0 - qhat)
+        info = hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat)
         feasible = ((1.0 - q) * A + q * B <= D) & (np.abs((1.0 - q) * A - q * B) <= P)
         if not feasible.any():
             # a refined box can lose all exactly-feasible points when a

@@ -87,12 +87,12 @@ class BernoulliVectorSource:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 1 or q.size == 0:
             raise DomainError("source needs at least one component")
-        if np.any(q < -1e-12) or np.any(q > 0.5 + 1e-12):
+        if not np.all((q >= -1e-12) & (q <= 0.5 + 1e-12)):  # NaN fails too
             raise DomainError("normalized q entries must lie in [0, 1/2]")
         if np.any(np.diff(q) > 1e-15):
             raise DomainError("normalized q must be sorted non-increasing")
         perm = np.asarray(self.permutation)
-        if sorted(perm.tolist()) != list(range(q.size)):
+        if not np.array_equal(np.sort(perm), np.arange(q.size)):
             raise DomainError("permutation must be a bijection on [n]")
         object.__setattr__(self, "q", np.clip(q, 0.0, 0.5))
         object.__setattr__(self, "flip_mask", np.asarray(self.flip_mask, dtype=bool))
@@ -146,6 +146,14 @@ class Allocation:
     total_rate: float
 
 
+#: ScalarRegion members in declaration order; a component label is the
+#: int8 index of its region here.
+_REGIONS = tuple(ScalarRegion)
+_S, _T, _U, _V, _EXT = (np.int8(_REGIONS.index(r)) for r in (
+    ScalarRegion.S, ScalarRegion.T, ScalarRegion.U, ScalarRegion.V,
+    ScalarRegion.EXTERIOR))
+
+
 @dataclass(frozen=True)
 class KktCertificate:
     """Multipliers and per-component region labels witnessing optimality.
@@ -153,13 +161,17 @@ class KktCertificate:
     nu and mu multiply the distortion and perception budget constraints;
     lam[i] >= 0 multiplies p_i >= 0 (complementary slack with p_i); gamma
     is identically zero because optimal d_i > 0 whenever D > 0.
+
+    ``component_regions`` is an int8 array of label codes, one per
+    component: code k stands for ``tuple(ScalarRegion)[k]``, that is
+    0 = S, 1 = T, 2 = U, 3 = V and 4 = EXTERIOR.
     """
 
     nu: float
     mu: float
     lam: np.ndarray
     gamma: np.ndarray
-    component_regions: tuple[ScalarRegion, ...]
+    component_regions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -198,6 +210,9 @@ def normalize(raw_q) -> BernoulliVectorSource:
     raw = np.asarray(raw_q, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise DomainError("raw_q must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(raw)):
+        k = int(np.argmin(np.isfinite(raw)))
+        raise DomainError(f"probabilities must be finite; entry {k} is {float(raw[k])!r}")
     if np.any(raw < -1e-12) or np.any(raw > 1.0 + 1e-12):
         bad = raw[(raw < -1e-12) | (raw > 1.0 + 1e-12)][0]
         raise DomainError(f"probabilities must lie in [0, 1]; got {bad!r}")
@@ -236,21 +251,23 @@ def _effective_q(src: BernoulliVectorSource) -> tuple[np.ndarray, tuple[str, ...
 def water_fill(q: np.ndarray, D: float) -> np.ndarray:
     """Distortions d_i = min(level, q_i) with the level chosen so that
     sum d_i = D.  Exact: q is sorted non-increasing, so components
-    saturate from the tail; scan candidate saturation counts instead of
-    bisecting on the level."""
+    saturate from the tail.  With the first m components at the level,
+    level = (D - sum q[m:]) / m must lie in [q[m], q[m-1]] (within 1e-15);
+    the largest such m is taken."""
     q = np.asarray(q, dtype=float)
     total = float(q.sum())
     if D < 0 or D > total + 1e-12:
         raise DomainError(f"water filling needs 0 <= D <= sum q = {total}")
     if D >= total:
         return q.copy()
-    suffix = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))  # suffix[m] = sum q[m:]
-    for m in range(q.size, 0, -1):
-        level = (D - suffix[m]) / m
-        low = q[m] if m < q.size else 0.0
-        if low - 1e-15 <= level <= q[m - 1] + 1e-15:
-            return np.minimum(max(level, 0.0), q)
-    raise ConvergenceError("water level scan failed")  # pragma: no cover
+    suffix = np.cumsum(q[::-1])[::-1]  # suffix[k] = sum q[k:]
+    m = np.arange(1, q.size + 1)
+    levels = (D - np.append(suffix[1:], 0.0)) / m
+    low = np.append(q[1:], 0.0)
+    fits = np.flatnonzero((low - 1e-15 <= levels) & (levels <= q + 1e-15))
+    if fits.size == 0:
+        raise ConvergenceError("water level scan failed")  # pragma: no cover
+    return np.minimum(max(levels[fits[-1]], 0.0), q)
 
 
 def _t_of_fill(q: np.ndarray, d: np.ndarray) -> float:
@@ -292,15 +309,17 @@ def _s_curve(q: np.ndarray, D: float) -> SCurvePoint:
         return SCurvePoint(0.0, None, math.nan, d, np.zeros_like(d))
     prefix_caps = np.concatenate(([0.0], np.cumsum(caps)))
     suffix_q = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))  # sum of q[i:]
-    for k in range(1, q.size + 1):
-        if D <= prefix_caps[k] + suffix_q[k] + 1e-15:
-            d_k = D - prefix_caps[k - 1] - suffix_q[k]
-            d_k = min(max(d_k, q[k - 1]), caps[k - 1])
-            p_k = (caps[k - 1] - d_k) / (1.0 - 2.0 * q[k - 1])
-            d = np.concatenate((caps[: k - 1], [d_k], q[k:]))
-            p = np.concatenate((np.zeros(k - 1), [p_k], q[k:]))
-            return SCurvePoint(float(p.sum()), k, float(d_k), d, p)
-    raise ConvergenceError("S(D) segment scan failed")  # pragma: no cover
+    # the active segment k is the first whose right end reaches D
+    fits = np.flatnonzero(D <= prefix_caps[1:] + suffix_q[1:] + 1e-15)
+    if fits.size == 0:
+        raise ConvergenceError("S(D) segment scan failed")  # pragma: no cover
+    k = int(fits[0]) + 1
+    d_k = D - prefix_caps[k - 1] - suffix_q[k]
+    d_k = min(max(d_k, q[k - 1]), caps[k - 1])
+    p_k = (caps[k - 1] - d_k) / (1.0 - 2.0 * q[k - 1])
+    d = np.concatenate((caps[: k - 1], [d_k], q[k:]))
+    p = np.concatenate((np.zeros(k - 1), [p_k], q[k:]))
+    return SCurvePoint(float(p.sum()), k, float(d_k), d, p)
 
 
 def s_of_d(src, D: float) -> SCurvePoint:
@@ -714,7 +733,8 @@ def _allocation(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> Allocation:
 def _result(region, d, p, q, nu, mu, lam, labels, iters, budget, notes=()) -> RdpResult:
     alloc = _allocation(d, p, q)
     cert = KktCertificate(nu=float(nu), mu=float(mu), lam=np.asarray(lam, dtype=float),
-                          gamma=np.zeros_like(d), component_regions=tuple(labels))
+                          gamma=np.zeros_like(d),
+                          component_regions=np.asarray(labels, dtype=np.int8))
     res_d = abs(float(d.sum()) - budget.D)
     res_p = 0.0 if math.isinf(budget.P) else abs(float(p.sum()) - budget.P)
     return RdpResult(rate=alloc.total_rate, region=region, allocation=alloc,
@@ -749,9 +769,8 @@ def solve_region_a(src, budget) -> RdpResult:
         # forced zero allocation; the water-level multiplier is formally +inf
         d = np.zeros_like(q)
         p = _spread_perception(np.zeros_like(q), budget.P)
-        labels = [ScalarRegion.EXTERIOR] * q.size
         return _result(PlaneRegion.A, d, p, q, math.inf, 0.0, np.zeros_like(q),
-                       labels, 0, budget, notes)
+                       np.full(q.size, _EXT), 0, budget, notes)
     d = water_fill(q, budget.D)
     lower = np.asarray(rd_boundary(d, q), dtype=float)
     if not math.isinf(budget.P) and budget.P < float(lower.sum()) - 1e-12:
@@ -759,9 +778,7 @@ def solve_region_a(src, budget) -> RdpResult:
     p = _spread_perception(lower, budget.P)
     level = float(d.max())
     nu = math.log((1.0 - level) / level)
-    labels = [ScalarRegion.V if (q[i] > 0.0 and d[i] >= q[i]) else
-              (ScalarRegion.S if d[i] > 0.0 else ScalarRegion.EXTERIOR)
-              for i in range(q.size)]
+    labels = np.where((q > 0.0) & (d >= q), _V, np.where(d > 0.0, _S, _EXT))
     return _result(PlaneRegion.A, d, p, q, nu, 0.0, np.zeros_like(q),
                    labels, 0, budget, notes)
 
@@ -782,16 +799,13 @@ def solve_region_b(src, budget) -> RdpResult:
         notes = notes + ("P=inf: perception left at the S(D) optimizers",)
     else:
         p = point.p + (budget.P - point.value) / q.size
-    labels = [ScalarRegion.V if (q[i] > 0.0 and d[i] <= q[i]) else
-              (ScalarRegion.T if d[i] > 0.0 else ScalarRegion.EXTERIOR)
-              for i in range(q.size)]
+    labels = np.where((q > 0.0) & (d <= q), _V, np.where(d > 0.0, _T, _EXT))
     return _result(PlaneRegion.B, d, p, q, 0.0, 0.0, np.zeros_like(q),
                    labels, 0, budget, notes)
 
 
-def _c_labels(d: np.ndarray, q: np.ndarray) -> list[ScalarRegion]:
-    return [ScalarRegion.U if (q[i] > 0.0 and d[i] > 0.0) else ScalarRegion.EXTERIOR
-            for i in range(q.size)]
+def _c_labels(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.where((q > 0.0) & (d > 0.0), _U, _EXT)
 
 
 def _snap_t_boundary(q, d, budget, notes) -> RdpResult:
@@ -909,10 +923,8 @@ def _scatter_zeros(result: RdpResult, pos: np.ndarray, q_all: np.ndarray,
     d[pos] = result.allocation.d
     p[pos] = result.allocation.p
     lam[pos] = result.certificate.lam
-    labels = []
-    kept = iter(result.certificate.component_regions)
-    for keep in pos:
-        labels.append(next(kept) if keep else ScalarRegion.EXTERIOR)
+    labels = np.full(n, _EXT)
+    labels[pos] = result.certificate.component_regions
     return _result(result.region, d, p, q_all, result.certificate.nu,
                    result.certificate.mu, lam, labels,
                    result.multiplier_iterations, budget, result.notes)
@@ -987,9 +999,9 @@ def check_certificate(result: RdpResult, cs_tol: float = 1e-5) -> None:
     """Structural KKT certificate checks.
 
     Raises ConvergenceError unless lam >= 0, gamma == 0, complementary
-    slackness lam_i p_i = 0 holds within cs_tol, and the component labels
-    form one consistent family (all S/V, all T/V, or all U), ignoring
-    degenerate EXTERIOR components.
+    slackness lam_i p_i = 0 holds within cs_tol, every label code names a
+    ScalarRegion, and the component labels form one consistent family (all
+    S/V, all T/V, or all U), ignoring degenerate EXTERIOR components.
     """
     cert = result.certificate
     if np.any(cert.lam < -1e-12):
@@ -999,7 +1011,10 @@ def check_certificate(result: RdpResult, cs_tol: float = 1e-5) -> None:
     slack = np.abs(cert.lam * result.allocation.p)
     if np.any(slack > cs_tol):
         raise ConvergenceError(f"complementary slackness violated: {slack.max():g}")
-    labels = {r for r in cert.component_regions if r is not ScalarRegion.EXTERIOR}
+    codes = np.unique(cert.component_regions).tolist()
+    if codes and (codes[0] < 0 or codes[-1] >= len(_REGIONS)):
+        raise ConvergenceError(f"unknown component region codes in {codes}")
+    labels = {_REGIONS[c] for c in codes} - {ScalarRegion.EXTERIOR}
     if labels and not any(labels <= fam for fam in _FAMILIES):
         raise ConvergenceError(f"component regions {labels} mix incompatible families")
 
@@ -1029,7 +1044,8 @@ def kkt_gradient_residuals(src, result: RdpResult) -> np.ndarray:
     cert = result.certificate
     d, p = result.allocation.d, result.allocation.p
     out = np.zeros(q.size)
-    for i, label in enumerate(cert.component_regions):
+    for i, code in enumerate(cert.component_regions.tolist()):
+        label = _REGIONS[code]
         if label is ScalarRegion.EXTERIOR:
             continue
         if label is ScalarRegion.S:

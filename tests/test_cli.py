@@ -47,6 +47,14 @@ class TestEval:
         assert out == ""
         assert json.loads(err)["error"]["exit_code"] == 2
 
+    def test_nan_q_exits_2(self, capsys):
+        code, out, err = run_cli(["eval", "--q", "nan,0.2", "-D", "0.1", "-P", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "entry 0 is nan" in error["message"]
+
     def test_q_file_input(self, tmp_path, capsys):
         path = tmp_path / "source.json"
         path.write_text(json.dumps({"q": [0.25, 0.25]}))
@@ -147,6 +155,35 @@ class TestGraphCmd:
         code, _, err = run_cli(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys)
         assert code == 2
         assert "probs" in json.loads(err)["error"]["message"]
+
+    def _exits_2(self, argv, capsys, needle):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert needle in error["message"]
+
+    def test_nan_matrix_exit_2(self, tmp_path, capsys):
+        probs = [[0.0, 0.3, math.nan], [0.3, 0.0, 0.2], [math.nan, 0.2, 0.0]]
+        path = self._write_matrix(tmp_path, probs, 3)
+        self._exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
+                      "probs[0][2]=nan is not finite")
+
+    def test_missing_matrix_file_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        self._exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
+                      "missing.json")
+
+    def test_ragged_matrix_exit_2(self, tmp_path, capsys):
+        path = self._write_matrix(tmp_path, [[0.0, 0.3], [0.3]], 2)
+        self._exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
+                      '"probs"')
+
+    def test_non_integer_vertex_count_exit_2(self, tmp_path, capsys):
+        path = self._write_matrix(tmp_path, [[0.0, 0.3], [0.3, 0.0]], "two")
+        self._exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
+                      '"n_vertices"')
 
     def test_zero_distortion_entropy(self, tmp_path, capsys):
         probs = [[0.0, 0.2, 0.9], [0.2, 0.0, 0.5], [0.9, 0.5, 0.0]]

@@ -1,0 +1,71 @@
+"""Golden CLI outputs: the exact bytes of ``bernrdp graph`` and ``bernrdp
+eval`` on fixed inputs.
+
+The expected files in tests/golden/ were written by the CLI before the
+solver, the graph adapter and the record building worked on arrays; the
+array code must reproduce them byte for byte.  The graph cases cover
+regions A and B and P = 0 on a 20-vertex matrix with two absent edges,
+one certain edge and two edges at 1/2.  The eval cases use a source with a
+q = 0 and a q = 1/2 component, so region C re-inserts the zero component
+and the solver clamps the 1/2 one; with the region-A and region-B points
+they pin the per-component region labels.
+
+Regenerate the files, only when an output change is intended, with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from bernrdp.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+MATRIX = str(GOLDEN / "er20.json")
+EVAL_Q = "0.3,0,0.5,0.12,0.8"
+
+
+def _graph(D, P, fmt):
+    return ["graph", "--matrix", MATRIX, "-D", D, "-P", P, "--format", fmt]
+
+
+def _eval(D, P, fmt):
+    return ["eval", "--q", EVAL_Q, "-D", D, "-P", P, "--format", fmt]
+
+
+CASES = {
+    "graph_a.json": _graph("20", "15", "json"),
+    "graph_a.csv": _graph("20", "15", "csv"),
+    "graph_b.json": _graph("57", "14", "json"),
+    "graph_b.csv": _graph("57", "14", "csv"),
+    "graph_p0.json": _graph("30", "0", "json"),
+    "graph_p0.csv": _graph("30", "0", "csv"),
+    "eval_c.json": _eval("0.4", "0.05", "json"),
+    "eval_c.csv": _eval("0.4", "0.05", "csv"),
+    "eval_p0.json": _eval("0.4", "0", "json"),
+    "eval_a.json": _eval("0.3", "0.5", "json"),
+    "eval_b.json": _eval("1.3", "0.3", "json"),
+}
+
+
+def _run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name):
+    code, text = _run(CASES[name])
+    assert code == 0
+    assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        code, text = _run(argv)
+        assert code == 0, (name, code)
+        (GOLDEN / name).write_text(text, encoding="utf-8")

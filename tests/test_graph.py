@@ -41,6 +41,28 @@ class TestLoadMatrix:
         with pytest.raises(DomainError):
             load_matrix(_matrix_bytes(3, [[0.0, 0.3], [0.3, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected(self, bad):
+        probs = [[0.0, 0.3, 0.1], [0.3, 0.0, bad], [0.1, bad, 0.0]]
+        with pytest.raises(DomainError, match=r"probs\[1\]\[2\]=(nan|inf) is not finite"):
+            load_matrix(_matrix_bytes(3, probs))
+        with pytest.raises(DomainError, match="not finite"):
+            EdgeProbabilityMatrix(3, np.array(probs))
+
+    @pytest.mark.parametrize("probs", [[[0.0, 0.3], [0.3]], [[0.0, "x"], ["x", 0.0]],
+                                       [[0.0, [0.3]], [0.3, 0.0]]])
+    def test_malformed_probs_rejected(self, probs):
+        with pytest.raises(DomainError, match='"probs"'):
+            load_matrix(_matrix_bytes(2, probs))
+
+    @pytest.mark.parametrize("n", [2.5, "two", "2", True, None, [2]])
+    def test_non_integer_vertex_count_rejected(self, n):
+        with pytest.raises(DomainError, match='"n_vertices" must be an integer'):
+            load_matrix(_matrix_bytes(n, [[0.0, 0.3], [0.3, 0.0]]))
+
+    def test_integral_float_vertex_count_accepted(self):
+        assert load_matrix(_matrix_bytes(2.0, [[0.0, 0.3], [0.3, 0.0]])).n_vertices == 2
+
     def test_tiny_asymmetry_symmetrized(self):
         m = load_matrix(_matrix_bytes(2, [[0.0, 0.3], [0.3 + 1e-13, 0.0]]))
         assert m.probs[0, 1] == m.probs[1, 0]
@@ -52,17 +74,17 @@ class TestFlatten:
             [0.0, 0.2, 0.5],
             [0.2, 0.0, 0.9],
             [0.5, 0.9, 0.0]]))
-        src, edges = flatten(m)
-        assert edges == [(0, 1), (0, 2), (1, 2)]
+        src, (i, j) = flatten(m)
+        assert i.tolist() == [0, 0, 1] and j.tolist() == [1, 2, 2]
         assert np.allclose(src.raw(), [0.2, 0.5, 0.9])
         assert np.allclose(src.q, [0.5, 0.2, 0.1])
         assert src.flip_mask.tolist() == [False, False, True]
 
     def test_two_vertex_single_component(self):
         m = EdgeProbabilityMatrix(2, np.array([[0.0, 0.3], [0.3, 0.0]]))
-        src, edges = flatten(m)
+        src, (i, j) = flatten(m)
         assert src.n == 1
-        assert edges == [(0, 1)]
+        assert i.tolist() == [0] and j.tolist() == [1]
 
     def test_homogeneous_gives_equal_q(self):
         n = 4
@@ -133,6 +155,25 @@ class TestGraphRdp:
         # edges keep their original orientation and probabilities
         assert [(e.i, e.j) for e in res.edges] == [(0, 1), (0, 2), (1, 2)]
         assert [e.q for e in res.edges] == [0.2, 0.5, 0.9]
+
+    def test_edge_arrays_and_rows(self):
+        rng = np.random.default_rng(52)
+        n = 6
+        probs = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        probs[1, 4] = 0.0
+        probs = probs + probs.T
+        res = graph_rdp(EdgeProbabilityMatrix(n, probs), (2.0, 0.4))
+        i, j = np.triu_indices(n, 1)
+        assert res.i.tolist() == i.tolist() and res.j.tolist() == j.tolist()
+        assert res.q.tolist() == probs[i, j].tolist()
+        assert res.edge_rate.sum() == pytest.approx(res.rate, abs=1e-12)
+        rows = res.edges
+        assert res.edges is rows  # built once, on first read
+        for k, e in enumerate(rows):
+            assert (e.i, e.j, e.q, e.d, e.p, e.rate) == (
+                int(res.i[k]), int(res.j[k]), float(res.q[k]), float(res.d[k]),
+                float(res.p[k]), float(res.edge_rate[k]))
+            assert type(e.i) is int and type(e.d) is float
 
     def test_structurally_absent_edges_kept(self):
         m = EdgeProbabilityMatrix(3, np.array([

@@ -17,7 +17,7 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      s_of_d, scalar_rdp, solve_component_c, solve_region_a,
                      solve_region_b, solve_region_c, t_of_d, water_fill)
 from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _blend, _component_dp,
-                            _d_of_alpha, _d_p_zero)
+                            _d_of_alpha, _d_p_zero, _s_curve)
 
 H2_03 = 0.610864302054893463
 SUM_H2_03_01 = 0.935947275446341703           # h2(0.3) + h2(0.1)
@@ -26,6 +26,11 @@ RD_03_01 = 0.285781328663445224               # h2(0.3) - h2(0.1)
 TERN_02_005_03 = 0.120227319891441581         # scalar ternary branch value
 TERN_01_005_025 = 0.238077788518041652
 D_PP_A05_Q025 = 0.298466032603525787          # p=0 distortion at alpha=0.5, q=0.25
+
+
+def _regions(res) -> list[ScalarRegion]:
+    """The certificate's component labels as ScalarRegion members."""
+    return [tuple(ScalarRegion)[code] for code in res.certificate.component_regions]
 
 
 def _rand_source(rng, n_lo=1, n_hi=5):
@@ -73,8 +78,65 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match=r"entry 1 is (nan|inf|-inf)"):
+            normalize([0.3, bad, 0.2])
+
+    def test_nan_source_entry_rejected(self):
+        with pytest.raises(DomainError, match=r"\[0, 1/2\]"):
+            br.BernoulliVectorSource(q=np.array([0.3, math.nan]),
+                                     flip_mask=np.zeros(2, dtype=bool),
+                                     permutation=np.array([0, 1]))
+
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+    def test_permutation_must_be_a_bijection(self, perm):
+        with pytest.raises(DomainError, match="bijection"):
+            br.BernoulliVectorSource(q=np.array([0.4, 0.3, 0.1]),
+                                     flip_mask=np.zeros(3, dtype=bool),
+                                     permutation=np.array(perm))
+
+    def test_permutation_accepted(self):
+        src = br.BernoulliVectorSource(q=np.array([0.4, 0.3, 0.1]),
+                                       flip_mask=np.zeros(3, dtype=bool),
+                                       permutation=np.array([2, 0, 1]))
+        assert src.permutation.tolist() == [2, 0, 1]
+
+
+def _water_fill_scan(q: np.ndarray, D: float) -> np.ndarray:
+    """Reference: water_fill as a Python scan over the saturation counts,
+    kept to pin the vectorised version bit for bit."""
+    q = np.asarray(q, dtype=float)
+    total = float(q.sum())
+    if D >= total:
+        return q.copy()
+    suffix = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))  # suffix[m] = sum q[m:]
+    for m in range(q.size, 0, -1):
+        level = (D - suffix[m]) / m
+        low = q[m] if m < q.size else 0.0
+        if low - 1e-15 <= level <= q[m - 1] + 1e-15:
+            return np.minimum(max(level, 0.0), q)
+    raise AssertionError("water level scan failed")
+
 
 class TestWaterFill:
+    def test_bitwise_equal_to_scan(self):
+        rng = np.random.default_rng(36)
+        sources = []
+        for _ in range(150):
+            n = int(rng.integers(1, 40))
+            sources.append(np.sort(rng.uniform(0.0, 0.5, n))[::-1])          # random
+            sources.append(np.sort(rng.choice([0.05, 0.2, 0.35, 0.5, 0.0],   # tied
+                                              n))[::-1])
+            sources.append(np.full(n, float(rng.uniform(0.01, 0.5))))         # all equal
+        for q in sources:
+            total = float(q.sum())
+            budgets = [0.0, total] + rng.uniform(0.0, total, 4).tolist()
+            budgets += [total * (1.0 - 1e-15), total * 1e-15]
+            for D in budgets:
+                got, want = water_fill(q, D), _water_fill_scan(q, D)
+                assert got.tobytes() == want.tobytes(), (q, D)
+
     def test_exact_sum_and_caps(self):
         rng = np.random.default_rng(22)
         for _ in range(200):
@@ -119,7 +181,42 @@ class TestTCurve:
             t_of_d([0.3, 0.1], 0.4)
 
 
+def _s_segment_scan(q: np.ndarray, D: float):
+    """Reference: the active S(D) segment found by a Python scan, kept to
+    pin the vectorised search bit for bit (for sum q <= D < sum caps)."""
+    caps = 2.0 * q * (1.0 - q)
+    prefix_caps = np.concatenate(([0.0], np.cumsum(caps)))
+    suffix_q = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))
+    for k in range(1, q.size + 1):
+        if D <= prefix_caps[k] + suffix_q[k] + 1e-15:
+            d_k = D - prefix_caps[k - 1] - suffix_q[k]
+            d_k = min(max(d_k, q[k - 1]), caps[k - 1])
+            p_k = (caps[k - 1] - d_k) / (1.0 - 2.0 * q[k - 1])
+            d = np.concatenate((caps[: k - 1], [d_k], q[k:]))
+            p = np.concatenate((np.zeros(k - 1), [p_k], q[k:]))
+            return float(p.sum()), k, float(d_k), d, p
+    raise AssertionError("S(D) segment scan failed")
+
+
 class TestSCurve:
+    def test_bitwise_equal_to_scan(self):
+        rng = np.random.default_rng(37)
+        for _ in range(150):
+            n = int(rng.integers(1, 40))
+            for q in (np.sort(rng.uniform(0.0, 0.5 - 1e-9, n))[::-1],
+                      np.sort(rng.choice([0.05, 0.2, 0.35, 0.0], n))[::-1],
+                      np.full(n, float(rng.uniform(0.01, 0.49)))):
+                sum_q, caps = float(q.sum()), float((2.0 * q * (1.0 - q)).sum())
+                budgets = [sum_q] + rng.uniform(sum_q, caps, 4).tolist()
+                budgets.append(caps * (1.0 - 1e-15))
+                for D in budgets:
+                    if D >= caps:
+                        continue
+                    got = _s_curve(q, D)
+                    value, k, d_k, d, p = _s_segment_scan(q, D)
+                    assert (got.value, got.k, got.d_k) == (value, k, d_k), (q, D)
+                    assert got.d.tobytes() == d.tobytes() and got.p.tobytes() == p.tobytes()
+
     def test_left_endpoint(self):
         point = s_of_d([0.3, 0.1], 0.4)
         assert point.value == pytest.approx(0.4, abs=1e-12)
@@ -221,7 +318,7 @@ class TestRegionA:
             res = solve_region_a(src, (D, P))
             assert abs(res.allocation.d.sum() - D) <= 1e-10
             assert abs(res.allocation.p.sum() - P) <= 1e-10
-            assert set(res.certificate.component_regions) <= {
+            assert set(_regions(res)) <= {
                 ScalarRegion.S, ScalarRegion.V, ScalarRegion.EXTERIOR}
             assert res.certificate.mu == 0.0
             assert np.all(res.certificate.lam == 0.0)
@@ -266,7 +363,7 @@ class TestRegionB:
             P = s_of_d(src, D).value + float(rng.uniform(0.0, 0.7))
             res = solve_region_b(src, (D, P))
             assert res.rate == 0.0
-            assert set(res.certificate.component_regions) <= {
+            assert set(_regions(res)) <= {
                 ScalarRegion.T, ScalarRegion.V, ScalarRegion.EXTERIOR}
             assert abs(res.allocation.p.sum() - P) <= 1e-10
 
@@ -437,7 +534,7 @@ class TestRegionC:
                 continue
             seen += 1
             res = solve_region_c(src, budget)
-            labels = set(res.certificate.component_regions) - {ScalarRegion.EXTERIOR}
+            labels = set(_regions(res)) - {ScalarRegion.EXTERIOR}
             assert labels == {ScalarRegion.U}
             assert res.certificate.nu >= 0.0
             assert res.certificate.mu >= 0.0
@@ -703,11 +800,25 @@ class TestCertificateChecks:
         bad = br.KktCertificate(
             nu=res.certificate.nu, mu=res.certificate.mu,
             lam=res.certificate.lam, gamma=res.certificate.gamma,
-            component_regions=(ScalarRegion.S, ScalarRegion.T))
+            component_regions=np.array([tuple(ScalarRegion).index(r) for r in (
+                ScalarRegion.S, ScalarRegion.T)], dtype=np.int8))
         broken = br.RdpResult(rate=res.rate, region=res.region,
                               allocation=res.allocation, certificate=bad,
                               multiplier_iterations=0, residuals=res.residuals)
         with pytest.raises(ConvergenceError):
+            br.check_certificate(broken)
+
+    @pytest.mark.parametrize("codes", [[0, 5], [-1, 2]])
+    def test_unknown_label_code_rejected(self, codes):
+        res = rdp([0.3, 0.1], (0.2, 0.05))
+        bad = br.KktCertificate(
+            nu=res.certificate.nu, mu=res.certificate.mu,
+            lam=res.certificate.lam, gamma=res.certificate.gamma,
+            component_regions=np.array(codes, dtype=np.int8))
+        broken = br.RdpResult(rate=res.rate, region=res.region,
+                              allocation=res.allocation, certificate=bad,
+                              multiplier_iterations=0, residuals=res.residuals)
+        with pytest.raises(ConvergenceError, match="unknown"):
             br.check_certificate(broken)
 
     def test_closure_membership_random(self):
@@ -717,7 +828,7 @@ class TestCertificateChecks:
             budget = _rand_budget(rng, src)
             res = rdp(src, budget)
             qeff = np.minimum(src.q, 0.5 - 1e-9)
-            for i, lab in enumerate(res.certificate.component_regions):
+            for i, lab in enumerate(_regions(res)):
                 assert br.in_region_closure(
                     float(res.allocation.d[i]), float(res.allocation.p[i]),
                     float(qeff[i]), lab), (src.q, budget, lab, i)
