@@ -36,7 +36,12 @@ class EdgeProbabilityMatrix:
     probs: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_vertices)
+        n = self.n_vertices
+        if isinstance(n, (float, np.floating)) and float(n).is_integer():
+            n = int(n)
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+            raise DomainError(f"n_vertices must be an integer, got {n!r}")
+        n = int(n)
         probs = np.asarray(self.probs, dtype=float)
         if n < 2:
             raise DomainError("a graph source needs at least 2 vertices")
@@ -86,16 +91,11 @@ def load_matrix(source) -> EdgeProbabilityMatrix:
         raise DomainError(f"matrix file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n_vertices" not in doc or "probs" not in doc:
         raise DomainError('matrix file needs keys "n_vertices" and "probs"')
-    n = doc["n_vertices"]
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f'"n_vertices" must be an integer, got {n!r}')
     try:
         probs = np.asarray(doc["probs"], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise DomainError(f'"probs" must be a list of {n} rows of {n} numbers') from exc
-    return EdgeProbabilityMatrix(n, probs)
+        raise DomainError('"probs" must be a list of rows of numbers') from exc
+    return EdgeProbabilityMatrix(doc["n_vertices"], probs)
 
 
 def flatten(matrix: EdgeProbabilityMatrix) -> tuple[BernoulliVectorSource,

@@ -183,7 +183,7 @@ class TestGraphCmd:
     def test_non_integer_vertex_count_exit_2(self, tmp_path, capsys):
         path = self._write_matrix(tmp_path, [[0.0, 0.3], [0.3, 0.0]], "two")
         self._exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
-                      '"n_vertices"')
+                      "n_vertices must be an integer")
 
     def test_zero_distortion_entropy(self, tmp_path, capsys):
         probs = [[0.0, 0.2, 0.9], [0.2, 0.0, 0.5], [0.9, 0.5, 0.0]]

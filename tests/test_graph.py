@@ -57,8 +57,11 @@ class TestLoadMatrix:
 
     @pytest.mark.parametrize("n", [2.5, "two", "2", True, None, [2]])
     def test_non_integer_vertex_count_rejected(self, n):
-        with pytest.raises(DomainError, match='"n_vertices" must be an integer'):
-            load_matrix(_matrix_bytes(n, [[0.0, 0.3], [0.3, 0.0]]))
+        probs = [[0.0, 0.3], [0.3, 0.0]]
+        with pytest.raises(DomainError, match="n_vertices must be an integer"):
+            load_matrix(_matrix_bytes(n, probs))
+        with pytest.raises(DomainError, match="n_vertices must be an integer"):
+            EdgeProbabilityMatrix(n, np.array(probs))
 
     def test_integral_float_vertex_count_accepted(self):
         assert load_matrix(_matrix_bytes(2.0, [[0.0, 0.3], [0.3, 0.0]])).n_vertices == 2
