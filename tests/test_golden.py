@@ -1,5 +1,5 @@
-"""Golden CLI outputs: the exact bytes of ``bernrdp graph`` and ``bernrdp
-eval`` on fixed inputs.
+"""Golden CLI outputs: the exact bytes of ``bernrdp graph``, ``eval``,
+``curve``, ``region`` and ``bounds`` on fixed inputs.
 
 The expected files in tests/golden/ were written by the CLI before the
 solver, the graph adapter and the record building worked on arrays; the
@@ -8,7 +8,10 @@ regions A and B and P = 0 on a 20-vertex matrix with two absent edges,
 one certain edge and two edges at 1/2.  The eval cases use a source with a
 q = 0 and a q = 1/2 component, so region C re-inserts the zero component
 and the solver clamps the 1/2 one; with the region-A and region-B points
-they pin the per-component region labels.
+they pin the per-component region labels.  The curve cases cover both axes
+and formats and a CSV error row whose message holds a comma (so the CSV
+quoting is pinned); the region cases have empty T and S cells; the eval and
+bounds cases at P = inf pin how each format writes an infinite value.
 
 Regenerate the files, only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -35,6 +38,21 @@ def _eval(D, P, fmt):
     return ["eval", "--q", EVAL_Q, "-D", D, "-P", P, "--format", fmt]
 
 
+def _bounds(D, P, fmt):
+    return ["bounds", "--q", EVAL_Q, "-D", D, "-P", P, "--format", fmt]
+
+
+def _curve(axis, start, stop, count, fixed, fmt):
+    other = "-P" if axis == "D" else "-D"
+    return ["curve", "--q", EVAL_Q, "--axis", axis, "--start", start, "--stop", stop,
+            "--count", count, other, fixed, "--format", fmt]
+
+
+def _region(fmt):
+    return ["region", "--q", EVAL_Q, "--d-max", "1.5", "--d-count", "4",
+            "--p-max", "0.6", "--p-count", "3", "--format", fmt]
+
+
 CASES = {
     "graph_a.json": _graph("20", "15", "json"),
     "graph_a.csv": _graph("20", "15", "csv"),
@@ -47,7 +65,20 @@ CASES = {
     "eval_p0.json": _eval("0.4", "0", "json"),
     "eval_a.json": _eval("0.3", "0.5", "json"),
     "eval_b.json": _eval("1.3", "0.3", "json"),
+    "eval_inf.json": _eval("0.3", "inf", "json"),
+    "eval_inf.csv": _eval("0.3", "inf", "csv"),
+    "bounds_inf.json": _bounds("0.3", "inf", "json"),
+    "bounds_inf.csv": _bounds("0.3", "inf", "csv"),
+    "curve_d_p0.json": _curve("D", "0", "1.5", "7", "0", "json"),
+    "curve_p_a.csv": _curve("P", "0.4", "1.0", "4", "0.3", "csv"),
+    "curve_error.csv": _curve("P", "-0.3", "0.3", "3", "0.3", "csv"),
+    "curve_error.json": _curve("P", "-0.3", "0.3", "3", "0.3", "json"),
+    "region.csv": _region("csv"),
+    "region.json": _region("json"),
 }
+
+#: A curve with a failed point still writes every row, then exits 3.
+EXIT_CODES = {"curve_error.csv": 3, "curve_error.json": 3}
 
 
 def _run(argv) -> tuple[int, str]:
@@ -60,12 +91,12 @@ def _run(argv) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name):
     code, text = _run(CASES[name])
-    assert code == 0
+    assert code == EXIT_CODES.get(name, 0)
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     for name, argv in CASES.items():
         code, text = _run(argv)
-        assert code == 0, (name, code)
+        assert code == EXIT_CODES.get(name, 0), (name, code)
         (GOLDEN / name).write_text(text, encoding="utf-8")
