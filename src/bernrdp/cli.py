@@ -7,6 +7,14 @@ digits, no timestamps.  JSON is the default format (streams emit one JSON
 object per line); --format csv gives flat tables.  Exit codes: 0 success,
 2 input validation, 3 convergence failure, 4 verification failure,
 5 size limit.
+
+Every command writes through one emitter, ``_emit``.  Small records
+(bounds, region, the verify report and the head of every solve) are
+dicts serialized value by value.  The per-component allocation of
+``eval`` and ``curve`` and the per-edge shares of ``graph`` stay numpy
+columns: a float column is formatted in one C-level call, and each row
+through one %-template per table, into which the record's constant cells
+(a CSV line's D, P, rate and multipliers) are written once.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +44,7 @@ EXIT_VERIFY = 4
 EXIT_SIZE = 5
 
 #: Output names of the component label codes (see KktCertificate).
-_REGION_NAMES = tuple(r.value for r in ScalarRegion)
+_REGION_NAMES = np.array([r.value for r in ScalarRegion])
 
 
 class VerificationFailure(Exception):
@@ -45,16 +53,47 @@ class VerificationFailure(Exception):
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
+#
+# A float is written as its rounding to 12 significant digits, "%.12g": a
+# CSV cell is that string, and a JSON number is the repr of the float it
+# denotes (the same string, except "0" -> "0.0", "1e+12" ->
+# "1000000000000.0" and subnormals), with inf, -inf and nan as JSON strings.
+
+_G = "%.12g"
+_NON_FINITE = ("inf", "-inf", "nan")
+
+#: Conversion of a column in a row template, by dtype kind.  JSON float
+#: columns are formatted beforehand; labels are plain names.
+_JSON_SPEC = {"f": "%s", "i": "%d", "u": "%d", "U": '"%s"'}
+_CSV_SPEC = {"f": _G, "i": "%d", "u": "%d", "U": "%s"}
+
+
+class _Record(NamedTuple):
+    """A record whose JSON and CSV forms differ.
+
+    JSON: ``head``, then, when ``key`` is set, the table ``columns`` under
+    ``key``, one object per row.  CSV: ``csv`` maps each field to a value
+    or to a column; a record with columns is one line per row.
+    """
+
+    head: dict
+    csv: dict
+    key: str | None = None
+    columns: dict | None = None
 
 
 def _num(x):
     """Round to 12 significant digits; non-finite floats become strings."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return float(f"{x:.12g}")
+    cell = _G % x
+    return cell if cell in _NON_FINITE else float(cell)
+
+
+def _json_floats(column: np.ndarray) -> list[str]:
+    """The JSON tokens of ``_num`` over a float column."""
+    values = column.tolist()
+    cells = ((_G + "\n") * len(values) % tuple(values)).split()
+    return [c if "." in c and "e" not in c else
+            f'"{c}"' if c in _NON_FINITE else repr(float(c)) for c in cells]
 
 
 def _jsonify(obj):
@@ -69,24 +108,50 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _emit_json(record, out):
-    out.write(json.dumps(_jsonify(record), separators=(", ", ": ")) + "\n")
+def _json_line(record) -> str:
+    head, key = (record.head, record.key) if isinstance(record, _Record) else (record, None)
+    text = json.dumps(_jsonify(head), separators=(", ", ": "))
+    if key is None:
+        return text + "\n"
+    specs, cols = [], []
+    for name, col in record.columns.items():
+        specs.append(f"{json.dumps(name)}: {_JSON_SPEC[col.dtype.kind]}")
+        cols.append(_json_floats(col) if col.dtype.kind == "f" else col.tolist())
+    template = "{" + ", ".join(specs) + "}"
+    rows = ", ".join(map(template.__mod__, zip(*cols)))
+    return f"{text[:-1]}, {json.dumps(key)}: [{rows}]}}\n"
 
 
-def _csv_cell(v):
+def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (float, np.floating)):
-        n = _num(v)
-        return n if isinstance(n, str) else f"{n:.12g}"
-    return str(v)
+    return _G % v if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _emit_csv(rows, fieldnames, out):
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(k)) for k in fieldnames])
+def _csv_lines(row: dict, fields) -> str:
+    cells, cols = [], []
+    for name in fields:
+        v = row.get(name)
+        if isinstance(v, np.ndarray):
+            cells.append(_CSV_SPEC[v.dtype.kind])
+            cols.append(v.tolist())
+        else:
+            cells.append(_csv_cell(v).replace("%", "%%"))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    template = buf.getvalue()
+    return "".join(map(template.__mod__, zip(*cols))) if cols else template % ()
+
+
+def _emit(records, fmt, out, fields) -> None:
+    """Write records as JSON lines, or as one CSV table with the header
+    ``fields``.  A record is a ``_Record`` or a dict written as it is."""
+    if fmt == "csv":
+        out.write(",".join(fields) + "\n")
+        out.writelines(_csv_lines(r.csv if isinstance(r, _Record) else r, fields)
+                       for r in records)
+    else:
+        out.writelines(map(_json_line, records))
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +166,23 @@ def _parse_q(spec: str) -> np.ndarray:
     except ValueError:
         pass
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read --q file {spec!r}: {exc}") from exc
         if not isinstance(doc, dict) or "q" not in doc:
             raise DomainError(f'{spec}: expected a JSON object with a "q" list')
-        return np.asarray(doc["q"], dtype=float)
+        try:
+            return np.asarray(doc["q"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f'{spec}: "q" must be a list of numbers') from exc
     raise DomainError(f"--q value {spec!r} is neither a number list nor a file")
+
+
+def _check_count(flag: str, count: int) -> None:
+    if count < 1:
+        raise DomainError(f"{flag} must be >= 1")
 
 
 def _source_from(args):
@@ -119,14 +195,15 @@ def _source_from(args):
 # record building
 
 
-def _base_record(src, budget: BudgetPair, result) -> dict:
+_ALLOCATION_FIELDS = ["D", "P", "region", "rate_nats", "rate_bits", "nu", "mu",
+                      "residual_d", "residual_p", "iterations",
+                      "index", "original_index", "q", "d", "p", "component_rate_nats",
+                      "component_region"]
+_EDGE_FIELDS = ["i", "j", "q", "d", "p", "rate_nats", "total_rate_nats", "region"]
+
+
+def _solve_head(budget: BudgetPair, result) -> dict:
     cert = result.certificate
-    alloc = result.allocation
-    cols = zip(src.permutation.tolist(), src.q.tolist(), alloc.d.tolist(), alloc.p.tolist(),
-               alloc.per_component_rate.tolist(), cert.component_regions.tolist())
-    rows = [{"index": i, "original_index": k, "q": q, "d": d, "p": p, "rate_nats": r,
-             "region": _REGION_NAMES[code]}
-            for i, (k, q, d, p, r, code) in enumerate(cols)]
     return {
         "D": budget.D,
         "P": budget.P,
@@ -136,47 +213,19 @@ def _base_record(src, budget: BudgetPair, result) -> dict:
         "multipliers": {"nu": cert.nu, "mu": cert.mu},
         "residuals": {"distortion": result.residuals[0], "perception": result.residuals[1]},
         "solver": {"iterations": result.multiplier_iterations, "notes": list(result.notes)},
-        "allocation": rows,
     }
 
 
-_FLAT_FIELDS = ["D", "P", "region", "rate_nats", "rate_bits", "nu", "mu",
-                "residual_d", "residual_p", "iterations",
-                "index", "original_index", "q", "d", "p", "component_rate_nats",
-                "component_region"]
-
-
-def _flat_rows(record) -> list[dict]:
-    head = {
-        "D": record["D"], "P": record["P"], "region": record["region"],
-        "rate_nats": record["rate_nats"], "rate_bits": record["rate_bits"],
-        "nu": record["multipliers"]["nu"], "mu": record["multipliers"]["mu"],
-        "residual_d": record["residuals"]["distortion"],
-        "residual_p": record["residuals"]["perception"],
-        "iterations": record["solver"]["iterations"],
-    }
-    rows = []
-    for comp in record["allocation"]:
-        row = dict(head)
-        row.update({
-            "index": comp["index"], "original_index": comp["original_index"],
-            "q": comp["q"], "d": comp["d"], "p": comp["p"],
-            "component_rate_nats": comp["rate_nats"],
-            "component_region": comp["region"],
-        })
-        rows.append(row)
-    return rows
-
-
-def _emit_records(records, args, out):
-    if args.format == "csv":
-        rows = []
-        for rec in records:
-            rows.extend(_flat_rows(rec))
-        _emit_csv(rows, _FLAT_FIELDS, out)
-    else:
-        for rec in records:
-            _emit_json(rec, out)
+def _base_record(src, budget: BudgetPair, result) -> _Record:
+    head = _solve_head(budget, result)
+    alloc = result.allocation
+    columns = {"index": np.arange(src.n), "original_index": src.permutation, "q": src.q,
+               "d": alloc.d, "p": alloc.p, "rate_nats": alloc.per_component_rate,
+               "region": _REGION_NAMES[result.certificate.component_regions]}
+    flat = (budget.D, budget.P, result.region, result.rate, head["rate_bits"],
+            result.certificate.nu, result.certificate.mu, *result.residuals,
+            result.multiplier_iterations, *columns.values())
+    return _Record(head, dict(zip(_ALLOCATION_FIELDS, flat)), "allocation", columns)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +236,13 @@ def cmd_eval(args, out) -> int:
     src = _source_from(args)
     budget = BudgetPair(args.D, args.P)
     result = rdp(src, budget, budget_rtol=args.tol)
-    _emit_records([_base_record(src, budget, result)], args, out)
+    _emit([_base_record(src, budget, result)], args.format, out, _ALLOCATION_FIELDS)
     return EXIT_OK
 
 
 def cmd_curve(args, out) -> int:
     src = _source_from(args)
-    if args.count < 1:
-        raise DomainError("--count must be >= 1")
+    _check_count("--count", args.count)
     if args.start > args.stop:
         raise DomainError("--start must be <= --stop")
     values = np.linspace(args.start, args.stop, args.count)
@@ -210,21 +258,11 @@ def cmd_curve(args, out) -> int:
             rates.append(result.rate)
         except (DomainError, ConvergenceError) as exc:
             failed = True
-            records.append({"D": D, "P": P, "error":
-                            {"type": type(exc).__name__, "message": str(exc)}})
+            records.append(_Record(
+                {"D": D, "P": P, "error": {"type": type(exc).__name__, "message": str(exc)}},
+                {"D": D, "P": P, "region": f"error: {exc}"}))
             rates.append(None)
-    if args.format == "csv":
-        rows = []
-        for rec in records:
-            if "error" in rec:
-                rows.append({"D": rec["D"], "P": rec["P"],
-                             "region": f"error: {rec['error']['message']}"})
-            else:
-                rows.extend(_flat_rows(rec))
-        _emit_csv(rows, _FLAT_FIELDS, out)
-    else:
-        for rec in records:
-            _emit_json(rec, out)
+    _emit(records, args.format, out, _ALLOCATION_FIELDS)
     if args.self_check:
         clean = [r for r in rates if r is not None]
         for prev, cur in zip(clean, clean[1:]):
@@ -237,6 +275,8 @@ def cmd_curve(args, out) -> int:
 
 def cmd_region(args, out) -> int:
     src = _source_from(args)
+    _check_count("--d-count", args.d_count)
+    _check_count("--p-count", args.p_count)
     d_vals = np.linspace(args.d_min, args.d_max, args.d_count)
     p_vals = np.linspace(args.p_min, args.p_max, args.p_count)
     q_eff_sum = float(np.minimum(src.q, 0.5).sum())
@@ -262,12 +302,7 @@ def cmd_region(args, out) -> int:
                 if got != "B":
                     raise VerificationFailure(
                         f"self-check: classify(D, S(D)) = {got} != B at D={row['D']:.12g}")
-    if args.format == "csv":
-        fields = ["kind", "D", "P", "region", "T", "S"]
-        _emit_csv(cells + boundaries, fields, out)
-    else:
-        for rec in cells + boundaries:
-            _emit_json(rec, out)
+    _emit(cells + boundaries, args.format, out, ["kind", "D", "P", "region", "T", "S"])
     return EXIT_OK
 
 
@@ -282,30 +317,12 @@ def cmd_graph(args, out) -> int:
     budget = BudgetPair(args.D, args.P)
     gres = graph_rdp(matrix, budget)
     result = gres.result
-    record = {
-        "n_vertices": matrix.n_vertices,
-        "D": budget.D,
-        "P": budget.P,
-        "region": result.region,
-        "rate_nats": result.rate,
-        "rate_bits": result.rate / _LN2,
-        "multipliers": {"nu": result.certificate.nu, "mu": result.certificate.mu},
-        "residuals": {"distortion": result.residuals[0],
-                      "perception": result.residuals[1]},
-        "solver": {"iterations": result.multiplier_iterations,
-                   "notes": list(result.notes)},
-        "edges": [{"i": i, "j": j, "q": q, "d": d, "p": p, "rate_nats": r}
-                  for i, j, q, d, p, r in zip(*(a.tolist() for a in (
-                      gres.i, gres.j, gres.q, gres.d, gres.p, gres.edge_rate)))],
-    }
-    if args.format == "csv":
-        fields = ["i", "j", "q", "d", "p", "rate_nats", "total_rate_nats", "region"]
-        rows = [{"i": e["i"], "j": e["j"], "q": e["q"], "d": e["d"], "p": e["p"],
-                 "rate_nats": e["rate_nats"], "total_rate_nats": record["rate_nats"],
-                 "region": record["region"]} for e in record["edges"]]
-        _emit_csv(rows, fields, out)
-    else:
-        _emit_json(record, out)
+    edges = {"i": gres.i, "j": gres.j, "q": gres.q, "d": gres.d, "p": gres.p,
+             "rate_nats": gres.edge_rate}
+    record = _Record({"n_vertices": matrix.n_vertices, **_solve_head(budget, result)},
+                     {**edges, "total_rate_nats": result.rate, "region": result.region},
+                     "edges", edges)
+    _emit([record], args.format, out, _EDGE_FIELDS)
     return EXIT_OK
 
 
@@ -316,10 +333,7 @@ def cmd_bounds(args, out) -> int:
     lower, upper = length_bounds(result.rate)
     record = {"D": budget.D, "P": budget.P, "rate_nats": result.rate,
               "lower_bits": lower, "upper_bits": upper, "region": result.region}
-    if args.format == "csv":
-        _emit_csv([record], ["D", "P", "rate_nats", "lower_bits", "upper_bits", "region"], out)
-    else:
-        _emit_json(record, out)
+    _emit([record], args.format, out, ["D", "P", "rate_nats", "lower_bits", "upper_bits", "region"])
     return EXIT_OK
 
 
@@ -327,6 +341,7 @@ def cmd_verify(args, out) -> int:
     src = _source_from(args)
     scalar_grid = GridSpec(args.grid_resolution or 400, args.refine_rounds if args.refine_rounds is not None else 3)
     vector_grid = GridSpec(args.grid_resolution or 200, args.refine_rounds if args.refine_rounds is not None else 2)
+    _check_count("--budget-count", args.budget_count)
     report = {"n": src.n, "stages": {}}
     ok = True
 
@@ -365,11 +380,9 @@ def cmd_verify(args, out) -> int:
         report["stages"]["s_curve"] = stage
 
     report["pass"] = ok
-    if args.format == "csv":
-        rows = [{"stage": name, **vals} for name, vals in report["stages"].items()]
-        _emit_csv(rows, ["stage", "max_deviation", "tolerance", "pass"], out)
-    else:
-        _emit_json(report, out)
+    rows = [{"stage": name, **vals} for name, vals in report["stages"].items()]
+    _emit(rows if args.format == "csv" else [report], args.format, out,
+          ["stage", "max_deviation", "tolerance", "pass"])
     if not ok:
         raise VerificationFailure("oracle verification exceeded tolerance")
     return EXIT_OK

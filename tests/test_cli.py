@@ -23,6 +23,15 @@ def json_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
+def exits_2(argv, capsys, needle):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError"
+    assert needle in error["message"]
+
+
 class TestEval:
     def test_equal_pair_record(self, capsys):
         code, out, _ = run_cli(["eval", "--q", "0.25,0.25", "-D", "0.2", "-P", "0.1"], capsys)
@@ -61,6 +70,19 @@ class TestEval:
         code, out, _ = run_cli(["eval", "--q", str(path), "-D", "0.2", "-P", "0.1"], capsys)
         assert code == 0
         assert json.loads(out)["rate_nats"] == pytest.approx(2 * TERN_01_005_025, rel=1e-9)
+
+    @pytest.mark.parametrize("content, needle", [
+        ('{"q": [0.1, "x"]}', '"q" must be a list of numbers'),
+        ('{"q": [0.1, 0.2', "cannot read --q file"),
+        ('{"q": [[0.1], [0.2, 0.3]]}', '"q" must be a list of numbers'),
+        (None, "cannot read --q file"),
+    ], ids=["non_numeric", "invalid_json", "ragged", "directory"])
+    def test_bad_q_file_exits_2(self, tmp_path, capsys, content, needle):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "source.json"
+            path.write_text(content)
+        exits_2(["eval", "--q", str(path), "-D", "0.2", "-P", "0.1"], capsys, needle)
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(["eval", "--q", "0.3,0.1", "-D", "0.2", "-P", "0.05",
@@ -133,6 +155,19 @@ class TestRegion:
         assert all(c["region"] == "B" for c in cells)
 
 
+class TestCounts:
+    @pytest.mark.parametrize("argv, flag", [
+        (["region", "--d-max", "0.5", "--p-max", "0.5", "--d-count", "-1"], "--d-count"),
+        (["region", "--d-max", "0.5", "--p-max", "0.5", "--p-count", "-1"], "--p-count"),
+        (["region", "--d-max", "0.5", "--p-max", "0.5", "--d-count", "0"], "--d-count"),
+        (["verify", "--scalar-only", "--budget-count", "-1"], "--budget-count"),
+        (["verify", "--scalar-only", "--budget-count", "0"], "--budget-count"),
+        (["curve", "--axis", "D", "--start", "0", "--stop", "1", "--count", "-1"], "--count"),
+    ])
+    def test_count_below_one_exits_2(self, capsys, argv, flag):
+        exits_2(argv + ["--q", "0.3,0.1"], capsys, f"{flag} must be >= 1")
+
+
 class TestGraphCmd:
     def _write_matrix(self, tmp_path, probs, n):
         path = tmp_path / "matrix.json"
@@ -156,33 +191,25 @@ class TestGraphCmd:
         assert code == 2
         assert "probs" in json.loads(err)["error"]["message"]
 
-    def _exits_2(self, argv, capsys, needle):
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["type"] == "DomainError"
-        assert needle in error["message"]
-
     def test_nan_matrix_exit_2(self, tmp_path, capsys):
         probs = [[0.0, 0.3, math.nan], [0.3, 0.0, 0.2], [math.nan, 0.2, 0.0]]
         path = self._write_matrix(tmp_path, probs, 3)
-        self._exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
+        exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
                       "probs[0][2]=nan is not finite")
 
     def test_missing_matrix_file_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "missing.json")
-        self._exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
+        exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
                       "missing.json")
 
     def test_ragged_matrix_exit_2(self, tmp_path, capsys):
         path = self._write_matrix(tmp_path, [[0.0, 0.3], [0.3]], 2)
-        self._exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
+        exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
                       '"probs"')
 
     def test_non_integer_vertex_count_exit_2(self, tmp_path, capsys):
         path = self._write_matrix(tmp_path, [[0.0, 0.3], [0.3, 0.0]], "two")
-        self._exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
+        exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
                       "n_vertices must be an integer")
 
     def test_zero_distortion_entropy(self, tmp_path, capsys):
