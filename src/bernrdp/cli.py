@@ -64,8 +64,8 @@ _NON_FINITE = ("inf", "-inf", "nan")
 
 #: Conversion of a column in a row template, by dtype kind.  JSON float
 #: columns are formatted beforehand; labels are plain names.
-_JSON_SPEC = {"f": "%s", "i": "%d", "u": "%d", "U": '"%s"'}
-_CSV_SPEC = {"f": _G, "i": "%d", "u": "%d", "U": "%s"}
+_JSON_SPEC = {"f": "%s", "i": "%d", "U": '"%s"'}
+_CSV_SPEC = {"f": _G, "i": "%d", "U": "%s"}
 
 
 class _Record(NamedTuple):
