@@ -3,8 +3,8 @@ function R(d, p, q), and the (d, p) region classifier.
 
 All rates are in nats (natural log).  Every function accepts floats or numpy
 arrays and broadcasts; scalar inputs give a plain ``float`` back.  The
-``0 * log 0 = 0`` convention is implemented by explicit masking, never by
-limit evaluation, so boundary values are exact.
+``0 * log 0 = 0`` convention is implemented by explicit masking (masked
+ufuncs in ``_xlogx``), never by limit evaluation, so boundary values are exact.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ def _as_unit(x, name: str, lo: float = 0.0, hi: float = 1.0):
 
 
 def _xlogx(m: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(m)
+    # masked ufuncs, not a boolean gather: m <= 0 and nan cells stay 0
     pos = m > 0.0
-    out[pos] = m[pos] * np.log(m[pos])
-    return out
+    out = np.log(m, out=np.zeros_like(m), where=pos)
+    return np.multiply(out, m, out=out, where=pos)
 
 
 def _maybe_float(x: np.ndarray, *inputs):
@@ -65,9 +65,7 @@ def h2(u):
     Symmetric under u <-> 1-u with maximum ln 2 at u = 1/2, and h2(0) =
     h2(1) = 0 exactly.
     """
-    uu = _as_unit(u, "u")
-    val = -_xlogx(uu) - _xlogx(1.0 - uu)
-    return _maybe_float(val, u)
+    return _maybe_float(h2_arr(_as_unit(u, "u")), u)
 
 
 def h3(u, v):
@@ -76,15 +74,10 @@ def h3(u, v):
     Requires u >= 0, v >= 0 and u + v <= 1 (within tolerance).  Collapses to
     h2 when any mass is zero: h3(0, v) == h2(v) exactly.
     """
-    uu = _as_unit(u, "u")
-    vv = _as_unit(v, "v")
-    rest = 1.0 - uu - vv
-    if np.any(rest < -DOMAIN_TOL):
+    uu, vv = _as_unit(u, "u"), _as_unit(v, "v")
+    if np.any(1.0 - uu - vv < -DOMAIN_TOL):
         raise DomainError("h3 needs u + v <= 1")
-    rest = np.maximum(rest, 0.0)
-    val = -_xlogx(np.broadcast_to(uu, rest.shape).copy()) \
-        - _xlogx(np.broadcast_to(vv, rest.shape).copy()) - _xlogx(rest)
-    return _maybe_float(val, u, v)
+    return _maybe_float(h3_arr(uu, vv), u, v)
 
 
 def scalar_rdp(d, p, q):
@@ -94,25 +87,29 @@ def scalar_rdp(d, p, q):
     ``p`` the tolerated gap between source and reconstruction marginals.
     Nonincreasing and jointly convex in (d, p), continuous across all branch
     boundaries.  Branch ties: the zero branch is closed, the rate-distortion
-    branch is open on its right edge.
+    branch is open on its right edge.  Each term is evaluated at the shape
+    of the inputs it depends on; only the ternary masses take the full shape.
     """
     dd = _as_unit(d, "d")
     pp = _as_unit(p, "p", hi=np.inf)
     qq = _as_unit(q, "q", hi=0.5)
-    dd, pp, qq = np.broadcast_arrays(dd, pp, qq)
 
-    rd_branch = h2_arr(qq) - h2_arr(dd)
-    zero_thresh = 2.0 * qq * (1.0 - qq) - (1.0 - 2.0 * qq) * pp
-    den = 1.0 - 2.0 * (qq - pp)
+    hq = h2_arr(qq)
+    rd_branch = hq - h2_arr(dd)
+    # the cap at q keeps the last h3's masses legal off-branch
+    ternary = (2.0 * hq + h2_arr(np.maximum(qq - pp, 0.0))
+               - h3_arr(np.maximum(dd - pp, 0.0) / 2.0, qq)
+               - h3_arr(np.minimum((dd + pp) / 2.0, qq), 1.0 - qq))
+
+    # the low-p branches are selected only where p < q, so capping p at q
+    # changes nothing there and spares p = inf the inf/inf and 0 * inf
+    pl = np.minimum(pp, qq)
+    zero_thresh = 2.0 * qq * (1.0 - qq) - (1.0 - 2.0 * qq) * pl
+    den = 1.0 - 2.0 * (qq - pl)
     # p == 0 makes the first-branch threshold 0 for every q (incl. q = 1/2,
     # where the raw expression is 0/0); the ternary branch then takes over
     # and coincides with h2(q) - h2(d) exactly.
-    rd_thresh = np.where(pp > 0.0, pp / np.where(den != 0.0, den, 1.0), 0.0)
-
-    u1 = np.maximum(dd - pp, 0.0) / 2.0
-    u2 = np.minimum((dd + pp) / 2.0, qq)  # keep h3 args legal off-branch
-    ternary = (2.0 * h2_arr(qq) + h2_arr(np.maximum(qq - pp, 0.0))
-               - h3_arr(u1, qq) - h3_arr(u2, 1.0 - qq))
+    rd_thresh = np.where(pl > 0.0, pl / np.where(den != 0.0, den, 1.0), 0.0)
 
     low_p = np.where(dd >= zero_thresh, 0.0,
                      np.where(dd < rd_thresh, rd_branch, ternary))
@@ -129,9 +126,8 @@ def h2_arr(u: np.ndarray) -> np.ndarray:
 
 def h3_arr(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """h3 on pre-validated arrays with masses clipped at 0."""
-    u, v = np.broadcast_arrays(u, v)
     rest = np.maximum(1.0 - u - v, 0.0)
-    return -_xlogx(u.copy()) - _xlogx(v.copy()) - _xlogx(rest)
+    return -_xlogx(u) - _xlogx(v) - _xlogx(rest)
 
 
 def rd_boundary(d, q):

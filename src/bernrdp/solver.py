@@ -881,7 +881,9 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     tol_d = budget_rtol * max(1.0, D)
     tol_p = budget_rtol * max(1.0, P)
 
-    if P == 0.0:
+    # the P = 0 allocation meets a P within tol_p of 0, a budget the beta
+    # search cannot resolve (it exits with no multipliers meeting both)
+    if P <= tol_p:
         alpha, iters = _p_zero_alpha(q, D)
         d = _d_p_zero(alpha, q)
         p = np.zeros_like(d)

@@ -33,6 +33,14 @@ def exits_2(argv, capsys, needle):
 
 
 class TestEval:
+    @pytest.mark.parametrize("q, D, P", [("0.3,0.1", "0.1", "1e-16"), ("0.3,0.1", "0.1", "2.8e-17"),
+                                         ("0.3,0,0.5,0.12,0.8", "0.3", "1e-12")])
+    def test_perception_budget_near_zero(self, capsys, q, D, P):
+        code, out, _ = run_cli(["eval", "--q", q, "-D", D, "-P", P], capsys)
+        assert code == 0
+        _, at_zero, _ = run_cli(["eval", "--q", q, "-D", D, "-P", "0"], capsys)
+        assert json.loads(out)["rate_nats"] == json.loads(at_zero)["rate_nats"]
+
     def test_equal_pair_record(self, capsys):
         code, out, _ = run_cli(["eval", "--q", "0.25,0.25", "-D", "0.2", "-P", "0.1"], capsys)
         assert code == 0

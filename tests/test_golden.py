@@ -1,5 +1,5 @@
 """Golden CLI outputs: the exact bytes of ``bernrdp graph``, ``eval``,
-``curve``, ``region`` and ``bounds`` on fixed inputs.
+``curve``, ``region``, ``bounds`` and ``verify`` on fixed inputs.
 
 The expected files in tests/golden/ were written by the CLI before the
 solver, the graph adapter and the record building worked on arrays; the
@@ -12,6 +12,10 @@ they pin the per-component region labels.  The curve cases cover both axes
 and formats and a CSV error row whose message holds a comma (so the CSV
 quoting is pinned); the region cases have empty T and S cells; the eval and
 bounds cases at P = inf pin how each format writes an infinite value.
+The verify cases are the benchmark's verify sources, including its known
+scalar-oracle failure (exit 4); their files were written before the scalar
+oracle took H(X) from ``core.h2`` and the entropy kernel became masked
+ufuncs, and pin the oracles' reports.
 
 Regenerate the files, only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -48,6 +52,11 @@ def _curve(axis, start, stop, count, fixed, fmt):
             "--count", count, other, fixed, "--format", fmt]
 
 
+def _verify(q, budget_count, fmt, scalar_only=False):
+    return ["verify", *(["--scalar-only"] if scalar_only else []), "--q", q,
+            "--budget-count", budget_count, "--format", fmt]
+
+
 def _region(fmt):
     return ["region", "--q", EVAL_Q, "--d-max", "1.5", "--d-count", "4",
             "--p-max", "0.6", "--p-count", "3", "--format", fmt]
@@ -75,10 +84,16 @@ CASES = {
     "curve_error.json": _curve("P", "-0.3", "0.3", "3", "0.3", "json"),
     "region.csv": _region("csv"),
     "region.json": _region("json"),
+    "verify_n2.json": _verify("0.3,0.1", "2", "json"),
+    "verify_n2.csv": _verify("0.25,0.05", "2", "csv"),
+    "verify_n3.json": _verify("0.3,0.25,0.05", "2", "json"),
+    "verify_scalar_n3.csv": _verify("0.3,0.1,0.05", "3", "csv", scalar_only=True),
+    "verify_known_failure.json": _verify("0.35,0.2,0.05", "4", "json", scalar_only=True),
 }
 
 #: A curve with a failed point still writes every row, then exits 3.
-EXIT_CODES = {"curve_error.csv": 3, "curve_error.json": 3}
+#: The known verify failure exits 4.
+EXIT_CODES = {"curve_error.csv": 3, "curve_error.json": 3, "verify_known_failure.json": 4}
 
 
 def _run(argv) -> tuple[int, str]:

@@ -550,6 +550,17 @@ class TestRegionC:
         assert "snapped" not in " ".join(res.notes)
         assert np.max(br.kkt_gradient_residuals(src, res)) <= 1e-7
 
+    @pytest.mark.parametrize("raw, D, P", [([0.3, 0.1], 0.1, 1e-16),
+                                           ([0.3, 0.1], 0.1, 2.8e-17),
+                                           ([0.3, 0.0, 0.5, 0.12, 0.8], 0.3, 1e-12)])
+    def test_perception_within_tolerance_of_zero(self, raw, D, P):
+        # once "no multipliers meet both budgets": P this small is served
+        # by the P = 0 allocation
+        res = rdp(raw, (D, P), check=True)
+        assert res.region == "C"
+        assert res.rate == rdp(raw, (D, 0.0)).rate
+        assert np.all(res.allocation.p == 0.0)
+
     def test_snap_near_s_boundary(self):
         src = normalize([0.3, 0.1])
         D = 0.5
