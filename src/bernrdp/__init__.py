@@ -13,7 +13,7 @@ from .solver import (Allocation, BernoulliVectorSource, BudgetPair,
                      KktCertificate, PlaneRegion, RdpResult, SCurvePoint,
                      check_certificate, classify, in_region_closure,
                      kkt_gradient_residuals, length_bounds, normalize, rdp,
-                     rdp_p_zero, s_of_d, solve_component_c, solve_region_a,
+                     s_of_d, solve_component_c, solve_region_a,
                      solve_region_b, solve_region_c, t_of_d, water_fill)
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "check_certificate", "classify", "flatten", "graph_rdp",
     "h2", "h3", "in_region_closure", "kkt_gradient_residuals",
     "length_bounds", "load_matrix", "normalize", "rd_boundary", "rdp",
-    "rdp_p_zero", "s_of_d", "s_of_d_oracle", "scalar_channel_oracle",
+    "s_of_d", "s_of_d_oracle", "scalar_channel_oracle",
     "scalar_rdp", "scalar_region", "solve_component_c", "solve_region_a",
     "solve_region_b", "solve_region_c", "t_of_d", "water_fill",
 ]

@@ -40,9 +40,10 @@ class ScalarRegion(enum.Enum):
 def _as_unit(x, name: str, lo: float = 0.0, hi: float = 1.0):
     """Validate x in [lo, hi] within DOMAIN_TOL and clip the excursion."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < lo - DOMAIN_TOL) or np.any(arr > hi + DOMAIN_TOL):
-        bad = arr[(arr < lo - DOMAIN_TOL) | (arr > hi + DOMAIN_TOL)]
-        raise DomainError(f"{name} must lie in [{lo}, {hi}]; got {bad.flat[0]!r}")
+    inside = (arr >= lo - DOMAIN_TOL) & (arr <= hi + DOMAIN_TOL)  # NaN fails too
+    if not inside.all():
+        bad = float(arr[~inside].flat[0])
+        raise DomainError(f"{name} must lie in [{lo}, {hi}]; got {bad!r}")
     return np.clip(arr, lo, hi)
 
 

@@ -11,17 +11,14 @@ plane splits into three regions:
   B: zero rate.  A reconstruction independent of the source is feasible.
   C: both budgets bind.  Each component solves a two-multiplier
      stationarity system inside its U region; the shared multipliers
-     (alpha, beta) are tuned so the allocations meet the budgets.  Every
-     search here is one root finder, ``_bracketed_newton``: Newton steps
-     with analytic slopes, kept inside a bracket that each evaluation
-     shrinks.  The brackets rest on monotonicity (the gradient map of a
-     convex function is monotone): a component's beta gap falls as p grows
-     along its fixed-alpha contour, sum d falls as alpha grows at fixed
-     beta, and sum p falls as beta grows along the curve sum d = D.  The
-     slopes come from the inverse Hessian of R per component, summed into
-     the 2x2 sensitivity of (sum d, sum p) to (alpha, beta).  Where a
-     component's minimizer jumps, sum d = D is met by a convex blend of
-     the allocations on the two sides of the jump.
+     (alpha, beta) meet the budgets by 2-D Newton steps on the sensitivity
+     of (sum d, sum p), summed from the inverse Hessians of R, or where it
+     is singular by Newton steps inside brackets (``_Bracket``).  These
+     rest on monotonicity of the gradient map of a convex function: a
+     component's beta gap falls as p grows along its fixed-alpha contour,
+     sum d falls as alpha grows at fixed beta, and sum p falls as beta
+     grows along sum d = D.  Where a component's minimizer jumps, sum d = D
+     is met by a convex blend of the allocations on both sides of the jump.
 
 Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
@@ -399,52 +396,54 @@ def _gap_slopes(d, p, q):
     return a_d, 0.5 * (xu - yv), a_d + 1.0 / (q - p) + 1.0 / (1.0 - q + p)
 
 
+class _Bracket:
+    """Elementwise brackets [lo, hi] (ends possibly infinite) on the roots
+    of decreasing functions.  A positive value moves lo up to the evaluated
+    point, any other moves hi down.  The next iterate is the Newton point
+    if strictly inside, else the midpoint; while the end the root lies
+    towards is unevaluated, it is replaced by a cap 1, 2, 4, ... beyond the
+    point, and the fallback is the cap (clipped to the end)."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+        self.lo_seen, self.hi_seen = np.zeros((2,) + self.lo.shape, dtype=bool)
+        self.reach = np.ones(self.lo.shape)
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def step(self, x, fx, slope):  # slope nan: none
+        up = np.asarray(fx) > 0.0
+        self.lo = np.where(up, x, self.lo)
+        self.hi = np.where(up, self.hi, x)
+        self.lo_seen |= up
+        self.hi_seen |= ~up
+        unseen = np.where(up, ~self.hi_seen, ~self.lo_seen)
+        cap = np.clip(x + np.where(up, self.reach, -self.reach), self.lo, self.hi)
+        low = np.where(unseen & ~up, cap, self.lo)
+        high = np.where(unseen & up, cap, self.hi)
+        newton = x - fx / slope
+        usable = ((newton > low) & (newton < high)) | (newton == x)  # or lost to rounding
+        self.reach = np.where(unseen & ~usable, 2.0 * self.reach, self.reach)
+        return np.where(usable, newton, np.where(unseen, cap, 0.5 * (self.lo + self.hi)))
+
+    def keep(self, mask) -> None:
+        self.lo, self.hi, self.lo_seen, self.hi_seen, self.reach = (
+            v[mask] for v in (self.lo, self.hi, self.lo_seen, self.hi_seen, self.reach))
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _bracketed_newton(f, x, lo, hi, ftol: float = 0.0, xtol=0.0):
-    """Elementwise roots of decreasing functions by Newton steps kept
-    inside a bracket.
-
-    ``f(x, idx)`` returns the values and slopes at ``x`` of the entries
-    ``idx`` that are still iterating.  Each entry starts at ``x`` in
-    [lo, hi]; either end may be infinite.  An evaluation with a positive
-    value moves lo up to the evaluated point, any other moves hi down, so
-    the root stays bracketed.  The next iterate is the Newton point if it
-    lies strictly inside the bracket, and otherwise the midpoint.  While
-    the end the root lies towards has not been evaluated, that end is
-    replaced by a cap 1, 2, 4, ... beyond the current point (clipped to
-    the end), and the fallback is the cap: a root on the end is then
-    reached, and a root beyond it shows as a bracket collapsed onto the
-    end.
-
-    An entry stops at an evaluated point with |value| <= ftol, or after a
-    step no longer than xtol; a collapsed bracket gives a zero step.
-    Returns the roots and the number of calls of ``f``.
-    """
-    x, lo, hi = (np.array(v, dtype=float)
-                 for v in np.broadcast_arrays(np.atleast_1d(x), lo, hi))
+    """Elementwise roots of decreasing functions by ``_Bracket`` steps from
+    ``x`` in [lo, hi], with ``f(x, idx)`` the values and slopes at ``x`` of
+    the entries ``idx`` still iterating; one stops at |value| <= ftol or a
+    step <= xtol.  Returns the roots and the number of calls of ``f``."""
+    x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(np.atleast_1d(x), lo, hi))
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), x.shape)
-    lo_seen = np.zeros(x.shape, dtype=bool)
-    hi_seen = np.zeros(x.shape, dtype=bool)
-    reach = np.ones(x.shape)
+    bracket = _Bracket(lo, hi)
     idx = np.arange(x.size)
     roots = x.copy()
     for calls in range(1, MAX_ROOT_ITER + 1):
         fx, slope = f(x, idx)
-        up = fx > 0.0
-        lo = np.where(up, x, lo)
-        hi = np.where(up, hi, x)
-        lo_seen |= up
-        hi_seen |= ~up
-        # while the end the root lies towards is unexplored, steps reach no
-        # further than the cap
-        unseen = np.where(up, ~hi_seen, ~lo_seen)
-        cap = np.clip(x + np.where(up, reach, -reach), lo, hi)
-        low = np.where(unseen & ~up, cap, lo)
-        high = np.where(unseen & up, cap, hi)
-        newton = x - fx / slope
-        usable = ((newton > low) & (newton < high)) | (newton == x)  # or lost to rounding
-        nxt = np.where(usable, newton, np.where(unseen, cap, 0.5 * (lo + hi)))
-        reach = np.where(unseen & ~usable, 2.0 * reach, reach)
+        nxt = bracket.step(x, fx, slope)
         hit = np.abs(fx) <= ftol
         done = hit | (np.abs(nxt - x) <= xtol)
         x = np.where(hit, x, nxt)
@@ -453,8 +452,8 @@ def _bracketed_newton(f, x, lo, hi, ftol: float = 0.0, xtol=0.0):
             keep = ~done
             if not keep.any():
                 return roots, calls
-            idx, x, lo, hi, lo_seen, hi_seen, reach, xtol = (
-                a[keep] for a in (idx, x, lo, hi, lo_seen, hi_seen, reach, xtol))
+            bracket.keep(keep)
+            idx, x, xtol = idx[keep], x[keep], xtol[keep]
     raise ConvergenceError("bracketed Newton search did not converge")
 
 
@@ -539,8 +538,7 @@ def solve_component_c(alpha: float, beta: float, q: float) -> tuple[float, float
 #: Lower bracket end of both multiplier searches: smaller multipliers are
 #: not resolvable in float64 (the snap paths serve those budgets).
 _MULTIPLIER_MIN = 1e-12
-#: The first beta tried.
-_BETA_START = 1e-2
+_LOG_MIN = math.log(_MULTIPLIER_MIN)
 #: Steps of log alpha and log beta below this are lost to rounding.
 _LOG_XTOL = 1e-14
 
@@ -590,132 +588,150 @@ def _blend(above, below, D: float, gap_tol: float):
     blend meets, the optimal rate is at least R_i + m_i.(s_i - s) for both,
     and, R being convex, the blend's rate exceeds that bound by at most
     w (1 - w) |(m_1 - m_2).(s_1 - s_2)| for weight w.  The blend is kept
-    when this gap is at most gap_tol.  On the two sides of a jump of the
-    minimizer the multipliers are adjacent floats, and the gap vanishes."""
+    when this gap is at most gap_tol, and carries the multipliers of the
+    heavier point, whose bound is within twice the gap.  On the two sides
+    of a jump of the minimizer the multipliers are adjacent floats."""
     s_hi, s_lo = ((float(pt[2].sum()), float(pt[3].sum())) for pt in (above, below))
     w = (s_hi[0] - D) / (s_hi[0] - s_lo[0])
     gap = w * (1.0 - w) * abs(sum((above[j] - below[j]) * (s_hi[j] - s_lo[j])
                                   for j in (0, 1)))
     if gap > gap_tol:
         return None
-    return (above[0], above[1], (1.0 - w) * above[2] + w * below[2],
+    heavy = below if w > 0.5 else above
+    return (heavy[0], heavy[1], (1.0 - w) * above[2] + w * below[2],
             (1.0 - w) * above[3] + w * below[3])
 
 
+def _s_side_start(q: np.ndarray, D: float, P: float):
+    """Multipliers near the optimum below S(D), shaped like the S(D) optimizers:
+    components before some k on their p = 0 edge, those after k at their
+    (q, q) corner, k in U with the rest of both budgets (P fixes k)."""
+    tail = np.append(np.cumsum(q[::-1])[::-1][1:], 0.0)  # sum of q after each entry
+    k = int(np.flatnonzero(tail < P)[0])
+    edge, qk, pk = q[:k], q[k:k + 1], P - tail[k]
+
+    def f(a, _idx):  # in log alpha; d_k grows with alpha
+        alpha = math.exp(a[0])
+        de = _d_p_zero(alpha, edge)
+        dk = D - tail[k] - np.sum(de, keepdims=True)
+        slopes = de ** 3 / (4.0 * edge * (1.0 - edge) - de)  # as in _p_zero_alpha
+        grow = alpha * math.exp(2.0 * alpha) * float(np.sum(slopes))
+        return _alpha_gap(dk, pk, qk) - alpha, _gap_slopes(dk, pk, qk)[0] * grow - alpha
+
+    if not (pk < qk[0] and f([_LOG_MIN], None)[0][0] > 0.0):
+        return None
+    try:
+        alpha = math.exp(_bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)[0][0])
+    except ConvergenceError:  # its slopes lost to rounding at tiny multipliers
+        return None
+    dk = D - tail[k] - float(_d_p_zero(alpha, edge).sum())
+    beta = float(_beta_gap(dk, pk, qk)[0])
+    return (alpha, beta) if pk < dk < 2.0 * qk[0] - pk and beta > 0.0 else None
+
+
 def _solve_c_multipliers(q: np.ndarray, D: float, P: float, tol_d: float,
-                         tol_p: float, alpha0: float):
-    """Find alpha, beta > 0 with sum d = D and sum p = P, starting from
-    alpha0.
+                         tol_p: float, start: tuple[float, float]):
+    """Find alpha, beta > 0 with sum d = D and sum p = P in one loop over
+    (log alpha, log beta) from the start multipliers.
 
-    Two nested ``_bracketed_newton`` searches, both on log scales because
-    the multipliers range over many decades.
-
-    Inner: at fixed beta, sum d is decreasing in alpha, from above D near
-    alpha = 0 down to 0 as alpha grows, so log alpha in
-    [log _MULTIPLIER_MIN, inf) brackets the root.  The slope comes from
-    J00 = d(sum d)/d alpha of the kernel.
-
-    Outer: along the inner solution curve, sum p is decreasing in beta,
-    and it is 0 < P once beta exceeds every component's beta gap at p = 0,
-    so log beta in [log _MULTIPLIER_MIN, log b_hi] brackets the root.  The
-    slope is the Schur complement J11 - J10 J01 / J00.
-
-    Both monotonicity facts follow from monotonicity of the gradient map of
-    a convex function, and every evaluation re-checks them by moving the
-    bracket.  Where the Lagrangian of a component is flat, or nearly so,
-    along its zero-rate edge from (2q(1-q), 0) to (q, q) (beta / alpha
-    close to 1 - 2q), its minimizer jumps along the edge between adjacent
-    floats of alpha, and sum d = D has no float root.  The inner search
-    then ends on the jump, and the point of the inner curve is the blend of
-    the evaluations on its two sides that meets sum d = D (``_blend``); the
-    outer search bisects there, having no slope.
-
-    Each inner search starts from the previous one's alpha moved along the
-    inner curve to first order.  Both searches aim at a hundredth of the
-    budget tolerances and stop earlier only where float64 resolves the
-    multiplier no further.  The result is the kernel point or blend that
-    came closest to both budgets, accepted within the tolerances.
-
-    Returns (alpha, beta, d, p, kernel calls), or None when no point meets
-    the budgets and one of them needs a multiplier below _MULTIPLIER_MIN.
-    Raises ConvergenceError when the search fails otherwise.
+    Where the 2x2 sensitivity jac is invertible (J00 < 0 and Schur
+    complement J11 - J01^2 / J00 < 0) the step is Newton's on the budget
+    residuals, each multiplier moving at most e^2-fold and beta inside its
+    bracket, halved twice at most until the larger scaled residual falls.
+    Where the Schur complement vanishes (near S(D) no component may be in
+    U, and one at its (q, q) corner or p = 0 edge does not move with beta)
+    or Newton stalls, the brackets step until a residual below the stall:
+    sum d falls in alpha at fixed beta, so log alpha in
+    [log _MULTIPLIER_MIN, inf) steps with slope J00 to sum d = D; along
+    that curve sum p falls in beta and is 0 < P above b_hi, so log beta in
+    [log _MULTIPLIER_MIN, log b_hi] steps with the Schur complement, alpha
+    following to first order.  A minimizer jumping between adjacent floats
+    (its Lagrangian flat along its zero-rate edge, beta / alpha near 1 - 2q)
+    meets sum d = D by ``_blend``: each kernel point is blended with the
+    latest one across D, and a collapsed alpha bracket takes that blend.
+    Aims at a hundredth of the budget tolerances within 5 MAX_ROOT_ITER
+    kernel calls, stopping earlier only where float64 resolves the
+    multipliers no further.  Returns the point or blend closest to both
+    budgets as (alpha, beta, d, p, kernel calls) if it meets them, else
+    None if a root needs a multiplier below _MULTIPLIER_MIN, else raises.
     """
-    evals = 0
-    last = {}
+    evals, floor = 0, False  # floor: a root lay below _MULTIPLIER_MIN
     best = (math.inf, None)  # (larger budget residual in tolerances, point)
-    floor = False  # a root lay below _MULTIPLIER_MIN
-    log_min = math.log(_MULTIPLIER_MIN)
+    sides = [None, None]  # the latest kernel points with sum d > D and <= D
 
-    def consider(point):
+    def consider(point) -> float:
         nonlocal best
-        miss = max(abs(float(point[2].sum()) - D) / tol_d,
-                   abs(float(point[3].sum()) - P) / tol_p)
+        if point is None:
+            return math.inf
+        miss = max(abs(float(point[2].sum()) - D) / tol_d, abs(float(point[3].sum()) - P) / tol_p)
         if miss < best[0]:
             best = (miss, point)
+        return miss
 
-    def gap_tol(point) -> float:
-        # a hundredth of the rate change the budget tolerances allow
-        return 0.01 * (point[0] * tol_d + point[1] * tol_p)
+    def blend(above, below):  # within a hundredth of the rate change the tolerances allow
+        return _blend(above, below, D, 0.01 * (above[0] * tol_d + above[1] * tol_p))
 
-    def alpha_for(beta: float, alpha0: float):
-        """The point of the inner curve at beta and how the search reached
-        it, "smooth" or "blend"; off the curve, the last evaluation and
-        None."""
-        near = [None, None]  # the evaluations closest above and below D
+    def evaluate(a: float, b: float):
+        nonlocal evals, floor
+        evals += 1
+        d, p, jac = _component_dp(math.exp(a), math.exp(b), q)
+        point = (math.exp(a), math.exp(b), d, p)
+        above = float(d.sum()) > D
+        if sides[above] is not None:
+            consider(blend(point, sides[1]) if above else blend(sides[0], point))
+        sides[not above] = point
+        floor |= not above and a <= _LOG_MIN
+        return a, b, point, consider(point), jac
 
-        def f(s, _idx):
-            nonlocal evals, floor
-            evals += 1
-            alpha = math.exp(float(s[0]))
-            d, p, jac = _component_dp(alpha, beta, q)
-            total = float(d.sum())
-            point = near[total <= D] = (alpha, beta, d, p)
-            consider(point)
-            last.update(alpha=alpha, jac=jac, point=point)
-            floor |= total <= D and float(s[0]) <= log_min
-            return np.array([_log_resid(total, D)]), np.array([jac[0, 0] * alpha / total])
-
-        _bracketed_newton(f, math.log(alpha0), log_min, math.inf,
-                          ftol=0.01 * tol_d / D, xtol=_LOG_XTOL)
-        for point in near:
-            if point is not None and abs(float(point[2].sum()) - D) <= 0.5 * tol_d:
-                return point, "smooth"
-        if None not in near:
-            point = _blend(near[0], near[1], D, gap_tol(near[0]))
-            if point is not None:
-                consider(point)
-                return point, "blend"
-        return last["point"], None
-
-    def g(t, _idx):
-        nonlocal floor
-        beta = math.exp(float(t[0]))
-        start = alpha0
-        if "slope" in last:  # first-order step along the inner curve
-            start = max(last["alpha"] + last["slope"] * (beta - last["beta"]),
-                        _MULTIPLIER_MIN)
-        point, how = alpha_for(beta, start)
-        (j00, j01), (_, j11) = last["jac"]
-        # d alpha / d beta along the inner curve (none when no component moves)
-        last.update(beta=beta, slope=-j01 / j00 if j00 < 0.0 else 0.0)
-        total = float(point[3].sum())
-        floor |= bool(how) and total <= P and float(t[0]) <= log_min
-        # on a jump, or off the inner curve, only the sign is of use
-        slope = math.nan
-        if how == "smooth" and total > 0.0:
-            slope = (j11 + j01 * last["slope"]) * beta / total
-        return np.array([_log_resid(total, P)]), np.array([slope])
-
-    b_hi = float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0  # all p = 0 above
-    t0 = min(math.log(_BETA_START), math.log(b_hi) - 1.0)
-    try:
-        _bracketed_newton(g, t0, log_min, math.log(b_hi),
-                          ftol=0.01 * tol_p / P, xtol=_LOG_XTOL)
-    except ConvergenceError:
-        pass  # a point found on the way may still meet the budgets
-    miss, point = best
-    if miss <= 1.0:
-        return (*point, evals)
+    b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)  # all p = 0 above
+    cur = evaluate(math.log(start[0]), min(max(math.log(start[1]), _LOG_MIN), b_max - 1.0))
+    # alphas: (log beta, bracket on log alpha); stall: the residual Newton last failed at
+    betas, alphas, stall = _Bracket(_LOG_MIN, b_max), (None, None), math.inf
+    while best[0] > 0.01 and evals < 5 * MAX_ROOT_ITER:
+        a, b, point, miss, ((j00, j01), (_, j11)) = cur
+        alpha, beta, s_d, s_p = *point[:2], float(point[2].sum()), float(point[3].sum())
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            schur = j11 - j01 * j01 / j00
+            step_b = -(s_p - P - j01 * (s_d - D) / j00) / schur
+            step_a = -(s_d - D + j01 * step_b) / j00
+        smooth = j00 < 0.0 and schur < 0.0
+        if smooth and miss < stall and math.isfinite(step_a) and math.isfinite(step_b):
+            t = min([1.0] + [m * (math.expm1(2.0) if s > 0.0 else -math.expm1(-2.0)) / abs(s)
+                             for m, s in ((alpha, step_a), (beta, step_b)) if s != 0.0])
+            for _ in range(3):
+                na, nb = math.log(alpha + t * step_a), math.log(beta + t * step_b)
+                if not (na > _LOG_MIN and betas.lo < nb < betas.hi):
+                    break
+                cur = evaluate(na, nb)
+                if cur[3] < miss:
+                    break
+                t *= 0.5
+            if cur[3] < miss:
+                continue
+            stall = miss
+        alphas = alphas if alphas[0] == b else (b, _Bracket(_LOG_MIN, math.inf))
+        on_curve, slope = point, math.nan
+        if abs(s_d - D) > 0.01 * tol_d:
+            nxt = float(alphas[1].step(a, _log_resid(s_d, D), j00 * alpha / s_d))
+            if abs(nxt - a) > _LOG_XTOL:
+                cur = evaluate(nxt, b)
+                continue
+            # the alpha bracket collapsed on a jump of sum d across D
+            on_curve = None if None in sides else blend(*sides)
+            if on_curve is None:
+                break
+        elif smooth and s_p > 0.0:
+            slope = schur * beta / s_p
+        total = float(on_curve[3].sum())
+        floor |= total <= P and b <= _LOG_MIN
+        nb = float(betas.step(b, _log_resid(total, P), slope))
+        if abs(nb - b) <= _LOG_XTOL:
+            break
+        # along sum d = D to first order (no move when no component moves)
+        na = a - j01 * beta / (j00 * alpha) * (nb - b) if j00 < 0.0 else a
+        cur = evaluate(max(na, _LOG_MIN), nb)
+    if best[0] <= 1.0:
+        return (*best[1], evals)
     if floor:
         return None
     raise ConvergenceError("no multipliers meet both budgets")
@@ -892,8 +908,9 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         lam = np.maximum(beta - gaps, 0.0)
     else:
         # below sum q, alpha tends to the water level's multiplier as beta -> 0
-        alpha0 = math.log((1.0 - fill.max()) / fill.max()) if D < sum_q else 1e-3
-        found = _solve_c_multipliers(q, D, P, tol_d, tol_p, alpha0)
+        start = ((math.log((1.0 - fill.max()) / fill.max()), 1e-2) if D < sum_q
+                 else _s_side_start(q, D, P) or (1e-3, 1e-2))
+        found = _solve_c_multipliers(q, D, P, tol_d, tol_p, start)
         if found is None:
             # multipliers below resolution although the budgets escaped the
             # snap window; the boundary allocation is feasible but serves
@@ -955,23 +972,6 @@ def rdp(src, budget, check: bool = True, budget_rtol: float = BUDGET_RTOL) -> Rd
     if check:
         _check_result(budget, result, budget_rtol)
     return result
-
-
-def rdp_p_zero(src, D: float) -> RdpResult:
-    """Specialized entry point for zero perception budget.
-
-    Below the zero-rate threshold the distortions follow the p = 0
-    stationarity equation with a single multiplier; beyond it the rate is
-    zero.  Agrees with rdp(src, (D, 0)) by construction.
-    """
-    src = _as_source(src)
-    budget = BudgetPair(float(D), 0.0)
-    region = classify(src, budget)
-    if region == PlaneRegion.A:  # only D = 0 lands here when P = 0
-        return solve_region_a(src, budget)
-    if region == PlaneRegion.B:
-        return solve_region_b(src, budget)
-    return solve_region_c(src, budget)
 
 
 _LN2 = math.log(2.0)

@@ -205,3 +205,31 @@ class TestScalarRegion:
             p = rng.uniform(0.0, 1.0)
             assert scalar_region(d, p, q) in (
                 ScalarRegion.S, ScalarRegion.T, ScalarRegion.U, ScalarRegion.V)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("fn, args", [
+    (h2, (NAN,)),
+    (h2, (np.array([0.2, NAN, 0.4]),)),
+    (h3, (NAN, 0.2)),
+    (h3, (0.2, NAN)),
+    (scalar_rdp, (NAN, 0.1, 0.3)),
+    (scalar_rdp, (0.1, NAN, 0.3)),
+    (scalar_rdp, (0.1, 0.0, NAN)),
+    (scalar_rdp, (np.array([0.1, 0.2]), 0.0, np.array([0.3, NAN]))),
+    (scalar_region, (NAN, 0.1, 0.3)),
+    (scalar_region, (0.1, NAN, 0.3)),
+    (scalar_region, (0.1, 0.1, NAN)),
+])
+def test_nan_input_raises_domain_error(fn, args):
+    # every range comparison with NaN is False, so the check must be
+    # written to fail on it; scalar_rdp(0.1, 0.0, nan) once returned 0.0
+    with pytest.raises(DomainError, match="got nan"):
+        fn(*args)
+
+
+def test_infinite_perception_is_accepted():
+    assert scalar_rdp(0.1, math.inf, 0.3) == pytest.approx(RD_03_01, abs=1e-12)
+    assert scalar_region(0.05, math.inf, 0.25) is ScalarRegion.S

@@ -10,12 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bernrdp as br
 from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, ScalarRegion,
-                     classify, length_bounds, normalize, rdp, rdp_p_zero,
-                     s_of_d, scalar_rdp, solve_component_c, solve_region_a,
-                     solve_region_b, solve_region_c, t_of_d, water_fill)
+                     classify, length_bounds, normalize, rdp, s_of_d, scalar_rdp,
+                     solve_component_c, solve_region_a, solve_region_b,
+                     solve_region_c, t_of_d, water_fill)
 from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _blend, _component_dp,
                             _d_of_alpha, _d_p_zero, _s_curve)
 
@@ -647,6 +649,88 @@ class TestRegionCNearS:
         assert res.rate <= rdp([0.3, 0.1], (0.3, 0.0)).rate
 
 
+@st.composite
+def _region_c_case(draw):
+    """A source of up to 12 components (ties and q = 1/2 included) and a
+    region-C budget a relative 1e-6 to 0.9 below T(D) or S(D), outside the
+    snap window of that boundary."""
+    raw = draw(st.lists(st.one_of(st.sampled_from((0.5, 0.3, 0.1)), st.floats(0.02, 0.5)),
+                        min_size=1, max_size=12))
+    src = normalize(raw)
+    q = np.minimum(src.q, 0.5 - 1e-9)
+    s, caps = float(q.sum()), float(np.sum(2 * q * (1 - q)))
+    share = draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()):
+        D = share * s
+        bound, window = t_of_d(src, D), br.solver.SNAP_RTOL_A
+    else:
+        D = s + share * (caps - s)
+        bound, window = s_of_d(src, D).value, br.solver.SNAP_RTOL_S
+    assume(bound > 0.0)
+    rel = max(10.0 ** draw(st.floats(-6.0, math.log10(0.9))),
+              2.0 * window * max(1.0, bound) / bound)
+    assume(rel <= 0.9)
+    P = (1.0 - rel) * bound
+    assume(classify(src, (D, P)) == "C")
+    return raw, D, P
+
+
+class TestRegionCProperties:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_region_c_case())
+    def test_solved_within_budgets_and_rate_bounds(self, case):
+        raw, D, P = case
+        res = rdp(raw, (D, P), check=True)
+        assert res.region == "C"
+        assert res.residuals[0] <= 1e-8 * max(1.0, D)
+        assert res.residuals[1] <= 1e-8 * max(1.0, P)
+        # meeting D only within tolerance moves the rate by nu |sum d - D|
+        slack = 1e-12 + res.certificate.nu * res.residuals[0]
+        assert rdp(raw, (D, math.inf)).rate - slack <= res.rate
+        assert res.rate <= rdp(raw, (D, 0.0)).rate + slack
+        assert res.rate - _dual_bound(raw, D, P, res) <= 1e-10
+
+
+def _bench_profile(n):
+    """The solve-c benchmark's source at size n and its three region-C
+    budgets: inside C, 1e-3 below T(D) and 5e-2 below S(D)."""
+    q = np.round(np.random.default_rng([2501, n]).uniform(0.05, 0.45, n) * 2.0**40) / 2.0**40
+    s, caps = float(q.sum()), float(np.sum(2 * q * (1 - q)))
+    d_s = s + 0.3 * (caps - s)
+    return q, {"inside": (0.5 * s, 0.5 * t_of_d(q, 0.5 * s)),
+               "near-T": (0.35 * s, (1 - 1e-3) * t_of_d(q, 0.35 * s)),
+               "near-S": (d_s, (1 - 5e-2) * s_of_d(q, d_s).value)}
+
+
+@pytest.mark.parametrize("n", [3, 30])
+def test_brackets_alone_solve_near_s(n, monkeypatch):
+    # without the start at the S(D) optimizers' shape, the search starts
+    # with every component on its p = 0 edge, where the Newton system is
+    # singular, and the monotone brackets and blends must find the root
+    q, budgets = _bench_profile(n)
+    D, P = budgets["near-S"]
+    started = rdp(q, (D, P))
+    monkeypatch.setattr(br.solver, "_s_side_start", lambda *args: None)
+    res = rdp(q, (D, P), check=True)
+    assert res.multiplier_iterations > started.multiplier_iterations
+    assert res.rate - _dual_bound(q, D, P, res) <= 1e-12
+    assert res.rate == pytest.approx(started.rate, rel=1e-8)
+
+
+class TestRegionCKernelCalls:
+    # kernel calls of the nested alpha-in-beta search on the near-S budgets
+    NESTED_NEAR_S = {3: 23, 30: 21, 300: 18}
+
+    @pytest.mark.parametrize("n", [3, 30, 300])
+    def test_bench_profiles(self, n):
+        q, budgets = _bench_profile(n)
+        calls = {label: rdp(q, budget, check=True).multiplier_iterations
+                 for label, budget in budgets.items()}
+        assert calls["inside"] <= 12
+        assert calls["near-T"] <= 12
+        assert calls["near-S"] <= self.NESTED_NEAR_S[n]
+
+
 class TestBlend:
     def test_meets_d_between_equal_multipliers(self):
         above = (1.0, 0.5, np.array([0.3, 0.2]), np.array([0.0, 0.1]))
@@ -759,21 +843,24 @@ class TestRdpDispatch:
 
 
 class TestRdpPZero:
+    """rdp at P = 0, in regions A, B and C."""
+
     def test_plateau(self):
         caps = 2 * 0.3 * 0.7 + 2 * 0.1 * 0.9
-        assert rdp_p_zero([0.3, 0.1], caps + 0.05).rate == 0.0
+        assert rdp([0.3, 0.1], (caps + 0.05, 0.0)).rate == 0.0
 
     def test_at_zero_distortion(self):
-        assert rdp_p_zero([0.3, 0.1], 0.0).rate == pytest.approx(SUM_H2_03_01, abs=1e-12)
+        assert rdp([0.3, 0.1], (0.0, 0.0)).rate == pytest.approx(SUM_H2_03_01, abs=1e-12)
 
     def test_matches_rdp(self):
+        # regions A (D = 0), B and C at P = 0 all pass the post-solve checks
         rng = np.random.default_rng(32)
         for _ in range(25):
             src = _rand_source(rng, 1, 5)
             caps = float((2 * src.q * (1 - src.q)).sum())
             D = float(rng.uniform(0.0, 1.1 * caps))
-            assert rdp_p_zero(src, D).rate == pytest.approx(
-                rdp(src, (D, 0.0)).rate, abs=1e-8)
+            assert rdp(src, (D, 0.0)).rate == pytest.approx(
+                rdp(src, (D, 0.0), check=False).rate, abs=1e-8)
 
 
 class TestLengthBounds:
