@@ -338,6 +338,9 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    for flag, tol in (("--scalar-tol", args.scalar_tol), ("--vector-tol", args.vector_tol)):
+        if not tol >= 0.0:  # NaN fails too
+            raise DomainError(f"{flag} must be >= 0; got {tol!r}")
     src = _source_from(args)
     scalar_grid = GridSpec(args.grid_resolution or 400, args.refine_rounds if args.refine_rounds is not None else 3)
     vector_grid = GridSpec(args.grid_resolution or 200, args.refine_rounds if args.refine_rounds is not None else 2)

@@ -16,6 +16,15 @@ they share only the entropy primitives and (for the allocation oracle,
 whose objective is by definition a sum of scalar rates) the scalar RDP
 function itself.
 
+Every search runs through one driver, ``_refine``, which evaluates each
+round's grid in blocks of about ``_BLOCK_CELLS`` cells along the first
+axis.  A block's first minimum in row-major order wins only when strictly
+lower than the earlier blocks', so the winner and its tie rule are those of
+``np.argmin`` over the whole grid, and memory is bounded by the block, not
+by resolution^2.  The scalar objective tests both budgets first, from the
+1-D products (1-q)a and qb, and takes the entropies over a block's feasible
+rows and columns only: at D = 0 or P = 0 a line of cells, often one cell.
+
 Accuracy scales with the final grid spacing: after the requested rounds
 the boxed spacing is (range / resolution) / shrink^rounds with shrink
 about 4 per round, and the observed deviation is bounded by that spacing
@@ -27,13 +36,14 @@ inside 2e-3 and 5e-3 nats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _xlogx, h2, scalar_rdp
 from .errors import ConvergenceError, DomainError, SizeError
-from .solver import BernoulliVectorSource, BudgetPair, _as_budget, _as_source
+from .solver import _as_budget, _as_source
 
 #: Cells kept around the incumbent (per side) when a box is refined.
 _HALO = 3
@@ -45,6 +55,10 @@ _N3_AXIS_CAP = 24
 
 _MAX_ROUNDS = 14
 
+#: Grid cells evaluated at once: whole slices along the first axis, at
+#: least one.  The scalar grid at resolution 400 takes 40 rows a block.
+_BLOCK_CELLS = 16384
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -54,12 +68,13 @@ class GridSpec:
     refinement_rounds: int = 2
 
     def __post_init__(self):
-        if int(self.resolution) < 2:
-            raise DomainError("resolution must be at least 2")
-        if int(self.refinement_rounds) < 0:
-            raise DomainError("refinement_rounds must be >= 0")
-        object.__setattr__(self, "resolution", int(self.resolution))
-        object.__setattr__(self, "refinement_rounds", int(self.refinement_rounds))
+        for name, least in (("resolution", 2), ("refinement_rounds", 0)):
+            value = getattr(self, name)
+            whole = isinstance(value, numbers.Integral) or (
+                isinstance(value, numbers.Real) and float(value).is_integer())  # nan, inf: False
+            if isinstance(value, (bool, np.bool_)) or not whole or value < least:
+                raise DomainError(f"{name} must be an integer >= {least}; got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,46 @@ class ScalarChannel:
     b: float
 
 
-def _shrink(lo: float, hi: float, center: float, spacing: float) -> tuple[float, float]:
-    return max(lo, center - _HALO * spacing), min(hi, center + _HALO * spacing)
+def _refine(objective, glo, ghi, res: int, rounds: int, stop_when_empty: bool):
+    """Minimize over the box [glo, ghi] by ``1 + rounds`` rounds of a
+    ``res``-point grid per axis, each box ``_HALO`` spacings around the
+    incumbent, which moves only to a strictly lower value.
+
+    ``objective(*axes)`` returns ``block(rows)``: the values on those rows
+    of axis 0, inf where infeasible, or None if no cell is feasible.  A
+    round with no finite value ends the search when ``stop_when_empty``
+    (raising if nothing was found); otherwise the box keeps shrinking.
+    Returns ``(best, point)``, with ``point = glo`` while ``best`` is inf.
+    """
+    glo, ghi = np.asarray(glo, dtype=float), np.asarray(ghi, dtype=float)
+    lo, hi, best, best_z = glo, ghi, math.inf, glo
+    for _ in range(1 + rounds):
+        # all cells along an axis of zero width are equal, and the first wins
+        axes = [np.linspace(lo[k], hi[k], res if hi[k] > lo[k] else 1) for k in range(glo.size)]
+        block = objective(*axes)
+        step = max(1, _BLOCK_CELLS // math.prod(ax.size for ax in axes[1:]))
+        top, at = math.inf, None
+        for i0 in range(0, axes[0].size, step):
+            vals = block(slice(i0, i0 + step))
+            if vals is None:
+                continue
+            k = int(np.argmin(vals))
+            if vals.flat[k] < top:
+                top = float(vals.flat[k])
+                at = np.unravel_index(k, vals.shape)
+                at = (i0 + at[0],) + at[1:]
+        if at is None and stop_when_empty:
+            # a refined box can lose all exactly-feasible points when a
+            # constraint is tight (e.g. P = 0); keep the incumbent
+            if math.isfinite(best):
+                break
+            raise ConvergenceError("no feasible point on the grid")  # pragma: no cover
+        if top < best:
+            best = top
+            best_z = np.array([axes[k][at[k]] for k in range(glo.size)])
+        h = np.where(hi > lo, (hi - lo) / (res - 1), 0.0)
+        lo, hi = np.maximum(glo, best_z - _HALO * h), np.minimum(ghi, best_z + _HALO * h)
+    return best, best_z
 
 
 def scalar_channel_oracle(q: float, D: float, P: float,
@@ -90,39 +143,31 @@ def scalar_channel_oracle(q: float, D: float, P: float,
         raise DomainError("q must lie in [0, 1/2]")
     if D < 0.0 or P < 0.0 or not (math.isfinite(D) and math.isfinite(P)):
         raise DomainError("D and P must be finite and >= 0")
-    res = grid.resolution
-    lo_a = lo_b = 0.0
-    hi_a = hi_b = 1.0
     hx = h2(q)
-    best = math.inf
-    best_ab = (0.0, 0.0)
-    for _ in range(1 + grid.refinement_rounds):
-        a = np.linspace(lo_a, hi_a, res)
-        b = np.linspace(lo_b, hi_b, res)
-        A = a[:, None]
-        B = b[None, :]
-        # I = H(X) + H(Xhat) - H(X, Xhat), every term from the joint cells
-        joint = (_xlogx((1.0 - q) * (1.0 - A)) + _xlogx((1.0 - q) * A)
-                 + _xlogx(q * B) + _xlogx(q * (1.0 - B)))
-        qhat = (1.0 - q) * A + q * (1.0 - B)
-        info = hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat)
-        feasible = ((1.0 - q) * A + q * B <= D) & (np.abs((1.0 - q) * A - q * B) <= P)
-        if not feasible.any():
-            # a refined box can lose all exactly-feasible points when a
-            # constraint is tight (e.g. P = 0); keep the incumbent
-            if math.isfinite(best):
-                break
-            raise ConvergenceError("no feasible channel on the grid")  # pragma: no cover
-        info = np.where(feasible, info, np.inf)
-        i, j = np.unravel_index(int(np.argmin(info)), info.shape)
-        if info[i, j] < best:
-            best = float(info[i, j])
-            best_ab = (float(a[i]), float(b[j]))
-        ha = (hi_a - lo_a) / (res - 1)
-        hb = (hi_b - lo_b) / (res - 1)
-        lo_a, hi_a = _shrink(0.0, 1.0, best_ab[0], ha)
-        lo_b, hi_b = _shrink(0.0, 1.0, best_ab[1], hb)
-    return max(best, 0.0), ScalarChannel(*best_ab)
+
+    def information(a, b):
+        ua, vb, qb = (1.0 - q) * a, q * b, q * (1.0 - b)
+        xa = _xlogx((1.0 - q) * (1.0 - a)) + _xlogx(ua)
+        xb1, xb2 = _xlogx(vb), _xlogx(qb)
+
+        def block(rows):
+            u = ua[rows, None]
+            ok = (u + vb <= D) & (np.abs(u - vb) <= P)
+            i, j = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
+            if i.size == 0:
+                return None
+            i, j = slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
+            # I = H(X) + H(Xhat) - H(X, Xhat), every term from the joint cells
+            joint = xa[rows][i, None] + xb1[j] + xb2[j]
+            qhat = u[i] + qb[j]
+            out = np.full(ok.shape, np.inf)
+            out[i, j] = np.where(ok[i, j], hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat), np.inf)
+            return out
+        return block
+
+    best, (a, b) = _refine(information, [0.0, 0.0], [1.0, 1.0], grid.resolution,
+                           grid.refinement_rounds, stop_when_empty=True)
+    return max(best, 0.0), ScalarChannel(float(a), float(b))
 
 
 def _rounds_for(res: int, base: int, rounds: int) -> int:
@@ -160,62 +205,34 @@ def allocation_grid_oracle(src, budget, grid: GridSpec = GridSpec(200, 2)):
         return rate, (np.array([min(D, 1.0)]), np.array([P]))
 
     if src.n == 2:
-        glo_d, ghi_d = max(0.0, D - 1.0), min(1.0, D)
-        glo_p, ghi_p = 0.0, P
-        lo_d, hi_d, lo_p, hi_p = glo_d, ghi_d, glo_p, ghi_p
-        best = math.inf
-        best_dp = (lo_d, lo_p)
-        res = grid.resolution
-        for _ in range(1 + grid.refinement_rounds):
-            d1 = np.linspace(lo_d, hi_d, res)[:, None]
-            p1 = np.linspace(lo_p, hi_p, res)[None, :]
-            total = scalar_rdp(d1, p1, q[0]) + scalar_rdp(D - d1, P - p1, q[1])
-            i, j = np.unravel_index(int(np.argmin(total)), total.shape)
-            if total[i, j] < best:
-                best = float(total[i, j])
-                best_dp = (float(d1[i, 0]), float(p1[0, j]))
-            hd = (hi_d - lo_d) / (res - 1) if hi_d > lo_d else 0.0
-            hp = (hi_p - lo_p) / (res - 1) if hi_p > lo_p else 0.0
-            lo_d, hi_d = _shrink(glo_d, ghi_d, best_dp[0], hd)
-            lo_p, hi_p = _shrink(glo_p, ghi_p, best_dp[1], hp)
-        d1, p1 = best_dp
+        def pair_rate(d1, p1):
+            return lambda rows: (scalar_rdp(d1[rows, None], p1, q[0])
+                                 + scalar_rdp(D - d1[rows, None], P - p1, q[1]))
+        best, (d1, p1) = _refine(pair_rate, [max(0.0, D - 1.0), 0.0], [min(1.0, D), P],
+                                 grid.resolution, grid.refinement_rounds, stop_when_empty=False)
         return best, (np.array([d1, D - d1]), np.array([p1, P - p1]))
 
     # n == 3: grid over (d1, d2, p1, p2) with the last component eliminated
-    res = min(grid.resolution, _N3_AXIS_CAP)
-    rounds = _rounds_for(grid.resolution, res, grid.refinement_rounds)
-    dmax = min(1.0, D)
-    glo = np.array([0.0, 0.0, 0.0, 0.0])
-    ghi = np.array([dmax, dmax, P, P])
-    lo, hi = glo.copy(), ghi.copy()
-    best = math.inf
-    best_z = glo.copy()
-    for _ in range(1 + rounds):
-        axes = [np.linspace(lo[k], hi[k], res) for k in range(4)]
-        d1 = axes[0][:, None, None, None]
-        d2 = axes[1][None, :, None, None]
-        p1 = axes[2][None, None, :, None]
-        p2 = axes[3][None, None, None, :]
-        d3 = D - d1 - d2
+    def triple_rate(d1, d2, p1, p2):
+        d1, d2 = d1[:, None, None, None], d2[None, :, None, None]
+        p1, p2 = p1[None, None, :, None], p2[None, None, None, :]
+        head, middle = scalar_rdp(d1, p1, q[0]), scalar_rdp(d2, p2, q[1])
         p3 = P - p1 - p2
-        feasible = (d3 >= 0.0) & (d3 <= 1.0) & (p3 >= 0.0)
-        total = (scalar_rdp(d1, p1, q[0]) + scalar_rdp(d2, p2, q[1])
-                 + scalar_rdp(np.clip(d3, 0.0, 1.0), np.maximum(p3, 0.0), q[2]))
-        total = np.where(feasible, total, np.inf)
-        if not np.isfinite(total).any():
-            if math.isfinite(best):
-                break
-            raise ConvergenceError("no feasible split on the grid")  # pragma: no cover
-        idx = np.unravel_index(int(np.argmin(total)), total.shape)
-        if total[idx] < best:
-            best = float(total[idx])
-            best_z = np.array([axes[k][idx[k]] for k in range(4)])
-        h = np.where(hi > lo, (hi - lo) / (res - 1), 0.0)
-        for k in range(4):
-            lo[k], hi[k] = _shrink(glo[k], ghi[k], best_z[k], h[k])
-    d = np.array([best_z[0], best_z[1], D - best_z[0] - best_z[1]])
-    p = np.array([best_z[2], best_z[3], P - best_z[2] - best_z[3]])
-    return best, (d, p)
+
+        def block(rows):
+            d3 = D - d1[rows] - d2
+            feasible = (d3 >= 0.0) & (d3 <= 1.0) & (p3 >= 0.0)
+            total = (head[rows] + middle
+                     + scalar_rdp(np.clip(d3, 0.0, 1.0), np.maximum(p3, 0.0), q[2]))
+            return np.where(feasible, total, np.inf)
+        return block
+
+    res = min(grid.resolution, _N3_AXIS_CAP)
+    dmax = min(1.0, D)
+    best, z = _refine(triple_rate, [0.0] * 4, [dmax, dmax, P, P], res,
+                      _rounds_for(grid.resolution, res, grid.refinement_rounds),
+                      stop_when_empty=True)
+    return best, (np.array([z[0], z[1], D - z[0] - z[1]]), np.array([z[2], z[3], P - z[2] - z[3]]))
 
 
 def s_of_d_oracle(src, D: float, grid: GridSpec = GridSpec(200, 3)) -> float:
@@ -245,46 +262,25 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = GridSpec(200, 3)) -> float:
     if src.n == 1:
         return float(p_needed(np.array([D]), q[0])[0])
 
-    res = grid.resolution
     if src.n == 2:
-        glo, ghi = max(q[0], D - 1.0), min(1.0, D - q[1])
-        lo, hi = glo, ghi
-        best = math.inf
-        best_d = lo
-        for _ in range(1 + grid.refinement_rounds):
-            d1 = np.linspace(lo, hi, res)
-            total = p_needed(d1, q[0]) + p_needed(D - d1, q[1])
-            i = int(np.argmin(total))
-            if total[i] < best:
-                best = float(total[i])
-                best_d = float(d1[i])
-            h = (hi - lo) / (res - 1) if hi > lo else 0.0
-            lo, hi = _shrink(glo, ghi, best_d, h)
-        return best
+        def pair_spare(d1):
+            return lambda rows: p_needed(d1[rows], q[0]) + p_needed(D - d1[rows], q[1])
+        return _refine(pair_spare, [max(q[0], D - 1.0)], [min(1.0, D - q[1])], grid.resolution,
+                       grid.refinement_rounds, stop_when_empty=False)[0]
 
-    glo = np.array([q[0], q[1]])
-    ghi = np.array([min(1.0, D - q[1] - q[2]), min(1.0, D - q[0] - q[2])])
-    lo, hi = glo.copy(), ghi.copy()
-    best = math.inf
-    best_z = glo.copy()
     # D - d1 - d2 can round a hair below q3 (at D = sum q the box is a point)
     slack = 1e-12 * max(1.0, D)
-    for _ in range(1 + grid.refinement_rounds):
-        d1 = np.linspace(lo[0], hi[0], res)[:, None]
-        d2 = np.linspace(lo[1], hi[1], res)[None, :]
-        d3 = D - d1 - d2
-        d3 = np.where(np.abs(d3 - q[2]) <= slack, q[2], d3)
-        total = p_needed(d1, q[0]) + p_needed(d2, q[1]) \
-            + np.where((d3 >= q[2]) & (d3 <= 1.0), p_needed(np.clip(d3, q[2], 1.0), q[2]), np.inf)
-        if not np.isfinite(total).any():
-            if math.isfinite(best):
-                break
-            raise ConvergenceError("no feasible split on the grid")  # pragma: no cover
-        idx = np.unravel_index(int(np.argmin(total)), total.shape)
-        if total[idx] < best:
-            best = float(total[idx])
-            best_z = np.array([d1[idx[0], 0], d2[0, idx[1]]])
-        h = np.where(hi > lo, (hi - lo) / (res - 1), 0.0)
-        for k in range(2):
-            lo[k], hi[k] = _shrink(glo[k], ghi[k], best_z[k], h[k])
-    return best
+
+    def triple_spare(d1, d2):
+        tail = p_needed(d2, q[1])
+
+        def block(rows):
+            d3 = D - d1[rows, None] - d2
+            d3 = np.where(np.abs(d3 - q[2]) <= slack, q[2], d3)
+            return p_needed(d1[rows, None], q[0]) + tail \
+                + np.where((d3 >= q[2]) & (d3 <= 1.0), p_needed(np.clip(d3, q[2], 1.0), q[2]), np.inf)
+        return block
+
+    return _refine(triple_spare, [q[0], q[1]],
+                   [min(1.0, D - q[1] - q[2]), min(1.0, D - q[0] - q[2])], grid.resolution,
+                   grid.refinement_rounds, stop_when_empty=True)[0]

@@ -3,11 +3,12 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from bernrdp import scalar_rdp
+from bernrdp import cli, scalar_rdp
 from bernrdp.cli import main
 
 TERN_01_005_025 = 0.238077788518041652
@@ -280,6 +281,13 @@ class TestVerify:
                                 "--grid-resolution", "100", "--refine-rounds", "1",
                                 "--budget-count", "2", "--scalar-tol", "2e-2"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("flag, value", [("--scalar-tol", "nan"), ("--scalar-tol", "-1"),
+                                             ("--vector-tol", "nan"), ("--vector-tol", "-0.001")])
+    def test_bad_tolerance_exits_2_before_any_oracle(self, capsys, flag, value):
+        with mock.patch.object(cli, "scalar_channel_oracle", side_effect=AssertionError):
+            exits_2(["verify", "--q", "0.3,0.1", "--budget-count", "2", flag, value],
+                    capsys, flag)
 
     def test_impossible_tolerance_exits_4(self, capsys):
         code, out, err = run_cli(["verify", "--q", "0.3", "--scalar-only",

@@ -1,6 +1,9 @@
 """Brute-force oracles: direct channel search, allocation grid search, and
 the zero-rate perception minimum."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,20 @@ class TestGridSpec:
             GridSpec(resolution=1)
         with pytest.raises(DomainError):
             GridSpec(refinement_rounds=-1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"resolution": 400.7}, {"resolution": math.nan}, {"resolution": math.inf},
+        {"resolution": True}, {"resolution": "400"}, {"resolution": None},
+        {"refinement_rounds": -0.5}, {"refinement_rounds": 2.5}, {"refinement_rounds": False},
+        {"refinement_rounds": -math.inf}])
+    def test_non_integral_values_raise_domain_error(self, kwargs):
+        with pytest.raises(DomainError):
+            GridSpec(**kwargs)
+
+    def test_integral_values_are_kept(self):
+        grid = GridSpec(np.int64(400), 3.0)
+        assert grid == GridSpec(400, 3)
+        assert type(grid.resolution) is int and type(grid.refinement_rounds) is int
 
 
 class TestScalarChannelOracle:
@@ -59,6 +76,18 @@ class TestScalarChannelOracle:
             P = rng.uniform(0.0, 0.6)
             oracle, _ = scalar_channel_oracle(q, D, P, GridSpec(400, 3))
             assert abs(oracle - scalar_rdp(D, P, q)) <= 2e-3
+
+    def test_memory_bounded_by_block(self):
+        # the full grid grows 16x from 400 to 1600 points per axis
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                scalar_channel_oracle(0.3, 0.2, 0.1, grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(GridSpec(1600, 1)) < 4 * peak(GridSpec(400, 1))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
