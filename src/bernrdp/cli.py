@@ -342,8 +342,11 @@ def cmd_verify(args, out) -> int:
         if not tol >= 0.0:  # NaN fails too
             raise DomainError(f"{flag} must be >= 0; got {tol!r}")
     src = _source_from(args)
-    scalar_grid = GridSpec(args.grid_resolution or 400, args.refine_rounds if args.refine_rounds is not None else 3)
-    vector_grid = GridSpec(args.grid_resolution or 200, args.refine_rounds if args.refine_rounds is not None else 2)
+    def grid(resolution, rounds):
+        return GridSpec(resolution if args.grid_resolution is None else args.grid_resolution,
+                        rounds if args.refine_rounds is None else args.refine_rounds)
+
+    scalar_grid, vector_grid = grid(400, 3), grid(200, 2)
     _check_count("--budget-count", args.budget_count)
     report = {"n": src.n, "stages": {}}
     ok = True

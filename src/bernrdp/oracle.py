@@ -21,9 +21,17 @@ round's grid in blocks of about ``_BLOCK_CELLS`` cells along the first
 axis.  A block's first minimum in row-major order wins only when strictly
 lower than the earlier blocks', so the winner and its tie rule are those of
 ``np.argmin`` over the whole grid, and memory is bounded by the block, not
-by resolution^2.  The scalar objective tests both budgets first, from the
-1-D products (1-q)a and qb, and takes the entropies over a block's feasible
-rows and columns only: at D = 0 or P = 0 a line of cells, often one cell.
+by resolution^2.  Each objective is bounded below by 0 (a mutual
+information, a sum of rates, a total perception), so the first block that
+reaches 0 ends the search: nothing later can be strictly lower.  The
+scalar objective clamps its computed I at 0, so that cells rounded just
+below it tie and the first feasible one in row-major order wins.
+
+The scalar objective works on the 1-D products u = (1-q)a and v = qb, both
+sorted.  It first keeps the rows and columns of a block that pass the
+budget tests against the other axis's ends (``_budget_box``), then tests
+both budgets on that box, and takes the entropies over the feasible rows
+and columns only: at D = 0 one cell a round, at P = 0 a line of cells.
 
 Accuracy scales with the final grid spacing: after the requested rounds
 the boxed spacing is (range / resolution) / shrink^rounds with shrink
@@ -85,14 +93,26 @@ class ScalarChannel:
     b: float
 
 
-def _refine(objective, glo, ghi, res: int, rounds: int, stop_when_empty: bool):
+def _refine(objective, glo, ghi, res: int, rounds: int, stop_when_empty: bool, floor: float):
     """Minimize over the box [glo, ghi] by ``1 + rounds`` rounds of a
     ``res``-point grid per axis, each box ``_HALO`` spacings around the
     incumbent, which moves only to a strictly lower value.
 
-    ``objective(*axes)`` returns ``block(rows)``: the values on those rows
-    of axis 0, inf where infeasible, or None if no cell is feasible.  A
-    round with no finite value ends the search when ``stop_when_empty``
+    ``objective(*axes)`` returns ``block(rows)``: None if no cell on those
+    rows of axis 0 is feasible, else ``(corner, values)``, the values on a
+    box of the block whose first cell lies at index ``corner`` of the block
+    (an int stands for every axis), inf where infeasible.  Cells outside
+    the box count as infeasible, so an objective may leave out the rows
+    and columns that cannot be feasible, as the scalar one does.
+
+    ``floor`` is a lower bound of the objective.  The first block whose
+    minimum reaches it holds the answer, so the search ends there and
+    skips the rest of the round and the later rounds.  The winner is the
+    whole grid's first cell at the floor, as long as no value lies below
+    it; an objective that can round below its bound clamps its values
+    there, as the scalar one does.
+
+    A round with no finite value ends the search when ``stop_when_empty``
     (raising if nothing was found); otherwise the box keeps shrinking.
     Returns ``(best, point)``, with ``point = glo`` while ``best`` is inf.
     """
@@ -105,14 +125,17 @@ def _refine(objective, glo, ghi, res: int, rounds: int, stop_when_empty: bool):
         step = max(1, _BLOCK_CELLS // math.prod(ax.size for ax in axes[1:]))
         top, at = math.inf, None
         for i0 in range(0, axes[0].size, step):
-            vals = block(slice(i0, i0 + step))
-            if vals is None:
+            got = block(slice(i0, i0 + step))
+            if got is None:
                 continue
+            corner, vals = got
             k = int(np.argmin(vals))
             if vals.flat[k] < top:
                 top = float(vals.flat[k])
-                at = np.unravel_index(k, vals.shape)
-                at = (i0 + at[0],) + at[1:]
+                at = np.add(corner, np.unravel_index(k, vals.shape))
+                at[0] += i0
+                if top <= floor:
+                    break
         if at is None and stop_when_empty:
             # a refined box can lose all exactly-feasible points when a
             # constraint is tight (e.g. P = 0); keep the incumbent
@@ -122,9 +145,30 @@ def _refine(objective, glo, ghi, res: int, rounds: int, stop_when_empty: bool):
         if top < best:
             best = top
             best_z = np.array([axes[k][at[k]] for k in range(glo.size)])
+        if best <= floor:
+            break
         h = np.where(hi > lo, (hi - lo) / (res - 1), 0.0)
         lo, hi = np.maximum(glo, best_z - _HALO * h), np.minimum(ghi, best_z + _HALO * h)
     return best, best_z
+
+
+def _budget_box(u, v, D: float, P: float):
+    """The rows of ``u`` and the columns of ``v`` that can hold a cell with
+    ``u + v <= D`` and ``|u - v| <= P``, as a pair of slices, or None.
+
+    ``u`` and ``v`` are non-decreasing and rounding is monotone, so the
+    computed ``u + v`` and ``u - v`` are monotone along both axes: a row
+    can hold a feasible cell only if it passes each test against the
+    column that is most lenient for that test (``v[0]`` or ``v[-1]``), and
+    the rows that do form a span; columns likewise against ``u[0]`` and
+    ``u[-1]``.  So the box holds every feasible cell, though not every
+    cell in it is feasible.
+    """
+    i = np.flatnonzero((u + v[0] <= D) & (u - v[-1] <= P) & (u - v[0] >= -P))
+    j = np.flatnonzero((u[0] + v <= D) & (u[0] - v <= P) & (u[-1] - v >= -P))
+    if i.size == 0 or j.size == 0:
+        return None
+    return slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
 
 
 def scalar_channel_oracle(q: float, D: float, P: float,
@@ -135,7 +179,9 @@ def scalar_channel_oracle(q: float, D: float, P: float,
     The mutual information is assembled from the four joint cells with the
     same 0 log 0 masking as the entropy primitives.  The identity channel
     a = b = 0 is always feasible, so a minimizer always exists.  Grid ties
-    go to the lexicographically smallest (a, b) index.  H(X) is ``h2(q)``;
+    go to the lexicographically smallest (a, b) index; a computed I below 0
+    counts as 0, so at a zero-rate budget the first feasible cell with
+    I <= 0 is returned.  H(X) is ``h2(q)``;
     it equals ``-q ln q - (1-q) ln(1-q)`` in float arithmetic for q in
     {0, 0.05, ..., 0.5}, and for about 0.2% of other q differs by 1-2 ulps.
     """
@@ -151,23 +197,29 @@ def scalar_channel_oracle(q: float, D: float, P: float,
         xb1, xb2 = _xlogx(vb), _xlogx(qb)
 
         def block(rows):
-            u = ua[rows, None]
-            ok = (u + vb <= D) & (np.abs(u - vb) <= P)
+            u = ua[rows]
+            box = _budget_box(u, vb, D, P)
+            if box is None:
+                return None
+            bi, bj = box
+            ok = (u[bi, None] + vb[bj] <= D) & (np.abs(u[bi, None] - vb[bj]) <= P)
             i, j = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
             if i.size == 0:
                 return None
-            i, j = slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
-            # I = H(X) + H(Xhat) - H(X, Xhat), every term from the joint cells
+            ok = ok[i[0]:i[-1] + 1, j[0]:j[-1] + 1]
+            i = slice(bi.start + i[0], bi.start + i[-1] + 1)
+            j = slice(bj.start + j[0], bj.start + j[-1] + 1)
+            # I = H(X) + H(Xhat) - H(X, Xhat), every term from the joint cells;
+            # I >= 0, so rounding below 0 is clamped and all such cells tie
             joint = xa[rows][i, None] + xb1[j] + xb2[j]
-            qhat = u[i] + qb[j]
-            out = np.full(ok.shape, np.inf)
-            out[i, j] = np.where(ok[i, j], hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat), np.inf)
-            return out
+            qhat = u[i, None] + qb[j]
+            info = hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat)
+            return (i.start, j.start), np.where(ok, np.maximum(info, 0.0), np.inf)
         return block
 
     best, (a, b) = _refine(information, [0.0, 0.0], [1.0, 1.0], grid.resolution,
-                           grid.refinement_rounds, stop_when_empty=True)
-    return max(best, 0.0), ScalarChannel(float(a), float(b))
+                           grid.refinement_rounds, stop_when_empty=True, floor=0.0)
+    return best, ScalarChannel(float(a), float(b))
 
 
 def _rounds_for(res: int, base: int, rounds: int) -> int:
@@ -206,10 +258,11 @@ def allocation_grid_oracle(src, budget, grid: GridSpec = GridSpec(200, 2)):
 
     if src.n == 2:
         def pair_rate(d1, p1):
-            return lambda rows: (scalar_rdp(d1[rows, None], p1, q[0])
+            return lambda rows: (0, scalar_rdp(d1[rows, None], p1, q[0])
                                  + scalar_rdp(D - d1[rows, None], P - p1, q[1]))
         best, (d1, p1) = _refine(pair_rate, [max(0.0, D - 1.0), 0.0], [min(1.0, D), P],
-                                 grid.resolution, grid.refinement_rounds, stop_when_empty=False)
+                                 grid.resolution, grid.refinement_rounds,
+                                 stop_when_empty=False, floor=0.0)
         return best, (np.array([d1, D - d1]), np.array([p1, P - p1]))
 
     # n == 3: grid over (d1, d2, p1, p2) with the last component eliminated
@@ -224,14 +277,14 @@ def allocation_grid_oracle(src, budget, grid: GridSpec = GridSpec(200, 2)):
             feasible = (d3 >= 0.0) & (d3 <= 1.0) & (p3 >= 0.0)
             total = (head[rows] + middle
                      + scalar_rdp(np.clip(d3, 0.0, 1.0), np.maximum(p3, 0.0), q[2]))
-            return np.where(feasible, total, np.inf)
+            return 0, np.where(feasible, total, np.inf)
         return block
 
     res = min(grid.resolution, _N3_AXIS_CAP)
     dmax = min(1.0, D)
     best, z = _refine(triple_rate, [0.0] * 4, [dmax, dmax, P, P], res,
                       _rounds_for(grid.resolution, res, grid.refinement_rounds),
-                      stop_when_empty=True)
+                      stop_when_empty=True, floor=0.0)
     return best, (np.array([z[0], z[1], D - z[0] - z[1]]), np.array([z[2], z[3], P - z[2] - z[3]]))
 
 
@@ -264,9 +317,9 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = GridSpec(200, 3)) -> float:
 
     if src.n == 2:
         def pair_spare(d1):
-            return lambda rows: p_needed(d1[rows], q[0]) + p_needed(D - d1[rows], q[1])
+            return lambda rows: (0, p_needed(d1[rows], q[0]) + p_needed(D - d1[rows], q[1]))
         return _refine(pair_spare, [max(q[0], D - 1.0)], [min(1.0, D - q[1])], grid.resolution,
-                       grid.refinement_rounds, stop_when_empty=False)[0]
+                       grid.refinement_rounds, stop_when_empty=False, floor=0.0)[0]
 
     # D - d1 - d2 can round a hair below q3 (at D = sum q the box is a point)
     slack = 1e-12 * max(1.0, D)
@@ -277,10 +330,10 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = GridSpec(200, 3)) -> float:
         def block(rows):
             d3 = D - d1[rows, None] - d2
             d3 = np.where(np.abs(d3 - q[2]) <= slack, q[2], d3)
-            return p_needed(d1[rows, None], q[0]) + tail \
+            return 0, p_needed(d1[rows, None], q[0]) + tail \
                 + np.where((d3 >= q[2]) & (d3 <= 1.0), p_needed(np.clip(d3, q[2], 1.0), q[2]), np.inf)
         return block
 
     return _refine(triple_spare, [q[0], q[1]],
                    [min(1.0, D - q[1] - q[2]), min(1.0, D - q[0] - q[2])], grid.resolution,
-                   grid.refinement_rounds, stop_when_empty=True)[0]
+                   grid.refinement_rounds, stop_when_empty=True, floor=0.0)[0]

@@ -295,3 +295,10 @@ class TestVerify:
                                   "--budget-count", "2", "--scalar-tol", "1e-12"], capsys)
         assert code == 4
         assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize("resolution", ["0", "1", "-3"])
+    def test_resolution_below_two_exits_2_before_any_oracle(self, capsys, resolution):
+        # 0 is a resolution like any other, not a request for the default
+        with mock.patch.object(cli, "scalar_channel_oracle", side_effect=AssertionError):
+            exits_2(["verify", "--q", "0.3", "--scalar-only", "--budget-count", "1",
+                     "--grid-resolution", resolution], capsys, "resolution must be")

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernrdp.core import _as_unit, _maybe_float, _xlogx, scalar_rdp
@@ -82,8 +82,9 @@ VALUES = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) \
     | st.sampled_from(SPECIAL)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.lists(VALUES, min_size=1, max_size=60))
+@example([1.725448771981795, 0.0, 0.0, 0.0])
 def test_xlogx_matches_gather(values):
     x = np.array(values, dtype=float)
     views = [x, x[::2], x[::-3], np.broadcast_to(x, (3, x.size)),
@@ -91,7 +92,14 @@ def test_xlogx_matches_gather(values):
     # x ln x overflows to inf above about 1e305, in both versions alike
     with np.errstate(over="ignore"):
         for m in views:
-            assert same_bits(strict(_xlogx, m), old_xlogx(m))
+            got, want = strict(_xlogx, m), old_xlogx(m)
+            # within one ulp, not bit for bit: np.log may round a value
+            # differently in its vector body and in its scalar tail, which
+            # the gather and the masked ufunc on a strided view reach for
+            # the same entry (x[::-3] of the example, numpy 2.4.6); NaN, inf
+            # and the sign of zero must still agree
+            np.testing.assert_array_max_ulp(got, want, maxulp=1)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_xlogx_scalars():

@@ -3,12 +3,15 @@ the zero-rate perception minimum."""
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernrdp import (BudgetPair, DomainError, GridSpec, SizeError,
-                     allocation_grid_oracle, normalize, rdp, s_of_d,
+                     allocation_grid_oracle, normalize, oracle, rdp, s_of_d,
                      s_of_d_oracle, scalar_channel_oracle, scalar_rdp)
 
 H2_03 = 0.610864302054893463
@@ -94,6 +97,86 @@ class TestScalarChannelOracle:
             scalar_channel_oracle(0.7, 0.1, 0.1)
         with pytest.raises(DomainError):
             scalar_channel_oracle(0.3, -0.1, 0.1)
+
+
+class TestSearchShortcuts:
+    @pytest.fixture
+    def rounds(self):
+        """The number of cells the blocks return, one entry a round."""
+        rounds = []
+        refine = oracle._refine
+
+        def counted(objective, *args, **kwargs):
+            def round_objective(*axes):
+                block = objective(*axes)
+                rounds.append(0)
+
+                def counted_block(rows):
+                    got = block(rows)
+                    if got is not None:
+                        rounds[-1] += got[1].size
+                    return got
+                return counted_block
+            return refine(round_objective, *args, **kwargs)
+
+        with mock.patch.object(oracle, "_refine", counted):
+            yield rounds
+
+    def test_zero_rate_budget_stops_inside_round_0(self, rounds):
+        rate, ch = scalar_channel_oracle(0.3, 0.6, 0.2, GridSpec(400, 3))
+        assert rate == 0.0
+        assert len(rounds) == 1 and rounds[0] < 400 * 400
+        # the first feasible cell with a computed I <= 0 is an independent
+        # channel, a + b = 1, near the start of that line's feasible part:
+        # |(1-q)a - qb| = |a - q| <= 0.2 from a = 0.1 on
+        assert ch.a + ch.b == pytest.approx(1.0, abs=1e-15)
+        assert 0.1 <= ch.a <= 0.1 + 2 / 399
+
+    def test_zero_distortion_evaluates_one_cell_a_round(self, rounds):
+        rate, ch = scalar_channel_oracle(0.3, 0.0, 0.2, GridSpec(400, 3))
+        assert rate == pytest.approx(H2_03, abs=1e-12)
+        assert (ch.a, ch.b) == (0.0, 0.0)
+        assert rounds == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("qs, budget, cells", [([0.3, 0.1], (0.6, 0.2), 200 ** 2),
+                                                   ([0.3, 0.25, 0.05], (0.9, 0.6), 24 ** 4)])
+    def test_vector_zero_rate_budget_stops_inside_round_0(self, rounds, qs, budget, cells):
+        assert allocation_grid_oracle(qs, budget, GridSpec(200, 2))[0] == 0.0
+        assert len(rounds) == 1 and rounds[0] < cells
+
+    def test_positive_rate_runs_every_round(self, rounds):
+        scalar_channel_oracle(0.3, 0.2, 0.1, GridSpec(400, 3))
+        assert len(rounds) == 4
+
+
+#: Sorted axes as the scalar oracle builds them: (1-q) a and q b over
+#: linspace grids of [0, 1] sub-boxes, at times one point wide.
+@st.composite
+def budget_boxes(draw):
+    q = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.3, 0.05]), st.floats(0.0, 0.5)))
+    ends = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted)
+    (a0, a1), (b0, b1) = draw(ends), draw(ends)
+    u = (1.0 - q) * np.linspace(a0, a1, draw(st.integers(1, 40)))
+    v = q * np.linspace(b0, b1, draw(st.integers(1, 40)))
+    # budgets at 0, on a cell's own sum or gap (the tests' edge) and anywhere
+    i, j = draw(st.integers(0, u.size - 1)), draw(st.integers(0, v.size - 1))
+    D = draw(st.sampled_from([0.0, float(u[i] + v[j]), draw(st.floats(0.0, 2.0))]))
+    P = draw(st.sampled_from([0.0, abs(float(u[i] - v[j])), draw(st.floats(0.0, 1.0))]))
+    return u, v, D, P
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(budget_boxes())
+def test_budget_box_holds_every_feasible_cell(case):
+    u, v, D, P = case
+    ok = (u[:, None] + v <= D) & (np.abs(u[:, None] - v) <= P)
+    box = oracle._budget_box(u, v, D, P)
+    if box is None:
+        assert not ok.any()
+        return
+    inside = np.zeros_like(ok)
+    inside[box] = True
+    assert not (ok & ~inside).any()
 
 
 class TestAllocationGridOracle:

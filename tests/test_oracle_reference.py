@@ -6,6 +6,12 @@ grids in blocks.  The blocked searches must return the same rate and the
 same channel or allocation to the last bit: same grids, same per-cell
 arithmetic, same row-major tie rule.  Block boundaries are exercised by
 patching ``_BLOCK_CELLS`` down to a few cells.
+
+The scalar reference clamps I at 0 and stops after a round whose best is
+0, the rule under which the oracle stops at the first cell at 0.  The
+vector references have no such rule: their values are exactly >= 0, so
+later rounds can never move an incumbent at 0, and stopping early gives
+the same answer.
 """
 
 import math
@@ -50,7 +56,8 @@ def _reference_scalar(q, D, P, grid):
         joint = (_xlogx((1.0 - q) * (1.0 - A)) + _xlogx((1.0 - q) * A)
                  + _xlogx(q * B) + _xlogx(q * (1.0 - B)))
         qhat = (1.0 - q) * A + q * (1.0 - B)
-        info = hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat)
+        # I >= 0: values rounded below 0 are clamped, so all such cells tie
+        info = np.maximum(hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat), 0.0)
         feasible = ((1.0 - q) * A + q * B <= D) & (np.abs((1.0 - q) * A - q * B) <= P)
         if not feasible.any():
             if math.isfinite(best):
@@ -61,11 +68,13 @@ def _reference_scalar(q, D, P, grid):
         if info[i, j] < best:
             best = float(info[i, j])
             best_ab = (float(a[i]), float(b[j]))
+        if best == 0.0:  # nothing is lower
+            break
         ha = (hi_a - lo_a) / (res - 1)
         hb = (hi_b - lo_b) / (res - 1)
         lo_a, hi_a = _shrink(0.0, 1.0, best_ab[0], ha)
         lo_b, hi_b = _shrink(0.0, 1.0, best_ab[1], hb)
-    return max(best, 0.0), best_ab
+    return best, best_ab
 
 
 def _reference_allocation(src, budget, grid):
@@ -271,6 +280,14 @@ def vector_cases(draw, sizes, resolutions):
 # the third round would find a lower one
 @example((0.3, 0.5973168987347762, 0.0, GridSpec(14, 2), 16384))
 @example((0.3, 0.5973168987347762, 0.0, GridSpec(14, 2), 20))
+# the verify grid: a zero-rate budget, where round 0 holds cells with a
+# computed I below 0 and the first of them ends the search, in blocks of
+# 40 rows and of one row; D = 0, where only the cell (0, 0) is feasible;
+# and P = 0
+@example((0.3, 0.6, 0.2, GridSpec(400, 3), 16384))
+@example((0.3, 0.6, 0.2, GridSpec(400, 3), 20))
+@example((0.1, 0.0, 0.2, GridSpec(400, 3), 16384))
+@example((0.35, 0.4, 0.0, GridSpec(400, 3), 16384))
 def test_scalar_channel_matches_full_grid(case):
     q, D, P, grid, cells = case
     with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
