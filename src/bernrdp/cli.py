@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, SizeError
-from .graph import graph_rdp, load_matrix
+from .graph import _parse_json, graph_rdp, load_matrix
 from .oracle import GridSpec, allocation_grid_oracle, s_of_d_oracle, scalar_channel_oracle
 from .core import ScalarRegion, scalar_rdp
 from .solver import (_LN2, BudgetPair, classify, length_bounds, normalize, rdp,
@@ -167,9 +167,9 @@ def _parse_q(spec: str) -> np.ndarray:
         pass
     if os.path.exists(spec):
         try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
+            with open(spec, "rb") as fh:
+                doc = _parse_json(fh.read())
+        except (OSError, ValueError, RecursionError) as exc:
             raise DomainError(f"cannot read --q file {spec!r}: {exc}") from exc
         if not isinstance(doc, dict) or "q" not in doc:
             raise DomainError(f'{spec}: expected a JSON object with a "q" list')

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import DomainError
 from .solver import BernoulliVectorSource, RdpResult, normalize, rdp
@@ -66,28 +67,44 @@ class EdgeProbabilityMatrix:
         object.__setattr__(self, "probs", np.clip(sym, 0.0, 1.0))
 
 
+def _parse_json(data):
+    """Parse one JSON input document (bytes or text).
+
+    ``orjson`` reads floats about 5x faster than ``json`` and to the same
+    doubles.  It refuses the ``NaN`` and ``Infinity`` literals that Python's
+    ``json.dumps`` writes and numbers that overflow a double (``1e400``);
+    ``json`` reads those as non-finite floats, so such documents are parsed
+    again by ``json`` and reach the callers' finiteness checks.  Invalid JSON
+    and bytes that are not UTF-8 raise ``ValueError``; nesting too deep for
+    ``json`` raises ``RecursionError``.
+    """
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return json.loads(data)
+
+
 def load_matrix(source) -> EdgeProbabilityMatrix:
     """Parse the documented matrix format: a JSON object with
     ``n_vertices`` (int) and ``probs`` (dense row list).
 
-    Accepts bytes, text, or a readable file object.  Symmetry is enforced
-    within 1e-12 and then made exact; any larger mismatch, a nonzero
-    diagonal or a non-finite entry is a validation error naming the
-    offending entry.  So is a non-integer ``n_vertices`` or a ``probs``
-    that is not a dense list of rows of numbers.
+    Accepts bytes, text, or a readable file object in binary or text mode;
+    bytes are parsed without a decoded copy.  ``orjson`` refuses the
+    ``NaN``/``Infinity`` literals and overflowing numbers such as ``1e400``,
+    so ``_parse_json`` re-reads those documents with ``json``: they then fail
+    the finiteness check, which names the entry, not the parse.  Symmetry is
+    enforced within 1e-12 and then made exact; any larger mismatch, a
+    nonzero diagonal or a non-finite entry is a validation error naming the
+    offending entry.  So is a non-integer ``n_vertices``, a ``probs`` that
+    is not a dense list of rows of numbers, invalid JSON or bytes that are
+    not UTF-8.
     """
-    if isinstance(source, (bytes, bytearray)):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
+    data = source.read() if hasattr(source, "read") else source
+    if not isinstance(data, (bytes, bytearray, str)):
         raise DomainError(f"cannot read matrix from {type(source).__name__}")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = _parse_json(data)
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"matrix file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n_vertices" not in doc or "probs" not in doc:
         raise DomainError('matrix file needs keys "n_vertices" and "probs"')
@@ -108,7 +125,7 @@ def flatten(matrix: EdgeProbabilityMatrix) -> tuple[BernoulliVectorSource,
     return normalize(matrix.probs[i, j]), (i, j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeAllocation:
     """One edge's share of the budgets and its rate contribution (nats)."""
 

@@ -85,7 +85,8 @@ class TestEval:
         ('{"q": [0.1, 0.2', "cannot read --q file"),
         ('{"q": [[0.1], [0.2, 0.3]]}', '"q" must be a list of numbers'),
         (None, "cannot read --q file"),
-    ], ids=["non_numeric", "invalid_json", "ragged", "directory"])
+        ('{"q": [NaN, 0.2]}', "entry 0 is nan"),
+    ], ids=["non_numeric", "invalid_json", "ragged", "directory", "nan"])
     def test_bad_q_file_exits_2(self, tmp_path, capsys, content, needle):
         path = tmp_path
         if content is not None:
@@ -205,6 +206,12 @@ class TestGraphCmd:
         path = self._write_matrix(tmp_path, probs, 3)
         exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
                       "probs[0][2]=nan is not finite")
+
+    def test_undecodable_matrix_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "matrix.json"
+        path.write_bytes(b'{"n_vertices": 2, "probs": [[0.0, 0.3], [0.3, 0.0]]}\xff')
+        exits_2(["graph", "--matrix", str(path), "-D", "0.1", "-P", "0.1"], capsys,
+                "not valid JSON")
 
     def test_missing_matrix_file_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "missing.json")

@@ -1,9 +1,14 @@
 """Erdos-Renyi adapter: matrix validation, flattening, graph-level RDP."""
 
+import io
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bernrdp import (DomainError, EdgeProbabilityMatrix, flatten, graph_rdp,
                      h2, load_matrix, normalize, rdp, scalar_rdp)
@@ -41,13 +46,28 @@ class TestLoadMatrix:
         with pytest.raises(DomainError):
             load_matrix(_matrix_bytes(3, [[0.0, 0.3], [0.3, 0.0]]))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_entry_rejected(self, bad):
         probs = [[0.0, 0.3, 0.1], [0.3, 0.0, bad], [0.1, bad, 0.0]]
-        with pytest.raises(DomainError, match=r"probs\[1\]\[2\]=(nan|inf) is not finite"):
+        with pytest.raises(DomainError, match=re.escape(f"probs[1][2]={bad!r} is not finite")):
             load_matrix(_matrix_bytes(3, probs))
         with pytest.raises(DomainError, match="not finite"):
             EdgeProbabilityMatrix(3, np.array(probs))
+
+    def test_overflowing_entry_rejected(self):
+        # orjson refuses 1e400; json reads it as inf, which the entry check names.
+        text = b'{"n_vertices": 2, "probs": [[0.0, 1e400], [1e400, 0.0]]}'
+        with pytest.raises(DomainError, match=re.escape("probs[0][1]=inf is not finite")):
+            load_matrix(text)
+
+    @pytest.mark.parametrize("data", [
+        b'{"n_vertices": 2, "probs": [[0.0, 0.3], [0.3, 0.0]]}\xff',
+        b'{"n_vertices": 2, "probs": [[0.0, \xff0.3], [0.3, 0.0]]}',
+        b"[" * 100_000,
+    ], ids=["trailing_ff", "inner_ff", "deep_nesting"])
+    def test_unparsable_bytes_rejected(self, data):
+        with pytest.raises(DomainError, match="not valid JSON"):
+            load_matrix(data)
 
     @pytest.mark.parametrize("probs", [[[0.0, 0.3], [0.3]], [[0.0, "x"], ["x", 0.0]],
                                        [[0.0, [0.3]], [0.3, 0.0]]])
@@ -69,6 +89,45 @@ class TestLoadMatrix:
     def test_tiny_asymmetry_symmetrized(self):
         m = load_matrix(_matrix_bytes(2, [[0.0, 0.3], [0.3 + 1e-13, 0.0]]))
         assert m.probs[0, 1] == m.probs[1, 0]
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+#: Edge probabilities in [0, 1], with the smallest subnormal, subnormals,
+#: the largest double below 1 and 17-digit decimals.
+PROBS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, SMALLEST_NORMAL),
+    st.integers(0, 10**17).map(lambda k: k / 10**17),
+    st.sampled_from([0.0, 5e-324, SMALLEST_NORMAL, 1 - 2**-53, 1.0]),
+)
+
+
+def _matrix_text(n, upper, fmt):
+    probs = [[0.0] * n for _ in range(n)]
+    for (a, b), v in zip(zip(*np.triu_indices(n, 1)), upper):
+        probs[a][b] = probs[b][a] = v
+    rows = ", ".join("[" + ", ".join(fmt(v) for v in row) + "]" for row in probs)
+    return f'{{"n_vertices": {n}, "probs": [{rows}]}}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7).flatmap(
+           lambda n: st.tuples(st.just(n), st.lists(PROBS, min_size=n * (n - 1) // 2,
+                                                    max_size=n * (n - 1) // 2))),
+       st.sampled_from([repr, "%.17g".__mod__, "%.25g".__mod__]),
+       st.sampled_from(["bytes", "str", "file"]))
+@example((2, [5e-324]), repr, "bytes")
+@example((3, [1 - 2**-53, SMALLEST_NORMAL / 3, 0.12345678901234567]), "%.17g".__mod__, "file")
+def test_load_matrix_parses_bit_for_bit_like_json(case, fmt, form):
+    n, upper = case
+    text = _matrix_text(n, upper, fmt)
+    want = EdgeProbabilityMatrix(n, np.asarray(json.loads(text)["probs"], dtype=float))
+    source = {"bytes": text.encode(), "str": text, "file": io.BytesIO(text.encode())}[form]
+    # Valid JSON must never take the json fallback.
+    with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads called")):
+        got = load_matrix(source)
+    assert got.n_vertices == want.n_vertices
+    assert got.probs.tobytes() == want.probs.tobytes()
 
 
 class TestFlatten:
