@@ -13,8 +13,8 @@ from .solver import (Allocation, BernoulliVectorSource, BudgetPair,
                      KktCertificate, PlaneRegion, RdpResult, SCurvePoint,
                      check_certificate, classify, in_region_closure,
                      kkt_gradient_residuals, length_bounds, normalize, rdp,
-                     s_of_d, solve_component_c, solve_region_a,
-                     solve_region_b, solve_region_c, t_of_d, water_fill)
+                     s_of_d, solve_region_a, solve_region_b,
+                     solve_region_c, t_of_d, water_fill)
 
 __all__ = [
     "Allocation", "BernRdpError", "BernoulliVectorSource", "BudgetPair",
@@ -26,6 +26,6 @@ __all__ = [
     "h2", "h3", "in_region_closure", "kkt_gradient_residuals",
     "length_bounds", "load_matrix", "normalize", "rd_boundary", "rdp",
     "s_of_d", "s_of_d_oracle", "scalar_channel_oracle",
-    "scalar_rdp", "scalar_region", "solve_component_c", "solve_region_a",
+    "scalar_rdp", "scalar_region", "solve_region_a",
     "solve_region_b", "solve_region_c", "t_of_d", "water_fill",
 ]

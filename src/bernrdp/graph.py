@@ -115,14 +115,21 @@ def load_matrix(source) -> EdgeProbabilityMatrix:
     return EdgeProbabilityMatrix(doc["n_vertices"], probs)
 
 
+def _edge_probs(matrix: EdgeProbabilityMatrix) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The upper-triangle edge probabilities in row-major order, with their
+    vertex index arrays (i, j)."""
+    i, j = np.triu_indices(matrix.n_vertices, 1)
+    return matrix.probs[i, j], (i, j)
+
+
 def flatten(matrix: EdgeProbabilityMatrix) -> tuple[BernoulliVectorSource,
                                                     tuple[np.ndarray, np.ndarray]]:
     """View the graph as a Bernoulli vector source: one component per
     upper-triangle edge (i, j), i < j, in row-major order.  Returns the
     normalized source and the vertex index arrays (i, j) mapping raw
     component index k -> edge (i[k], j[k])."""
-    i, j = np.triu_indices(matrix.n_vertices, 1)
-    return normalize(matrix.probs[i, j]), (i, j)
+    q, ij = _edge_probs(matrix)
+    return normalize(q), ij
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,9 +176,11 @@ class GraphRdpResult:
 def graph_rdp(matrix: EdgeProbabilityMatrix, budget) -> GraphRdpResult:
     """RDP function of the ER graph at budgets (D, P): the vector solver on
     the flattened source, with the allocation reported per original edge."""
-    source, (i, j) = flatten(matrix)
+    q, (i, j) = _edge_probs(matrix)
+    source = normalize(q)
     result = rdp(source, budget)
     alloc = result.allocation
     by_raw = np.empty((3, source.n))
-    by_raw[:, source.permutation] = (alloc.d, alloc.p, alloc.per_component_rate)
-    return GraphRdpResult(result, i, j, matrix.probs[i, j], *by_raw)
+    for row, values in zip(by_raw, (alloc.d, alloc.p, alloc.per_component_rate)):
+        row[source.permutation] = values
+    return GraphRdpResult(result, i, j, q, *by_raw)

@@ -24,12 +24,22 @@ Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
 (for D >= sum q_i).  Boundaries belong to A and B; C is the open
 remainder.
+
+Every solve works on the k distinct values of q, each weighted by the
+number m_k of components that share it: R is jointly convex in (d, p), so
+averaging the allocations of equal components keeps both budgets and does
+not raise the rate, and the problem becomes
+min sum_k m_k R(d_k, p_k, q_k) subject to sum_k m_k d_k = D and
+sum_k m_k p_k = P.  Every sum over components above is such a weighted sum
+over runs; the results are expanded back to one entry per component, so
+tied components get equal shares.  With all m_k = 1 the arithmetic is the
+per-component one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,11 +84,17 @@ class BernoulliVectorSource:
     probability exceeded 1/2 and was complemented.  ``permutation[i]`` is
     the original index of sorted component i; together they round-trip the
     raw input.
+
+    ``counts`` is derived from q: the lengths of its runs of equal values,
+    in order.  The solvers work on one value per run, weighted by its
+    count, so tied components always get equal shares of the budgets.
     """
 
     q: np.ndarray
     flip_mask: np.ndarray
     permutation: np.ndarray
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)  # first index of each run
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -88,12 +104,16 @@ class BernoulliVectorSource:
             raise DomainError("normalized q entries must lie in [0, 1/2]")
         if np.any(np.diff(q) > 1e-15):
             raise DomainError("normalized q must be sorted non-increasing")
-        perm = np.asarray(self.permutation)
-        if not np.array_equal(np.sort(perm), np.arange(q.size)):
+        perm = _bijection(self.permutation, q.size)
+        if perm is None:
             raise DomainError("permutation must be a bijection on [n]")
-        object.__setattr__(self, "q", np.clip(q, 0.0, 0.5))
+        q = np.clip(q, 0.0, 0.5)
+        starts = np.flatnonzero(np.concatenate(([True], q[1:] != q[:-1])))
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "flip_mask", np.asarray(self.flip_mask, dtype=bool))
-        object.__setattr__(self, "permutation", perm.astype(int))
+        object.__setattr__(self, "permutation", perm)
+        object.__setattr__(self, "counts", np.diff(np.append(starts, q.size)))
+        object.__setattr__(self, "_starts", starts)
 
     @property
     def n(self) -> int:
@@ -104,6 +124,23 @@ class BernoulliVectorSource:
         out = np.empty(self.n)
         out[self.permutation] = self.q
         return np.where(self.flip_mask, 1.0 - out, out)
+
+
+def _bijection(perm, n: int) -> np.ndarray | None:
+    """``perm`` as an int array if it holds each of 0..n-1 exactly once
+    (integral floats and bools count as their integer values), else None.
+    Range-checked first, so the scatter below stays in bounds."""
+    perm = np.asarray(perm)
+    if perm.dtype.kind not in "biuf" or perm.shape != (n,):
+        return None
+    if not np.all((perm >= 0) & (perm < n)):  # NaN fails too
+        return None
+    idx = perm.astype(int, copy=False)
+    if perm.dtype.kind == "f" and not np.array_equal(idx, perm):
+        return None
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    return idx if bool(seen.all()) else None
 
 
 @dataclass(frozen=True)
@@ -156,8 +193,8 @@ class KktCertificate:
     """Multipliers and per-component region labels witnessing optimality.
 
     nu and mu multiply the distortion and perception budget constraints;
-    lam[i] >= 0 multiplies p_i >= 0 (complementary slack with p_i); gamma
-    is identically zero because optimal d_i > 0 whenever D > 0.
+    lam[i] >= 0 multiplies p_i >= 0 (complementary slack with p_i).  No
+    multiplier is needed for d_i >= 0: optimal d_i > 0 whenever D > 0.
 
     ``component_regions`` is an int8 array of label codes, one per
     component: code k stands for ``tuple(ScalarRegion)[k]``, that is
@@ -167,7 +204,6 @@ class KktCertificate:
     nu: float
     mu: float
     lam: np.ndarray
-    gamma: np.ndarray
     component_regions: np.ndarray
 
 
@@ -187,7 +223,8 @@ class SCurvePoint:
     """S(D) value with the segment index, its distortion, and optimizers.
 
     ``k`` is the 1-based active segment (None on the zero plateau, where
-    ``d_k`` is NaN).
+    ``d_k`` is NaN).  Equal components share one segment, split equally:
+    then ``k`` is the first of them and ``d_k`` the distortion of each.
     """
 
     value: float
@@ -216,8 +253,18 @@ def normalize(raw_q) -> BernoulliVectorSource:
     raw = np.clip(raw, 0.0, 1.0)
     flip = raw > 0.5
     folded = np.where(flip, 1.0 - raw, raw)
-    perm = np.argsort(-folded, kind="stable")
-    return BernoulliVectorSource(q=folded[perm], flip_mask=flip, permutation=perm)
+    # numpy's default sort is several times faster than the stable one but
+    # leaves equal values in any order; a second sort of (run, index) keys
+    # puts each run of equal values back in index order, as a stable sort
+    # of -folded would
+    perm = np.argsort(-folded)
+    q = folded[perm]
+    tied = q[1:] == q[:-1]
+    if np.any(tied & (perm[1:] < perm[:-1])):
+        base = np.concatenate(([0], np.cumsum(~tied))) * raw.size
+        perm = np.sort(base + perm) - base
+        q = folded[perm]  # 0.0 and -0.0 tie, but differ in sign
+    return BernoulliVectorSource(q=q, flip_mask=flip, permutation=perm)
 
 
 def _as_source(src) -> BernoulliVectorSource:
@@ -233,33 +280,41 @@ def _as_budget(budget) -> BudgetPair:
     return BudgetPair(float(D), float(P))
 
 
-def _effective_q(src: BernoulliVectorSource) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Apply the q = 1/2 clamp and report it."""
-    q = src.q.copy()
+def _effective_q(src: BernoulliVectorSource) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """One q per run of equal values and the run lengths, with the q = 1/2
+    clamp applied and reported."""
+    q = src.q[src._starts]
     at_half = q >= 0.5
     notes: tuple[str, ...] = ()
     if np.any(at_half):
         q[at_half] = 0.5 - HALF_CLAMP
-        idx = ", ".join(str(i) for i in np.nonzero(at_half)[0])
+        idx = ", ".join(str(i) for i in np.flatnonzero(np.repeat(at_half, src.counts)))
         notes = (f"clamped q=1/2 to 1/2-{HALF_CLAMP:g} for component(s) {idx}",)
-    return q, notes
+    return q, src.counts, notes
 
 
-def water_fill(q: np.ndarray, D: float) -> np.ndarray:
+def _total(m: np.ndarray, x) -> float:
+    """Sum over components of a per-run quantity x: sum_k m_k x_k."""
+    return float((m * x).sum())
+
+
+def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.ndarray:
     """Distortions d_i = min(level, q_i) with the level chosen so that
     sum d_i = D.  Exact: q is sorted non-increasing, so components
     saturate from the tail.  With the first m components at the level,
     level = (D - sum q[m:]) / m must lie in [q[m], q[m-1]] (within 1e-15);
-    the largest such m is taken."""
+    the largest such m is taken.  ``counts[k]``, 1 by default, is the
+    number of components that share q[k]; the sums then weight q[k] by it."""
     q = np.asarray(q, dtype=float)
-    total = float(q.sum())
+    m = np.ones(q.size) if counts is None else counts
+    mq = m * q
+    total = float(mq.sum())
     if D < 0 or D > total + 1e-12:
         raise DomainError(f"water filling needs 0 <= D <= sum q = {total}")
     if D >= total:
         return q.copy()
-    suffix = np.cumsum(q[::-1])[::-1]  # suffix[k] = sum q[k:]
-    m = np.arange(1, q.size + 1)
-    levels = (D - np.append(suffix[1:], 0.0)) / m
+    suffix = np.cumsum(mq[::-1])[::-1]  # suffix[k] = sum of q over runs k, k+1, ...
+    levels = (D - np.append(suffix[1:], 0.0)) / np.cumsum(m)
     low = np.append(q[1:], 0.0)
     fits = np.flatnonzero((low - 1e-15 <= levels) & (levels <= q + 1e-15))
     if fits.size == 0:
@@ -267,13 +322,13 @@ def water_fill(q: np.ndarray, D: float) -> np.ndarray:
     return np.minimum(max(levels[fits[-1]], 0.0), q)
 
 
-def _t_of_fill(q: np.ndarray, d: np.ndarray) -> float:
+def _t_of_fill(q: np.ndarray, m: np.ndarray, d: np.ndarray) -> float:
     """T(D) from the water-filled distortions d at D."""
-    return float(np.sum(d * (1.0 - 2.0 * q) / (1.0 - 2.0 * d)))
+    return _total(m, d * (1.0 - 2.0 * q) / (1.0 - 2.0 * d))
 
 
-def _t_curve(q: np.ndarray, D: float) -> float:
-    return _t_of_fill(q, water_fill(q, D))
+def _t_curve(q: np.ndarray, m: np.ndarray, D: float) -> float:
+    return _t_of_fill(q, m, water_fill(q, D, m))
 
 
 def t_of_d(src, D: float) -> float:
@@ -285,38 +340,43 @@ def t_of_d(src, D: float) -> float:
     the q_i are below 1/2, and T(D) <= D always.
     """
     src = _as_source(src)
-    q, _ = _effective_q(src)
-    total = float(q.sum())
+    q, m, _ = _effective_q(src)
+    total = _total(m, q)
     if not 0.0 <= D < total:
         raise DomainError(f"T(D) needs 0 <= D < sum q = {total}")
-    return _t_curve(q, float(D))
+    return _t_curve(q, m, float(D))
 
 
-def _s_curve(q: np.ndarray, D: float) -> SCurvePoint:
-    sum_q = float(q.sum())
+def _s_curve(q: np.ndarray, m: np.ndarray, D: float) -> SCurvePoint:
+    """S(D) over runs: q[k] stands for m[k] equal components, and k, d and
+    p in the result index runs."""
+    sum_q = _total(m, q)
     caps = 2.0 * q * (1.0 - q)
     D = max(float(D), sum_q)
-    if D >= float(caps.sum()):
+    if D >= _total(m, caps):
         # zero plateau: p = 0 and the distortion spread proportionally to
         # the headroom 1 - cap_i, so every d_i >= cap_i and d_i <= 1.
-        d_total = min(D, float(q.size))
+        n = int(m.sum())
+        d_total = min(D, float(n))
         head = 1.0 - caps
-        w = head / head.sum() if head.sum() > 0 else np.full(q.size, 1.0 / q.size)
-        d = caps + (d_total - float(caps.sum())) * w
+        head_total = _total(m, head)
+        w = head / head_total if head_total > 0 else np.full(q.size, 1.0 / n)
+        d = caps + (d_total - _total(m, caps)) * w
         return SCurvePoint(0.0, None, math.nan, d, np.zeros_like(d))
-    prefix_caps = np.concatenate(([0.0], np.cumsum(caps)))
-    suffix_q = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))  # sum of q[i:]
-    # the active segment k is the first whose right end reaches D
+    prefix_caps = np.concatenate(([0.0], np.cumsum(m * caps)))
+    suffix_q = np.concatenate((np.cumsum((m * q)[::-1])[::-1], [0.0]))  # sum of q over runs i, ...
+    # the active segment k is the first whose right end reaches D; a run
+    # of m equal components is one segment m times as long
     fits = np.flatnonzero(D <= prefix_caps[1:] + suffix_q[1:] + 1e-15)
     if fits.size == 0:
         raise ConvergenceError("S(D) segment scan failed")  # pragma: no cover
     k = int(fits[0]) + 1
-    d_k = D - prefix_caps[k - 1] - suffix_q[k]
+    d_k = (D - prefix_caps[k - 1] - suffix_q[k]) / m[k - 1]
     d_k = min(max(d_k, q[k - 1]), caps[k - 1])
     p_k = (caps[k - 1] - d_k) / (1.0 - 2.0 * q[k - 1])
     d = np.concatenate((caps[: k - 1], [d_k], q[k:]))
     p = np.concatenate((np.zeros(k - 1), [p_k], q[k:]))
-    return SCurvePoint(float(p.sum()), k, float(d_k), d, p)
+    return SCurvePoint(_total(m, p), k, float(d_k), d, p)
 
 
 def s_of_d(src, D: float) -> SCurvePoint:
@@ -328,20 +388,24 @@ def s_of_d(src, D: float) -> SCurvePoint:
     because q is sorted); beyond the last breakpoint S(D) = 0.
     """
     src = _as_source(src)
-    q, _ = _effective_q(src)
-    if D < float(q.sum()) - 1e-12:
-        raise DomainError(f"S(D) needs D >= sum q = {float(q.sum())}")
-    return _s_curve(q, float(D))
+    q, m, _ = _effective_q(src)
+    sum_q = _total(m, q)
+    if D < sum_q - 1e-12:
+        raise DomainError(f"S(D) needs D >= sum q = {sum_q}")
+    point = _s_curve(q, m, float(D))
+    k = None if point.k is None else int(src._starts[point.k - 1]) + 1
+    return SCurvePoint(point.value, k, point.d_k, np.repeat(point.d, src.counts),
+                       np.repeat(point.p, src.counts))
 
 
 def classify(src, budget) -> str:
     """Assign (D, P) to region A, B or C.  Boundary points belong to A or
     B (their defining inequalities are closed); C is the open remainder."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, _ = _effective_q(src)
-    if budget.D < float(q.sum()):
-        return PlaneRegion.A if budget.P >= _t_curve(q, budget.D) else PlaneRegion.C
-    return PlaneRegion.B if budget.P >= _s_curve(q, budget.D).value else PlaneRegion.C
+    q, m, _ = _effective_q(src)
+    if budget.D < _total(m, q):
+        return PlaneRegion.A if budget.P >= _t_curve(q, m, budget.D) else PlaneRegion.C
+    return PlaneRegion.B if budget.P >= _s_curve(q, m, budget.D).value else PlaneRegion.C
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +522,14 @@ def _bracketed_newton(f, x, lo, hi, ftol: float = 0.0, xtol=0.0):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _component_dp(alpha: float, beta: float, q: np.ndarray):
+def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
     """Per-component minimizer of R(d, p, q) + alpha d + beta p over
-    d, p >= 0, vectorized over components, with the sensitivity of the
-    totals.
+    d, p >= 0, vectorized over runs of m equal components, with the
+    sensitivity of the totals.
 
     Returns (d, p, jac), where jac[i, j] is the derivative of
-    (sum d, sum p)[i] with respect to (alpha, beta)[j].
+    (sum d, sum p)[i] with respect to (alpha, beta)[j], the sums taken
+    over components.
 
     At p = 0 the stationarity condition has the closed form
     ``_d_p_zero``; a component stays on that edge when its beta gap there
@@ -490,9 +555,9 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray):
     jac = np.zeros((2, 2))
     active = _beta_gap(d, p, q) > beta
     edge_a_d = _gap_slopes(d[~active], 0.0, q[~active])[0]
-    jac[0, 0] = float(np.sum(1.0 / edge_a_d))
+    jac[0, 0] = float(np.sum(m[~active] / edge_a_d))
     if np.any(active):
-        qa = q[active]
+        qa, ma = q[active], m[active]
         edge = qa * (1.0 - _CORNER_RTOL)
 
         def phi(pa, idx):
@@ -513,26 +578,9 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray):
         det = a_d * b_p - a_p * a_p
         # rounding near the corner can leave the computed Hessian indefinite
         inner &= (a_d < 0.0) & (det > 0.0)
-        sens = (np.array([b_p, -a_p, a_d])[:, inner] / det[inner]).sum(axis=1)
+        sens = (np.array([b_p, -a_p, a_d])[:, inner] / det[inner] * ma[inner]).sum(axis=1)
         jac += np.array([[sens[0], sens[1]], [sens[1], sens[2]]])
     return d, p, jac
-
-
-def solve_component_c(alpha: float, beta: float, q: float) -> tuple[float, float]:
-    """Solve one component's stationarity system for multipliers
-    (alpha, beta), both > 0.
-
-    Returns the interior solution (d', p') when it has p' > 0; otherwise
-    p = 0 with d from the closed-form p = 0 equation.  The result always
-    lies in the closure of the U region for this q.
-    """
-    if not (alpha > 0.0 and beta > 0.0):
-        raise DomainError("solve_component_c needs alpha > 0 and beta > 0")
-    if not 0.0 < q <= 0.5:
-        raise DomainError("solve_component_c needs 0 < q <= 1/2")
-    q_eff = min(float(q), 0.5 - HALF_CLAMP)
-    d, p, _ = _component_dp(float(alpha), float(beta), np.array([q_eff]))
-    return float(d[0]), float(p[0])
 
 
 #: Lower bracket end of both multiplier searches: smaller multipliers are
@@ -549,7 +597,7 @@ def _log_resid(total: float, target: float) -> float:
     return math.log(total / target) if total > 0.0 else -math.inf
 
 
-def _p_zero_alpha(q: np.ndarray, D: float) -> tuple[float, int]:
+def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
     """The single multiplier of the P = 0 problem: sum _d_p_zero(alpha) = D,
     strictly decreasing from sum 2q(1-q) > D at alpha = 0.  Since
     _d_p_zero <= 2 sqrt(q(1-q) / expm1(2 alpha)), the sum is at most D at
@@ -557,19 +605,20 @@ def _p_zero_alpha(q: np.ndarray, D: float) -> tuple[float, int]:
     exact root for n equal components with the same sum of sqrt(q(1-q)),
     which is the root itself for a homogeneous source."""
     w = q * (1.0 - q)
-    root_w = float(np.sum(np.sqrt(w)))
+    n = int(m.sum())
+    root_w = _total(m, np.sqrt(w))
     alpha_hi = 0.5 * math.log1p((2.0 * root_w / D) ** 2)
-    w_eq = (root_w / q.size) ** 2
-    s = max(4.0 * w_eq * q.size / D, 2.0)  # 1 + sqrt(1 + 4 w expm1(2 alpha))
+    w_eq = (root_w / n) ** 2
+    s = max(4.0 * w_eq * n / D, 2.0)  # 1 + sqrt(1 + 4 w expm1(2 alpha))
     alpha0 = min(0.5 * math.log1p(s * (s - 2.0) / (4.0 * w_eq)), alpha_hi)
 
     def f(a, _idx):
         alpha = float(a[0])
         d = _d_p_zero(alpha, q)
-        total = float(d.sum())
+        total = _total(m, d)
         # d = 4w / (1 + r) with r = sqrt(1 + 4w expm1(2 alpha)), so
         # dd/dalpha = -e^{2 alpha} d^2 / r = -e^{2 alpha} d^3 / (4w - d)
-        slope = -math.exp(2.0 * alpha) * float(np.sum(d ** 3 / (4.0 * w - d))) / total
+        slope = -math.exp(2.0 * alpha) * _total(m, d ** 3 / (4.0 * w - d)) / total
         return np.array([_log_resid(total, D)]), np.array([slope])
 
     # to float64 resolution: this path defines R(D, 0), the upper end of
@@ -578,7 +627,7 @@ def _p_zero_alpha(q: np.ndarray, D: float) -> tuple[float, int]:
     return float(a[0]), calls
 
 
-def _blend(above, below, D: float, gap_tol: float):
+def _blend(above, below, m: np.ndarray, D: float, gap_tol: float):
     """Convex combination of two kernel points (alpha, beta, d, p) whose sum
     of d lies above and below D, weighted to meet D, or None if it may be
     too far from optimal.
@@ -590,8 +639,9 @@ def _blend(above, below, D: float, gap_tol: float):
     w (1 - w) |(m_1 - m_2).(s_1 - s_2)| for weight w.  The blend is kept
     when this gap is at most gap_tol, and carries the multipliers of the
     heavier point, whose bound is within twice the gap.  On the two sides
-    of a jump of the minimizer the multipliers are adjacent floats."""
-    s_hi, s_lo = ((float(pt[2].sum()), float(pt[3].sum())) for pt in (above, below))
+    of a jump of the minimizer the multipliers are adjacent floats.  The
+    points' d and p are per run of m equal components."""
+    s_hi, s_lo = ((_total(m, pt[2]), _total(m, pt[3])) for pt in (above, below))
     w = (s_hi[0] - D) / (s_hi[0] - s_lo[0])
     gap = w * (1.0 - w) * abs(sum((above[j] - below[j]) * (s_hi[j] - s_lo[j])
                                   for j in (0, 1)))
@@ -602,20 +652,22 @@ def _blend(above, below, D: float, gap_tol: float):
             (1.0 - w) * above[3] + w * below[3])
 
 
-def _s_side_start(q: np.ndarray, D: float, P: float):
+def _s_side_start(q: np.ndarray, m: np.ndarray, D: float, P: float):
     """Multipliers near the optimum below S(D), shaped like the S(D) optimizers:
-    components before some k on their p = 0 edge, those after k at their
-    (q, q) corner, k in U with the rest of both budgets (P fixes k)."""
-    tail = np.append(np.cumsum(q[::-1])[::-1][1:], 0.0)  # sum of q after each entry
+    runs before some k on their p = 0 edge, those after k at their (q, q)
+    corner, the m_k components of run k in U with equal shares of the rest
+    of both budgets (P fixes k)."""
+    tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)  # sum of q after each run
     k = int(np.flatnonzero(tail < P)[0])
-    edge, qk, pk = q[:k], q[k:k + 1], P - tail[k]
+    edge, m_edge, qk, mk = q[:k], m[:k], q[k:k + 1], m[k]
+    pk = (P - tail[k]) / mk
 
     def f(a, _idx):  # in log alpha; d_k grows with alpha
         alpha = math.exp(a[0])
         de = _d_p_zero(alpha, edge)
-        dk = D - tail[k] - np.sum(de, keepdims=True)
+        dk = (D - tail[k] - np.sum(m_edge * de, keepdims=True)) / mk
         slopes = de ** 3 / (4.0 * edge * (1.0 - edge) - de)  # as in _p_zero_alpha
-        grow = alpha * math.exp(2.0 * alpha) * float(np.sum(slopes))
+        grow = alpha * math.exp(2.0 * alpha) * _total(m_edge, slopes) / mk
         return _alpha_gap(dk, pk, qk) - alpha, _gap_slopes(dk, pk, qk)[0] * grow - alpha
 
     if not (pk < qk[0] and f([_LOG_MIN], None)[0][0] > 0.0):
@@ -624,15 +676,16 @@ def _s_side_start(q: np.ndarray, D: float, P: float):
         alpha = math.exp(_bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)[0][0])
     except ConvergenceError:  # its slopes lost to rounding at tiny multipliers
         return None
-    dk = D - tail[k] - float(_d_p_zero(alpha, edge).sum())
+    dk = (D - tail[k] - _total(m_edge, _d_p_zero(alpha, edge))) / mk
     beta = float(_beta_gap(dk, pk, qk)[0])
     return (alpha, beta) if pk < dk < 2.0 * qk[0] - pk and beta > 0.0 else None
 
 
-def _solve_c_multipliers(q: np.ndarray, D: float, P: float, tol_d: float,
+def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d: float,
                          tol_p: float, start: tuple[float, float]):
     """Find alpha, beta > 0 with sum d = D and sum p = P in one loop over
-    (log alpha, log beta) from the start multipliers.
+    (log alpha, log beta) from the start multipliers, for runs of m equal
+    components.
 
     Where the 2x2 sensitivity jac is invertible (J00 < 0 and Schur
     complement J11 - J01^2 / J00 < 0) the step is Newton's on the budget
@@ -663,20 +716,20 @@ def _solve_c_multipliers(q: np.ndarray, D: float, P: float, tol_d: float,
         nonlocal best
         if point is None:
             return math.inf
-        miss = max(abs(float(point[2].sum()) - D) / tol_d, abs(float(point[3].sum()) - P) / tol_p)
+        miss = max(abs(_total(m, point[2]) - D) / tol_d, abs(_total(m, point[3]) - P) / tol_p)
         if miss < best[0]:
             best = (miss, point)
         return miss
 
     def blend(above, below):  # within a hundredth of the rate change the tolerances allow
-        return _blend(above, below, D, 0.01 * (above[0] * tol_d + above[1] * tol_p))
+        return _blend(above, below, m, D, 0.01 * (above[0] * tol_d + above[1] * tol_p))
 
     def evaluate(a: float, b: float):
         nonlocal evals, floor
         evals += 1
-        d, p, jac = _component_dp(math.exp(a), math.exp(b), q)
+        d, p, jac = _component_dp(math.exp(a), math.exp(b), q, m)
         point = (math.exp(a), math.exp(b), d, p)
-        above = float(d.sum()) > D
+        above = _total(m, d) > D
         if sides[above] is not None:
             consider(blend(point, sides[1]) if above else blend(sides[0], point))
         sides[not above] = point
@@ -689,7 +742,7 @@ def _solve_c_multipliers(q: np.ndarray, D: float, P: float, tol_d: float,
     betas, alphas, stall = _Bracket(_LOG_MIN, b_max), (None, None), math.inf
     while best[0] > 0.01 and evals < 5 * MAX_ROOT_ITER:
         a, b, point, miss, ((j00, j01), (_, j11)) = cur
-        alpha, beta, s_d, s_p = *point[:2], float(point[2].sum()), float(point[3].sum())
+        alpha, beta, s_d, s_p = *point[:2], _total(m, point[2]), _total(m, point[3])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             schur = j11 - j01 * j01 / j00
             step_b = -(s_p - P - j01 * (s_d - D) / j00) / schur
@@ -722,7 +775,7 @@ def _solve_c_multipliers(q: np.ndarray, D: float, P: float, tol_d: float,
                 break
         elif smooth and s_p > 0.0:
             slope = schur * beta / s_p
-        total = float(on_curve[3].sum())
+        total = _total(m, on_curve[3])
         floor |= total <= P and b <= _LOG_MIN
         nb = float(betas.step(b, _log_resid(total, P), slope))
         if abs(nb - b) <= _LOG_XTOL:
@@ -741,31 +794,31 @@ def _solve_c_multipliers(q: np.ndarray, D: float, P: float, tol_d: float,
 # assembling results
 
 
-def _allocation(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> Allocation:
+def _result(region, d, p, q, counts, nu, mu, lam, labels, iters, budget, notes=()) -> RdpResult:
+    """Assemble a result from per-run values (run k holds counts[k]
+    components with q[k]).  Every per-component array repeats its run's
+    entry, and the rate and residuals are sums over those components."""
     rates = np.atleast_1d(np.asarray(scalar_rdp(d, p, q), dtype=float))
-    return Allocation(d=d, p=p, per_component_rate=rates, total_rate=float(rates.sum()))
-
-
-def _result(region, d, p, q, nu, mu, lam, labels, iters, budget, notes=()) -> RdpResult:
-    alloc = _allocation(d, p, q)
-    cert = KktCertificate(nu=float(nu), mu=float(mu), lam=np.asarray(lam, dtype=float),
-                          gamma=np.zeros_like(d),
-                          component_regions=np.asarray(labels, dtype=np.int8))
+    d, p, rates = (np.repeat(v, counts) for v in (d, p, rates))
     res_d = abs(float(d.sum()) - budget.D)
     res_p = 0.0 if math.isinf(budget.P) else abs(float(p.sum()) - budget.P)
+    alloc = Allocation(d=d, p=p, per_component_rate=rates, total_rate=float(rates.sum()))
+    cert = KktCertificate(nu=float(nu), mu=float(mu),
+                          lam=np.repeat(np.asarray(lam, dtype=float), counts),
+                          component_regions=np.repeat(np.asarray(labels, dtype=np.int8), counts))
     return RdpResult(rate=alloc.total_rate, region=region, allocation=alloc,
                      certificate=cert, multiplier_iterations=int(iters),
                      residuals=(res_d, res_p), notes=tuple(notes))
 
 
-def _spread_perception(lower: np.ndarray, P: float) -> np.ndarray:
+def _spread_perception(lower: np.ndarray, m: np.ndarray, P: float) -> np.ndarray:
     """Deterministic slack rule: meet sum p = P with p >= lower by scaling
     proportionally to the lower bounds (uniformly when they vanish)."""
-    total = float(lower.sum())
+    total = _total(m, lower)
     if math.isinf(P):
         return lower.copy()
     if total <= 0.0:
-        return np.full(lower.size, P / lower.size)
+        return np.full(lower.size, P / int(m.sum()))
     return lower * (P / total)
 
 
@@ -778,24 +831,24 @@ def solve_region_a(src, budget) -> RdpResult:
     perception split above the per-component frontier; the rate is the
     classic rate-distortion value sum_i [h2(q_i) - h2(d_i)]."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, notes = _effective_q(src)
+    q, m, notes = _effective_q(src)
     if math.isinf(budget.P):
         notes = notes + ("P=inf: perception left at its lower bounds",)
     if budget.D <= 0.0:
         # forced zero allocation; the water-level multiplier is formally +inf
         d = np.zeros_like(q)
-        p = _spread_perception(np.zeros_like(q), budget.P)
-        return _result(PlaneRegion.A, d, p, q, math.inf, 0.0, np.zeros_like(q),
+        p = _spread_perception(np.zeros_like(q), m, budget.P)
+        return _result(PlaneRegion.A, d, p, q, src.counts, math.inf, 0.0, np.zeros_like(q),
                        np.full(q.size, _EXT), 0, budget, notes)
-    d = water_fill(q, budget.D)
+    d = water_fill(q, budget.D, m)
     lower = np.asarray(rd_boundary(d, q), dtype=float)
-    if not math.isinf(budget.P) and budget.P < float(lower.sum()) - 1e-12:
+    if not math.isinf(budget.P) and budget.P < _total(m, lower) - 1e-12:
         raise DomainError("(D, P) is not in region A")
-    p = _spread_perception(lower, budget.P)
+    p = _spread_perception(lower, m, budget.P)
     level = float(d.max())
     nu = math.log((1.0 - level) / level)
     labels = np.where((q > 0.0) & (d >= q), _V, np.where(d > 0.0, _S, _EXT))
-    return _result(PlaneRegion.A, d, p, q, nu, 0.0, np.zeros_like(q),
+    return _result(PlaneRegion.A, d, p, q, src.counts, nu, 0.0, np.zeros_like(q),
                    labels, 0, budget, notes)
 
 
@@ -803,20 +856,20 @@ def solve_region_b(src, budget) -> RdpResult:
     """Zero-rate region: start from the minimum-perception optimizers of
     the S(D) curve and spread the perception slack uniformly."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, notes = _effective_q(src)
-    point = _s_curve(q, budget.D)
+    q, m, notes = _effective_q(src)
+    point = _s_curve(q, m, budget.D)
     if not math.isinf(budget.P) and budget.P < point.value - 1e-12:
         raise DomainError("(D, P) is not in region B")
-    if budget.D > q.size:
-        notes = notes + (f"D={budget.D:g} exceeds n={q.size}; distortion saturates at n",)
+    if budget.D > src.n:
+        notes = notes + (f"D={budget.D:g} exceeds n={src.n}; distortion saturates at n",)
     d = point.d.copy()
     if math.isinf(budget.P):
         p = point.p.copy()
         notes = notes + ("P=inf: perception left at the S(D) optimizers",)
     else:
-        p = point.p + (budget.P - point.value) / q.size
+        p = point.p + (budget.P - point.value) / src.n
     labels = np.where((q > 0.0) & (d <= q), _V, np.where(d > 0.0, _T, _EXT))
-    return _result(PlaneRegion.B, d, p, q, 0.0, 0.0, np.zeros_like(q),
+    return _result(PlaneRegion.B, d, p, q, src.counts, 0.0, 0.0, np.zeros_like(q),
                    labels, 0, budget, notes)
 
 
@@ -824,43 +877,41 @@ def _c_labels(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where((q > 0.0) & (d > 0.0), _U, _EXT)
 
 
-def _snap_t_boundary(q, d, budget, notes) -> RdpResult:
+def _snap_t_boundary(q, m, d, P):
     """(D, P) within a hair of the T(D) curve: reuse the water-filled
     distortions d and scale the perception bounds down to meet P exactly.
     The allocation is feasible and every pair sits in the closure of U,
-    so the rate overshoot is quadratic in the boundary distance."""
+    so the rate overshoot is quadratic in the boundary distance.  Returns
+    (d, p, nu, mu, lam)."""
     lower = np.asarray(rd_boundary(d, q), dtype=float)
-    p = _spread_perception(lower, budget.P)
+    p = _spread_perception(lower, m, P)
     level = float(d.max())
     nu = math.log((1.0 - level) / level)
     gaps = _beta_gap(d, p, q)
     mu = max(float(np.min(gaps)), 0.0)
-    return _result(PlaneRegion.C, d, p, q, nu, mu, np.zeros_like(q),
-                   _c_labels(d, q), 0, budget,
-                   notes + ("snapped to the T(D) boundary",))
+    return d, p, nu, mu, np.zeros_like(q)
 
 
-def _snap_s_boundary(q, budget, notes) -> RdpResult:
+def _snap_s_boundary(q, m, D, P):
     """(D, P) within a hair of the S(D) curve: take the zero-rate
-    optimizers and shave the perception overshoot off successive
-    components, starting at the active segment.  All pairs stay inside
-    the closure of U."""
-    point = _s_curve(q, budget.D)
+    optimizers and shave the perception overshoot off successive runs,
+    starting at the active segment.  All pairs stay inside the closure of
+    U.  Returns (d, p, nu, mu, lam)."""
+    point = _s_curve(q, m, D)
     d, p = point.d.copy(), point.p.copy()
-    excess = float(p.sum()) - budget.P
+    excess = _total(m, p) - P
     start = (point.k or q.size) - 1
     for i in list(range(start, q.size)) + list(range(0, start)):
         if excess <= 0.0:
             break
-        take = min(p[i], excess)
-        p[i] -= take
+        take = min(m[i] * p[i], excess)
+        p[i] -= take / m[i]
         excess -= take
     nu = max(float(np.max(_alpha_gap(d, p, q))), 0.0)
     gaps = _beta_gap(d, p, q)
     mu = max(float(np.max(gaps)), 0.0)
     lam = np.where(p > 0.0, 0.0, np.maximum(mu - gaps, 0.0))
-    return _result(PlaneRegion.C, d, p, q, nu, mu, lam, _c_labels(d, q),
-                   0, budget, notes + ("snapped to the S(D) boundary",))
+    return d, p, nu, mu, lam
 
 
 def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
@@ -869,30 +920,42 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     src, budget = _as_source(src), _as_budget(budget)
     if classify(src, budget) != PlaneRegion.C:
         raise DomainError("(D, P) is not in region C")
-    q_all, notes = _effective_q(src)
+    q_all, m_all, notes = _effective_q(src)
     D, P = budget.D, budget.P
 
+    # q = 0 components take no budget; they are solved without and
+    # re-inserted as (d, p) = (0, 0) rows
     pos = q_all > 0.0
-    q = q_all[pos]
-    sum_q = float(q.sum())
+    q, m = q_all[pos], m_all[pos]
+    sum_q = _total(m, q)
+
+    def finish(d, p, nu, mu, lam, iters, notes) -> RdpResult:
+        if not pos.all():
+            full = np.zeros((3, q_all.size))
+            for row, values in zip(full, (d, p, lam)):
+                row[pos] = values
+            d, p, lam = full
+        return _result(PlaneRegion.C, d, p, q_all, src.counts, nu, mu, lam,
+                       _c_labels(d, q_all), iters, budget, notes)
 
     # Budgets hugging a boundary leave the multipliers too small to
     # resolve; serve those from the boundary allocation instead.
     if D < sum_q:
-        fill = water_fill(q, D)
-        t_val = _t_of_fill(q, fill)
+        fill = water_fill(q, D, m)
+        t_val = _t_of_fill(q, m, fill)
         hugging = t_val - P <= SNAP_RTOL_A * max(1.0, t_val)
     else:
-        s_val = _s_curve(q, D).value
+        s_val = _s_curve(q, m, D).value
         hugging = s_val - P <= SNAP_RTOL_S * max(1.0, s_val)
 
     def snap() -> RdpResult:
         if D < sum_q:
-            return _snap_t_boundary(q, fill, budget, notes)
-        return _snap_s_boundary(q, budget, notes)
+            return finish(*_snap_t_boundary(q, m, fill, P), 0,
+                          notes + ("snapped to the T(D) boundary",))
+        return finish(*_snap_s_boundary(q, m, D, P), 0, notes + ("snapped to the S(D) boundary",))
 
     if hugging:
-        return _scatter_zeros(snap(), pos, q_all, budget)
+        return snap()
 
     tol_d = budget_rtol * max(1.0, D)
     tol_p = budget_rtol * max(1.0, P)
@@ -900,7 +963,7 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     # the P = 0 allocation meets a P within tol_p of 0, a budget the beta
     # search cannot resolve (it exits with no multipliers meeting both)
     if P <= tol_p:
-        alpha, iters = _p_zero_alpha(q, D)
+        alpha, iters = _p_zero_alpha(q, m, D)
         d = _d_p_zero(alpha, q)
         p = np.zeros_like(d)
         gaps = _beta_gap(d, p, q)
@@ -909,44 +972,23 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     else:
         # below sum q, alpha tends to the water level's multiplier as beta -> 0
         start = ((math.log((1.0 - fill.max()) / fill.max()), 1e-2) if D < sum_q
-                 else _s_side_start(q, D, P) or (1e-3, 1e-2))
-        found = _solve_c_multipliers(q, D, P, tol_d, tol_p, start)
+                 else _s_side_start(q, m, D, P) or (1e-3, 1e-2))
+        found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
         if found is None:
             # multipliers below resolution although the budgets escaped the
             # snap window; the boundary allocation is feasible but serves
             # only while it beats the rate at P = 0, which bounds R(D, P)
             out = snap()
-            d = _d_p_zero(_p_zero_alpha(q, D)[0], q)
-            if out.rate > _allocation(d, np.zeros_like(d), q).total_rate + 1e-12:
+            d = _d_p_zero(_p_zero_alpha(q, m, D)[0], q)
+            if out.rate > _total(m, scalar_rdp(d, np.zeros_like(d), q)) + 1e-12:
                 raise ConvergenceError("multipliers below resolution near the "
                                        "region boundary; no snapped allocation fits")
-            return _scatter_zeros(out, pos, q_all, budget)
+            return out
         alpha, beta, d, p, iters = found
         gaps = _beta_gap(d, p, q)
         lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))
 
-    out = _result(PlaneRegion.C, d, p, q, alpha, beta, lam, _c_labels(d, q),
-                  iters, budget, notes)
-    return _scatter_zeros(out, pos, q_all, budget)
-
-
-def _scatter_zeros(result: RdpResult, pos: np.ndarray, q_all: np.ndarray,
-                   budget: BudgetPair) -> RdpResult:
-    """Re-insert stripped q = 0 components as (d, p) = (0, 0) rows."""
-    if bool(pos.all()):
-        return result
-    n = q_all.size
-    d = np.zeros(n)
-    p = np.zeros(n)
-    lam = np.zeros(n)
-    d[pos] = result.allocation.d
-    p[pos] = result.allocation.p
-    lam[pos] = result.certificate.lam
-    labels = np.full(n, _EXT)
-    labels[pos] = result.certificate.component_regions
-    return _result(result.region, d, p, q_all, result.certificate.nu,
-                   result.certificate.mu, lam, labels,
-                   result.multiplier_iterations, budget, result.notes)
+    return finish(d, p, alpha, beta, lam, iters, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +1042,7 @@ _FAMILIES = (
 def check_certificate(result: RdpResult, cs_tol: float = 1e-5) -> None:
     """Structural KKT certificate checks.
 
-    Raises ConvergenceError unless lam >= 0, gamma == 0, complementary
+    Raises ConvergenceError unless lam >= 0, complementary
     slackness lam_i p_i = 0 holds within cs_tol, every label code names a
     ScalarRegion, and the component labels form one consistent family (all
     S/V, all T/V, or all U), ignoring degenerate EXTERIOR components.
@@ -1008,8 +1050,6 @@ def check_certificate(result: RdpResult, cs_tol: float = 1e-5) -> None:
     cert = result.certificate
     if np.any(cert.lam < -1e-12):
         raise ConvergenceError("negative perception multiplier in certificate")
-    if np.any(cert.gamma != 0.0):
-        raise ConvergenceError("gamma multipliers must be identically zero")
     slack = np.abs(cert.lam * result.allocation.p)
     if np.any(slack > cs_tol):
         raise ConvergenceError(f"complementary slackness violated: {slack.max():g}")
@@ -1042,7 +1082,8 @@ def kkt_gradient_residuals(src, result: RdpResult) -> np.ndarray:
     returned allocation (diagnostic).  Non-snapped solves sit at roundoff
     or root-finder scale; snapped ones are larger by construction."""
     src = _as_source(src)
-    q, _ = _effective_q(src)
+    q, _, _ = _effective_q(src)
+    q = np.repeat(q, src.counts)
     cert = result.certificate
     d, p = result.allocation.d, result.allocation.p
     out = np.zeros(q.size)

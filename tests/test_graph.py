@@ -246,3 +246,47 @@ class TestGraphRdp:
         assert len(res.edges) == 3
         absent = [e for e in res.edges if e.q == 0.0]
         assert len(absent) == 1 and absent[0].d == 0.0 and absent[0].rate == 0.0
+
+
+def _homogeneous_budget(q, n_edges, region):
+    """Budgets (D, P) = N (d, p) placing a homogeneous source in a region:
+    per edge d = 0.1 < q in A, C and at P = 0, with p above, below and at
+    0 next to the per-edge T = d (1 - 2q) / (1 - 2d); in B, d between q and
+    2q(1 - q) and p above the per-edge S = (2q(1 - q) - d) / (1 - 2q)."""
+    if region == "B":
+        d = 0.5 * (q + 2.0 * q * (1.0 - q))
+        p = (2.0 * q * (1.0 - q) - d) / (1.0 - 2.0 * q) + 0.05
+    else:
+        d = 0.1
+        p = {"A": 1.5, "C": 0.5, "P0": 0.0}[region] * d * (1.0 - 2.0 * q) / (1.0 - 2.0 * d)
+    return n_edges * d, n_edges * p
+
+
+class TestHomogeneousExact:
+    """A homogeneous source of N components is one run: the solver works on
+    one value and its rate is exactly N R(D/N, P/N, q).  The region-C cases
+    have N = 179,700 (a 600-vertex graph), the others N = 1,225 (50)."""
+
+    @pytest.mark.parametrize("entry", ["rdp", "graph_rdp"])
+    @pytest.mark.parametrize("region", ["A", "B", "C", "P0"])
+    def test_rate_is_n_scalar_rates(self, region, entry):
+        nv = 600 if region == "C" else 50
+        n_edges = nv * (nv - 1) // 2
+        raw = 0.7  # folds to 1 - 0.7
+        q = float(normalize([raw]).q[0])
+        D, P = _homogeneous_budget(q, n_edges, region)
+        if entry == "rdp":
+            res = rdp([raw] * n_edges, (D, P))
+            d, p = res.allocation.d, res.allocation.p
+        else:
+            probs = np.full((nv, nv), raw)
+            np.fill_diagonal(probs, 0.0)
+            gres = graph_rdp(EdgeProbabilityMatrix(nv, probs), (D, P))
+            res, d, p = gres.result, gres.d, gres.p
+        assert res.region == ("C" if region == "P0" else region)
+        want = n_edges * scalar_rdp(D / n_edges, P / n_edges, q)
+        assert abs(res.rate - want) <= 1e-12 * max(1.0, res.rate)
+        # tied components get equal shares
+        assert np.ptp(d) == 0.0 and np.ptp(p) == 0.0
+        assert d[0] == pytest.approx(D / n_edges, rel=1e-9)
+        assert p[0] == pytest.approx(P / n_edges, rel=1e-9, abs=1e-300)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import bernrdp as br
 from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, ScalarRegion,
                      classify, length_bounds, normalize, rdp, s_of_d, scalar_rdp,
-                     solve_component_c, solve_region_a, solve_region_b,
-                     solve_region_c, t_of_d, water_fill)
+                     solve_region_a, solve_region_b, solve_region_c, t_of_d,
+                     water_fill)
 from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _blend, _component_dp,
                             _d_of_alpha, _d_p_zero, _s_curve)
 
@@ -28,6 +28,11 @@ RD_03_01 = 0.285781328663445224               # h2(0.3) - h2(0.1)
 TERN_02_005_03 = 0.120227319891441581         # scalar ternary branch value
 TERN_01_005_025 = 0.238077788518041652
 D_PP_A05_Q025 = 0.298466032603525787          # p=0 distortion at alpha=0.5, q=0.25
+
+
+def _ones(q):
+    """Run lengths for the private kernels: every value is one component."""
+    return np.ones(np.size(q), dtype=int)
 
 
 def _regions(res) -> list[ScalarRegion]:
@@ -103,6 +108,66 @@ class TestNormalize:
                                        flip_mask=np.zeros(3, dtype=bool),
                                        permutation=np.array([2, 0, 1]))
         assert src.permutation.tolist() == [2, 0, 1]
+
+
+#: Raw values for tie-heavy sources: 0, 1/2 and 1, exact complement pairs
+#: (0.25 and 0.75 fold to equal values), 0.3 and 0.7 (which fold to
+#: adjacent doubles, 0.3 and 0.30000000000000004), a signed zero and
+#: values within the 1e-12 clip window.
+TIE_POOL = [0.0, -0.0, 0.5, 1.0, 0.25, 0.75, 0.375, 0.625, 0.3, 0.7, 0.1, -1e-13, 1.0 + 1e-13]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(TIE_POOL), st.floats(0.0, 1.0)), min_size=1,
+                max_size=60))
+def test_normalize_matches_a_stable_sort_on_ties(raw):
+    raw = np.array(raw)
+    clipped = np.clip(raw, 0.0, 1.0)
+    folded = np.where(clipped > 0.5, 1.0 - clipped, clipped)
+    stable = np.argsort(-folded, kind="stable")
+    src = normalize(raw)
+    assert src.permutation.tobytes() == stable.tobytes()
+    assert src.q.tobytes() == folded[stable].tobytes()
+    assert src.raw().tobytes() == clipped.tobytes()
+    # counts: the runs of equal q (0.0 and -0.0 are equal)
+    assert np.array_equal(np.repeat(src.q[np.cumsum(src.counts) - src.counts], src.counts), src.q)
+    assert np.all(src.q[np.cumsum(src.counts)[:-1]] < src.q[np.cumsum(src.counts)[:-1] - 1])
+
+
+def _sort_check_rejects(perm, n):
+    """The bijection test BernoulliVectorSource made before the O(n) check."""
+    return not np.array_equal(np.sort(np.asarray(perm)), np.arange(n))
+
+
+@pytest.mark.parametrize("perm", [
+    [2, 0, 1], [2, 0, 0], [0, 1, 3], [0, -1, 2], [0, 1], [0, 1, 2, 3], [[0, 1, 2]],
+    [2.0, 0.0, 1.0], [2.0, 0.5, 1.0], [0.0, math.nan, 2.0], [True, False, True],
+    [-3, 0, 1], [1, 2, 3]])
+def test_bijection_check_rejects_what_the_sort_check_rejected(perm):
+    build = lambda: br.BernoulliVectorSource(q=np.array([0.4, 0.3, 0.1]),
+                                             flip_mask=np.zeros(3, dtype=bool),
+                                             permutation=np.array(perm))
+    if _sort_check_rejects(perm, 3):
+        with pytest.raises(DomainError, match="bijection"):
+            build()
+    else:
+        assert build().permutation.tolist() == np.asarray(perm).astype(int).tolist()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-2, n + 1), min_size=max(n - 1, 0), max_size=n + 1))))
+def test_bijection_check_matches_the_sort_check(case):
+    # repeated, out of range, negative and wrong-length index lists
+    n, perm = case
+    q = np.linspace(0.4, 0.1, n)
+    try:
+        br.BernoulliVectorSource(q=q, flip_mask=np.zeros(n, dtype=bool),
+                                 permutation=np.array(perm, dtype=int))
+        rejected = False
+    except DomainError:
+        rejected = True
+    assert rejected == _sort_check_rejects(perm, n)
 
 
 def _water_fill_scan(q: np.ndarray, D: float) -> np.ndarray:
@@ -214,7 +279,7 @@ class TestSCurve:
                 for D in budgets:
                     if D >= caps:
                         continue
-                    got = _s_curve(q, D)
+                    got = _s_curve(q, _ones(q), D)
                     value, k, d_k, d, p = _s_segment_scan(q, D)
                     assert (got.value, got.k, got.d_k) == (value, k, d_k), (q, D)
                     assert got.d.tobytes() == d.tobytes() and got.p.tobytes() == p.tobytes()
@@ -370,16 +435,22 @@ class TestRegionB:
             assert abs(res.allocation.p.sum() - P) <= 1e-10
 
 
+def _one_component(alpha, beta, q):
+    """The kernel's (d, p) for a single component."""
+    d, p, _ = _component_dp(alpha, beta, np.array([q]), _ones(q))
+    return float(d[0]), float(p[0])
+
+
 class TestComponentSystem:
     def test_p_zero_closed_form(self):
-        d, p = solve_component_c(0.5, 5.0, 0.25)
+        d, p = _one_component(0.5, 5.0, 0.25)
         assert p == 0.0
         assert d == pytest.approx(D_PP_A05_Q025, abs=1e-12)
 
     def test_p_zero_reproduces_alpha(self):
         # the p = 0 equation is the alpha equation specialized to p = 0
         for alpha in (0.05, 0.3, 1.0, 4.0):
-            d, p = solve_component_c(alpha, 10.0, 0.3)
+            d, p = _one_component(alpha, 10.0, 0.3)
             assert p == 0.0
             lhs = -0.5 * math.log(
                 (d * d) / ((2 * 0.7 - d) * (2 * 0.3 - d)))
@@ -388,7 +459,7 @@ class TestComponentSystem:
     def test_interior_solution_residuals(self):
         q = 0.25
         alpha, beta = 1.5, 0.2
-        d, p = solve_component_c(alpha, beta, q)
+        d, p = _one_component(alpha, beta, q)
         assert 0.0 < p < q
         a_res = -0.5 * math.log(((d - p) * (d + p)) /
                                 ((2 * (1 - q) - (d - p)) * (2 * q - (d + p))))
@@ -401,17 +472,9 @@ class TestComponentSystem:
 
     def test_large_beta_goes_to_p_zero(self):
         # beta above the gap at p = 0 forces the boundary branch
-        d, p = solve_component_c(0.3, 0.3, 0.25)
+        d, p = _one_component(0.3, 0.3, 0.25)
         assert p == 0.0
         assert 0.0 < d < 2 * 0.25 * 0.75
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            solve_component_c(-0.1, 0.2, 0.25)
-        with pytest.raises(DomainError):
-            solve_component_c(0.1, 0.0, 0.25)
-        with pytest.raises(DomainError):
-            solve_component_c(0.1, 0.2, 0.0)
 
 
 def _bisection_component_dp(alpha, beta, q):
@@ -447,7 +510,7 @@ def _corner_beta(alpha, q):
 
 
 def _totals(alpha, beta, q):
-    d, p, _ = _component_dp(alpha, beta, q)
+    d, p, _ = _component_dp(alpha, beta, q, _ones(q))
     return np.array([d.sum(), p.sum()])
 
 
@@ -458,7 +521,7 @@ class TestComponentKernel:
         kinds = set()
         for alpha in (0.01, 0.1, 0.5, 1.5, 4.0):
             for beta in (1e-4, 1e-2, 0.1, 0.5, 2.0, 10.0):
-                d, p, _ = _component_dp(alpha, beta, self.Q)
+                d, p, _ = _component_dp(alpha, beta, self.Q, _ones(self.Q))
                 d_ref, p_ref = _bisection_component_dp(alpha, beta, self.Q)
                 assert np.abs(d - d_ref).max() <= 1e-12, (alpha, beta)
                 assert np.abs(p - p_ref).max() <= 1e-12, (alpha, beta)
@@ -475,7 +538,7 @@ class TestComponentKernel:
                     if beta <= 0.0:
                         continue
                     qv = np.array([q])
-                    d, p, _ = _component_dp(alpha, beta, qv)
+                    d, p, _ = _component_dp(alpha, beta, qv, _ones(qv))
                     d_ref, p_ref = _bisection_component_dp(alpha, beta, qv)
                     assert abs(d[0] - d_ref[0]) <= 1e-12, (alpha, q, delta)
                     assert abs(p[0] - p_ref[0]) <= 1e-12, (alpha, q, delta)
@@ -491,16 +554,26 @@ class TestComponentKernel:
         band = _CORNER_RTOL * q[0]
         for delta in (1e-9, 1e-11, 1e-13):
             beta = _corner_beta(alpha, 0.05) + delta
-            d, p, _ = _component_dp(alpha, beta, q)
+            d, p, _ = _component_dp(alpha, beta, q, _ones(q))
             d_ref, p_ref = _bisection_component_dp(alpha, beta, q)
             assert 0.0 < q[0] - p_ref[0] < band
             assert 0.0 < q[0] - p[0] <= 4.0 * band
             assert abs(d[0] - d_ref[0]) <= 4.0 * band
 
+    def test_runs_match_their_expanded_components(self):
+        counts = np.array([3, 1, 2, 4, 1])
+        for alpha, beta in ((0.5, 0.1), (1.5, 0.5), (4.0, 0.01), (0.01, 10.0)):
+            d, p, jac = _component_dp(alpha, beta, self.Q, counts)
+            q_all = np.repeat(self.Q, counts)
+            d_all, p_all, jac_all = _component_dp(alpha, beta, q_all, _ones(q_all))
+            assert np.repeat(d, counts).tobytes() == d_all.tobytes()
+            assert np.repeat(p, counts).tobytes() == p_all.tobytes()
+            np.testing.assert_allclose(jac, jac_all, rtol=1e-13, atol=0.0)
+
     def test_sensitivities_match_finite_differences(self):
         q = np.array([0.05, 0.2, 0.35, 0.45])
         for alpha, beta in ((0.5, 0.1), (1.5, 0.1), (1.5, 0.5), (4.0, 0.5), (4.0, 0.01)):
-            _, p, jac = _component_dp(alpha, beta, q)
+            _, p, jac = _component_dp(alpha, beta, q, _ones(q))
             assert np.any(p > 0.0)
             assert jac[0, 0] < 0.0 and jac[1, 1] <= 0.0
             assert np.linalg.det(jac) >= -1e-12
@@ -581,7 +654,7 @@ def _dual_bound(raw, D, P, res):
     q = np.minimum(normalize(raw).q, 0.5 - 1e-9)
     q = q[q > 0.0]
     nu, mu = res.certificate.nu, res.certificate.mu
-    d, p, _ = _component_dp(nu, mu, q)
+    d, p, _ = _component_dp(nu, mu, q, _ones(q))
     return float(np.sum(scalar_rdp(d, p, q))) + nu * (d.sum() - D) + mu * (p.sum() - P)
 
 
@@ -731,11 +804,52 @@ class TestRegionCKernelCalls:
         assert calls["near-S"] <= self.NESTED_NEAR_S[n]
 
 
+class TestTiedComponents:
+    def test_tied_near_s_takes_few_kernel_calls(self):
+        # three equal q just below S(D) took 113 kernel calls when each
+        # component was solved on its own; the run is one component now
+        q, D, P = 0.41057234265195425, 1.4129178751567557, 0.21117971030978275
+        res = rdp([q] * 3, (D, P))
+        assert res.region == "C"
+        assert res.multiplier_iterations <= 10
+        want = 3 * scalar_rdp(D / 3, P / 3, q)
+        assert abs(res.rate - want) <= 1e-12 * max(1.0, res.rate)
+
+    def test_ties_match_jittered_ties(self):
+        # the weighted solve on runs against the same source with its ties
+        # broken by 1e-13: the rates agree to the rate's sensitivity
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            values = rng.uniform(0.02, 0.48, int(rng.integers(1, 4)))
+            raw = rng.choice(values, int(rng.integers(2, 9)))
+            jittered = raw + 1e-13 * np.arange(raw.size)
+            src = normalize(raw)
+            assert src.counts.size == np.unique(raw).size
+            budget = _rand_budget(rng, src)
+            res = rdp(src, budget)
+            assert res.rate == pytest.approx(rdp(jittered, budget).rate, rel=1e-9, abs=1e-9)
+            for run in np.split(np.stack([res.allocation.d, res.allocation.p]),
+                                np.cumsum(src.counts)[:-1], axis=1):
+                assert np.ptp(run, axis=1).tolist() == [0.0, 0.0]  # equal shares
+
+    def test_s_of_d_spreads_a_run_equally(self):
+        point = s_of_d([0.3, 0.3, 0.1], 0.8)
+        assert point.k == 1  # the first component of the active run
+        assert point.d[0] == point.d[1] == point.d_k
+        assert point.value == pytest.approx(s_of_d([0.3, 0.3 + 1e-12, 0.1], 0.8).value, abs=1e-9)
+
+    def test_water_fill_counts(self):
+        q = np.array([0.4, 0.2, 0.05])
+        counts = np.array([2, 3, 1])
+        np.testing.assert_allclose(np.repeat(water_fill(q, 0.9, counts), counts),
+                                   water_fill(np.repeat(q, counts), 0.9), rtol=0, atol=1e-15)
+
+
 class TestBlend:
     def test_meets_d_between_equal_multipliers(self):
         above = (1.0, 0.5, np.array([0.3, 0.2]), np.array([0.0, 0.1]))
         below = (1.0, 0.5, np.array([0.1, 0.2]), np.array([0.2, 0.1]))
-        alpha, beta, d, p = _blend(above, below, 0.4, gap_tol=0.0)
+        alpha, beta, d, p = _blend(above, below, _ones(above[2]), 0.4, gap_tol=0.0)
         assert (alpha, beta) == (1.0, 0.5)
         assert d.sum() == pytest.approx(0.4, abs=1e-15)
         np.testing.assert_allclose(p, [0.1, 0.1])
@@ -744,8 +858,8 @@ class TestBlend:
         above = (1.0, 0.5, np.array([0.3]), np.array([0.0]))
         below = (2.0, 0.5, np.array([0.1]), np.array([0.2]))
         # gap bound w (1 - w) |1 x 0.2| = 0.05 at w = 1/2
-        assert _blend(above, below, 0.2, gap_tol=0.049) is None
-        assert _blend(above, below, 0.2, gap_tol=0.051) is not None
+        assert _blend(above, below, _ones(above[2]), 0.2, gap_tol=0.049) is None
+        assert _blend(above, below, _ones(above[2]), 0.2, gap_tol=0.051) is not None
 
 
 class TestRdpDispatch:
@@ -897,7 +1011,7 @@ class TestCertificateChecks:
         res = rdp([0.3, 0.1], (0.2, 0.05))
         bad = br.KktCertificate(
             nu=res.certificate.nu, mu=res.certificate.mu,
-            lam=res.certificate.lam, gamma=res.certificate.gamma,
+            lam=res.certificate.lam,
             component_regions=np.array([tuple(ScalarRegion).index(r) for r in (
                 ScalarRegion.S, ScalarRegion.T)], dtype=np.int8))
         broken = br.RdpResult(rate=res.rate, region=res.region,
@@ -911,7 +1025,7 @@ class TestCertificateChecks:
         res = rdp([0.3, 0.1], (0.2, 0.05))
         bad = br.KktCertificate(
             nu=res.certificate.nu, mu=res.certificate.mu,
-            lam=res.certificate.lam, gamma=res.certificate.gamma,
+            lam=res.certificate.lam,
             component_regions=np.array(codes, dtype=np.int8))
         broken = br.RdpResult(rate=res.rate, region=res.region,
                               allocation=res.allocation, certificate=bad,
