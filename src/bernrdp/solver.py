@@ -10,7 +10,11 @@ plane splits into three regions:
      and the rate is the classic rate-distortion value.
   B: zero rate.  A reconstruction independent of the source is feasible.
   C: both budgets bind.  Each component solves a two-multiplier
-     stationarity system inside its U region; the shared multipliers
+     stationarity system inside its U region.  At given multipliers its
+     root is closed-form: the root of a cubic in q - p whose other two
+     roots are known (``_component_dp``).  Where that root falls outside
+     (0, q), the component takes its p = 0 edge or its (q, q) corner,
+     whichever has the lower Lagrangian.  The shared multipliers
      (alpha, beta) meet the budgets by 2-D Newton steps on the sensitivity
      of (sum d, sum p), summed from the inverse Hessians of R, or where it
      is singular by Newton steps inside brackets (``_Bracket``).  These
@@ -521,7 +525,7 @@ def _bracketed_newton(f, x, lo, hi, ftol: float = 0.0, xtol=0.0):
     raise ConvergenceError("bracketed Newton search did not converge")
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
     """Per-component minimizer of R(d, p, q) + alpha d + beta p over
     d, p >= 0, vectorized over runs of m equal components, with the
@@ -533,22 +537,35 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
 
     At p = 0 the stationarity condition has the closed form
     ``_d_p_zero``; a component stays on that edge when its beta gap there
-    is already at or below beta.  Otherwise p solves
-    phi(p) = B(d(p), p) - beta = 0, with d(p) from the alpha equation.
-    phi is decreasing in p (the gradient map of the convex rate is
-    monotone) and positive at p = 0, so [0, q) brackets its root and
-    ``_bracketed_newton`` solves it with the implicit slope
-    phi' = B_p - B_d A_p / A_d, from the alpha equation A(d, p) = alpha.
-    Every call starts at p = 0, so the result is a function of (alpha,
-    beta) alone, which the brackets of the multiplier searches rely on;
-    only the components that have not converged iterate.  A component
-    whose phi stays positive up to q (1 - _CORNER_RTOL) collapses its
-    bracket there and returns the corner (q, q), the subdifferential
-    solution, stored as p = q (1 - 1e-15) with d from the alpha equation.
+    is already at or below beta.  Otherwise its beta gap falls as p grows
+    along the fixed-alpha contour, so the stationarity system has at most
+    one root p in (0, q), and that root has a closed form.  With
+    x = d - p, y = d + p, u = q - p, a = e^(alpha - beta) and
+    b = e^(-alpha - beta), dividing the beta equation by the alpha
+    equation gives u (2(1-q) - x) = a (1 - u) x, and multiplying them
+    gives u y = b (1 - u) (2q - y), so
+        x = 2(1-q) u / (u + a (1-u)),   y = 2q b (1-u) / (u + b (1-u)).
+    With e1 = expm1(alpha - beta), e2 = expm1(-alpha - beta) and
+    c0 = e1 (1-q) + q e2 + e1 e2, the condition y - x = 2(q - u) has the
+    factors u (the (q, q) corner), u - 1 (beyond q <= 1/2) and
+    e1 e2 u - c0, so the root is u = c0 / (e1 e2), that is
+        p = -((1-q) b e1 + q e2) / (e1 e2),
+    written so that it keeps its relative accuracy as p -> 0.  d then
+    solves the alpha equation at that p (``_d_of_alpha``).
+
+    A root p in (0, q (1 - _CORNER_RTOL)) is taken.  Otherwise the
+    component sits at its corner, or its root lies at p -> 0+ and rounding
+    put it at or below 0; the sign of p cannot tell these apart for a
+    barely active component, nor can the sign of the beta gap at either
+    end when the multipliers are tiny.  So it takes whichever of p = 0 and
+    the corner gives the lower Lagrangian.  The corner (q, q) is the
+    subdifferential solution, stored as p = q (1 - 1e-15) with d from the
+    alpha equation.
 
     The sensitivities are the inverse of [[A_d, A_p], [B_d, B_p]] for
-    interior components, d/dalpha of ``_d_p_zero`` (and nothing in beta)
-    on the p = 0 edge, and zero at the corner.
+    interior components and for active ones put at p = 0, d/dalpha of
+    ``_d_p_zero`` (and nothing in beta) on the p = 0 edge, and zero at the
+    corner.
     """
     d = _d_p_zero(alpha, q)
     p = np.zeros_like(q)
@@ -558,19 +575,17 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
     jac[0, 0] = float(np.sum(m[~active] / edge_a_d))
     if np.any(active):
         qa, ma = q[active], m[active]
+        e1, e2 = math.expm1(alpha - beta), math.expm1(-alpha - beta)
+        pa = -((1.0 - qa) * math.exp(-alpha - beta) * e1 + qa * e2) / (e1 * e2)
         edge = qa * (1.0 - _CORNER_RTOL)
-
-        def phi(pa, idx):
-            qi = qa[idx]
-            di = _d_of_alpha(alpha, pa, qi)
-            a_d, a_p, b_p = _gap_slopes(di, pa, qi)
-            return _beta_gap(di, pa, qi) - beta, b_p - a_p * a_p / a_d
-
-        # phi carries rounding noise of a few 1e-16 times the gaps' size
-        pa, _ = _bracketed_newton(phi, 0.0, 0.0, edge, ftol=1e-15 * max(1.0, beta),
-                                  xtol=4e-16 * qa)
+        out = (pa <= 0.0) | (pa >= edge)  # p = -inf where alpha = beta
+        if np.any(out):
+            qo = qa[out]
+            ends = np.array([np.zeros_like(qo), qo * (1.0 - 1e-15)])
+            d_ends = _d_of_alpha(alpha, ends, qo)
+            lagrangian = scalar_rdp(d_ends, ends, qo) + alpha * d_ends + beta * ends
+            pa[out] = np.where(lagrangian[1] < lagrangian[0], ends[1], 0.0)
         inner = pa < edge
-        pa = np.where(inner, pa, qa * (1.0 - 1e-15))
         da = _d_of_alpha(alpha, pa, qa)
         p[active] = pa
         d[active] = da
@@ -918,16 +933,26 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """Both budgets bind: tune the shared multipliers (alpha, beta) so the
     per-component stationarity solutions meet the budgets with equality."""
     src, budget = _as_source(src), _as_budget(budget)
-    if classify(src, budget) != PlaneRegion.C:
-        raise DomainError("(D, P) is not in region C")
     q_all, m_all, notes = _effective_q(src)
     D, P = budget.D, budget.P
+
+    # the region test of ``classify``, on the same arrays; its boundary
+    # value also decides whether the budgets hug the boundary (below)
+    below_sum_q = D < _total(m_all, q_all)
+    if below_sum_q:
+        fill = water_fill(q_all, D, m_all)
+        bound, snap_rtol = _t_of_fill(q_all, m_all, fill), SNAP_RTOL_A
+    else:
+        bound, snap_rtol = _s_curve(q_all, m_all, D).value, SNAP_RTOL_S
+    if P >= bound:
+        raise DomainError("(D, P) is not in region C")
 
     # q = 0 components take no budget; they are solved without and
     # re-inserted as (d, p) = (0, 0) rows
     pos = q_all > 0.0
     q, m = q_all[pos], m_all[pos]
-    sum_q = _total(m, q)
+    if below_sum_q:
+        fill = fill[pos]
 
     def finish(d, p, nu, mu, lam, iters, notes) -> RdpResult:
         if not pos.all():
@@ -940,16 +965,10 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
 
     # Budgets hugging a boundary leave the multipliers too small to
     # resolve; serve those from the boundary allocation instead.
-    if D < sum_q:
-        fill = water_fill(q, D, m)
-        t_val = _t_of_fill(q, m, fill)
-        hugging = t_val - P <= SNAP_RTOL_A * max(1.0, t_val)
-    else:
-        s_val = _s_curve(q, m, D).value
-        hugging = s_val - P <= SNAP_RTOL_S * max(1.0, s_val)
+    hugging = bound - P <= snap_rtol * max(1.0, bound)
 
     def snap() -> RdpResult:
-        if D < sum_q:
+        if below_sum_q:
             return finish(*_snap_t_boundary(q, m, fill, P), 0,
                           notes + ("snapped to the T(D) boundary",))
         return finish(*_snap_s_boundary(q, m, D, P), 0, notes + ("snapped to the S(D) boundary",))
@@ -971,7 +990,7 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         lam = np.maximum(beta - gaps, 0.0)
     else:
         # below sum q, alpha tends to the water level's multiplier as beta -> 0
-        start = ((math.log((1.0 - fill.max()) / fill.max()), 1e-2) if D < sum_q
+        start = ((math.log((1.0 - fill.max()) / fill.max()), 1e-2) if below_sum_q
                  else _s_side_start(q, m, D, P) or (1e-3, 1e-2))
         found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
         if found is None:
@@ -1053,10 +1072,11 @@ def check_certificate(result: RdpResult, cs_tol: float = 1e-5) -> None:
     slack = np.abs(cert.lam * result.allocation.p)
     if np.any(slack > cs_tol):
         raise ConvergenceError(f"complementary slackness violated: {slack.max():g}")
-    codes = np.unique(cert.component_regions).tolist()
-    if codes and (codes[0] < 0 or codes[-1] >= len(_REGIONS)):
-        raise ConvergenceError(f"unknown component region codes in {codes}")
-    labels = {_REGIONS[c] for c in codes} - {ScalarRegion.EXTERIOR}
+    codes = cert.component_regions
+    if codes.size and (codes.min() < 0 or codes.max() >= len(_REGIONS)):
+        raise ConvergenceError(f"unknown component region codes in {np.unique(codes).tolist()}")
+    # the labels repeat one code per run; count them rather than sort them
+    labels = {_REGIONS[c] for c in np.flatnonzero(np.bincount(codes))} - {ScalarRegion.EXTERIOR}
     if labels and not any(labels <= fam for fam in _FAMILIES):
         raise ConvergenceError(f"component regions {labels} mix incompatible families")
 

@@ -509,6 +509,10 @@ def _corner_beta(alpha, q):
     return -0.5 * math.log(4.0 * q * (1.0 - q) / (1.0 - k * k))
 
 
+def _lagrangian(alpha, beta, d, p, q):
+    return scalar_rdp(d, p, q) + alpha * d + beta * p
+
+
 def _totals(alpha, beta, q):
     d, p, _ = _component_dp(alpha, beta, q, _ones(q))
     return np.array([d.sum(), p.sum()])
@@ -583,6 +587,39 @@ class TestComponentKernel:
                       - _totals(alpha - step[0], beta - step[1], q)) / (2.0 * h)
                 assert fd == pytest.approx(jac[:, j], rel=1e-5, abs=1e-9), (alpha, beta, j)
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.floats(-12.0, math.log10(8.0)), st.floats(-12.0, math.log10(8.0)),
+           st.floats(0.0, 0.5 - 1e-9, exclude_min=True))
+    def test_lagrangian_no_worse_than_a_dense_contour_search(self, log_alpha, log_beta, q):
+        alpha, beta, qv = 10.0 ** log_alpha, 10.0 ** log_beta, np.array([q])
+        d, p, _ = _component_dp(alpha, beta, qv, _ones(qv))
+        found = _lagrangian(alpha, beta, d, p, qv)[0]
+        # u = q - p from the corner to p = 0, both ends included
+        grid_p = np.append(q - q * np.logspace(-16.0, 0.0, 4001), [0.0, q * (1.0 - 1e-15)])
+        grid_q = np.full(grid_p.size, q)
+        grid_d = _d_of_alpha(alpha, grid_p, grid_q)
+        assert found <= np.min(_lagrangian(alpha, beta, grid_d, grid_p, grid_q)) + 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 3.0, 8.0])
+    @pytest.mark.parametrize("q", [1e-3, 0.05, 0.2, 0.45])
+    def test_barely_active_component_stays_next_to_p_zero(self, alpha, q):
+        # the root sits at p -> 0+, where rounding can put the closed form
+        # at or below 0; that must not send the component to its corner
+        qv = np.array([q])
+        beta = _beta_gap(_d_p_zero(alpha, qv), 0.0, qv)[0] * (1.0 - 1e-12)
+        _, p, _ = _component_dp(alpha, beta, qv, _ones(qv))
+        assert 0.0 <= p[0] <= 1e-8
+
+    def test_tiny_multipliers_take_the_corner(self):
+        # the beta gaps at both ends are lost to rounding here; the corner
+        # has the lower Lagrangian of the two
+        alpha, beta, q = 7.79e-8, 1.34e-10, np.array([0.489978])
+        d, p, _ = _component_dp(alpha, beta, q, _ones(q))
+        assert p[0] == q[0] * (1.0 - 1e-15)
+        zero = np.zeros(1)
+        assert (_lagrangian(alpha, beta, d, p, q)
+                < _lagrangian(alpha, beta, _d_of_alpha(alpha, zero, q), zero, q))
+
 
 class TestRegionC:
     def test_single_source_matches_scalar(self):
@@ -598,6 +635,26 @@ class TestRegionC:
     def test_rejects_a_point(self):
         with pytest.raises(DomainError):
             solve_region_c([0.3, 0.1], (0.1, 0.5))
+
+    def test_accepts_exactly_the_budgets_classify_puts_in_c(self):
+        # solve_region_c makes its own region test; on the boundary curves
+        # and one float either side of them it must agree with classify
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            raw = list(rng.uniform(0.02, 0.98, int(rng.integers(1, 8))))
+            raw += list(rng.choice([0.0, 0.5, 1.0], int(rng.integers(0, 3))))
+            src = normalize(raw)
+            s = float(src.q.sum())
+            for D in (float(rng.uniform(0.05, 0.95)) * s, s, np.nextafter(s, 0.0),
+                      s + float(rng.uniform(0.05, 0.95)) * float(np.sum(src.q * (1 - 2 * src.q)))):
+                edge = (t_of_d(src, D) if classify(src, (D, math.inf)) == "A"
+                        else s_of_d(src, D).value)
+                for P in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)):
+                    if classify(src, (D, P)) == "C":
+                        assert solve_region_c(src, (D, P)).region == "C"
+                    else:
+                        with pytest.raises(DomainError):
+                            solve_region_c(src, (D, P))
 
     def test_certificate_structure(self):
         rng = np.random.default_rng(27)
