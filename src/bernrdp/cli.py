@@ -34,8 +34,8 @@ from .errors import ConvergenceError, DomainError, SizeError
 from .graph import _parse_json, graph_rdp, load_matrix
 from .oracle import GridSpec, allocation_grid_oracle, s_of_d_oracle, scalar_channel_oracle
 from .core import ScalarRegion, scalar_rdp
-from .solver import (_LN2, BudgetPair, classify, length_bounds, normalize, rdp,
-                     s_of_d, t_of_d)
+from .solver import (_LN2, BudgetPair, PlaneRegion, classify, length_bounds, normalize,
+                     rdp, s_of_d, t_of_d)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -279,7 +279,7 @@ def cmd_region(args, out) -> int:
     _check_count("--p-count", args.p_count)
     d_vals = np.linspace(args.d_min, args.d_max, args.d_count)
     p_vals = np.linspace(args.p_min, args.p_max, args.p_count)
-    q_eff_sum = float(np.minimum(src.q, 0.5).sum())
+    q_eff_sum = float(src.q.sum())
     cells = []
     for D in d_vals:
         for P in p_vals:
@@ -294,12 +294,12 @@ def cmd_region(args, out) -> int:
         for row in boundaries:
             if row["T"] is not None:
                 got = classify(src, BudgetPair(row["D"], row["T"]))
-                if got != "A":
+                if got != PlaneRegion.A:
                     raise VerificationFailure(
                         f"self-check: classify(D, T(D)) = {got} != A at D={row['D']:.12g}")
             if row["S"] is not None:
                 got = classify(src, BudgetPair(row["D"], row["S"]))
-                if got != "B":
+                if got != PlaneRegion.B:
                     raise VerificationFailure(
                         f"self-check: classify(D, S(D)) = {got} != B at D={row['D']:.12g}")
     _emit(cells + boundaries, args.format, out, ["kind", "D", "P", "region", "T", "S"])

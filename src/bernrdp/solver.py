@@ -13,8 +13,8 @@ plane splits into three regions:
      stationarity system inside its U region.  At given multipliers its
      root is closed-form: the root of a cubic in q - p whose other two
      roots are known (``_component_dp``).  Where that root falls outside
-     (0, q), the component takes its p = 0 edge or its (q, q) corner,
-     whichever has the lower Lagrangian.  The shared multipliers
+     (0, q), the component takes its p = 0 edge if it fell at or below 0
+     and its (q, q) corner otherwise.  The shared multipliers
      (alpha, beta) meet the budgets by 2-D Newton steps on the sensitivity
      of (sum d, sum p), summed from the inverse Hessians of R, or where it
      is singular by Newton steps inside brackets (``_Bracket``).  These
@@ -42,6 +42,7 @@ per-component one.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 
@@ -166,12 +167,16 @@ class BudgetPair:
         object.__setattr__(self, "P", max(float(self.P), 0.0))
 
 
-class PlaneRegion:
-    """Labels for the (D, P) plane partition."""
+class PlaneRegion(str, enum.Enum):
+    """Labels for the (D, P) plane partition.  Each member is a str equal
+    to its letter, and str() and format() give the letter."""
 
     A = "A"
     B = "B"
     C = "C"
+
+    __str__ = str.__str__
+    __format__ = str.__format__
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,8 @@ def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.
     sum d_i = D.  Exact: q is sorted non-increasing, so components
     saturate from the tail.  With the first m components at the level,
     level = (D - sum q[m:]) / m must lie in [q[m], q[m-1]] (within 1e-15);
-    the largest such m is taken.  ``counts[k]``, 1 by default, is the
+    the largest such m with q[m-1] > 0 is taken, since the trailing q = 0
+    components take no share of D.  ``counts[k]``, 1 by default, is the
     number of components that share q[k]; the sums then weight q[k] by it."""
     q = np.asarray(q, dtype=float)
     m = np.ones(q.size) if counts is None else counts
@@ -320,7 +326,7 @@ def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.
     suffix = np.cumsum(mq[::-1])[::-1]  # suffix[k] = sum of q over runs k, k+1, ...
     levels = (D - np.append(suffix[1:], 0.0)) / np.cumsum(m)
     low = np.append(q[1:], 0.0)
-    fits = np.flatnonzero((low - 1e-15 <= levels) & (levels <= q + 1e-15))
+    fits = np.flatnonzero((low - 1e-15 <= levels) & (levels <= q + 1e-15) & (q > 0.0))
     if fits.size == 0:
         raise ConvergenceError("water level scan failed")  # pragma: no cover
     return np.minimum(max(levels[fits[-1]], 0.0), q)
@@ -465,63 +471,53 @@ def _gap_slopes(d, p, q):
 
 
 class _Bracket:
-    """Elementwise brackets [lo, hi] (ends possibly infinite) on the roots
-    of decreasing functions.  A positive value moves lo up to the evaluated
+    """A bracket [lo, hi] (ends possibly infinite) on the root of a
+    decreasing function.  A positive value moves lo up to the evaluated
     point, any other moves hi down.  The next iterate is the Newton point
     if strictly inside, else the midpoint; while the end the root lies
     towards is unevaluated, it is replaced by a cap 1, 2, 4, ... beyond the
-    point, and the fallback is the cap (clipped to the end)."""
+    point, and the fallback is the cap (clipped to the end).  A zero or
+    nan slope gives no Newton point."""
 
-    def __init__(self, lo, hi):
-        self.lo, self.hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-        self.lo_seen, self.hi_seen = np.zeros((2,) + self.lo.shape, dtype=bool)
-        self.reach = np.ones(self.lo.shape)
+    def __init__(self, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+        self.lo_seen = self.hi_seen = False
+        self.reach = 1.0
 
-    @np.errstate(divide="ignore", invalid="ignore")
-    def step(self, x, fx, slope):  # slope nan: none
-        up = np.asarray(fx) > 0.0
-        self.lo = np.where(up, x, self.lo)
-        self.hi = np.where(up, self.hi, x)
-        self.lo_seen |= up
-        self.hi_seen |= ~up
-        unseen = np.where(up, ~self.hi_seen, ~self.lo_seen)
-        cap = np.clip(x + np.where(up, self.reach, -self.reach), self.lo, self.hi)
-        low = np.where(unseen & ~up, cap, self.lo)
-        high = np.where(unseen & up, cap, self.hi)
-        newton = x - fx / slope
-        usable = ((newton > low) & (newton < high)) | (newton == x)  # or lost to rounding
-        self.reach = np.where(unseen & ~usable, 2.0 * self.reach, self.reach)
-        return np.where(usable, newton, np.where(unseen, cap, 0.5 * (self.lo + self.hi)))
-
-    def keep(self, mask) -> None:
-        self.lo, self.hi, self.lo_seen, self.hi_seen, self.reach = (
-            v[mask] for v in (self.lo, self.hi, self.lo_seen, self.hi_seen, self.reach))
+    def step(self, x: float, fx: float, slope: float) -> float:
+        up = fx > 0.0
+        if up:
+            self.lo, self.lo_seen = x, True
+        else:
+            self.hi, self.hi_seen = x, True
+        unseen = not (self.hi_seen if up else self.lo_seen)
+        cap = min(self.hi, max(self.lo, x + self.reach if up else x - self.reach))
+        low = cap if unseen and not up else self.lo
+        high = cap if unseen and up else self.hi
+        newton = x - fx / slope if slope else math.nan
+        if low < newton < high or newton == x:  # or lost to rounding
+            return newton
+        if unseen:
+            self.reach *= 2.0
+            return cap
+        return 0.5 * (self.lo + self.hi)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _bracketed_newton(f, x, lo, hi, ftol: float = 0.0, xtol=0.0):
-    """Elementwise roots of decreasing functions by ``_Bracket`` steps from
-    ``x`` in [lo, hi], with ``f(x, idx)`` the values and slopes at ``x`` of
-    the entries ``idx`` still iterating; one stops at |value| <= ftol or a
-    step <= xtol.  Returns the roots and the number of calls of ``f``."""
-    x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(np.atleast_1d(x), lo, hi))
-    xtol = np.broadcast_to(np.asarray(xtol, dtype=float), x.shape)
+def _bracketed_newton(f, x: float, lo: float, hi: float, ftol: float = 0.0,
+                      xtol: float = 0.0) -> tuple[float, int]:
+    """Root of a decreasing function by ``_Bracket`` steps from ``x`` in
+    [lo, hi], with ``f(x)`` its value and slope at ``x``; stops at
+    |value| <= ftol or a step <= xtol.  Returns the root and the number of
+    calls of ``f``."""
     bracket = _Bracket(lo, hi)
-    idx = np.arange(x.size)
-    roots = x.copy()
     for calls in range(1, MAX_ROOT_ITER + 1):
-        fx, slope = f(x, idx)
+        fx, slope = f(x)
+        if abs(fx) <= ftol:
+            return x, calls
         nxt = bracket.step(x, fx, slope)
-        hit = np.abs(fx) <= ftol
-        done = hit | (np.abs(nxt - x) <= xtol)
-        x = np.where(hit, x, nxt)
-        if done.any():
-            roots[idx[done]] = x[done]
-            keep = ~done
-            if not keep.any():
-                return roots, calls
-            bracket.keep(keep)
-            idx, x, xtol = idx[keep], x[keep], xtol[keep]
+        if abs(nxt - x) <= xtol:
+            return nxt, calls
+        x = nxt
     raise ConvergenceError("bracketed Newton search did not converge")
 
 
@@ -553,14 +549,13 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
     written so that it keeps its relative accuracy as p -> 0.  d then
     solves the alpha equation at that p (``_d_of_alpha``).
 
-    A root p in (0, q (1 - _CORNER_RTOL)) is taken.  Otherwise the
-    component sits at its corner, or its root lies at p -> 0+ and rounding
-    put it at or below 0; the sign of p cannot tell these apart for a
-    barely active component, nor can the sign of the beta gap at either
-    end when the multipliers are tiny.  So it takes whichever of p = 0 and
-    the corner gives the lower Lagrangian.  The corner (q, q) is the
-    subdifferential solution, stored as p = q (1 - 1e-15) with d from the
-    alpha equation.
+    A root p in (0, q (1 - _CORNER_RTOL)) is taken.  An active
+    component's beta gap exceeds beta at p = 0 and falls along the
+    contour, so its root lies in (0, q]: a computed root at or below 0
+    (-inf where alpha = beta) is rounding of a root at p -> 0+ and becomes
+    p = 0, and one at or above q (1 - _CORNER_RTOL) puts the component at
+    its corner.  The corner (q, q) is the subdifferential solution, stored
+    as p = q (1 - 1e-15) with d from the alpha equation.
 
     The sensitivities are the inverse of [[A_d, A_p], [B_d, B_p]] for
     interior components and for active ones put at p = 0, d/dalpha of
@@ -578,13 +573,7 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
         e1, e2 = math.expm1(alpha - beta), math.expm1(-alpha - beta)
         pa = -((1.0 - qa) * math.exp(-alpha - beta) * e1 + qa * e2) / (e1 * e2)
         edge = qa * (1.0 - _CORNER_RTOL)
-        out = (pa <= 0.0) | (pa >= edge)  # p = -inf where alpha = beta
-        if np.any(out):
-            qo = qa[out]
-            ends = np.array([np.zeros_like(qo), qo * (1.0 - 1e-15)])
-            d_ends = _d_of_alpha(alpha, ends, qo)
-            lagrangian = scalar_rdp(d_ends, ends, qo) + alpha * d_ends + beta * ends
-            pa[out] = np.where(lagrangian[1] < lagrangian[0], ends[1], 0.0)
+        pa = np.where(pa >= edge, qa * (1.0 - 1e-15), np.where(pa <= 0.0, 0.0, pa))
         inner = pa < edge
         da = _d_of_alpha(alpha, pa, qa)
         p[active] = pa
@@ -627,19 +616,18 @@ def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
     s = max(4.0 * w_eq * n / D, 2.0)  # 1 + sqrt(1 + 4 w expm1(2 alpha))
     alpha0 = min(0.5 * math.log1p(s * (s - 2.0) / (4.0 * w_eq)), alpha_hi)
 
-    def f(a, _idx):
-        alpha = float(a[0])
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def f(alpha):
         d = _d_p_zero(alpha, q)
         total = _total(m, d)
         # d = 4w / (1 + r) with r = sqrt(1 + 4w expm1(2 alpha)), so
         # dd/dalpha = -e^{2 alpha} d^2 / r = -e^{2 alpha} d^3 / (4w - d)
         slope = -math.exp(2.0 * alpha) * _total(m, d ** 3 / (4.0 * w - d)) / total
-        return np.array([_log_resid(total, D)]), np.array([slope])
+        return _log_resid(total, D), slope
 
     # to float64 resolution: this path defines R(D, 0), the upper end of
     # every region-C rate at this D
-    a, calls = _bracketed_newton(f, alpha0, 0.0, alpha_hi, ftol=1e-15)
-    return float(a[0]), calls
+    return _bracketed_newton(f, alpha0, 0.0, alpha_hi, ftol=1e-15)
 
 
 def _blend(above, below, m: np.ndarray, D: float, gap_tol: float):
@@ -674,21 +662,25 @@ def _s_side_start(q: np.ndarray, m: np.ndarray, D: float, P: float):
     of both budgets (P fixes k)."""
     tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)  # sum of q after each run
     k = int(np.flatnonzero(tail < P)[0])
+    # run k stays a one-element array: numpy squares an array by x * x but
+    # a scalar by pow(), which can round to the other neighbouring float
     edge, m_edge, qk, mk = q[:k], m[:k], q[k:k + 1], m[k]
     pk = (P - tail[k]) / mk
 
-    def f(a, _idx):  # in log alpha; d_k grows with alpha
-        alpha = math.exp(a[0])
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def f(a):  # in log alpha; d_k grows with alpha
+        alpha = math.exp(a)
         de = _d_p_zero(alpha, edge)
-        dk = (D - tail[k] - np.sum(m_edge * de, keepdims=True)) / mk
+        dk = (D - tail[k] - _total(m_edge, de)) / mk
         slopes = de ** 3 / (4.0 * edge * (1.0 - edge) - de)  # as in _p_zero_alpha
         grow = alpha * math.exp(2.0 * alpha) * _total(m_edge, slopes) / mk
-        return _alpha_gap(dk, pk, qk) - alpha, _gap_slopes(dk, pk, qk)[0] * grow - alpha
+        return (float(_alpha_gap(dk, pk, qk)[0]) - alpha,
+                float(_gap_slopes(dk, pk, qk)[0][0]) * grow - alpha)
 
-    if not (pk < qk[0] and f([_LOG_MIN], None)[0][0] > 0.0):
+    if not (pk < qk[0] and f(_LOG_MIN)[0] > 0.0):
         return None
     try:
-        alpha = math.exp(_bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)[0][0])
+        alpha = math.exp(_bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)[0])
     except ConvergenceError:  # its slopes lost to rounding at tiny multipliers
         return None
     dk = (D - tail[k] - _total(m_edge, _d_p_zero(alpha, edge))) / mk
@@ -780,7 +772,7 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         alphas = alphas if alphas[0] == b else (b, _Bracket(_LOG_MIN, math.inf))
         on_curve, slope = point, math.nan
         if abs(s_d - D) > 0.01 * tol_d:
-            nxt = float(alphas[1].step(a, _log_resid(s_d, D), j00 * alpha / s_d))
+            nxt = alphas[1].step(a, _log_resid(s_d, D), j00 * alpha / s_d)
             if abs(nxt - a) > _LOG_XTOL:
                 cur = evaluate(nxt, b)
                 continue
@@ -792,7 +784,7 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
             slope = schur * beta / s_p
         total = _total(m, on_curve[3])
         floor |= total <= P and b <= _LOG_MIN
-        nb = float(betas.step(b, _log_resid(total, P), slope))
+        nb = betas.step(b, _log_resid(total, P), slope)
         if abs(nb - b) <= _LOG_XTOL:
             break
         # along sum d = D to first order (no move when no component moves)

@@ -18,7 +18,7 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      classify, length_bounds, normalize, rdp, s_of_d, scalar_rdp,
                      solve_region_a, solve_region_b, solve_region_c, t_of_d,
                      water_fill)
-from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _blend, _component_dp,
+from bernrdp.solver import (_CORNER_RTOL, _Bracket, _beta_gap, _blend, _component_dp,
                             _d_of_alpha, _d_p_zero, _s_curve)
 
 H2_03 = 0.610864302054893463
@@ -172,13 +172,14 @@ def test_bijection_check_matches_the_sort_check(case):
 
 def _water_fill_scan(q: np.ndarray, D: float) -> np.ndarray:
     """Reference: water_fill as a Python scan over the saturation counts,
-    kept to pin the vectorised version bit for bit."""
+    kept to pin the vectorised version bit for bit.  The trailing q = 0
+    components take no share of D, so the scan starts at the last q > 0."""
     q = np.asarray(q, dtype=float)
     total = float(q.sum())
     if D >= total:
         return q.copy()
     suffix = np.concatenate((np.cumsum(q[::-1])[::-1], [0.0]))  # suffix[m] = sum q[m:]
-    for m in range(q.size, 0, -1):
+    for m in range(int(np.count_nonzero(q > 0.0)), 0, -1):
         level = (D - suffix[m]) / m
         low = q[m] if m < q.size else 0.0
         if low - 1e-15 <= level <= q[m - 1] + 1e-15:
@@ -217,6 +218,13 @@ class TestWaterFill:
             unsat = d < src.q - 1e-12
             if unsat.any():
                 assert np.allclose(d[unsat], level)
+
+    def test_tiny_budget_skips_the_zero_components(self):
+        # a level of D / 2 passed the fit test of the trailing q = 0
+        # component, which then took half the budget
+        res = rdp([0.3, 0.0], (1e-16, 5e-17))
+        assert res.allocation.d.tolist() == [1e-16, 0.0]
+        assert res.allocation.d.sum() == 1e-16
 
 
 class TestTCurve:
@@ -587,11 +595,21 @@ class TestComponentKernel:
                       - _totals(alpha - step[0], beta - step[1], q)) / (2.0 * h)
                 assert fd == pytest.approx(jac[:, j], rel=1e-5, abs=1e-9), (alpha, beta, j)
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(derandomize=True, max_examples=600, deadline=None)
     @given(st.floats(-12.0, math.log10(8.0)), st.floats(-12.0, math.log10(8.0)),
-           st.floats(0.0, 0.5 - 1e-9, exclude_min=True))
-    def test_lagrangian_no_worse_than_a_dense_contour_search(self, log_alpha, log_beta, q):
-        alpha, beta, qv = 10.0 ** log_alpha, 10.0 ** log_beta, np.array([q])
+           st.floats(0.0, 0.5 - 1e-9, exclude_min=True),
+           st.sampled_from(["drawn", "alpha", "above alpha", "below alpha", "barely active"]),
+           st.floats(-16.0, -3.0))
+    def test_lagrangian_no_worse_than_a_dense_contour_search(self, log_alpha, log_beta, q,
+                                                             beta_from, log_eps):
+        # beta = alpha puts the closed-form root at p = -inf, an adjacent
+        # float next to it, and a barely active component's root at p -> 0+
+        alpha, qv = 10.0 ** log_alpha, np.array([q])
+        gap = float(_beta_gap(_d_p_zero(alpha, qv), 0.0, qv)[0])  # the beta gap at p = 0
+        beta = {"drawn": 10.0 ** log_beta, "alpha": alpha,
+                "above alpha": math.nextafter(alpha, math.inf),
+                "below alpha": math.nextafter(alpha, -math.inf),
+                "barely active": gap * (1.0 - 10.0 ** log_eps)}[beta_from]
         d, p, _ = _component_dp(alpha, beta, qv, _ones(qv))
         found = _lagrangian(alpha, beta, d, p, qv)[0]
         # u = q - p from the corner to p = 0, both ends included
@@ -902,6 +920,60 @@ class TestTiedComponents:
                                    water_fill(np.repeat(q, counts), 0.9), rtol=0, atol=1e-15)
 
 
+class _ArrayBracket:
+    """Reference: the elementwise numpy form of ``_Bracket``, kept to pin
+    the scalar one bit for bit."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+        self.lo_seen, self.hi_seen = np.zeros((2,) + self.lo.shape, dtype=bool)
+        self.reach = np.ones(self.lo.shape)
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def step(self, x, fx, slope):
+        up = np.asarray(fx) > 0.0
+        self.lo = np.where(up, x, self.lo)
+        self.hi = np.where(up, self.hi, x)
+        self.lo_seen |= up
+        self.hi_seen |= ~up
+        unseen = np.where(up, ~self.hi_seen, ~self.lo_seen)
+        cap = np.clip(x + np.where(up, self.reach, -self.reach), self.lo, self.hi)
+        low = np.where(unseen & ~up, cap, self.lo)
+        high = np.where(unseen & up, cap, self.hi)
+        newton = x - fx / slope
+        usable = ((newton > low) & (newton < high)) | (newton == x)
+        self.reach = np.where(unseen & ~usable, 2.0 * self.reach, self.reach)
+        return np.where(usable, newton, np.where(unseen, cap, 0.5 * (self.lo + self.hi)))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+class TestBracket:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.sampled_from([(-math.inf, math.inf), (math.log(1e-12), math.inf),
+                            (math.log(1e-12), 4.0), (0.0, 30.0)]),
+           st.floats(0.0, 1.0),
+           st.lists(st.tuples(st.one_of(st.floats(-1e3, 1e3), _SPECIAL),
+                              st.one_of(st.floats(-1e3, 1e3), _SPECIAL)),
+                    min_size=1, max_size=40))
+    def test_scalar_steps_match_the_array_form(self, ends, share, steps):
+        lo, hi = ends
+        x = max(lo, -30.0) + share * (min(hi, 30.0) - max(lo, -30.0))
+        scalar, array = _Bracket(lo, hi), _ArrayBracket(lo, hi)
+        for fx, slope in steps:
+            got = scalar.step(x, fx, slope)
+            want = array.step(*(np.array([v]) for v in (x, fx, slope)))
+            assert isinstance(got, float)
+            assert _bits(got) == _bits(want), (x, fx, slope)
+            assert (_bits(scalar.lo), _bits(scalar.hi)) == (_bits(array.lo), _bits(array.hi))
+            x = got
+
+
 class TestBlend:
     def test_meets_d_between_equal_multipliers(self):
         above = (1.0, 0.5, np.array([0.3, 0.2]), np.array([0.0, 0.1]))
@@ -925,6 +997,12 @@ class TestRdpDispatch:
         assert rdp(src, (0.1, 0.5)).region == "A"
         assert rdp(src, (0.7, 0.5)).region == "B"
         assert rdp(src, (0.1, 0.02)).region == "C"
+
+    def test_region_labels_print_as_their_letters(self):
+        # the CLI writes labels through str(), format() and %s
+        region = rdp([0.3, 0.1], (0.1, 0.02)).region
+        assert isinstance(region, br.PlaneRegion) and region == "C"
+        assert (str(region), f"{region}", "%s" % region) == ("C", "C", "C")
 
     def test_equal_q_identity_all_regions(self):
         rng = np.random.default_rng(28)
