@@ -292,16 +292,13 @@ def cmd_region(args, out) -> int:
         boundaries.append({"kind": "boundary", "D": float(D), "T": t_val, "S": s_val})
     if args.self_check:
         for row in boundaries:
-            if row["T"] is not None:
-                got = classify(src, BudgetPair(row["D"], row["T"]))
-                if got != PlaneRegion.A:
-                    raise VerificationFailure(
-                        f"self-check: classify(D, T(D)) = {got} != A at D={row['D']:.12g}")
-            if row["S"] is not None:
-                got = classify(src, BudgetPair(row["D"], row["S"]))
-                if got != PlaneRegion.B:
-                    raise VerificationFailure(
-                        f"self-check: classify(D, S(D)) = {got} != B at D={row['D']:.12g}")
+            for curve, want in (("T", PlaneRegion.A), ("S", PlaneRegion.B)):
+                if row[curve] is None:
+                    continue
+                got = classify(src, BudgetPair(row["D"], row[curve]))
+                if got != want:
+                    raise VerificationFailure(f"self-check: classify(D, {curve}(D)) = {got} "
+                                              f"!= {want} at D={row['D']:.12g}")
     _emit(cells + boundaries, args.format, out, ["kind", "D", "P", "region", "T", "S"])
     return EXIT_OK
 
@@ -349,7 +346,9 @@ def cmd_verify(args, out) -> int:
     scalar_grid, vector_grid = grid(400, 3), grid(200, 2)
     _check_count("--budget-count", args.budget_count)
     report = {"n": src.n, "stages": {}}
-    ok = True
+
+    def stage(name, worst, tol):
+        report["stages"][name] = {"max_deviation": worst, "tolerance": tol, "pass": worst <= tol}
 
     d_pts = np.linspace(0.0, 0.6, args.budget_count)
     p_pts = np.linspace(0.0, 0.6, args.budget_count)
@@ -359,9 +358,7 @@ def cmd_verify(args, out) -> int:
             for P in p_pts:
                 oracle, _ = scalar_channel_oracle(q, float(D), float(P), scalar_grid)
                 worst = max(worst, abs(oracle - scalar_rdp(float(D), float(P), q)))
-    stage = {"max_deviation": worst, "tolerance": args.scalar_tol, "pass": worst <= args.scalar_tol}
-    ok = ok and stage["pass"]
-    report["stages"]["scalar_channel"] = stage
+    stage("scalar_channel", worst, args.scalar_tol)
 
     if not args.scalar_only:
         if src.n > 3:
@@ -373,19 +370,15 @@ def cmd_verify(args, out) -> int:
             for P in np.linspace(0.0, 1.1 * sum_q, args.budget_count):
                 oracle, _ = allocation_grid_oracle(src, BudgetPair(float(D), float(P)), vector_grid)
                 worst = max(worst, abs(oracle - rdp(src, (float(D), float(P))).rate))
-        stage = {"max_deviation": worst, "tolerance": args.vector_tol, "pass": worst <= args.vector_tol}
-        ok = ok and stage["pass"]
-        report["stages"]["vector_allocation"] = stage
+        stage("vector_allocation", worst, args.vector_tol)
 
         worst = 0.0
         for D in np.linspace(sum_q, caps, args.budget_count):
             oracle = s_of_d_oracle(src, float(D), vector_grid)
             worst = max(worst, abs(oracle - s_of_d(src, float(D)).value))
-        stage = {"max_deviation": worst, "tolerance": args.vector_tol, "pass": worst <= args.vector_tol}
-        ok = ok and stage["pass"]
-        report["stages"]["s_curve"] = stage
+        stage("s_curve", worst, args.vector_tol)
 
-    report["pass"] = ok
+    report["pass"] = ok = all(vals["pass"] for vals in report["stages"].values())
     rows = [{"stage": name, **vals} for name, vals in report["stages"].items()]
     _emit(rows if args.format == "csv" else [report], args.format, out,
           ["stage", "max_deviation", "tolerance", "pass"])

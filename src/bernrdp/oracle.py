@@ -93,7 +93,7 @@ class ScalarChannel:
     b: float
 
 
-def _refine(objective, glo, ghi, res: int, rounds: int, stop_when_empty: bool, floor: float):
+def _refine(objective, glo, ghi, res: int, rounds: int):
     """Minimize over the box [glo, ghi] by ``1 + rounds`` rounds of a
     ``res``-point grid per axis, each box ``_HALO`` spacings around the
     incumbent, which moves only to a strictly lower value.
@@ -105,16 +105,15 @@ def _refine(objective, glo, ghi, res: int, rounds: int, stop_when_empty: bool, f
     the box count as infeasible, so an objective may leave out the rows
     and columns that cannot be feasible, as the scalar one does.
 
-    ``floor`` is a lower bound of the objective.  The first block whose
-    minimum reaches it holds the answer, so the search ends there and
-    skips the rest of the round and the later rounds.  The winner is the
-    whole grid's first cell at the floor, as long as no value lies below
-    it; an objective that can round below its bound clamps its values
-    there, as the scalar one does.
+    Every objective is bounded below by 0.  The first block whose minimum
+    reaches 0 holds the answer, so the search ends there and skips the
+    rest of the round and the later rounds.  The winner is the whole
+    grid's first cell at 0, as long as no value lies below it; an
+    objective that can round below 0 clamps its values there, as the
+    scalar one does.
 
-    A round with no finite value ends the search when ``stop_when_empty``
-    (raising if nothing was found); otherwise the box keeps shrinking.
-    Returns ``(best, point)``, with ``point = glo`` while ``best`` is inf.
+    A round with no finite value ends the search, raising if nothing was
+    found.  Returns ``(best, point)``.
     """
     glo, ghi = np.asarray(glo, dtype=float), np.asarray(ghi, dtype=float)
     lo, hi, best, best_z = glo, ghi, math.inf, glo
@@ -134,9 +133,9 @@ def _refine(objective, glo, ghi, res: int, rounds: int, stop_when_empty: bool, f
                 top = float(vals.flat[k])
                 at = np.add(corner, np.unravel_index(k, vals.shape))
                 at[0] += i0
-                if top <= floor:
+                if top <= 0.0:
                     break
-        if at is None and stop_when_empty:
+        if at is None:
             # a refined box can lose all exactly-feasible points when a
             # constraint is tight (e.g. P = 0); keep the incumbent
             if math.isfinite(best):
@@ -145,7 +144,7 @@ def _refine(objective, glo, ghi, res: int, rounds: int, stop_when_empty: bool, f
         if top < best:
             best = top
             best_z = np.array([axes[k][at[k]] for k in range(glo.size)])
-        if best <= floor:
+        if best <= 0.0:
             break
         h = np.where(hi > lo, (hi - lo) / (res - 1), 0.0)
         lo, hi = np.maximum(glo, best_z - _HALO * h), np.minimum(ghi, best_z + _HALO * h)
@@ -218,7 +217,7 @@ def scalar_channel_oracle(q: float, D: float, P: float,
         return block
 
     best, (a, b) = _refine(information, [0.0, 0.0], [1.0, 1.0], grid.resolution,
-                           grid.refinement_rounds, stop_when_empty=True, floor=0.0)
+                           grid.refinement_rounds)
     return best, ScalarChannel(float(a), float(b))
 
 
@@ -261,8 +260,7 @@ def allocation_grid_oracle(src, budget, grid: GridSpec = GridSpec(200, 2)):
             return lambda rows: (0, scalar_rdp(d1[rows, None], p1, q[0])
                                  + scalar_rdp(D - d1[rows, None], P - p1, q[1]))
         best, (d1, p1) = _refine(pair_rate, [max(0.0, D - 1.0), 0.0], [min(1.0, D), P],
-                                 grid.resolution, grid.refinement_rounds,
-                                 stop_when_empty=False, floor=0.0)
+                                 grid.resolution, grid.refinement_rounds)
         return best, (np.array([d1, D - d1]), np.array([p1, P - p1]))
 
     # n == 3: grid over (d1, d2, p1, p2) with the last component eliminated
@@ -283,8 +281,7 @@ def allocation_grid_oracle(src, budget, grid: GridSpec = GridSpec(200, 2)):
     res = min(grid.resolution, _N3_AXIS_CAP)
     dmax = min(1.0, D)
     best, z = _refine(triple_rate, [0.0] * 4, [dmax, dmax, P, P], res,
-                      _rounds_for(grid.resolution, res, grid.refinement_rounds),
-                      stop_when_empty=True, floor=0.0)
+                      _rounds_for(grid.resolution, res, grid.refinement_rounds))
     return best, (np.array([z[0], z[1], D - z[0] - z[1]]), np.array([z[2], z[3], P - z[2] - z[3]]))
 
 
@@ -319,7 +316,7 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = GridSpec(200, 3)) -> float:
         def pair_spare(d1):
             return lambda rows: (0, p_needed(d1[rows], q[0]) + p_needed(D - d1[rows], q[1]))
         return _refine(pair_spare, [max(q[0], D - 1.0)], [min(1.0, D - q[1])], grid.resolution,
-                       grid.refinement_rounds, stop_when_empty=False, floor=0.0)[0]
+                       grid.refinement_rounds)[0]
 
     # D - d1 - d2 can round a hair below q3 (at D = sum q the box is a point)
     slack = 1e-12 * max(1.0, D)
@@ -336,4 +333,4 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = GridSpec(200, 3)) -> float:
 
     return _refine(triple_spare, [q[0], q[1]],
                    [min(1.0, D - q[1] - q[2]), min(1.0, D - q[0] - q[2])], grid.resolution,
-                   grid.refinement_rounds, stop_when_empty=True, floor=0.0)[0]
+                   grid.refinement_rounds)[0]

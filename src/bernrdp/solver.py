@@ -63,11 +63,10 @@ MAX_ROOT_ITER = 200
 
 #: Near the S(D) boundary both multipliers vanish and the stationarity
 #: system is not resolvable in float64; inside this relative distance the
-#: solver snaps to a perturbed boundary allocation instead.
+#: solver snaps to a perturbed boundary allocation instead.  At T(D) only
+#: the perception multiplier vanishes, and the multiplier search serves
+#: every budget below it.
 SNAP_RTOL_S = 1e-4
-#: Same idea at the T(D) boundary, where only the perception multiplier
-#: vanishes; the full solve stays well conditioned much closer in.
-SNAP_RTOL_A = 1e-9
 
 _TINY = 1e-300
 
@@ -445,8 +444,10 @@ def _beta_gap(d, p, q):
     Positive strictly inside U, zero on the S/U frontier, and decreasing
     in p along any fixed-alpha contour.
     """
-    num = np.maximum((q - p) ** 2 * (d + p) * (2.0 * (1.0 - q) - (d - p)), _TINY)
-    den = np.maximum((1.0 - q + p) ** 2 * (d - p) * (2.0 * q - (d + p)), _TINY)
+    # squares as products: numpy squares an array by x * x but a scalar by
+    # pow(), which can round to the other neighbouring float
+    num = np.maximum((q - p) * (q - p) * (d + p) * (2.0 * (1.0 - q) - (d - p)), _TINY)
+    den = np.maximum((1.0 - q + p) * (1.0 - q + p) * (d - p) * (2.0 * q - (d + p)), _TINY)
     return -0.5 * np.log(num / den)
 
 
@@ -588,7 +589,9 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
 
 
 #: Lower bracket end of both multiplier searches: smaller multipliers are
-#: not resolvable in float64 (the snap paths serve those budgets).
+#: not resolvable in float64.  Below T(D) the budgets that would need them
+#: are met within tolerance by larger ones; near S(D) the S(D) snap serves
+#: them.
 _MULTIPLIER_MIN = 1e-12
 _LOG_MIN = math.log(_MULTIPLIER_MIN)
 #: Steps of log alpha and log beta below this are lost to rounding.
@@ -884,21 +887,6 @@ def _c_labels(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where((q > 0.0) & (d > 0.0), _U, _EXT)
 
 
-def _snap_t_boundary(q, m, d, P):
-    """(D, P) within a hair of the T(D) curve: reuse the water-filled
-    distortions d and scale the perception bounds down to meet P exactly.
-    The allocation is feasible and every pair sits in the closure of U,
-    so the rate overshoot is quadratic in the boundary distance.  Returns
-    (d, p, nu, mu, lam)."""
-    lower = np.asarray(rd_boundary(d, q), dtype=float)
-    p = _spread_perception(lower, m, P)
-    level = float(d.max())
-    nu = math.log((1.0 - level) / level)
-    gaps = _beta_gap(d, p, q)
-    mu = max(float(np.min(gaps)), 0.0)
-    return d, p, nu, mu, np.zeros_like(q)
-
-
 def _snap_s_boundary(q, m, D, P):
     """(D, P) within a hair of the S(D) curve: take the zero-rate
     optimizers and shave the perception overshoot off successive runs,
@@ -928,14 +916,14 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     q_all, m_all, notes = _effective_q(src)
     D, P = budget.D, budget.P
 
-    # the region test of ``classify``, on the same arrays; its boundary
-    # value also decides whether the budgets hug the boundary (below)
+    # the region test of ``classify``, on the same arrays; S(D) also
+    # decides whether the budgets hug S(D) (below)
     below_sum_q = D < _total(m_all, q_all)
     if below_sum_q:
         fill = water_fill(q_all, D, m_all)
-        bound, snap_rtol = _t_of_fill(q_all, m_all, fill), SNAP_RTOL_A
+        bound = _t_of_fill(q_all, m_all, fill)
     else:
-        bound, snap_rtol = _s_curve(q_all, m_all, D).value, SNAP_RTOL_S
+        bound = _s_curve(q_all, m_all, D).value
     if P >= bound:
         raise DomainError("(D, P) is not in region C")
 
@@ -943,8 +931,6 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     # re-inserted as (d, p) = (0, 0) rows
     pos = q_all > 0.0
     q, m = q_all[pos], m_all[pos]
-    if below_sum_q:
-        fill = fill[pos]
 
     def finish(d, p, nu, mu, lam, iters, notes) -> RdpResult:
         if not pos.all():
@@ -955,17 +941,12 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         return _result(PlaneRegion.C, d, p, q_all, src.counts, nu, mu, lam,
                        _c_labels(d, q_all), iters, budget, notes)
 
-    # Budgets hugging a boundary leave the multipliers too small to
-    # resolve; serve those from the boundary allocation instead.
-    hugging = bound - P <= snap_rtol * max(1.0, bound)
-
+    # Budgets hugging S(D) leave both multipliers too small to resolve;
+    # serve those from the boundary allocation instead.
     def snap() -> RdpResult:
-        if below_sum_q:
-            return finish(*_snap_t_boundary(q, m, fill, P), 0,
-                          notes + ("snapped to the T(D) boundary",))
         return finish(*_snap_s_boundary(q, m, D, P), 0, notes + ("snapped to the S(D) boundary",))
 
-    if hugging:
+    if not below_sum_q and bound - P <= SNAP_RTOL_S * max(1.0, bound):
         return snap()
 
     tol_d = budget_rtol * max(1.0, D)
@@ -987,11 +968,12 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
         if found is None:
             # multipliers below resolution although the budgets escaped the
-            # snap window; the boundary allocation is feasible but serves
-            # only while it beats the rate at P = 0, which bounds R(D, P)
-            out = snap()
+            # snap window.  Above sum q the S(D) boundary allocation is
+            # feasible but serves only while it beats the rate at P = 0,
+            # which bounds R(D, P); below sum q there is no snap.
+            out = None if below_sum_q else snap()
             d = _d_p_zero(_p_zero_alpha(q, m, D)[0], q)
-            if out.rate > _total(m, scalar_rdp(d, np.zeros_like(d), q)) + 1e-12:
+            if out is None or out.rate > _total(m, scalar_rdp(d, np.zeros_like(d), q)) + 1e-12:
                 raise ConvergenceError("multipliers below resolution near the "
                                        "region boundary; no snapped allocation fits")
             return out

@@ -638,6 +638,15 @@ class TestComponentKernel:
         assert (_lagrangian(alpha, beta, d, p, q)
                 < _lagrangian(alpha, beta, _d_of_alpha(alpha, zero, q), zero, q))
 
+    def test_beta_gap_does_not_depend_on_the_input_shape(self):
+        # numpy squares an np.float64 by pow() and an array by x * x, and at
+        # this x the two round to neighbouring floats
+        x = float.fromhex("0x1.9ceaad7ca4541p-1")
+        q = 1.0 - x
+        array = _beta_gap(np.array([0.5 * q]), np.zeros(1), np.array([q]))[0]
+        assert _bits(_beta_gap(0.5 * q, 0.0, q)) == _bits(array)
+        assert _bits(_beta_gap(np.float64(0.5 * q), np.float64(0.0), np.float64(q))) == _bits(array)
+
 
 class TestRegionC:
     def test_single_source_matches_scalar(self):
@@ -792,25 +801,32 @@ class TestRegionCNearS:
         # above R(D, 0) = 4.0e-6
         with pytest.raises(ConvergenceError):
             rdp(self.TEN, self.TEN_DP)
-        res = rdp([0.3, 0.1], (0.3, 0.01))
+        # below T(D) there is no snap to fall back on
+        with pytest.raises(ConvergenceError):
+            rdp([0.3, 0.1], (0.3, 0.01))
+        # here the snap gives 4.93e-5 nats, below R(D, 0) = 0.0226
+        res = rdp([0.3, 0.1], (0.5, 0.14))
         assert any("snapped" in note for note in res.notes)
-        assert res.rate <= rdp([0.3, 0.1], (0.3, 0.0)).rate
+        assert res.rate <= rdp([0.3, 0.1], (0.5, 0.0)).rate
+
+
+_RAW_Q = st.lists(st.one_of(st.sampled_from((0.5, 0.3, 0.1)), st.floats(0.02, 0.5)),
+                  min_size=1, max_size=12)
 
 
 @st.composite
 def _region_c_case(draw):
     """A source of up to 12 components (ties and q = 1/2 included) and a
     region-C budget a relative 1e-6 to 0.9 below T(D) or S(D), outside the
-    snap window of that boundary."""
-    raw = draw(st.lists(st.one_of(st.sampled_from((0.5, 0.3, 0.1)), st.floats(0.02, 0.5)),
-                        min_size=1, max_size=12))
+    S(D) snap window."""
+    raw = draw(_RAW_Q)
     src = normalize(raw)
     q = np.minimum(src.q, 0.5 - 1e-9)
     s, caps = float(q.sum()), float(np.sum(2 * q * (1 - q)))
     share = draw(st.floats(0.05, 0.95))
     if draw(st.booleans()):
         D = share * s
-        bound, window = t_of_d(src, D), br.solver.SNAP_RTOL_A
+        bound, window = t_of_d(src, D), 0.0
     else:
         D = s + share * (caps - s)
         bound, window = s_of_d(src, D).value, br.solver.SNAP_RTOL_S
@@ -837,6 +853,35 @@ class TestRegionCProperties:
         assert rdp(raw, (D, math.inf)).rate - slack <= res.rate
         assert res.rate <= rdp(raw, (D, 0.0)).rate + slack
         assert res.rate - _dual_bound(raw, D, P, res) <= 1e-10
+
+
+@st.composite
+def _near_t_case(draw):
+    """A source of up to 12 components (ties and q = 1/2 included) and a
+    budget a relative 10^U(-15, -9) below T(D)."""
+    raw = draw(_RAW_Q)
+    src = normalize(raw)
+    D = draw(st.floats(0.05, 0.95)) * float(np.minimum(src.q, 0.5 - 1e-9).sum())
+    bound = t_of_d(src, D)
+    assume(bound > 0.0)
+    P = (1.0 - 10.0 ** draw(st.floats(-15.0, -9.0))) * bound
+    assume(classify(src, (D, P)) == "C")
+    return raw, D, P
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_near_t_case())
+def test_multiplier_search_serves_budgets_next_to_t(case):
+    # only beta is small this close to T(D); the search meets the dual
+    # bound to rounding, where the water-filled allocation at T(D), scaled
+    # down to P, misses it by up to 3.9e-10 nats
+    raw, D, P = case
+    res = rdp(raw, (D, P), check=True)
+    assert res.region == "C"
+    assert not any("snapped" in note for note in res.notes)
+    cert = res.certificate
+    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+    assert res.rate - _dual_bound(raw, D, P, res) <= slack
 
 
 def _bench_profile(n):
