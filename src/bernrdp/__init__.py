@@ -12,9 +12,8 @@ from .oracle import (GridSpec, ScalarChannel, allocation_grid_oracle,
 from .solver import (Allocation, BernoulliVectorSource, BudgetPair,
                      KktCertificate, PlaneRegion, RdpResult, SCurvePoint,
                      check_certificate, classify, in_region_closure,
-                     kkt_gradient_residuals, length_bounds, normalize, rdp,
-                     s_of_d, solve_region_a, solve_region_b,
-                     solve_region_c, t_of_d, water_fill)
+                     length_bounds, normalize, rdp, s_of_d, solve_region_a,
+                     solve_region_b, solve_region_c, t_of_d, water_fill)
 
 __all__ = [
     "Allocation", "BernRdpError", "BernoulliVectorSource", "BudgetPair",
@@ -23,8 +22,8 @@ __all__ = [
     "PlaneRegion", "RdpResult", "SCurvePoint", "ScalarChannel",
     "ScalarRegion", "SizeError", "allocation_grid_oracle",
     "check_certificate", "classify", "flatten", "graph_rdp",
-    "h2", "h3", "in_region_closure", "kkt_gradient_residuals",
-    "length_bounds", "load_matrix", "normalize", "rd_boundary", "rdp",
+    "h2", "h3", "in_region_closure", "length_bounds", "load_matrix",
+    "normalize", "rd_boundary", "rdp",
     "s_of_d", "s_of_d_oracle", "scalar_channel_oracle",
     "scalar_rdp", "scalar_region", "solve_region_a",
     "solve_region_b", "solve_region_c", "t_of_d", "water_fill",

@@ -61,13 +61,6 @@ BUDGET_RTOL = 1e-8
 #: Iteration cap for any single root search.
 MAX_ROOT_ITER = 200
 
-#: Near the S(D) boundary both multipliers vanish and the stationarity
-#: system is not resolvable in float64; inside this relative distance the
-#: solver snaps to a perturbed boundary allocation instead.  At T(D) only
-#: the perception multiplier vanishes, and the multiplier search serves
-#: every budget below it.
-SNAP_RTOL_S = 1e-4
-
 _TINY = 1e-300
 
 #: Within this distance (relative to q) of the (q, q) corner, d - p and
@@ -288,17 +281,21 @@ def _as_budget(budget) -> BudgetPair:
     return BudgetPair(float(D), float(P))
 
 
-def _effective_q(src: BernoulliVectorSource) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+def _effective_q(src: BernoulliVectorSource) -> tuple[np.ndarray, np.ndarray]:
     """One q per run of equal values and the run lengths, with the q = 1/2
-    clamp applied and reported."""
+    clamp applied."""
     q = src.q[src._starts]
-    at_half = q >= 0.5
-    notes: tuple[str, ...] = ()
-    if np.any(at_half):
-        q[at_half] = 0.5 - HALF_CLAMP
-        idx = ", ".join(str(i) for i in np.flatnonzero(np.repeat(at_half, src.counts)))
-        notes = (f"clamped q=1/2 to 1/2-{HALF_CLAMP:g} for component(s) {idx}",)
-    return q, src.counts, notes
+    q[q >= 0.5] = 0.5 - HALF_CLAMP
+    return q, src.counts
+
+
+def _clamp_notes(src: BernoulliVectorSource) -> tuple[str, ...]:
+    """The note a result carries when ``_effective_q`` clamped q = 1/2;
+    q is sorted, so only the first run can be at 1/2."""
+    if src.q[0] < 0.5:
+        return ()
+    idx = ", ".join(map(str, range(src.counts[0])))
+    return (f"clamped q=1/2 to 1/2-{HALF_CLAMP:g} for component(s) {idx}",)
 
 
 def _total(m: np.ndarray, x) -> float:
@@ -349,7 +346,7 @@ def t_of_d(src, D: float) -> float:
     the q_i are below 1/2, and T(D) <= D always.
     """
     src = _as_source(src)
-    q, m, _ = _effective_q(src)
+    q, m = _effective_q(src)
     total = _total(m, q)
     if not 0.0 <= D < total:
         raise DomainError(f"T(D) needs 0 <= D < sum q = {total}")
@@ -397,7 +394,7 @@ def s_of_d(src, D: float) -> SCurvePoint:
     because q is sorted); beyond the last breakpoint S(D) = 0.
     """
     src = _as_source(src)
-    q, m, _ = _effective_q(src)
+    q, m = _effective_q(src)
     sum_q = _total(m, q)
     if D < sum_q - 1e-12:
         raise DomainError(f"S(D) needs D >= sum q = {sum_q}")
@@ -411,7 +408,7 @@ def classify(src, budget) -> str:
     """Assign (D, P) to region A, B or C.  Boundary points belong to A or
     B (their defining inequalities are closed); C is the open remainder."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, m, _ = _effective_q(src)
+    q, m = _effective_q(src)
     if budget.D < _total(m, q):
         return PlaneRegion.A if budget.P >= _t_curve(q, m, budget.D) else PlaneRegion.C
     return PlaneRegion.B if budget.P >= _s_curve(q, m, budget.D).value else PlaneRegion.C
@@ -589,9 +586,10 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
 
 
 #: Lower bracket end of both multiplier searches: smaller multipliers are
-#: not resolvable in float64.  Below T(D) the budgets that would need them
-#: are met within tolerance by larger ones; near S(D) the S(D) snap serves
-#: them.
+#: not resolvable in float64.  The budgets that would need them are met
+#: within tolerance by larger ones, except within the perception tolerance
+#: of S(D), which the S(D) snap serves, and next to sum q where q = 1/2 is
+#: clamped (``HALF_CLAMP``), where the search fails and falls back to it.
 _MULTIPLIER_MIN = 1e-12
 _LOG_MIN = math.log(_MULTIPLIER_MIN)
 #: Steps of log alpha and log beta below this are lost to rounding.
@@ -665,9 +663,7 @@ def _s_side_start(q: np.ndarray, m: np.ndarray, D: float, P: float):
     of both budgets (P fixes k)."""
     tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)  # sum of q after each run
     k = int(np.flatnonzero(tail < P)[0])
-    # run k stays a one-element array: numpy squares an array by x * x but
-    # a scalar by pow(), which can round to the other neighbouring float
-    edge, m_edge, qk, mk = q[:k], m[:k], q[k:k + 1], m[k]
+    edge, m_edge, qk, mk = q[:k], m[:k], float(q[k]), m[k]
     pk = (P - tail[k]) / mk
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -677,18 +673,18 @@ def _s_side_start(q: np.ndarray, m: np.ndarray, D: float, P: float):
         dk = (D - tail[k] - _total(m_edge, de)) / mk
         slopes = de ** 3 / (4.0 * edge * (1.0 - edge) - de)  # as in _p_zero_alpha
         grow = alpha * math.exp(2.0 * alpha) * _total(m_edge, slopes) / mk
-        return (float(_alpha_gap(dk, pk, qk)[0]) - alpha,
-                float(_gap_slopes(dk, pk, qk)[0][0]) * grow - alpha)
+        return (float(_alpha_gap(dk, pk, qk)) - alpha,
+                float(_gap_slopes(dk, pk, qk)[0]) * grow - alpha)
 
-    if not (pk < qk[0] and f(_LOG_MIN)[0] > 0.0):
+    if not (pk < qk and f(_LOG_MIN)[0] > 0.0):
         return None
     try:
         alpha = math.exp(_bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)[0])
     except ConvergenceError:  # its slopes lost to rounding at tiny multipliers
         return None
     dk = (D - tail[k] - _total(m_edge, _d_p_zero(alpha, edge))) / mk
-    beta = float(_beta_gap(dk, pk, qk)[0])
-    return (alpha, beta) if pk < dk < 2.0 * qk[0] - pk and beta > 0.0 else None
+    beta = float(_beta_gap(dk, pk, qk))
+    return (alpha, beta) if pk < dk < 2.0 * qk - pk and beta > 0.0 else None
 
 
 def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d: float,
@@ -716,9 +712,10 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
     kernel calls, stopping earlier only where float64 resolves the
     multipliers no further.  Returns the point or blend closest to both
     budgets as (alpha, beta, d, p, kernel calls) if it meets them, else
-    None if a root needs a multiplier below _MULTIPLIER_MIN, else raises.
+    None, whatever stopped it: a root below _MULTIPLIER_MIN, multipliers
+    float64 resolves no further or the call cap.
     """
-    evals, floor = 0, False  # floor: a root lay below _MULTIPLIER_MIN
+    evals = 0
     best = (math.inf, None)  # (larger budget residual in tolerances, point)
     sides = [None, None]  # the latest kernel points with sum d > D and <= D
 
@@ -735,7 +732,7 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         return _blend(above, below, m, D, 0.01 * (above[0] * tol_d + above[1] * tol_p))
 
     def evaluate(a: float, b: float):
-        nonlocal evals, floor
+        nonlocal evals
         evals += 1
         d, p, jac = _component_dp(math.exp(a), math.exp(b), q, m)
         point = (math.exp(a), math.exp(b), d, p)
@@ -743,7 +740,6 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         if sides[above] is not None:
             consider(blend(point, sides[1]) if above else blend(sides[0], point))
         sides[not above] = point
-        floor |= not above and a <= _LOG_MIN
         return a, b, point, consider(point), jac
 
     b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)  # all p = 0 above
@@ -785,19 +781,13 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
                 break
         elif smooth and s_p > 0.0:
             slope = schur * beta / s_p
-        total = _total(m, on_curve[3])
-        floor |= total <= P and b <= _LOG_MIN
-        nb = betas.step(b, _log_resid(total, P), slope)
+        nb = betas.step(b, _log_resid(_total(m, on_curve[3]), P), slope)
         if abs(nb - b) <= _LOG_XTOL:
             break
         # along sum d = D to first order (no move when no component moves)
         na = a - j01 * beta / (j00 * alpha) * (nb - b) if j00 < 0.0 else a
         cur = evaluate(max(na, _LOG_MIN), nb)
-    if best[0] <= 1.0:
-        return (*best[1], evals)
-    if floor:
-        return None
-    raise ConvergenceError("no multipliers meet both budgets")
+    return (*best[1], evals) if best[0] <= 1.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +831,8 @@ def solve_region_a(src, budget) -> RdpResult:
     perception split above the per-component frontier; the rate is the
     classic rate-distortion value sum_i [h2(q_i) - h2(d_i)]."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, m, notes = _effective_q(src)
+    q, m = _effective_q(src)
+    notes = _clamp_notes(src)
     if math.isinf(budget.P):
         notes = notes + ("P=inf: perception left at its lower bounds",)
     if budget.D <= 0.0:
@@ -866,7 +857,8 @@ def solve_region_b(src, budget) -> RdpResult:
     """Zero-rate region: start from the minimum-perception optimizers of
     the S(D) curve and spread the perception slack uniformly."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, m, notes = _effective_q(src)
+    q, m = _effective_q(src)
+    notes = _clamp_notes(src)
     point = _s_curve(q, m, budget.D)
     if not math.isinf(budget.P) and budget.P < point.value - 1e-12:
         raise DomainError("(D, P) is not in region B")
@@ -913,7 +905,8 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """Both budgets bind: tune the shared multipliers (alpha, beta) so the
     per-component stationarity solutions meet the budgets with equality."""
     src, budget = _as_source(src), _as_budget(budget)
-    q_all, m_all, notes = _effective_q(src)
+    q_all, m_all = _effective_q(src)
+    notes = _clamp_notes(src)
     D, P = budget.D, budget.P
 
     # the region test of ``classify``, on the same arrays; S(D) also
@@ -941,19 +934,23 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         return _result(PlaneRegion.C, d, p, q_all, src.counts, nu, mu, lam,
                        _c_labels(d, q_all), iters, budget, notes)
 
-    # Budgets hugging S(D) leave both multipliers too small to resolve;
-    # serve those from the boundary allocation instead.
+    # The S(D) boundary allocation, shaved down to P, serves budgets within
+    # tol_p of S(D) and searches that found no multipliers above sum q, but
+    # only while it beats the rate at P = 0, which bounds R(D, P).
     def snap() -> RdpResult:
-        return finish(*_snap_s_boundary(q, m, D, P), 0, notes + ("snapped to the S(D) boundary",))
-
-    if not below_sum_q and bound - P <= SNAP_RTOL_S * max(1.0, bound):
-        return snap()
+        out = finish(*_snap_s_boundary(q, m, D, P), 0, notes + ("snapped to the S(D) boundary",))
+        d = _d_p_zero(_p_zero_alpha(q, m, D)[0], q)
+        if out.rate > _total(m, scalar_rdp(d, np.zeros_like(d), q)) + 1e-12:
+            raise ConvergenceError("multipliers below resolution near the "
+                                   "region boundary; no snapped allocation fits")
+        return out
 
     tol_d = budget_rtol * max(1.0, D)
     tol_p = budget_rtol * max(1.0, P)
 
-    # the P = 0 allocation meets a P within tol_p of 0, a budget the beta
-    # search cannot resolve (it exits with no multipliers meeting both)
+    # the P = 0 allocation meets a P within tol_p of 0, and the S(D) one a P
+    # within tol_p of S(D): budgets the search cannot resolve (it exits
+    # with no multipliers meeting both)
     if P <= tol_p:
         alpha, iters = _p_zero_alpha(q, m, D)
         d = _d_p_zero(alpha, q)
@@ -961,22 +958,17 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         gaps = _beta_gap(d, p, q)
         beta = float(np.max(gaps))
         lam = np.maximum(beta - gaps, 0.0)
+    elif not below_sum_q and bound - P <= tol_p:
+        return snap()
     else:
         # below sum q, alpha tends to the water level's multiplier as beta -> 0
         start = ((math.log((1.0 - fill.max()) / fill.max()), 1e-2) if below_sum_q
                  else _s_side_start(q, m, D, P) or (1e-3, 1e-2))
         found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
+        if found is None and below_sum_q:
+            raise ConvergenceError("no multipliers meet both budgets")
         if found is None:
-            # multipliers below resolution although the budgets escaped the
-            # snap window.  Above sum q the S(D) boundary allocation is
-            # feasible but serves only while it beats the rate at P = 0,
-            # which bounds R(D, P); below sum q there is no snap.
-            out = None if below_sum_q else snap()
-            d = _d_p_zero(_p_zero_alpha(q, m, D)[0], q)
-            if out is None or out.rate > _total(m, scalar_rdp(d, np.zeros_like(d), q)) + 1e-12:
-                raise ConvergenceError("multipliers below resolution near the "
-                                       "region boundary; no snapped allocation fits")
-            return out
+            return snap()
         alpha, beta, d, p, iters = found
         gaps = _beta_gap(d, p, q)
         lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))
@@ -1069,40 +1061,6 @@ def in_region_closure(d: float, p: float, q: float, region: ScalarRegion,
     upper = 2.0 * q * (1.0 - q) - (1.0 - 2.0 * q) * min(p, q)
     lower = p / (1.0 - 2.0 * (q - p)) if p > 0.0 else 0.0
     return -tol <= p <= q + tol and lower - tol <= d <= upper + tol
-
-
-def kkt_gradient_residuals(src, result: RdpResult) -> np.ndarray:
-    """Per-component subdifferential residuals of the Lagrangian at the
-    returned allocation (diagnostic).  Non-snapped solves sit at roundoff
-    or root-finder scale; snapped ones are larger by construction."""
-    src = _as_source(src)
-    q, _, _ = _effective_q(src)
-    q = np.repeat(q, src.counts)
-    cert = result.certificate
-    d, p = result.allocation.d, result.allocation.p
-    out = np.zeros(q.size)
-    for i, code in enumerate(cert.component_regions.tolist()):
-        label = _REGIONS[code]
-        if label is ScalarRegion.EXTERIOR:
-            continue
-        if label is ScalarRegion.S:
-            gd = math.log(d[i] / (1.0 - d[i])) + cert.nu
-            gp = cert.mu
-        elif label is ScalarRegion.T:
-            gd = cert.nu
-            gp = cert.mu - cert.lam[i]
-        elif label is ScalarRegion.V:
-            end_a = math.log(q[i] / (1.0 - q[i])) + cert.nu
-            end_b = cert.nu
-            lo, hi = min(end_a, end_b), max(end_a, end_b)
-            gd = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-            gp = cert.mu
-        else:
-            di, pi, qi = (np.array([v]) for v in (d[i], p[i], q[i]))
-            gd = float(_alpha_gap(di, pi, qi)[0]) - cert.nu
-            gp = float(_beta_gap(di, pi, qi)[0]) - (cert.mu - cert.lam[i])
-        out[i] = max(abs(gd), abs(gp))
-    return out
 
 
 def _check_result(budget: BudgetPair, result: RdpResult, rtol: float) -> None:

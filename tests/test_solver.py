@@ -704,10 +704,12 @@ class TestRegionC:
             assert abs(res.allocation.p.sum() - budget.P) <= 1e-8 * max(1.0, budget.P)
 
     def test_gradient_residuals_tiny_off_boundary(self):
-        src = normalize([0.35, 0.2, 0.1])
-        res = solve_region_c(src, (0.25, 0.05))
+        # the certificate's multipliers bound the rate from below to
+        # rounding, which a stationarity residual alone does not imply
+        raw, D, P = [0.35, 0.2, 0.1], 0.25, 0.05
+        res = solve_region_c(raw, (D, P))
         assert "snapped" not in " ".join(res.notes)
-        assert np.max(br.kkt_gradient_residuals(src, res)) <= 1e-7
+        assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
 
     @pytest.mark.parametrize("raw, D, P", [([0.3, 0.1], 0.1, 1e-16),
                                            ([0.3, 0.1], 0.1, 2.8e-17),
@@ -721,10 +723,14 @@ class TestRegionC:
         assert np.all(res.allocation.p == 0.0)
 
     def test_snap_near_s_boundary(self):
-        src = normalize([0.3, 0.1])
-        D = 0.5
-        S = s_of_d(src, D).value
-        res = solve_region_c(src, (D, S - 1e-7))
+        raw, D = [0.3, 0.1], 0.5
+        S = s_of_d(raw, D).value
+        # 1e-7 below S(D) is ten budget tolerances away: searched
+        res = solve_region_c(raw, (D, S - 1e-7))
+        assert not res.notes
+        assert res.rate - _dual_bound(raw, D, S - 1e-7, res) <= 1e-12
+        # within the perception tolerance of S(D) the boundary allocation serves
+        res = solve_region_c(raw, (D, S - 5e-9))
         assert any("snapped" in note for note in res.notes)
         assert res.residuals[0] <= 1e-12
         assert res.residuals[1] <= 1e-12
@@ -809,6 +815,20 @@ class TestRegionCNearS:
         assert any("snapped" in note for note in res.notes)
         assert res.rate <= rdp([0.3, 0.1], (0.5, 0.0)).rate
 
+    def test_p_zero_below_a_small_s_is_searched(self):
+        # S(D) = 6.25e-5 here, and a snap window of 1e-4 gave 3.86e-8 nats
+        res = rdp([0.3, 0.1], (0.59995, 0.0))
+        assert res.region == "C" and not res.notes
+        assert res.rate == pytest.approx(5.986366e-9, rel=1e-6)
+
+    def test_rate_below_a_small_s_stays_below_the_p_zero_rate(self):
+        # a snap window of 1e-4 gave 3.86e-8 nats here, above R(D, 0) = 2.39e-8
+        raw, D, P = [0.3, 0.1], 0.5999, 6.25e-5
+        res = rdp(raw, (D, P))
+        assert not res.notes
+        assert res.rate <= rdp(raw, (D, 0.0)).rate
+        assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
+
 
 _RAW_Q = st.lists(st.one_of(st.sampled_from((0.5, 0.3, 0.1)), st.floats(0.02, 0.5)),
                   min_size=1, max_size=12)
@@ -817,8 +837,7 @@ _RAW_Q = st.lists(st.one_of(st.sampled_from((0.5, 0.3, 0.1)), st.floats(0.02, 0.
 @st.composite
 def _region_c_case(draw):
     """A source of up to 12 components (ties and q = 1/2 included) and a
-    region-C budget a relative 1e-6 to 0.9 below T(D) or S(D), outside the
-    S(D) snap window."""
+    region-C budget a relative 1e-6 to 0.9 below T(D) or S(D)."""
     raw = draw(_RAW_Q)
     src = normalize(raw)
     q = np.minimum(src.q, 0.5 - 1e-9)
@@ -826,15 +845,12 @@ def _region_c_case(draw):
     share = draw(st.floats(0.05, 0.95))
     if draw(st.booleans()):
         D = share * s
-        bound, window = t_of_d(src, D), 0.0
+        bound = t_of_d(src, D)
     else:
         D = s + share * (caps - s)
-        bound, window = s_of_d(src, D).value, br.solver.SNAP_RTOL_S
+        bound = s_of_d(src, D).value
     assume(bound > 0.0)
-    rel = max(10.0 ** draw(st.floats(-6.0, math.log10(0.9))),
-              2.0 * window * max(1.0, bound) / bound)
-    assume(rel <= 0.9)
-    P = (1.0 - rel) * bound
+    P = (1.0 - 10.0 ** draw(st.floats(-6.0, math.log10(0.9)))) * bound
     assume(classify(src, (D, P)) == "C")
     return raw, D, P
 
@@ -882,6 +898,51 @@ def test_multiplier_search_serves_budgets_next_to_t(case):
     cert = res.certificate
     slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
     assert res.rate - _dual_bound(raw, D, P, res) <= slack
+
+
+@st.composite
+def _near_s_case(draw):
+    """A source of up to 12 components (ties and q = 1/2 included) and a
+    budget a relative 10^U(-7, -1) below S(D)."""
+    raw = draw(_RAW_Q)
+    src = normalize(raw)
+    q = np.minimum(src.q, 0.5 - 1e-9)
+    s, caps = float(q.sum()), float(np.sum(2 * q * (1 - q)))
+    D = s + draw(st.floats(0.05, 0.95)) * (caps - s)
+    bound = s_of_d(src, D).value
+    assume(bound > 0.0)
+    P = (1.0 - 10.0 ** draw(st.floats(-7.0, -1.0))) * bound
+    assume(classify(src, (D, P)) == "C")
+    return raw, D, P
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_near_s_case())
+def test_multiplier_search_serves_budgets_next_to_s(case):
+    # both multipliers are small this close to S(D); the search serves
+    # every budget more than the perception tolerance below it, and the
+    # S(D) boundary allocation the rest, never above the rate at P = 0
+    raw, D, P = case
+    res = rdp(raw, (D, P), check=True)
+    assert res.region == "C"
+    cert = res.certificate
+    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+    assert res.rate <= rdp(raw, (D, 0.0)).rate + slack
+    if any("snapped" in note for note in res.notes):
+        # only next to S(D), or in the band of D that the q = 1/2 clamp opens
+        assert s_of_d(raw, D).value - P <= 1e-8 * max(1.0, P) or 0.5 in raw
+    else:
+        assert res.rate - _dual_bound(raw, D, P, res) <= slack
+
+
+def test_snap_serves_the_half_clamp_band():
+    # q = 1/2 clamped to 1/2 - 1e-9 leaves a band of D about 1e-9 wide above
+    # sum q where region C needs multipliers below 1e-12; the search fails
+    # there and the S(D) boundary allocation serves
+    res = rdp([0.5, 0.3], (0.8 - 5e-10, 0.5), check=True)
+    assert res.region == "C"
+    assert any("snapped" in note for note in res.notes)
+    assert res.rate <= 1e-12
 
 
 def _bench_profile(n):
