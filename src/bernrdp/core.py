@@ -136,12 +136,13 @@ def rd_boundary(d, q):
     p = d(1-2q)/(1-2d), for 0 <= d <= q <= 1/2.
 
     This is the S/U frontier; summed over water-filled components it is the
-    boundary curve of the perception-inactive plane region.
+    boundary curve of the perception-inactive plane region.  At q = 1/2 it
+    is 0 for every d, d = 1/2 included.
     """
     dd = np.asarray(d, dtype=float)
     qq = np.asarray(q, dtype=float)
     den = 1.0 - 2.0 * dd
-    out = np.where(den > 0.0, dd * (1.0 - 2.0 * qq) / np.where(den > 0.0, den, 1.0), np.inf)
+    out = np.where(den > 0.0, dd * (1.0 - 2.0 * qq) / np.where(den > 0.0, den, 1.0), 0.0)
     return _maybe_float(out, d, q)
 
 

@@ -51,10 +51,6 @@ import numpy as np
 from .core import ScalarRegion, rd_boundary, scalar_rdp
 from .errors import ConvergenceError, DomainError
 
-#: q entries equal to 1/2 are pulled inward by this much inside the solver;
-#: several multiplier formulas divide by (1 - 2q).
-HALF_CLAMP = 1e-9
-
 #: Default relative tolerance on |sum d - D| and |sum p - P|.
 BUDGET_RTOL = 1e-8
 
@@ -82,14 +78,16 @@ class BernoulliVectorSource:
     the original index of sorted component i; together they round-trip the
     raw input.
 
-    ``counts`` is derived from q: the lengths of its runs of equal values,
-    in order.  The solvers work on one value per run, weighted by its
-    count, so tied components always get equal shares of the budgets.
+    ``run_q`` and ``counts`` are derived from q: one value per run of
+    equal values and the run lengths, in order.  The solvers work on one
+    value per run, weighted by its count, so tied components always get
+    equal shares of the budgets.
     """
 
     q: np.ndarray
     flip_mask: np.ndarray
     permutation: np.ndarray
+    run_q: np.ndarray = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
     _starts: np.ndarray = field(init=False, repr=False, compare=False)  # first index of each run
 
@@ -109,6 +107,7 @@ class BernoulliVectorSource:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "flip_mask", np.asarray(self.flip_mask, dtype=bool))
         object.__setattr__(self, "permutation", perm)
+        object.__setattr__(self, "run_q", q[starts])
         object.__setattr__(self, "counts", np.diff(np.append(starts, q.size)))
         object.__setattr__(self, "_starts", starts)
 
@@ -281,23 +280,6 @@ def _as_budget(budget) -> BudgetPair:
     return BudgetPair(float(D), float(P))
 
 
-def _effective_q(src: BernoulliVectorSource) -> tuple[np.ndarray, np.ndarray]:
-    """One q per run of equal values and the run lengths, with the q = 1/2
-    clamp applied."""
-    q = src.q[src._starts]
-    q[q >= 0.5] = 0.5 - HALF_CLAMP
-    return q, src.counts
-
-
-def _clamp_notes(src: BernoulliVectorSource) -> tuple[str, ...]:
-    """The note a result carries when ``_effective_q`` clamped q = 1/2;
-    q is sorted, so only the first run can be at 1/2."""
-    if src.q[0] < 0.5:
-        return ()
-    idx = ", ".join(map(str, range(src.counts[0])))
-    return (f"clamped q=1/2 to 1/2-{HALF_CLAMP:g} for component(s) {idx}",)
-
-
 def _total(m: np.ndarray, x) -> float:
     """Sum over components of a per-run quantity x: sum_k m_k x_k."""
     return float((m * x).sum())
@@ -330,7 +312,7 @@ def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.
 
 def _t_of_fill(q: np.ndarray, m: np.ndarray, d: np.ndarray) -> float:
     """T(D) from the water-filled distortions d at D."""
-    return _total(m, d * (1.0 - 2.0 * q) / (1.0 - 2.0 * d))
+    return _total(m, rd_boundary(d, q))
 
 
 def _t_curve(q: np.ndarray, m: np.ndarray, D: float) -> float:
@@ -346,7 +328,7 @@ def t_of_d(src, D: float) -> float:
     the q_i are below 1/2, and T(D) <= D always.
     """
     src = _as_source(src)
-    q, m = _effective_q(src)
+    q, m = src.run_q, src.counts
     total = _total(m, q)
     if not 0.0 <= D < total:
         raise DomainError(f"T(D) needs 0 <= D < sum q = {total}")
@@ -379,7 +361,8 @@ def _s_curve(q: np.ndarray, m: np.ndarray, D: float) -> SCurvePoint:
     k = int(fits[0]) + 1
     d_k = (D - prefix_caps[k - 1] - suffix_q[k]) / m[k - 1]
     d_k = min(max(d_k, q[k - 1]), caps[k - 1])
-    p_k = (caps[k - 1] - d_k) / (1.0 - 2.0 * q[k - 1])
+    # a run at q = 1/2 is a segment of length 0, with p_k = 0
+    p_k = (caps[k - 1] - d_k) / (1.0 - 2.0 * q[k - 1]) if d_k < caps[k - 1] else 0.0
     d = np.concatenate((caps[: k - 1], [d_k], q[k:]))
     p = np.concatenate((np.zeros(k - 1), [p_k], q[k:]))
     return SCurvePoint(_total(m, p), k, float(d_k), d, p)
@@ -394,7 +377,7 @@ def s_of_d(src, D: float) -> SCurvePoint:
     because q is sorted); beyond the last breakpoint S(D) = 0.
     """
     src = _as_source(src)
-    q, m = _effective_q(src)
+    q, m = src.run_q, src.counts
     sum_q = _total(m, q)
     if D < sum_q - 1e-12:
         raise DomainError(f"S(D) needs D >= sum q = {sum_q}")
@@ -408,7 +391,7 @@ def classify(src, budget) -> str:
     """Assign (D, P) to region A, B or C.  Boundary points belong to A or
     B (their defining inequalities are closed); C is the open remainder."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, m = _effective_q(src)
+    q, m = src.run_q, src.counts
     if budget.D < _total(m, q):
         return PlaneRegion.A if budget.P >= _t_curve(q, m, budget.D) else PlaneRegion.C
     return PlaneRegion.B if budget.P >= _s_curve(q, m, budget.D).value else PlaneRegion.C
@@ -421,9 +404,13 @@ def classify(src, budget) -> str:
 def _d_p_zero(alpha: float, q: np.ndarray) -> np.ndarray:
     """Distortion solving the stationarity condition at p = 0:
     d = (sqrt(1 + 4q(1-q)(e^{2a}-1)) - 1) / (e^{2a}-1), written so it is
-    stable as alpha -> 0 (value -> 2q(1-q)) and alpha -> inf (value -> 0).
+    stable as alpha -> 0 (value -> 2q(1-q)) and alpha -> inf (value -> 0,
+    reached where e^{2a} overflows).
     """
-    t = math.expm1(2.0 * alpha)
+    try:
+        t = math.expm1(2.0 * alpha)
+    except OverflowError:
+        t = math.inf
     return 4.0 * q * (1.0 - q) / (1.0 + np.sqrt(1.0 + 4.0 * q * (1.0 - q) * t))
 
 
@@ -588,8 +575,7 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
 #: Lower bracket end of both multiplier searches: smaller multipliers are
 #: not resolvable in float64.  The budgets that would need them are met
 #: within tolerance by larger ones, except within the perception tolerance
-#: of S(D), which the S(D) snap serves, and next to sum q where q = 1/2 is
-#: clamped (``HALF_CLAMP``), where the search fails and falls back to it.
+#: of S(D), which the S(D) snap serves.
 _MULTIPLIER_MIN = 1e-12
 _LOG_MIN = math.log(_MULTIPLIER_MIN)
 #: Steps of log alpha and log beta below this are lost to rounding.
@@ -606,13 +592,15 @@ def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
     """The single multiplier of the P = 0 problem: sum _d_p_zero(alpha) = D,
     strictly decreasing from sum 2q(1-q) > D at alpha = 0.  Since
     _d_p_zero <= 2 sqrt(q(1-q) / expm1(2 alpha)), the sum is at most D at
-    alpha_hi below, which closes the bracket.  The search starts at the
-    exact root for n equal components with the same sum of sqrt(q(1-q)),
-    which is the root itself for a homogeneous source."""
+    alpha_hi below (in log form, finite down to the smallest D), which
+    closes the bracket; where e^{2 alpha} overflows, every d is 0.  The
+    search starts at the exact root for n equal components with the same
+    sum of sqrt(q(1-q)), which is the root itself for a homogeneous source."""
     w = q * (1.0 - q)
     n = int(m.sum())
     root_w = _total(m, np.sqrt(w))
-    alpha_hi = 0.5 * math.log1p((2.0 * root_w / D) ** 2)
+    alpha_hi = (math.log(2.0 * root_w) - math.log(D)
+                + 0.5 * math.log1p((D / (2.0 * root_w)) ** 2))
     w_eq = (root_w / n) ** 2
     s = max(4.0 * w_eq * n / D, 2.0)  # 1 + sqrt(1 + 4 w expm1(2 alpha))
     alpha0 = min(0.5 * math.log1p(s * (s - 2.0) / (4.0 * w_eq)), alpha_hi)
@@ -621,6 +609,8 @@ def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
     def f(alpha):
         d = _d_p_zero(alpha, q)
         total = _total(m, d)
+        if total == 0.0:
+            return -math.inf, math.nan
         # d = 4w / (1 + r) with r = sqrt(1 + 4w expm1(2 alpha)), so
         # dd/dalpha = -e^{2 alpha} d^2 / r = -e^{2 alpha} d^3 / (4w - d)
         slope = -math.exp(2.0 * alpha) * _total(m, d ** 3 / (4.0 * w - d)) / total
@@ -753,6 +743,7 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
             schur = j11 - j01 * j01 / j00
             step_b = -(s_p - P - j01 * (s_d - D) / j00) / schur
             step_a = -(s_d - D + j01 * step_b) / j00
+            slope_a = j00 * alpha / s_d  # of log(sum d) in log alpha
         smooth = j00 < 0.0 and schur < 0.0
         if smooth and miss < stall and math.isfinite(step_a) and math.isfinite(step_b):
             t = min([1.0] + [m * (math.expm1(2.0) if s > 0.0 else -math.expm1(-2.0)) / abs(s)
@@ -771,7 +762,7 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         alphas = alphas if alphas[0] == b else (b, _Bracket(_LOG_MIN, math.inf))
         on_curve, slope = point, math.nan
         if abs(s_d - D) > 0.01 * tol_d:
-            nxt = alphas[1].step(a, _log_resid(s_d, D), j00 * alpha / s_d)
+            nxt = alphas[1].step(a, _log_resid(s_d, D), slope_a)
             if abs(nxt - a) > _LOG_XTOL:
                 cur = evaluate(nxt, b)
                 continue
@@ -831,10 +822,8 @@ def solve_region_a(src, budget) -> RdpResult:
     perception split above the per-component frontier; the rate is the
     classic rate-distortion value sum_i [h2(q_i) - h2(d_i)]."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, m = _effective_q(src)
-    notes = _clamp_notes(src)
-    if math.isinf(budget.P):
-        notes = notes + ("P=inf: perception left at its lower bounds",)
+    q, m = src.run_q, src.counts
+    notes = ("P=inf: perception left at its lower bounds",) if math.isinf(budget.P) else ()
     if budget.D <= 0.0:
         # forced zero allocation; the water-level multiplier is formally +inf
         d = np.zeros_like(q)
@@ -847,8 +836,9 @@ def solve_region_a(src, budget) -> RdpResult:
         raise DomainError("(D, P) is not in region A")
     p = _spread_perception(lower, m, budget.P)
     level = float(d.max())
-    nu = math.log((1.0 - level) / level)
-    labels = np.where((q > 0.0) & (d >= q), _V, np.where(d > 0.0, _S, _EXT))
+    nu = math.log((1.0 - level) / level) if level > 0.0 else math.inf  # D underflows
+    # V is the corner d = q, p >= q; a q = 1/2 component at d = q has p = 0
+    labels = np.where((q > 0.0) & (q < 0.5) & (d >= q), _V, np.where(d > 0.0, _S, _EXT))
     return _result(PlaneRegion.A, d, p, q, src.counts, nu, 0.0, np.zeros_like(q),
                    labels, 0, budget, notes)
 
@@ -857,8 +847,8 @@ def solve_region_b(src, budget) -> RdpResult:
     """Zero-rate region: start from the minimum-perception optimizers of
     the S(D) curve and spread the perception slack uniformly."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, m = _effective_q(src)
-    notes = _clamp_notes(src)
+    q, m = src.run_q, src.counts
+    notes = ()
     point = _s_curve(q, m, budget.D)
     if not math.isinf(budget.P) and budget.P < point.value - 1e-12:
         raise DomainError("(D, P) is not in region B")
@@ -870,7 +860,8 @@ def solve_region_b(src, budget) -> RdpResult:
         notes = notes + ("P=inf: perception left at the S(D) optimizers",)
     else:
         p = point.p + (budget.P - point.value) / src.n
-    labels = np.where((q > 0.0) & (d <= q), _V, np.where(d > 0.0, _T, _EXT))
+    # as in region A: a q = 1/2 component at d = q has no perception to spare
+    labels = np.where((q > 0.0) & (q < 0.5) & (d <= q), _V, np.where(d > 0.0, _T, _EXT))
     return _result(PlaneRegion.B, d, p, q, src.counts, 0.0, 0.0, np.zeros_like(q),
                    labels, 0, budget, notes)
 
@@ -905,8 +896,7 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """Both budgets bind: tune the shared multipliers (alpha, beta) so the
     per-component stationarity solutions meet the budgets with equality."""
     src, budget = _as_source(src), _as_budget(budget)
-    q_all, m_all = _effective_q(src)
-    notes = _clamp_notes(src)
+    q_all, m_all = src.run_q, src.counts
     D, P = budget.D, budget.P
 
     # the region test of ``classify``, on the same arrays; S(D) also
@@ -925,7 +915,7 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     pos = q_all > 0.0
     q, m = q_all[pos], m_all[pos]
 
-    def finish(d, p, nu, mu, lam, iters, notes) -> RdpResult:
+    def finish(d, p, nu, mu, lam, iters, notes=()) -> RdpResult:
         if not pos.all():
             full = np.zeros((3, q_all.size))
             for row, values in zip(full, (d, p, lam)):
@@ -938,7 +928,7 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     # tol_p of S(D) and searches that found no multipliers above sum q, but
     # only while it beats the rate at P = 0, which bounds R(D, P).
     def snap() -> RdpResult:
-        out = finish(*_snap_s_boundary(q, m, D, P), 0, notes + ("snapped to the S(D) boundary",))
+        out = finish(*_snap_s_boundary(q, m, D, P), 0, ("snapped to the S(D) boundary",))
         d = _d_p_zero(_p_zero_alpha(q, m, D)[0], q)
         if out.rate > _total(m, scalar_rdp(d, np.zeros_like(d), q)) + 1e-12:
             raise ConvergenceError("multipliers below resolution near the "
@@ -962,8 +952,9 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         return snap()
     else:
         # below sum q, alpha tends to the water level's multiplier as beta -> 0
-        start = ((math.log((1.0 - fill.max()) / fill.max()), 1e-2) if below_sum_q
-                 else _s_side_start(q, m, D, P) or (1e-3, 1e-2))
+        # (the level rounds to 1/2 next to sum q when a q is 1/2)
+        start = ((max(math.log((1.0 - fill.max()) / fill.max()), _MULTIPLIER_MIN), 1e-2)
+                 if below_sum_q else _s_side_start(q, m, D, P) or (1e-3, 1e-2))
         found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
         if found is None and below_sum_q:
             raise ConvergenceError("no multipliers meet both budgets")
@@ -973,7 +964,7 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         gaps = _beta_gap(d, p, q)
         lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))
 
-    return finish(d, p, alpha, beta, lam, iters, notes)
+    return finish(d, p, alpha, beta, lam, iters)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ array code must reproduce them byte for byte.  The graph cases cover
 regions A and B and P = 0 on a 20-vertex matrix with two absent edges,
 one certain edge and two edges at 1/2.  The eval cases use a source with a
 q = 0 and a q = 1/2 component, so region C re-inserts the zero component
-and the solver clamps the 1/2 one; with the region-A and region-B points
+and gives the 1/2 one no perception; with the region-A and region-B points
 they pin the per-component region labels.  The curve cases cover both axes
 and formats and a CSV error row whose message holds a comma (so the CSV
 quoting is pinned); the region cases have empty T and S cells; the eval and

@@ -7,6 +7,7 @@ in test_oracle.py and the acceptance suite.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -527,7 +528,7 @@ def _totals(alpha, beta, q):
 
 
 class TestComponentKernel:
-    Q = np.array([0.01, 0.05, 0.2, 0.35, 0.5 - 1e-9])  # last one at the 1/2 clamp
+    Q = np.array([0.01, 0.05, 0.2, 0.35, 0.5 - 1e-9])  # last one next to 1/2
 
     def test_matches_bisection_on_grid(self):
         kinds = set()
@@ -741,7 +742,7 @@ def _dual_bound(raw, D, P, res):
     """Lower bound on the optimal rate from the certificate's multipliers:
     the kernel's Lagrangian minimizer x at (nu, mu) gives
     R(D, P) >= R(x) + nu (sum d(x) - D) + mu (sum p(x) - P)."""
-    q = np.minimum(normalize(raw).q, 0.5 - 1e-9)
+    q = normalize(raw).q
     q = q[q > 0.0]
     nu, mu = res.certificate.nu, res.certificate.mu
     d, p, _ = _component_dp(nu, mu, q, _ones(q))
@@ -773,8 +774,7 @@ class TestRegionCNearS:
         assert res.region == "C"
         assert abs(res.allocation.d.sum() - D) <= 1e-8 * D
         assert abs(res.allocation.p.sum() - P) <= 1e-8
-        qeff = np.minimum(normalize(raw).q, 0.5 - 1e-9)
-        total = float(np.sum(scalar_rdp(res.allocation.d, res.allocation.p, qeff)))
+        total = float(np.sum(scalar_rdp(res.allocation.d, res.allocation.p, normalize(raw).q)))
         assert res.rate == pytest.approx(total, abs=1e-12)
         assert res.rate <= rdp(raw, (D, 0.0)).rate + 1e-12
 
@@ -840,7 +840,7 @@ def _region_c_case(draw):
     region-C budget a relative 1e-6 to 0.9 below T(D) or S(D)."""
     raw = draw(_RAW_Q)
     src = normalize(raw)
-    q = np.minimum(src.q, 0.5 - 1e-9)
+    q = src.q
     s, caps = float(q.sum()), float(np.sum(2 * q * (1 - q)))
     share = draw(st.floats(0.05, 0.95))
     if draw(st.booleans()):
@@ -877,7 +877,7 @@ def _near_t_case(draw):
     budget a relative 10^U(-15, -9) below T(D)."""
     raw = draw(_RAW_Q)
     src = normalize(raw)
-    D = draw(st.floats(0.05, 0.95)) * float(np.minimum(src.q, 0.5 - 1e-9).sum())
+    D = draw(st.floats(0.05, 0.95)) * float(src.q.sum())
     bound = t_of_d(src, D)
     assume(bound > 0.0)
     P = (1.0 - 10.0 ** draw(st.floats(-15.0, -9.0))) * bound
@@ -906,7 +906,7 @@ def _near_s_case(draw):
     budget a relative 10^U(-7, -1) below S(D)."""
     raw = draw(_RAW_Q)
     src = normalize(raw)
-    q = np.minimum(src.q, 0.5 - 1e-9)
+    q = src.q
     s, caps = float(q.sum()), float(np.sum(2 * q * (1 - q)))
     D = s + draw(st.floats(0.05, 0.95)) * (caps - s)
     bound = s_of_d(src, D).value
@@ -929,20 +929,81 @@ def test_multiplier_search_serves_budgets_next_to_s(case):
     slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
     assert res.rate <= rdp(raw, (D, 0.0)).rate + slack
     if any("snapped" in note for note in res.notes):
-        # only next to S(D), or in the band of D that the q = 1/2 clamp opens
-        assert s_of_d(raw, D).value - P <= 1e-8 * max(1.0, P) or 0.5 in raw
+        # only next to S(D)
+        assert s_of_d(raw, D).value - P <= 1e-8 * max(1.0, P)
     else:
         assert res.rate - _dual_bound(raw, D, P, res) <= slack
 
 
-def test_snap_serves_the_half_clamp_band():
-    # q = 1/2 clamped to 1/2 - 1e-9 leaves a band of D about 1e-9 wide above
-    # sum q where region C needs multipliers below 1e-12; the search fails
-    # there and the S(D) boundary allocation serves
+def test_q_half_just_below_sum_q_is_region_a():
+    # q = 1/2 is solved as it is: 5e-10 below sum q = 0.8 the water level is
+    # 1/2 - 5e-10, the q = 1/2 component needs no perception, and T(D) is
+    # the 0.3 of the other component
     res = rdp([0.5, 0.3], (0.8 - 5e-10, 0.5), check=True)
+    assert res.region == "A" and not res.notes
+    assert res.rate == 0.0
+    assert t_of_d([0.5, 0.3], 0.7999999995) == 0.3
+
+
+@st.composite
+def _half_case(draw):
+    """A source with one or two components at exactly 1/2 among one to eight
+    others, and a budget in region A, B or C: D a share of sum q, one float
+    below it or a share of the way to sum 2q(1-q), and P on the boundary
+    curve, one float below it, or a relative 10^U(-12, -0.05) below or above
+    it."""
+    raw = [0.5] * draw(st.integers(1, 2)) + draw(st.lists(st.floats(0.02, 0.98), min_size=1,
+                                                           max_size=8))
+    src = normalize(raw)
+    s, caps = float(src.q.sum()), float(np.sum(2 * src.q * (1 - src.q)))
+    D = draw(st.one_of(st.just(float(np.nextafter(s, 0.0))),
+                       st.floats(0.05, 0.95).map(lambda share: share * s),
+                       st.floats(0.0, 1.05).map(lambda share: s + share * (caps - s))))
+    edge = (t_of_d(src, D) if classify(src, (D, math.inf)) == "A"
+            else s_of_d(src, D).value)
+    rel = 10.0 ** draw(st.floats(-12.0, -0.05))
+    P = draw(st.sampled_from([edge, float(np.nextafter(edge, 0.0)), edge * (1.0 - rel),
+                              edge * (1.0 + rel)]))
+    return raw, D, P
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_half_case())
+def test_q_half_budgets_solved_in_every_region(case):
+    raw, D, P = case
+    res = rdp(raw, (D, P), check=True)
+    assert res.region == classify(raw, (D, P))
+    for d, p, q, label in zip(res.allocation.d, res.allocation.p, normalize(raw).q, _regions(res)):
+        assert br.in_region_closure(float(d), float(p), float(q), label), (q, label)
+    cert = res.certificate
+    if cert.nu == cert.mu == 0.0:  # zero rate, the Lagrangian's minimum
+        assert res.rate == 0.0
+        return
+    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+    bound = _dual_bound(raw, D, P, res)
+    assert res.rate >= bound - slack
+    if not res.notes:  # a snap's multipliers need not be optimal
+        assert res.rate - bound <= slack
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-11])
+@pytest.mark.parametrize("below_sum_q", [1e-15, 1e-13, 1e-12])
+@pytest.mark.parametrize("below_t", [1e-15, 1e-12, 1e-9])
+def test_q_next_to_half_next_to_sum_q_fails_typed(eps, below_sum_q, below_t):
+    # a q this close to 1/2 puts the water level next to 1/2 and the
+    # multipliers beyond what the search resolves; the solve must end in a
+    # checked result or a ConvergenceError, with no other error and no
+    # floating-point warning
+    raw = [0.5 - eps, 0.176, 0.1188]
+    D = sum(raw) - below_sum_q
+    P = t_of_d(raw, D) * (1.0 - below_t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = rdp(raw, (D, P), check=True)
+        except ConvergenceError:
+            return
     assert res.region == "C"
-    assert any("snapped" in note for note in res.notes)
-    assert res.rate <= 1e-12
 
 
 def _bench_profile(n):
@@ -1141,9 +1202,8 @@ class TestRdpDispatch:
             src = _rand_source(rng, 1, 5)
             budget = _rand_budget(rng, src)
             res = rdp(src, budget)
-            qeff = np.minimum(src.q, 0.5 - 1e-9)
             total = float(np.atleast_1d(
-                scalar_rdp(res.allocation.d, res.allocation.p, qeff)).sum())
+                scalar_rdp(res.allocation.d, res.allocation.p, src.q)).sum())
             assert res.rate == pytest.approx(total, abs=1e-12)
             assert res.rate == pytest.approx(
                 float(res.allocation.per_component_rate.sum()), abs=0.0)
@@ -1178,9 +1238,16 @@ class TestRdpDispatch:
             free = rdp(src, (D, math.inf))
             assert res.rate == pytest.approx(free.rate, abs=1e-10)
 
-    def test_q_half_clamp_notes(self):
-        res = rdp([0.5, 0.2], (0.1, 0.05))
-        assert any("clamped" in note for note in res.notes)
+    def test_q_half_component_takes_no_perception(self):
+        # at q = 1/2 the rate-distortion test channel already meets any
+        # perception budget, so in region C the q = 1/2 component keeps
+        # p = 0 and the classic rate ln 2 - h2(d)
+        res = rdp([0.5, 0.2], (0.1, 0.01))
+        assert res.region == "C" and not res.notes
+        d, p = res.allocation.d[0], res.allocation.p[0]
+        assert p == 0.0
+        assert res.allocation.per_component_rate[0] == pytest.approx(
+            math.log(2.0) - br.h2(d), abs=1e-15)
 
     def test_zero_q_components_stripped(self):
         res = rdp([0.3, 0.0, 0.1], (0.1, 0.02))
@@ -1199,6 +1266,13 @@ class TestRdpDispatch:
 
 class TestRdpPZero:
     """rdp at P = 0, in regions A, B and C."""
+
+    @pytest.mark.parametrize("D", [1e-200, 5e-324])
+    def test_tiny_distortion(self, D):
+        # the P = 0 multiplier's bracket end is found in log form, and where
+        # e^{2 alpha} overflows every distortion is 0
+        res = rdp([0.3, 0.2], (D, 0.0))
+        assert res.rate == pytest.approx(br.h2(0.3) + br.h2(0.2), abs=1e-15)
 
     def test_plateau(self):
         caps = 2 * 0.3 * 0.7 + 2 * 0.1 * 0.9
@@ -1280,8 +1354,7 @@ class TestCertificateChecks:
             src = _rand_source(rng, 1, 5)
             budget = _rand_budget(rng, src)
             res = rdp(src, budget)
-            qeff = np.minimum(src.q, 0.5 - 1e-9)
             for i, lab in enumerate(_regions(res)):
                 assert br.in_region_closure(
                     float(res.allocation.d[i]), float(res.allocation.p[i]),
-                    float(qeff[i]), lab), (src.q, budget, lab, i)
+                    float(src.q[i]), lab), (src.q, budget, lab, i)
