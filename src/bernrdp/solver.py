@@ -23,6 +23,9 @@ plane splits into three regions:
      sum d falls as alpha grows at fixed beta, and sum p falls as beta
      grows along sum d = D.  Where a component's minimizer jumps, sum d = D
      is met by a convex blend of the allocations on both sides of the jump.
+     Above sum q the allocation shaped like the S(D) optimizers
+     (``_s_side``) serves budgets within the perception tolerance of S(D),
+     and elsewhere gives the search its start and, if certified, its answer.
 
 Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
@@ -575,7 +578,8 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
 #: Lower bracket end of both multiplier searches: smaller multipliers are
 #: not resolvable in float64.  The budgets that would need them are met
 #: within tolerance by larger ones, except within the perception tolerance
-#: of S(D), which the S(D) snap serves.
+#: of S(D), which ``_s_side`` serves, with alpha = 0 where its root lies
+#: below this.
 _MULTIPLIER_MIN = 1e-12
 _LOG_MIN = math.log(_MULTIPLIER_MIN)
 #: Steps of log alpha and log beta below this are lost to rounding.
@@ -646,11 +650,15 @@ def _blend(above, below, m: np.ndarray, D: float, gap_tol: float):
             (1.0 - w) * above[3] + w * below[3])
 
 
-def _s_side_start(q: np.ndarray, m: np.ndarray, D: float, P: float):
-    """Multipliers near the optimum below S(D), shaped like the S(D) optimizers:
-    runs before some k on their p = 0 edge, those after k at their (q, q)
-    corner, the m_k components of run k in U with equal shares of the rest
-    of both budgets (P fixes k)."""
+def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
+    """The allocation below S(D) shaped like the S(D) optimizers: runs
+    before some k on their p = 0 edge at alpha, those after k at their
+    (q, q) corner, the m_k components of run k in U with equal shares of
+    the rest of both budgets (P fixes k), which are so met by construction.
+    alpha equals run k's alpha gap, or is 0 (edge runs at their caps
+    2q(1-q), as at S(D)) where that root lies below _MULTIPLIER_MIN; beta is
+    run k's beta gap, or 0 where not positive or run k is outside U.
+    Returns (alpha, beta, d, p, calls of the alpha search)."""
     tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)  # sum of q after each run
     k = int(np.flatnonzero(tail < P)[0])
     edge, m_edge, qk, mk = q[:k], m[:k], float(q[k]), m[k]
@@ -663,22 +671,30 @@ def _s_side_start(q: np.ndarray, m: np.ndarray, D: float, P: float):
         dk = (D - tail[k] - _total(m_edge, de)) / mk
         slopes = de ** 3 / (4.0 * edge * (1.0 - edge) - de)  # as in _p_zero_alpha
         grow = alpha * math.exp(2.0 * alpha) * _total(m_edge, slopes) / mk
-        return (float(_alpha_gap(dk, pk, qk)) - alpha,
-                float(_gap_slopes(dk, pk, qk)[0]) * grow - alpha)
+        a_d = float(_gap_slopes(dk, pk, qk)[0])
+        resid = float(_alpha_gap(dk, pk, qk)) - alpha
+        # the residual carries a few ulps from the gap's logarithm and a_d
+        # times the rounding of d_k, about an ulp of D / m_k: within that
+        # floor Newton steps no longer move it, so it counts as 0
+        floor = 4.0 * (math.ulp(1.0) + abs(a_d) * math.ulp(D) / mk)
+        return resid if abs(resid) > floor else 0.0, a_d * grow - alpha
 
-    if not (pk < qk and f(_LOG_MIN)[0] > 0.0):
-        return None
-    try:
-        alpha = math.exp(_bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)[0])
-    except ConvergenceError:  # its slopes lost to rounding at tiny multipliers
-        return None
-    dk = (D - tail[k] - _total(m_edge, _d_p_zero(alpha, edge))) / mk
-    beta = float(_beta_gap(dk, pk, qk))
-    return (alpha, beta) if pk < dk < 2.0 * qk - pk and beta > 0.0 else None
+    alpha, calls = 0.0, 0
+    if pk < qk and f(_LOG_MIN)[0] > 0.0:
+        try:
+            a, calls = _bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)
+            alpha = math.exp(a)
+        except ConvergenceError:  # its slopes lost to rounding: taken as unresolved
+            calls = MAX_ROOT_ITER
+    de = _d_p_zero(alpha, edge)
+    dk = (D - tail[k] - _total(m_edge, de)) / mk
+    beta = max(0.0, float(_beta_gap(dk, pk, qk))) if pk < dk < 2.0 * qk - pk else 0.0
+    return (alpha, beta, np.concatenate((de, [dk], q[k + 1:])),
+            np.concatenate((np.zeros(k), [pk], q[k + 1:])), calls)
 
 
 def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d: float,
-                         tol_p: float, start: tuple[float, float]):
+                         tol_p: float, start: tuple[float, float], candidate=None):
     """Find alpha, beta > 0 with sum d = D and sum p = P in one loop over
     (log alpha, log beta) from the start multipliers, for runs of m equal
     components.
@@ -700,10 +716,18 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
     latest one across D, and a collapsed alpha bracket takes that blend.
     Aims at a hundredth of the budget tolerances within 5 MAX_ROOT_ITER
     kernel calls, stopping earlier only where float64 resolves the
-    multipliers no further.  Returns the point or blend closest to both
-    budgets as (alpha, beta, d, p, kernel calls) if it meets them, else
-    None, whatever stopped it: a root below _MULTIPLIER_MIN, multipliers
-    float64 resolves no further or the call cap.
+    multipliers no further.
+
+    Where the first kernel point K is singular in beta (no component in U,
+    where components jumping between corner and edge can make the search
+    cycle), ``candidate``, an ``_s_side`` allocation at the start
+    multipliers, is returned with K's multipliers if K's Lagrangian bound
+    R(K) + alpha (sum d_K - D) + beta (sum p_K - P) on the optimal rate is
+    within the blend tolerance, plus 4 ulps per component, of its rate.
+    Otherwise returns the point or blend closest to both budgets as
+    (alpha, beta, d, p, kernel calls) if it meets them, else None, whatever
+    stopped the search: a root below _MULTIPLIER_MIN, multipliers float64
+    resolves no further or the call cap.
     """
     evals = 0
     best = (math.inf, None)  # (larger budget residual in tolerances, point)
@@ -734,6 +758,15 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
 
     b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)  # all p = 0 above
     cur = evaluate(math.log(start[0]), min(max(math.log(start[1]), _LOG_MIN), b_max - 1.0))
+    if candidate is not None and cur[4][1][1] == 0.0:  # no component in U
+        alpha, beta, d, p = cur[2]
+        lower = (_total(m, scalar_rdp(d, p, q)) + alpha * (_total(m, d) - D)
+                 + beta * (_total(m, p) - P))
+        # the rates' own rounding, a few ulps each, exceeds the blend
+        # tolerance at tiny multipliers
+        slack = 0.01 * (alpha * tol_d + beta * tol_p) + 4.0 * math.ulp(1.0) * float(m.sum())
+        if _total(m, scalar_rdp(candidate[2], candidate[3], q)) - lower <= slack:
+            return alpha, beta, candidate[2], candidate[3], evals
     # alphas: (log beta, bracket on log alpha); stall: the residual Newton last failed at
     betas, alphas, stall = _Bracket(_LOG_MIN, b_max), (None, None), math.inf
     while best[0] > 0.01 and evals < 5 * MAX_ROOT_ITER:
@@ -870,28 +903,6 @@ def _c_labels(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where((q > 0.0) & (d > 0.0), _U, _EXT)
 
 
-def _snap_s_boundary(q, m, D, P):
-    """(D, P) within a hair of the S(D) curve: take the zero-rate
-    optimizers and shave the perception overshoot off successive runs,
-    starting at the active segment.  All pairs stay inside the closure of
-    U.  Returns (d, p, nu, mu, lam)."""
-    point = _s_curve(q, m, D)
-    d, p = point.d.copy(), point.p.copy()
-    excess = _total(m, p) - P
-    start = (point.k or q.size) - 1
-    for i in list(range(start, q.size)) + list(range(0, start)):
-        if excess <= 0.0:
-            break
-        take = min(m[i] * p[i], excess)
-        p[i] -= take / m[i]
-        excess -= take
-    nu = max(float(np.max(_alpha_gap(d, p, q))), 0.0)
-    gaps = _beta_gap(d, p, q)
-    mu = max(float(np.max(gaps)), 0.0)
-    lam = np.where(p > 0.0, 0.0, np.maximum(mu - gaps, 0.0))
-    return d, p, nu, mu, lam
-
-
 def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """Both budgets bind: tune the shared multipliers (alpha, beta) so the
     per-component stationarity solutions meet the budgets with equality."""
@@ -915,56 +926,43 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     pos = q_all > 0.0
     q, m = q_all[pos], m_all[pos]
 
-    def finish(d, p, nu, mu, lam, iters, notes=()) -> RdpResult:
-        if not pos.all():
-            full = np.zeros((3, q_all.size))
-            for row, values in zip(full, (d, p, lam)):
-                row[pos] = values
-            d, p, lam = full
-        return _result(PlaneRegion.C, d, p, q_all, src.counts, nu, mu, lam,
-                       _c_labels(d, q_all), iters, budget, notes)
-
-    # The S(D) boundary allocation, shaved down to P, serves budgets within
-    # tol_p of S(D) and searches that found no multipliers above sum q, but
-    # only while it beats the rate at P = 0, which bounds R(D, P).
-    def snap() -> RdpResult:
-        out = finish(*_snap_s_boundary(q, m, D, P), 0, ("snapped to the S(D) boundary",))
-        d = _d_p_zero(_p_zero_alpha(q, m, D)[0], q)
-        if out.rate > _total(m, scalar_rdp(d, np.zeros_like(d), q)) + 1e-12:
-            raise ConvergenceError("multipliers below resolution near the "
-                                   "region boundary; no snapped allocation fits")
-        return out
-
     tol_d = budget_rtol * max(1.0, D)
     tol_p = budget_rtol * max(1.0, P)
 
-    # the P = 0 allocation meets a P within tol_p of 0, and the S(D) one a P
-    # within tol_p of S(D): budgets the search cannot resolve (it exits
-    # with no multipliers meeting both)
+    # the P = 0 allocation meets a P within tol_p of 0, and the S(D)-shaped
+    # one a P within tol_p of S(D): budgets the search cannot resolve (it
+    # exits with no multipliers meeting both)
     if P <= tol_p:
         alpha, iters = _p_zero_alpha(q, m, D)
         d = _d_p_zero(alpha, q)
         p = np.zeros_like(d)
         gaps = _beta_gap(d, p, q)
-        beta = float(np.max(gaps))
-        lam = np.maximum(beta - gaps, 0.0)
-    elif not below_sum_q and bound - P <= tol_p:
-        return snap()
+        beta = max(0.0, float(np.max(gaps)))  # +0.0, not the gaps' -0.0 where every d is 0
     else:
-        # below sum q, alpha tends to the water level's multiplier as beta -> 0
-        # (the level rounds to 1/2 next to sum q when a q is 1/2)
-        start = ((max(math.log((1.0 - fill.max()) / fill.max()), _MULTIPLIER_MIN), 1e-2)
-                 if below_sum_q else _s_side_start(q, m, D, P) or (1e-3, 1e-2))
-        found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
-        if found is None and below_sum_q:
-            raise ConvergenceError("no multipliers meet both budgets")
+        if below_sum_q:
+            # alpha tends to the water level's multiplier as beta -> 0
+            # (the level rounds to 1/2 next to sum q when a q is 1/2)
+            start = (max(math.log((1.0 - fill.max()) / fill.max()), _MULTIPLIER_MIN), 1e-2)
+            found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
+        else:
+            found = _s_side(q, m, D, P)
+            if bound - P > tol_p:
+                side = found if min(found[:2]) > 0.0 else None
+                found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p,
+                                             side[:2] if side else (1e-3, 1e-2), side)
         if found is None:
-            return snap()
+            raise ConvergenceError("no multipliers meet both budgets")
         alpha, beta, d, p, iters = found
         gaps = _beta_gap(d, p, q)
-        lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))
+    lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))
 
-    return finish(d, p, alpha, beta, lam, iters)
+    if not pos.all():
+        full = np.zeros((3, q_all.size))
+        for row, values in zip(full, (d, p, lam)):
+            row[pos] = values
+        d, p, lam = full
+    return _result(PlaneRegion.C, d, p, q_all, src.counts, alpha, beta, lam,
+                   _c_labels(d, q_all), iters, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      solve_region_a, solve_region_b, solve_region_c, t_of_d,
                      water_fill)
 from bernrdp.solver import (_CORNER_RTOL, _Bracket, _beta_gap, _blend, _component_dp,
-                            _d_of_alpha, _d_p_zero, _s_curve)
+                            _d_of_alpha, _d_p_zero, _s_curve, _s_side, _solve_c_multipliers)
 
 H2_03 = 0.610864302054893463
 SUM_H2_03_01 = 0.935947275446341703           # h2(0.3) + h2(0.1)
@@ -723,19 +723,21 @@ class TestRegionC:
         assert res.rate == rdp(raw, (D, 0.0)).rate
         assert np.all(res.allocation.p == 0.0)
 
-    def test_snap_near_s_boundary(self):
+    def test_s_side_serves_budgets_within_tolerance_of_s(self):
         raw, D = [0.3, 0.1], 0.5
         S = s_of_d(raw, D).value
         # 1e-7 below S(D) is ten budget tolerances away: searched
         res = solve_region_c(raw, (D, S - 1e-7))
         assert not res.notes
         assert res.rate - _dual_bound(raw, D, S - 1e-7, res) <= 1e-12
-        # within the perception tolerance of S(D) the boundary allocation serves
+        # within the perception tolerance of S(D) the allocation shaped like
+        # the S(D) optimizers serves; it meets both budgets by construction
         res = solve_region_c(raw, (D, S - 5e-9))
-        assert any("snapped" in note for note in res.notes)
+        assert not res.notes
         assert res.residuals[0] <= 1e-12
         assert res.residuals[1] <= 1e-12
         assert res.rate <= 1e-6  # continuous with the zero-rate region
+        assert res.multiplier_iterations > 0  # its alpha search's evaluations
 
 
 def _dual_bound(raw, D, P, res):
@@ -801,19 +803,59 @@ class TestRegionCNearS:
         if parent_rate is not None:
             assert res.rate <= parent_rate + 1e-12
 
-    def test_unresolved_search_snaps_only_below_the_p_zero_rate(self, monkeypatch):
+    def test_unresolved_search_raises(self, monkeypatch):
         monkeypatch.setattr(br.solver, "_solve_c_multipliers", lambda *args: None)
-        # the S(D) snap shaves p off whole components: 4.65e-4 nats here,
-        # above R(D, 0) = 4.0e-6
+        # a search that finds no multipliers has no fallback on either side
+        # of sum q: a snap to S(D) gave 4.65e-4 nats here, above
+        # R(D, 0) = 4.0e-6
         with pytest.raises(ConvergenceError):
             rdp(self.TEN, self.TEN_DP)
-        # below T(D) there is no snap to fall back on
         with pytest.raises(ConvergenceError):
             rdp([0.3, 0.1], (0.3, 0.01))
-        # here the snap gives 4.93e-5 nats, below R(D, 0) = 0.0226
-        res = rdp([0.3, 0.1], (0.5, 0.14))
-        assert any("snapped" in note for note in res.notes)
-        assert res.rate <= rdp([0.3, 0.1], (0.5, 0.0)).rate
+        # above sum q and outside the perception tolerance of S(D), where a
+        # snap gave 4.93e-5 nats
+        with pytest.raises(ConvergenceError):
+            rdp([0.3, 0.1], (0.5, 0.14))
+        # within that tolerance no search runs
+        res = rdp([0.3, 0.1], (0.5, s_of_d([0.3, 0.1], 0.5).value - 5e-9))
+        assert res.region == "C" and not res.notes
+
+    def test_s_side_alpha_search_stops_at_its_rounding_floor(self):
+        # its residual stalls near 1e-16 while Newton steps no longer cross
+        # its sign; when the search gave up, the multiplier search started
+        # blind and took 393 kernel calls
+        raw = [0.07533756104271752, 0.837442412362563, 0.45769036997340473,
+               0.5794989321961663, 0.9638585959232597, 0.1966024346074155,
+               0.18218607547392604, 0.5141028785420876, 0.1141200573406126]
+        D, P = 2.6653906064061346, 0.13456449768922127
+        res = rdp(raw, (D, P), check=True)
+        assert not res.notes
+        assert res.multiplier_iterations <= 10
+        assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
+
+    @pytest.mark.parametrize("share, rel", [(0.8, 1e-4), (0.8, 9e-5), (0.5, 5e-5)])
+    def test_many_distinct_q_next_to_s(self, share, rel):
+        # q about 2e-6 apart jump between their corner and p = 0 edge, and
+        # the search started with no component in U cycled: at share 0.8 it
+        # ran into the call cap and snapped to 0.192 and 0.169 nats, and at
+        # share 0.5 it took 434 kernel calls
+        q = np.random.default_rng([1505, 2]).uniform(0.05, 0.45, 179_700)
+        src = normalize(q)
+        s = float(q.sum())
+        D = s + share * (float(np.sum(2 * q * (1 - q))) - s)
+        P = (1 - rel) * s_of_d(src, D).value
+        res = rdp(src, (D, P), check=True)
+        assert res.notes == ()
+        assert res.multiplier_iterations <= 50
+        # within the tolerance the search's blends and its candidate meet:
+        # the bound itself carries up to 3.5e-11 of rounding, since each of
+        # 45,000 to 135,000 corner points evaluates to a few 1e-15 nats
+        # instead of 0
+        cert = res.certificate
+        slack = (1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+                 + 0.01 * 1e-8 * (cert.nu * D + cert.mu * max(1.0, P))
+                 + 4 * math.ulp(1.0) * q.size)
+        assert res.rate - _dual_bound(q, D, P, res) <= slack
 
     def test_p_zero_below_a_small_s_is_searched(self):
         # S(D) = 6.25e-5 here, and a snap window of 1e-4 gave 3.86e-8 nats
@@ -921,18 +963,23 @@ def _near_s_case(draw):
 def test_multiplier_search_serves_budgets_next_to_s(case):
     # both multipliers are small this close to S(D); the search serves
     # every budget more than the perception tolerance below it, and the
-    # S(D) boundary allocation the rest, never above the rate at P = 0
+    # allocation shaped like the S(D) optimizers the rest, never above the
+    # rate at P = 0
     raw, D, P = case
     res = rdp(raw, (D, P), check=True)
-    assert res.region == "C"
+    assert res.region == "C" and not res.notes
     cert = res.certificate
     slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
     assert res.rate <= rdp(raw, (D, 0.0)).rate + slack
-    if any("snapped" in note for note in res.notes):
-        # only next to S(D)
-        assert s_of_d(raw, D).value - P <= 1e-8 * max(1.0, P)
-    else:
+    if not _within_tol_of_s(raw, D, P):
         assert res.rate - _dual_bound(raw, D, P, res) <= slack
+
+
+def _within_tol_of_s(raw, D, P):
+    """Whether D lies above sum q and P at most the perception tolerance
+    below S(D): no multiplier search runs there."""
+    return (classify(raw, (D, math.inf)) == "B"
+            and s_of_d(raw, D).value - P <= 1e-8 * max(1.0, P))
 
 
 def test_q_half_just_below_sum_q_is_region_a():
@@ -976,13 +1023,13 @@ def test_q_half_budgets_solved_in_every_region(case):
     for d, p, q, label in zip(res.allocation.d, res.allocation.p, normalize(raw).q, _regions(res)):
         assert br.in_region_closure(float(d), float(p), float(q), label), (q, label)
     cert = res.certificate
-    if cert.nu == cert.mu == 0.0:  # zero rate, the Lagrangian's minimum
-        assert res.rate == 0.0
-        return
     slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+    if cert.nu == cert.mu == 0.0:  # the Lagrangian's minimum, the bound, is 0
+        assert res.rate <= slack
+        return
     bound = _dual_bound(raw, D, P, res)
     assert res.rate >= bound - slack
-    if not res.notes:  # a snap's multipliers need not be optimal
+    if not _within_tol_of_s(raw, D, P):  # no search runs there
         assert res.rate - bound <= slack
 
 
@@ -1025,11 +1072,43 @@ def test_brackets_alone_solve_near_s(n, monkeypatch):
     q, budgets = _bench_profile(n)
     D, P = budgets["near-S"]
     started = rdp(q, (D, P))
-    monkeypatch.setattr(br.solver, "_s_side_start", lambda *args: None)
+    # an alpha root below _MULTIPLIER_MIN gives no start
+    monkeypatch.setattr(br.solver, "_s_side", lambda *args: (0.0, 0.0, None, None, 0))
     res = rdp(q, (D, P), check=True)
     assert res.multiplier_iterations > started.multiplier_iterations
     assert res.rate - _dual_bound(q, D, P, res) <= 1e-12
     assert res.rate == pytest.approx(started.rate, rel=1e-8)
+
+
+def test_candidate_kept_only_where_certified():
+    # next to S(D) the search's first kernel point has no component in U,
+    # and the S(D)-shaped allocation is kept at that first call; the same
+    # budgets met by a worse allocation are searched past
+    raw = [0.5721630686552444, 0.8386218530855583, 0.8764190946628216]
+    D, P = 0.9660250183924649, 0.014409120099688767
+    src = normalize(raw)
+    q, m = src.run_q, src.counts
+    tols = (1e-8 * max(1.0, D), 1e-8 * max(1.0, P))
+    side = _s_side(q, m, D, P)
+    kept = _solve_c_multipliers(q, m, D, P, *tols, side[:2], side)
+    assert kept[2] is side[2] and kept[4] == 1
+    d = side[2] + [1e-3, -1e-3, 0.0]  # between the two runs on their p = 0 edge
+    found = _solve_c_multipliers(q, m, D, P, *tols, side[:2], (*side[:2], d, side[3], 0))
+    assert found[2] is not d and found[4] > 1
+    assert np.sum(scalar_rdp(found[2], found[3], q)) <= np.sum(scalar_rdp(*side[2:4], q)) + 1e-12
+
+
+def test_candidate_kept_within_rounding():
+    # at multipliers of 2e-8 the blend tolerance is about 1e-18 nats, below
+    # the rates' own rounding; the search took 100 kernel calls when the
+    # candidate had to meet it
+    raw = [0.1498169717565819, 0.6291599968535792, 0.048499734835858885,
+           0.7871264150597708, 0.3064487780342413, 0.7341175823888125,
+           0.8942773090200938, 0.682694305113326, 0.4275716336411905]
+    D, P = 2.7471459886091703, 0.4726989512602569
+    res = rdp(raw, (D, P), check=True)
+    assert res.multiplier_iterations == 1 and not res.notes
+    assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
 
 
 class TestRegionCKernelCalls:
@@ -1273,6 +1352,8 @@ class TestRdpPZero:
         # e^{2 alpha} overflows every distortion is 0
         res = rdp([0.3, 0.2], (D, 0.0))
         assert res.rate == pytest.approx(br.h2(0.3) + br.h2(0.2), abs=1e-15)
+        # every d and beta gap is 0 here; the multiplier is +0.0, not -0.0
+        assert math.copysign(1.0, res.certificate.mu) == 1.0
 
     def test_plateau(self):
         caps = 2 * 0.3 * 0.7 + 2 * 0.1 * 0.9
