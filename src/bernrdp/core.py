@@ -143,6 +143,7 @@ def rd_boundary(d, q):
     qq = np.asarray(q, dtype=float)
     den = 1.0 - 2.0 * dd
     out = np.where(den > 0.0, dd * (1.0 - 2.0 * qq) / np.where(den > 0.0, den, 1.0), 0.0)
+    out = np.where((dd == qq) & (den > 0.0), dd, out)  # the product can round off q at d = q
     return _maybe_float(out, d, q)
 
 

@@ -694,10 +694,11 @@ def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
 
 
 def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d: float,
-                         tol_p: float, start: tuple[float, float], candidate=None):
+                         tol_p: float, start: tuple):
     """Find alpha, beta > 0 with sum d = D and sum p = P in one loop over
     (log alpha, log beta) from the start multipliers, for runs of m equal
-    components.
+    components.  ``start`` is (alpha, beta) or an ``_s_side`` tuple, whose
+    allocation is the candidate below.
 
     Where the 2x2 sensitivity jac is invertible (J00 < 0 and Schur
     complement J11 - J01^2 / J00 < 0) the step is Newton's on the budget
@@ -720,10 +721,9 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
 
     Where the first kernel point K is singular in beta (no component in U,
     where components jumping between corner and edge can make the search
-    cycle), ``candidate``, an ``_s_side`` allocation at the start
-    multipliers, is returned with K's multipliers if K's Lagrangian bound
-    R(K) + alpha (sum d_K - D) + beta (sum p_K - P) on the optimal rate is
-    within the blend tolerance, plus 4 ulps per component, of its rate.
+    cycle), the candidate is returned with K's multipliers if it is within
+    the blend tolerance, plus a few ulps, of K's Lagrangian bound R(K) +
+    alpha (sum d_K - D) + beta (sum p_K - P), K's corners taken at (q, q).
     Otherwise returns the point or blend closest to both budgets as
     (alpha, beta, d, p, kernel calls) if it meets them, else None, whatever
     stopped the search: a root below _MULTIPLIER_MIN, multipliers float64
@@ -758,15 +758,16 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
 
     b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)  # all p = 0 above
     cur = evaluate(math.log(start[0]), min(max(math.log(start[1]), _LOG_MIN), b_max - 1.0))
-    if candidate is not None and cur[4][1][1] == 0.0:  # no component in U
+    if len(start) > 2 and cur[4][1][1] == 0.0:  # no component in U
         alpha, beta, d, p = cur[2]
+        # the kernel's corner p = q (1 - 1e-15) rounds to a few 1e-15 nats, (q, q) to 0
+        d, p = np.where(p >= q * (1.0 - _CORNER_RTOL), [q, q], [d, p])
         lower = (_total(m, scalar_rdp(d, p, q)) + alpha * (_total(m, d) - D)
                  + beta * (_total(m, p) - P))
-        # the rates' own rounding, a few ulps each, exceeds the blend
-        # tolerance at tiny multipliers
-        slack = 0.01 * (alpha * tol_d + beta * tol_p) + 4.0 * math.ulp(1.0) * float(m.sum())
-        if _total(m, scalar_rdp(candidate[2], candidate[3], q)) - lower <= slack:
-            return alpha, beta, candidate[2], candidate[3], evals
+        # a few ulps for the rates' rounding, above the blend tolerance at tiny multipliers
+        slack = 0.01 * (alpha * tol_d + beta * tol_p) + 4.0 * math.ulp(1.0)
+        if _total(m, scalar_rdp(start[2], start[3], q)) - lower <= slack:
+            return alpha, beta, start[2], start[3], evals
     # alphas: (log beta, bracket on log alpha); stall: the residual Newton last failed at
     betas, alphas, stall = _Bracket(_LOG_MIN, b_max), (None, None), math.inf
     while best[0] > 0.01 and evals < 5 * MAX_ROOT_ITER:
@@ -947,9 +948,8 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         else:
             found = _s_side(q, m, D, P)
             if bound - P > tol_p:
-                side = found if min(found[:2]) > 0.0 else None
-                found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p,
-                                             side[:2] if side else (1e-3, 1e-2), side)
+                start = found if min(found[:2]) > 0.0 else (1e-3, 1e-2)
+                found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
         if found is None:
             raise ConvergenceError("no multipliers meet both budgets")
         alpha, beta, d, p, iters = found

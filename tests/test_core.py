@@ -197,6 +197,15 @@ class TestScalarRegion:
         assert scalar_region(q, q, q) is ScalarRegion.V
         assert scalar_region(q, q * (1 - 1e-9), q) is ScalarRegion.U
 
+    def test_rd_boundary_is_q_at_the_corner(self):
+        # d (1-2q) / (1-2d) can round an ulp below q at d = q, which left a
+        # saturated component a few 1e-16 nats off its zero-rate corner
+        q = np.random.default_rng(16).uniform(0.0, 0.5, 1000)
+        q = np.append(q, 1.0 - 0.9252486399089482)
+        assert np.all(rd_boundary(q, q) == q)
+        assert scalar_rdp(q[-1], rd_boundary(q[-1], q[-1]), q[-1]) == 0.0
+        assert rd_boundary(0.5, 0.5) == 0.0
+
     def test_every_point_classified(self):
         rng = np.random.default_rng(15)
         for _ in range(500):
