@@ -9,21 +9,31 @@ object per line); --format csv gives flat tables.  Exit codes: 0 success,
 5 size limit.
 
 Every command writes through one emitter, ``_emit``.  Small records
-(bounds, region, the verify report and the head of every solve) are
-dicts serialized value by value.  The per-component allocation of
-``eval`` and ``curve`` and the per-edge shares of ``graph`` stay numpy
-columns: a float column is formatted in one C-level call, and each row
-through one %-template per table, into which the record's constant cells
-(a CSV line's D, P, rate and multipliers) are written once.
+(bounds, the region boundaries, the verify report and the head of every
+solve) are dicts serialized value by value.  The per-component allocation
+of ``eval`` and ``curve``, the per-edge shares of ``graph`` and the cells
+of ``region`` stay numpy columns.  Once per table, its float columns are
+formatted together, each distinct value once (told apart by bit pattern,
+so that 0.0 and -0.0 stay apart) in one C-level call, and the values of
+the previous table (a curve's q) are not formatted again.  Each table is
+then one % over its interleaved columns, into whose row template the
+record's constant cells (a CSV line's D, P, rate and multipliers) are
+written once.
+
+``region`` evaluates one boundary per D, not one region test per cell.
+The argument parser is built once per process; BERNRDP_TOL is read, and
+the command looked up, on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -34,8 +44,8 @@ from .errors import ConvergenceError, DomainError, SizeError
 from .graph import _parse_json, graph_rdp, load_matrix
 from .oracle import GridSpec, allocation_grid_oracle, s_of_d_oracle, scalar_channel_oracle
 from .core import ScalarRegion, scalar_rdp
-from .solver import (_LN2, BudgetPair, PlaneRegion, classify, length_bounds, normalize,
-                     rdp, s_of_d, t_of_d)
+from .solver import (_LN2, BudgetPair, PlaneRegion, _plane_boundary, classify, length_bounds,
+                     normalize, rdp, s_of_d)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -61,19 +71,28 @@ class VerificationFailure(Exception):
 
 _G = "%.12g"
 _NON_FINITE = ("inf", "-inf", "nan")
+#: The "%.12g" cells whose JSON token may differ from them: those with
+#: neither a point nor an exponent (integers, inf and nan), and those with
+#: an exponent of +12 or more or of -300 or less (subnormals among them).
+#: Any other cell is its own repr: no shorter decimal denotes the normal
+#: float it rounds to, and repr writes it with the same point or exponent.
+#: Each cell follows a newline, which the search finds by its fast scan.
+_JSON_FIX = re.compile(r"\n(?:[^.e\n]++$|[^e\n]*+e(?:\+|-3[0-2])[^\n]*+)", re.M)
 
-#: Conversion of a column in a row template, by dtype kind.  JSON float
-#: columns are formatted beforehand; labels are plain names.
+#: Conversion of a column in a row template, by dtype kind.  Float columns
+#: are formatted beforehand; labels are plain names.
 _JSON_SPEC = {"f": "%s", "i": "%d", "U": '"%s"'}
-_CSV_SPEC = {"f": _G, "i": "%d", "U": "%s"}
+_CSV_SPEC = {"f": "%s", "i": "%d", "U": "%s"}
 
 
 class _Record(NamedTuple):
     """A record whose JSON and CSV forms differ.
 
     JSON: ``head``, then, when ``key`` is set, the table ``columns`` under
-    ``key``, one object per row.  CSV: ``csv`` maps each field to a value
-    or to a column; a record with columns is one line per row.
+    ``key``, one object per row; with ``columns`` but no ``key``, one line
+    per row, the head's fields followed by the row's.  CSV: ``csv`` maps
+    each field to a value or to a column; a record with columns is one
+    line per row.
     """
 
     head: dict
@@ -88,12 +107,62 @@ def _num(x):
     return cell if cell in _NON_FINITE else float(cell)
 
 
-def _json_floats(column: np.ndarray) -> list[str]:
-    """The JSON tokens of ``_num`` over a float column."""
-    values = column.tolist()
-    cells = ((_G + "\n") * len(values) % tuple(values)).split()
-    return [c if "." in c and "e" not in c else
-            f'"{c}"' if c in _NON_FINITE else repr(float(c)) for c in cells]
+def _json_token(match) -> str:
+    cell = match.group()[1:]
+    return f'\n"{cell}"' if cell in _NON_FINITE else "\n" + repr(float(cell))
+
+
+def _is_floats(v) -> bool:
+    return isinstance(v, np.ndarray) and v.dtype.kind == "f"
+
+
+def _tokens(values: np.ndarray, json_tokens: bool) -> np.ndarray:
+    """The ``_G`` strings of ``values``, or with ``json_tokens`` the JSON
+    tokens of ``_num``, as an object array: one C-level ``%`` over the
+    values, then, for JSON, one regex pass over that text."""
+    text = ("\n" + _G) * values.size % tuple(values.tolist())
+    if json_tokens:
+        text = _JSON_FIX.sub(_json_token, text)
+    return np.array(text.split(), dtype=object)
+
+
+def _float_cells(tables, json_tokens: bool):
+    """For each table, a dict of values and columns, yield the cells of its
+    float columns by name: ``_G`` strings, or with ``json_tokens`` the JSON
+    tokens of ``_num``.
+
+    Each distinct value of a table is formatted once, by ``_tokens``, and
+    one the previous table holds too (a curve's q, or its d along P)
+    takes that table's cell.  Values are told apart by their bit pattern,
+    not compared as floats: ``np.unique`` on the floats merges 0.0 and
+    -0.0, which are written "0" and "-0".
+    """
+    old_keys, old_tokens = np.empty(0, dtype=np.uint64), np.empty(0, dtype=object)
+    for table in tables:
+        columns = {name: v for name, v in table.items() if _is_floats(v)}
+        if not columns:
+            yield {}
+            continue
+        flat = np.concatenate(list(columns.values()), dtype=np.float64).view(np.uint64)
+        keys, inverse = np.unique(flat, return_inverse=True)
+        known = np.isin(keys, old_keys, assume_unique=True)
+        tokens = np.empty(keys.size, dtype=object)
+        tokens[known] = old_tokens[np.searchsorted(old_keys, keys[known])]
+        tokens[~known] = _tokens(keys[~known].view(np.float64), json_tokens)
+        old_keys, old_tokens = keys, tokens
+        ends = np.cumsum([col.size for col in columns.values()]).tolist()
+        yield {name: tokens[inverse[end - col.size:end]].tolist()
+               for (name, col), end in zip(columns.items(), ends)}
+
+
+def _rows(template: str, cols: list[list]) -> str:
+    """``template`` once per row, filled by one ``%`` over the cells of
+    ``cols`` interleaved row by row."""
+    width, count = len(cols), len(cols[0])
+    cells = [None] * (width * count)
+    for j, col in enumerate(cols):
+        cells[j::width] = col
+    return template * count % tuple(cells)
 
 
 def _jsonify(obj):
@@ -108,18 +177,26 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _json_line(record) -> str:
-    head, key = (record.head, record.key) if isinstance(record, _Record) else (record, None)
+def _json_line(record, floats=None) -> str:
+    """A record as JSON: the head value by value, then its table (see
+    ``_Record``) in one ``%`` of the row template over the interleaved
+    columns.  The float cells come from ``floats``, those ``_float_cells``
+    yields for the record within its output, or are formatted here."""
+    head = record.head if isinstance(record, _Record) else record
     text = json.dumps(_jsonify(head), separators=(", ", ": "))
-    if key is None:
+    if not isinstance(record, _Record) or record.columns is None:
         return text + "\n"
+    if floats is None:
+        floats = next(_float_cells([record.columns], True))
     specs, cols = [], []
     for name, col in record.columns.items():
         specs.append(f"{json.dumps(name)}: {_JSON_SPEC[col.dtype.kind]}")
-        cols.append(_json_floats(col) if col.dtype.kind == "f" else col.tolist())
-    template = "{" + ", ".join(specs) + "}"
-    rows = ", ".join(map(template.__mod__, zip(*cols)))
-    return f"{text[:-1]}, {json.dumps(key)}: [{rows}]}}\n"
+        cols.append(floats[name] if _is_floats(col) else col.tolist())
+    if record.key is None:
+        lead = text[:-1].replace("%", "%%") + (", " if head else "")
+        return _rows(lead + ", ".join(specs) + "}\n", cols)
+    rows = _rows("{" + ", ".join(specs) + "}, ", cols)[:-2]
+    return f"{text[:-1]}, {json.dumps(record.key)}: [{rows}]}}\n"
 
 
 def _csv_cell(v) -> str:
@@ -128,30 +205,44 @@ def _csv_cell(v) -> str:
     return _G % v if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _csv_lines(row: dict, fields) -> str:
+def _csv_lines(row: dict, fields, floats=None) -> str:
+    """A row of values and columns as CSV lines, one per row of the
+    columns, through one template; float cells as in ``_json_line``."""
+    if floats is None:
+        floats = next(_float_cells([row], False))
     cells, cols = [], []
     for name in fields:
         v = row.get(name)
         if isinstance(v, np.ndarray):
             cells.append(_CSV_SPEC[v.dtype.kind])
-            cols.append(v.tolist())
+            cols.append(floats[name] if _is_floats(v) else v.tolist())
         else:
             cells.append(_csv_cell(v).replace("%", "%%"))
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(cells)
     template = buf.getvalue()
-    return "".join(map(template.__mod__, zip(*cols))) if cols else template % ()
+    return _rows(template, cols) if cols else template % ()
 
 
 def _emit(records, fmt, out, fields) -> None:
     """Write records as JSON lines, or as one CSV table with the header
-    ``fields``.  A record is a ``_Record`` or a dict written as it is."""
+    ``fields``.  A record is a ``_Record`` or a dict written as it is.
+
+    The float columns of each record's table are formatted together, each
+    distinct value once, and values the previous table holds too are not
+    formatted again (``_float_cells``).  Distinct means a distinct bit
+    pattern: keyed on the floats, 0.0 and -0.0 would merge, and a column
+    holding both would print one sign for all.  Each table is then one
+    ``%`` over its interleaved columns."""
     if fmt == "csv":
+        rows = [r.csv if isinstance(r, _Record) else r for r in records]
         out.write(",".join(fields) + "\n")
-        out.writelines(_csv_lines(r.csv if isinstance(r, _Record) else r, fields)
-                       for r in records)
+        out.writelines(_csv_lines(row, fields, floats)
+                       for row, floats in zip(rows, _float_cells(rows, False)))
     else:
-        out.writelines(map(_json_line, records))
+        tables = [r.columns if isinstance(r, _Record) and r.columns is not None else {}
+                  for r in records]
+        out.writelines(map(_json_line, records, _float_cells(tables, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +368,20 @@ def cmd_region(args, out) -> int:
     src = _source_from(args)
     _check_count("--d-count", args.d_count)
     _check_count("--p-count", args.p_count)
-    d_vals = np.linspace(args.d_min, args.d_max, args.d_count)
-    p_vals = np.linspace(args.p_min, args.p_max, args.p_count)
-    q_eff_sum = float(src.q.sum())
-    cells = []
-    for D in d_vals:
-        for P in p_vals:
-            cells.append({"kind": "cell", "D": float(D), "P": float(P),
-                          "region": classify(src, BudgetPair(float(D), float(P)))})
-    boundaries = []
-    for D in d_vals:
-        t_val = t_of_d(src, float(D)) if D < q_eff_sum else None
-        s_val = s_of_d(src, float(D)).value if D >= q_eff_sum else None
-        boundaries.append({"kind": "boundary", "D": float(D), "T": t_val, "S": s_val})
+    d_vals = np.linspace(args.d_min, args.d_max, args.d_count).tolist()
+    p_vals = np.linspace(args.p_min, args.p_max, args.p_count).tolist()
+    # each cell is a budget: checking the first row, then the first column,
+    # meets the bad value a scan of the cells row by row meets first
+    p_cut = np.array([BudgetPair(d_vals[0], P).P for P in p_vals])
+    tests = [_plane_boundary(src, BudgetPair(D, p_vals[0]).D) for D in d_vals]
+    labels = np.array([[region.value] for region, _ in tests])
+    bounds = np.array([[bound] for _, bound in tests])
+    cells = {"D": np.repeat(d_vals, len(p_vals)), "P": np.tile(p_vals, len(d_vals)),
+             "region": np.where(p_cut >= bounds, labels, PlaneRegion.C.value).ravel()}
+    boundaries = [{"kind": "boundary", "D": D,
+                   "T": bound if region == PlaneRegion.A else None,
+                   "S": bound if region == PlaneRegion.B else None}
+                  for D, (region, bound) in zip(d_vals, tests)]
     if args.self_check:
         for row in boundaries:
             for curve, want in (("T", PlaneRegion.A), ("S", PlaneRegion.B)):
@@ -299,7 +391,8 @@ def cmd_region(args, out) -> int:
                 if got != want:
                     raise VerificationFailure(f"self-check: classify(D, {curve}(D)) = {got} "
                                               f"!= {want} at D={row['D']:.12g}")
-    _emit(cells + boundaries, args.format, out, ["kind", "D", "P", "region", "T", "S"])
+    table = _Record({"kind": "cell"}, {"kind": "cell", **cells}, None, cells)
+    _emit([table, *boundaries], args.format, out, ["kind", "D", "P", "region", "T", "S"])
     return EXIT_OK
 
 
@@ -391,8 +484,9 @@ def cmd_verify(args, out) -> int:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    tol_default = float(os.environ.get("BERNRDP_TOL", "1e-8"))
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bernrdp",
         description="Rate-distortion-perception functions of Bernoulli vector "
@@ -403,13 +497,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", help="inline q list '0.3,0.1' or a JSON file with {\"q\": [...]}")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--tol", type=float, default=tol_default,
+    common.add_argument("--tol", type=float, default=None,
                         help="budget residual tolerance (env BERNRDP_TOL)")
 
     p = sub.add_parser("eval", parents=[common], help="evaluate one (D, P) point")
     p.add_argument("-D", type=float, required=True)
     p.add_argument("-P", type=float, required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("curve", parents=[common], help="sweep rate along one axis")
     p.add_argument("--axis", choices=("D", "P"), required=True)
@@ -420,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-P", type=float, default=0.0, help="fixed P for a D sweep")
     p.add_argument("--self-check", action="store_true",
                    help="assert rates are non-increasing along the axis")
-    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("region", parents=[common], help="map plane regions and boundaries")
     p.add_argument("--d-min", type=float, default=0.0)
@@ -431,18 +523,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-count", type=int, default=21)
     p.add_argument("--self-check", action="store_true",
                    help="assert the emitted boundaries classify as A / B")
-    p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("graph", parents=[common], help="RDP of an ER edge-probability matrix")
     p.add_argument("--matrix", required=True, help="JSON file with n_vertices and probs")
     p.add_argument("-D", type=float, required=True)
     p.add_argument("-P", type=float, required=True)
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("bounds", parents=[common], help="one-shot code length bounds")
     p.add_argument("-D", type=float, required=True)
     p.add_argument("-P", type=float, required=True)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", parents=[common], help="cross-check against the oracles")
     p.add_argument("--scalar-only", action="store_true")
@@ -451,15 +540,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-count", type=int, default=4)
     p.add_argument("--scalar-tol", type=float, default=2e-3)
     p.add_argument("--vector-tol", type=float, default=5e-3)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.tol is None:  # read per call, not when the parser is built
+        args.tol = float(os.environ.get("BERNRDP_TOL", "1e-8"))
     try:
-        return args.func(args, sys.stdout)
+        # looked up per call, so that a command replaced after import is run
+        return globals()[f"cmd_{args.command}"](args, sys.stdout)
     except DomainError as exc:
         _error(exc, EXIT_INPUT)
         return EXIT_INPUT

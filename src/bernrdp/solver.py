@@ -390,14 +390,22 @@ def s_of_d(src, D: float) -> SCurvePoint:
                        np.repeat(point.p, src.counts))
 
 
+def _plane_boundary(src: BernoulliVectorSource, D: float) -> tuple[PlaneRegion, float]:
+    """The region test at a distortion budget D >= 0: (A, T(D)) when
+    D < sum q, else (B, S(D)).  (D, P) lies in that region when P is at
+    least the boundary, and in C otherwise."""
+    q, m = src.run_q, src.counts
+    if D < _total(m, q):
+        return PlaneRegion.A, _t_curve(q, m, D)
+    return PlaneRegion.B, _s_curve(q, m, D).value
+
+
 def classify(src, budget) -> str:
     """Assign (D, P) to region A, B or C.  Boundary points belong to A or
     B (their defining inequalities are closed); C is the open remainder."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, m = src.run_q, src.counts
-    if budget.D < _total(m, q):
-        return PlaneRegion.A if budget.P >= _t_curve(q, m, budget.D) else PlaneRegion.C
-    return PlaneRegion.B if budget.P >= _s_curve(q, m, budget.D).value else PlaneRegion.C
+    region, bound = _plane_boundary(src, budget.D)
+    return region if budget.P >= bound else PlaneRegion.C
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +765,7 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         return a, b, point, consider(point), jac
 
     b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)  # all p = 0 above
-    cur = evaluate(math.log(start[0]), min(max(math.log(start[1]), _LOG_MIN), b_max - 1.0))
+    cur = evaluate(math.log(start[0]), min(max(math.log(start[1]), _LOG_MIN), b_max))
     if len(start) > 2 and cur[4][1][1] == 0.0:  # no component in U
         alpha, beta, d, p = cur[2]
         # the kernel's corner p = q (1 - 1e-15) rounds to a few 1e-15 nats, (q, q) to 0
@@ -911,8 +919,8 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     q_all, m_all = src.run_q, src.counts
     D, P = budget.D, budget.P
 
-    # the region test of ``classify``, on the same arrays; S(D) also
-    # decides whether the budgets hug S(D) (below)
+    # the region test of ``_plane_boundary``, keeping the water fill for the
+    # start; S(D) also decides whether the budgets hug S(D) (below)
     below_sum_q = D < _total(m_all, q_all)
     if below_sum_q:
         fill = water_fill(q_all, D, m_all)

@@ -1,5 +1,7 @@
 """Command-line interface: record contents, formats, exit codes, determinism."""
 
+import contextlib
+import csv
 import io
 import json
 import math
@@ -7,8 +9,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bernrdp import cli, scalar_rdp
+from bernrdp import classify, cli, normalize, s_of_d, scalar_rdp, t_of_d
 from bernrdp.cli import main
 
 TERN_01_005_025 = 0.238077788518041652
@@ -163,6 +167,101 @@ class TestRegion:
                                 "--p-max", "0.5", "--p-count", "4"], capsys)
         cells = [r for r in json_lines(out) if r["kind"] == "cell"]
         assert all(c["region"] == "B" for c in cells)
+
+
+def _captured(argv):
+    """``main(argv)`` with stdout and stderr captured, outside pytest's
+    per-test capture (hypothesis runs many examples in one test)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cell_regions(out, fmt):
+    if fmt == "json":
+        return [r["region"] for r in json_lines(out) if r["kind"] == "cell"]
+    return [row[3] for row in csv.reader(io.StringIO(out)) if row[0] == "cell"]
+
+
+@st.composite
+def _region_case(draw):
+    """A source with ties, q = 0 and q = 1/2 likely, and a grid whose D
+    passes through sum q or sum 2q(1-q) or starts above sum q, and whose
+    P starts at T(D) or S(D) of one of its D."""
+    base = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 0.3, 0.1]),
+                                   st.floats(0.0, 1.0)), min_size=1, max_size=3))
+    raw = base + draw(st.lists(st.sampled_from(base), max_size=2))
+    src = normalize(raw)
+    sum_q = float((src.counts * src.run_q).sum())  # as the region test sums it
+    caps = float((2.0 * src.q * (1.0 - src.q)).sum())
+    kind = draw(st.sampled_from(["sum q", "caps", "above sum q", "any"]))
+    if kind == "sum q":  # the middle of three points is sum q exactly
+        d_grid = (0.0, 2.0 * sum_q, 3)
+    elif kind == "caps":
+        d_grid = (0.0, 2.0 * caps, draw(st.sampled_from([3, 5])))
+    elif kind == "above sum q":
+        d_min = sum_q + draw(st.floats(0.0, 1.0)) * (caps - sum_q)
+        d_grid = (d_min, d_min + draw(st.floats(0.0, 1.0)), draw(st.integers(1, 4)))
+    else:
+        d_min = draw(st.floats(0.0, 2.0))
+        d_grid = (d_min, d_min + draw(st.floats(0.0, 2.0)), draw(st.integers(1, 4)))
+    D = float(draw(st.sampled_from(np.linspace(*d_grid).tolist())))
+    p_min = draw(st.one_of(
+        st.just(t_of_d(src, D) if D < sum_q else s_of_d(src, D).value),
+        st.floats(0.0, 1.0)))
+    p_grid = (p_min, p_min + draw(st.sampled_from([0.0, 0.1, 1.0])), draw(st.integers(1, 4)))
+    return raw, d_grid, p_grid, draw(st.sampled_from(["json", "csv"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_region_case())
+def test_region_cells_equal_classify(case):
+    raw, (d_min, d_max, d_count), (p_min, p_max, p_count), fmt = case
+    argv = ["region", "--q", ",".join(map(repr, raw)), f"--d-min={d_min!r}",
+            f"--d-max={d_max!r}", "--d-count", str(d_count), f"--p-min={p_min!r}",
+            f"--p-max={p_max!r}", "--p-count", str(p_count), "--self-check", "--format", fmt]
+    code, out, err = _captured(argv)
+    assert code == 0, err
+    src = normalize(raw)
+    want = [classify(src, (D, P)) for D in np.linspace(d_min, d_max, d_count).tolist()
+            for P in np.linspace(p_min, p_max, p_count).tolist()]
+    assert _cell_regions(out, fmt) == want
+
+
+@pytest.mark.parametrize("bounds, needle", [
+    (["--d-min", "-0.5"], "D must be finite and >= 0, got -0.5"),
+    (["--p-min", "-0.25"], "P must be >= 0, got -0.25"),
+    (["--d-min", "-0.5", "--p-min", "-0.25"], "D must be finite and >= 0, got -0.5"),
+    (["--d-min", "0.5", "--d-max", "-0.1", "--d-count", "3"], "D must be finite and >= 0, got -0.1"),
+])
+def test_region_negative_grid_exits_2(capsys, bounds, needle):
+    argv = ["region", "--q", "0.3,0.1", "--d-max", "0.7", "--p-max", "0.5", *bounds]
+    exits_2(argv, capsys, needle)
+
+
+class TestParser:
+    ARGV = ["eval", "--q", "0.3,0.1", "-D", "0.2", "-P", "0.05"]
+
+    def test_tolerance_read_per_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("BERNRDP_TOL", raising=False)
+        assert main(self.ARGV) == 0  # the parser exists from here on
+        seen = []
+        solve = cli.rdp
+        monkeypatch.setattr(cli, "rdp", lambda *args, budget_rtol: (
+            seen.append(budget_rtol), solve(*args, budget_rtol=budget_rtol))[1])
+        for tol in ("1e-6", "1e-7"):
+            monkeypatch.setenv("BERNRDP_TOL", tol)
+            assert main(self.ARGV) == 0
+        assert main([*self.ARGV, "--tol", "1e-5"]) == 0
+        monkeypatch.delenv("BERNRDP_TOL")
+        assert main(self.ARGV) == 0
+        assert seen == [1e-6, 1e-7, 1e-5, 1e-8]
+
+    def test_command_looked_up_per_call(self, capsys, monkeypatch):
+        assert run_cli(self.ARGV, capsys)[0] == 0
+        monkeypatch.setattr(cli, "cmd_eval", lambda args, out: out.write("replaced\n") and 7)
+        assert run_cli(self.ARGV, capsys)[:2] == (7, "replaced\n")
 
 
 class TestCounts:

@@ -5,7 +5,9 @@ functions that used to format every value one at a time; they are the
 reference.  A JSON float token is ``json.dumps`` of ``old_num`` and a CSV
 cell is ``old_csv_cell``.  The table cases also rebuild a record the old
 way (rows as a list of dicts) and write CSV through ``csv.writer`` cell by
-cell.
+cell.  The repeating-column cases write several tables through ``_emit``,
+which formats each distinct value of a table once and takes the values of
+the previous table from it.
 """
 
 import csv
@@ -14,10 +16,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernrdp.cli import _csv_cell, _csv_lines, _json_floats, _json_line, _num, _Record
+from bernrdp.cli import _csv_cell, _csv_lines, _emit, _float_cells, _json_line, _num, _Record
 
 
 def old_num(x):
@@ -72,7 +75,7 @@ FLOATS = st.one_of(
 @given(st.lists(FLOATS, max_size=40))
 def test_bulk_floats_equal_per_value_serializer(xs):
     col = np.array(xs, dtype=float)
-    assert _json_floats(col) == [old_json_token(x) for x in xs]
+    assert list(_float_cells([{"x": col}], True)) == [{"x": [old_json_token(x) for x in xs]}]
     rows = _csv_lines({"k": np.arange(len(xs)), "x": col}, ["k", "x"])
     assert rows == "".join(f"{k},{old_csv_cell(x)}\n" for k, x in enumerate(xs))
 
@@ -125,3 +128,82 @@ def test_record_without_columns_is_one_line(values):
     assert _csv_lines(row, fields) == buf.getvalue()
     old = json.dumps(old_jsonify(row), separators=(", ", ": ")) + "\n"
     assert _json_line(row) == old
+
+
+#: Pools of one to three values, so that columns drawn from them repeat;
+#: signed zeros and NaN (either sign) are likely.
+POOLS = st.lists(st.one_of(FLOATS, st.sampled_from([0.0, -0.0, math.nan, -math.nan])),
+                 min_size=1, max_size=3)
+
+
+@st.composite
+def _repeating_tables(draw):
+    """One to three tables of n rows whose float columns repeat values; the
+    column ``shared`` is one array held by every table, as a curve's q is."""
+    n = draw(st.integers(0, 12))
+    pool = draw(POOLS)
+
+    def column():
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                        dtype=float)
+
+    shared = column()
+    return [{"k": np.arange(n), "x": column(), "shared": shared, "y": column()}
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+FIXED_TABLES = [
+    [{"x": np.array([0.0, -0.0] * 10)}],
+    [{"x": np.full(7, 0.1)}, {"x": np.full(7, 0.1)}],
+    [{"x": np.array([math.nan, -math.nan, 0.0, math.nan])}],
+    [{"x": np.array([1.0, 1e12, 1.0, 5e-324, 1e12, -0.0])}],
+    [{"x": np.array([], dtype=float)}],
+]
+
+
+def _old_rows(table):
+    return [dict(zip(table, values)) for values in zip(*(c.tolist() for c in table.values()))]
+
+
+def _check_emit_equals_old(tables, const):
+    head = {"a": const}
+    buf = io.StringIO()
+    _emit([_Record(head, {}, "rows", t) for t in tables], "json", buf, None)
+    assert buf.getvalue() == "".join(
+        json.dumps(old_jsonify({**head, "rows": _old_rows(t)}), separators=(", ", ": ")) + "\n"
+        for t in tables)
+
+    buf = io.StringIO()
+    _emit([_Record(head, {}, None, t) for t in tables], "json", buf, None)
+    assert buf.getvalue() == "".join(
+        json.dumps(old_jsonify({**head, **row}), separators=(", ", ": ")) + "\n"
+        for t in tables for row in _old_rows(t))
+
+    fields = ["a", *tables[0]]
+    buf = io.StringIO()
+    _emit([_Record(head, {"a": const, **t}) for t in tables], "csv", buf, fields)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(fields)
+    for t in tables:
+        for row in _old_rows(t):
+            writer.writerow([old_csv_cell(const), *map(old_csv_cell, row.values())])
+    assert buf.getvalue() == want.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating_tables(), CONSTANTS)
+def test_repeating_columns_equal_per_value_serializer(tables, const):
+    _check_emit_equals_old(tables, const)
+
+
+@pytest.mark.parametrize("tables", FIXED_TABLES)
+def test_fixed_repeating_columns_equal_per_value_serializer(tables):
+    _check_emit_equals_old(tables, 0.5)
+
+
+def test_signed_zeros_keep_their_signs():
+    # keyed on the floats, the dedupe would write every cell as the first
+    col = np.array([0.0, -0.0] * 10)
+    assert list(_float_cells([{"x": col}], True)) == [{"x": ["0.0", "-0.0"] * 10}]
+    assert list(_float_cells([{"x": col}], False)) == [{"x": ["0", "-0"] * 10}]

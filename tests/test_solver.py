@@ -1112,6 +1112,18 @@ def test_candidate_kept_within_rounding():
     assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
 
 
+def test_start_takes_the_candidates_multipliers():
+    # one component, so the S(D)-shaped candidate (d, p) = (D, P) is the
+    # optimum; its beta, 1.354, lies above b_max - 1 in log form, where
+    # the start used to be clipped, and the search then took 29 kernel calls
+    q = 0.9775042855673485
+    D, P = 0.02412565296287344, 0.008819826662086961
+    res = rdp([q], (D, P), check=True)
+    assert res.region == "C" and not res.notes
+    assert res.multiplier_iterations <= 3
+    assert res.rate == pytest.approx(scalar_rdp(D, P, 1.0 - q), rel=1e-13, abs=0.0)
+
+
 class TestRegionCKernelCalls:
     # kernel calls of the nested alpha-in-beta search on the near-S budgets
     NESTED_NEAR_S = {3: 23, 30: 21, 300: 18}
