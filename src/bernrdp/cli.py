@@ -71,13 +71,9 @@ class VerificationFailure(Exception):
 
 _G = "%.12g"
 _NON_FINITE = ("inf", "-inf", "nan")
-#: The "%.12g" cells whose JSON token may differ from them: those with
-#: neither a point nor an exponent (integers, inf and nan), and those with
-#: an exponent of +12 or more or of -300 or less (subnormals among them).
-#: Any other cell is its own repr: no shorter decimal denotes the normal
-#: float it rounds to, and repr writes it with the same point or exponent.
-#: Each cell follows a newline, which the search finds by its fast scan.
-_JSON_FIX = re.compile(r"\n(?:[^.e\n]++$|[^e\n]*+e(?:\+|-3[0-2])[^\n]*+)", re.M)
+#: The "%.12g" cells whose JSON token may differ from them: those with no
+#: point (integers, inf and nan) or with an exponent.  Each follows a newline.
+_JSON_FIX = re.compile(r"\n(?:[^.\n]+$|[^\n]*e[^\n]*)", re.M)
 
 #: Conversion of a column in a row template, by dtype kind.  Float columns
 #: are formatted beforehand; labels are plain names.
@@ -177,17 +173,15 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _json_line(record, floats=None) -> str:
+def _json_line(record, floats: dict) -> str:
     """A record as JSON: the head value by value, then its table (see
     ``_Record``) in one ``%`` of the row template over the interleaved
     columns.  The float cells come from ``floats``, those ``_float_cells``
-    yields for the record within its output, or are formatted here."""
+    yields for the record within its output."""
     head = record.head if isinstance(record, _Record) else record
     text = json.dumps(_jsonify(head), separators=(", ", ": "))
     if not isinstance(record, _Record) or record.columns is None:
         return text + "\n"
-    if floats is None:
-        floats = next(_float_cells([record.columns], True))
     specs, cols = [], []
     for name, col in record.columns.items():
         specs.append(f"{json.dumps(name)}: {_JSON_SPEC[col.dtype.kind]}")
@@ -205,11 +199,9 @@ def _csv_cell(v) -> str:
     return _G % v if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _csv_lines(row: dict, fields, floats=None) -> str:
+def _csv_lines(row: dict, fields, floats: dict) -> str:
     """A row of values and columns as CSV lines, one per row of the
     columns, through one template; float cells as in ``_json_line``."""
-    if floats is None:
-        floats = next(_float_cells([row], False))
     cells, cols = [], []
     for name in fields:
         v = row.get(name)

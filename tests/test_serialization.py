@@ -5,9 +5,9 @@ functions that used to format every value one at a time; they are the
 reference.  A JSON float token is ``json.dumps`` of ``old_num`` and a CSV
 cell is ``old_csv_cell``.  The table cases also rebuild a record the old
 way (rows as a list of dicts) and write CSV through ``csv.writer`` cell by
-cell.  The repeating-column cases write several tables through ``_emit``,
-which formats each distinct value of a table once and takes the values of
-the previous table from it.
+cell.  Every record is written through ``_emit``, which formats each distinct
+value of a table once; the repeating-column cases write several tables,
+whose values the next table takes from the previous one.
 """
 
 import csv
@@ -20,7 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernrdp.cli import _csv_cell, _csv_lines, _emit, _float_cells, _json_line, _num, _Record
+from bernrdp.cli import _csv_cell, _emit, _float_cells, _num, _Record
+
+
+def emit(records, fmt, fields=None):
+    """``_emit``'s output for ``records``, without the CSV header."""
+    buf = io.StringIO()
+    _emit(records, fmt, buf, fields)
+    text = buf.getvalue()
+    return text.split("\n", 1)[1] if fmt == "csv" else text
 
 
 def old_num(x):
@@ -76,7 +84,7 @@ FLOATS = st.one_of(
 def test_bulk_floats_equal_per_value_serializer(xs):
     col = np.array(xs, dtype=float)
     assert list(_float_cells([{"x": col}], True)) == [{"x": [old_json_token(x) for x in xs]}]
-    rows = _csv_lines({"k": np.arange(len(xs)), "x": col}, ["k", "x"])
+    rows = emit([{"k": np.arange(len(xs)), "x": col}], "csv", ["k", "x"])
     assert rows == "".join(f"{k},{old_csv_cell(x)}\n" for k, x in enumerate(xs))
 
 
@@ -108,7 +116,7 @@ def test_table_equals_rows_of_dicts(table, consts):
     head = {"a": consts[0], "b": {"c": consts[1]}}
     rows = [{"k": k, "x": x, "region": r} for k, x, r in zip(ks, xs, labels)]
     old = json.dumps(old_jsonify({**head, "rows": rows}), separators=(", ", ": ")) + "\n"
-    assert _json_line(_Record(head, {}, "rows", columns)) == old
+    assert emit([_Record(head, {}, "rows", columns)], "json") == old
 
     fields = ["a", "k", "x", "b", "region"]
     row = {"a": consts[0], "b": consts[1], **columns}
@@ -116,7 +124,7 @@ def test_table_equals_rows_of_dicts(table, consts):
     writer = csv.writer(buf, lineterminator="\n")
     for k, x, r in zip(ks, xs, labels):
         writer.writerow([old_csv_cell(v) for v in (consts[0], k, x, consts[1], r)])
-    assert _csv_lines(row, fields) == buf.getvalue()
+    assert emit([row], "csv", fields) == buf.getvalue()
 
 
 @given(st.lists(CONSTANTS, min_size=1, max_size=4))
@@ -125,9 +133,9 @@ def test_record_without_columns_is_one_line(values):
     row = dict(zip(fields, values))
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([old_csv_cell(v) for v in values])
-    assert _csv_lines(row, fields) == buf.getvalue()
+    assert emit([row], "csv", fields) == buf.getvalue()
     old = json.dumps(old_jsonify(row), separators=(", ", ": ")) + "\n"
-    assert _json_line(row) == old
+    assert emit([row], "json") == old
 
 
 #: Pools of one to three values, so that columns drawn from them repeat;
