@@ -365,7 +365,7 @@ def cmd_region(args, out) -> int:
     # each cell is a budget: checking the first row, then the first column,
     # meets the bad value a scan of the cells row by row meets first
     p_cut = np.array([BudgetPair(d_vals[0], P).P for P in p_vals])
-    tests = [_plane_boundary(src, BudgetPair(D, p_vals[0]).D) for D in d_vals]
+    tests = [_plane_boundary(src, BudgetPair(D, p_vals[0]).D)[:2] for D in d_vals]
     labels = np.array([[region.value] for region, _ in tests])
     bounds = np.array([[bound] for _, bound in tests])
     cells = {"D": np.repeat(d_vals, len(p_vals)), "P": np.tile(p_vals, len(d_vals)),
@@ -389,8 +389,6 @@ def cmd_region(args, out) -> int:
 
 
 def cmd_graph(args, out) -> int:
-    if args.matrix is None:
-        raise DomainError("graph needs --matrix")
     try:
         with open(args.matrix, "rb") as fh:
             matrix = load_matrix(fh)

@@ -30,7 +30,10 @@ plane splits into three regions:
 Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
 (for D >= sum q_i).  Boundaries belong to A and B; C is the open
-remainder.
+remainder.  One test decides: ``_plane_boundary`` gives the boundary at D
+and the allocation on it, and ``_locate`` compares P with it for
+``classify`` and each region solver.  So a solver accepts exactly the
+budgets ``classify`` puts in its region, and raises DomainError for others.
 
 Every solve works on the k distinct values of q, each weighted by the
 number m_k of components that share it: R is jointly convex in (d, p), so
@@ -310,16 +313,7 @@ def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.
     fits = np.flatnonzero((low - 1e-15 <= levels) & (levels <= q + 1e-15) & (q > 0.0))
     if fits.size == 0:
         raise ConvergenceError("water level scan failed")  # pragma: no cover
-    return np.minimum(max(levels[fits[-1]], 0.0), q)
-
-
-def _t_of_fill(q: np.ndarray, m: np.ndarray, d: np.ndarray) -> float:
-    """T(D) from the water-filled distortions d at D."""
-    return _total(m, rd_boundary(d, q))
-
-
-def _t_curve(q: np.ndarray, m: np.ndarray, D: float) -> float:
-    return _t_of_fill(q, m, water_fill(q, D, m))
+    return np.minimum(max(0.0, levels[fits[-1]]), q)  # +0.0, not -0.0, at D = -0.0
 
 
 def t_of_d(src, D: float) -> float:
@@ -331,11 +325,10 @@ def t_of_d(src, D: float) -> float:
     the q_i are below 1/2, and T(D) <= D always.
     """
     src = _as_source(src)
-    q, m = src.run_q, src.counts
-    total = _total(m, q)
+    total = _total(src.counts, src.run_q)
     if not 0.0 <= D < total:
         raise DomainError(f"T(D) needs 0 <= D < sum q = {total}")
-    return _t_curve(q, m, float(D))
+    return _plane_boundary(src, float(D))[1]
 
 
 def _s_curve(q: np.ndarray, m: np.ndarray, D: float) -> SCurvePoint:
@@ -390,22 +383,35 @@ def s_of_d(src, D: float) -> SCurvePoint:
                        np.repeat(point.p, src.counts))
 
 
-def _plane_boundary(src: BernoulliVectorSource, D: float) -> tuple[PlaneRegion, float]:
-    """The region test at a distortion budget D >= 0: (A, T(D)) when
-    D < sum q, else (B, S(D)).  (D, P) lies in that region when P is at
-    least the boundary, and in C otherwise."""
+def _plane_boundary(src: BernoulliVectorSource, D: float):
+    """The region boundary at a distortion budget D >= 0 with the allocation
+    on it, per run: (A, T(D), d, p) when D < sum q, with the water fill d
+    and p = rd_boundary(d, q), else (B, S(D), d, p) with the S(D)
+    optimizers.  (D, P) is in that region if P >= the boundary, else in C."""
     q, m = src.run_q, src.counts
     if D < _total(m, q):
-        return PlaneRegion.A, _t_curve(q, m, D)
-    return PlaneRegion.B, _s_curve(q, m, D).value
+        d = water_fill(q, D, m)
+        p = np.asarray(rd_boundary(d, q), dtype=float)
+        return PlaneRegion.A, _total(m, p), d, p
+    point = _s_curve(q, m, D)
+    return PlaneRegion.B, point.value, point.d, point.p
+
+
+def _locate(src: BernoulliVectorSource, budget: BudgetPair, want: PlaneRegion | None = None):
+    """The region of (D, P), with the side of sum q it lies on and that
+    side's boundary and allocation: (region, side, bound, d, p).  Raises
+    DomainError if ``want`` is given and the region is another."""
+    side, bound, d, p = _plane_boundary(src, budget.D)
+    region = side if budget.P >= bound else PlaneRegion.C
+    if want is not None and region != want:
+        raise DomainError(f"(D, P) is not in region {want.value}")
+    return region, side, bound, d, p
 
 
 def classify(src, budget) -> str:
-    """Assign (D, P) to region A, B or C.  Boundary points belong to A or
-    B (their defining inequalities are closed); C is the open remainder."""
-    src, budget = _as_source(src), _as_budget(budget)
-    region, bound = _plane_boundary(src, budget.D)
-    return region if budget.P >= bound else PlaneRegion.C
+    """Assign (D, P) to region A, B or C by ``_locate``'s test.  Boundary
+    points belong to A or B (their inequalities are closed); C is the rest."""
+    return _locate(_as_source(src), _as_budget(budget))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -862,23 +868,15 @@ def _spread_perception(lower: np.ndarray, m: np.ndarray, P: float) -> np.ndarray
 def solve_region_a(src, budget) -> RdpResult:
     """Perception-slack region: water-fill the distortion, pick any
     perception split above the per-component frontier; the rate is the
-    classic rate-distortion value sum_i [h2(q_i) - h2(d_i)]."""
+    classic rate-distortion value sum_i [h2(q_i) - h2(d_i)].  Raises
+    DomainError unless ``classify`` puts (D, P) in A."""
     src, budget = _as_source(src), _as_budget(budget)
     q, m = src.run_q, src.counts
+    _, _, _, d, lower = _locate(src, budget, PlaneRegion.A)
     notes = ("P=inf: perception left at its lower bounds",) if math.isinf(budget.P) else ()
-    if budget.D <= 0.0:
-        # forced zero allocation; the water-level multiplier is formally +inf
-        d = np.zeros_like(q)
-        p = _spread_perception(np.zeros_like(q), m, budget.P)
-        return _result(PlaneRegion.A, d, p, q, src.counts, math.inf, 0.0, np.zeros_like(q),
-                       np.full(q.size, _EXT), 0, budget, notes)
-    d = water_fill(q, budget.D, m)
-    lower = np.asarray(rd_boundary(d, q), dtype=float)
-    if not math.isinf(budget.P) and budget.P < _total(m, lower) - 1e-12:
-        raise DomainError("(D, P) is not in region A")
     p = _spread_perception(lower, m, budget.P)
     level = float(d.max())
-    nu = math.log((1.0 - level) / level) if level > 0.0 else math.inf  # D underflows
+    nu = math.log((1.0 - level) / level) if level > 0.0 else math.inf  # D = 0 or underflows
     # V is the corner d = q, p >= q; a q = 1/2 component at d = q has p = 0
     labels = np.where((q > 0.0) & (q < 0.5) & (d >= q), _V, np.where(d > 0.0, _S, _EXT))
     return _result(PlaneRegion.A, d, p, q, src.counts, nu, 0.0, np.zeros_like(q),
@@ -887,21 +885,18 @@ def solve_region_a(src, budget) -> RdpResult:
 
 def solve_region_b(src, budget) -> RdpResult:
     """Zero-rate region: start from the minimum-perception optimizers of
-    the S(D) curve and spread the perception slack uniformly."""
+    the S(D) curve and spread the perception slack uniformly.  Raises
+    DomainError unless ``classify`` puts (D, P) in B."""
     src, budget = _as_source(src), _as_budget(budget)
-    q, m = src.run_q, src.counts
+    q = src.run_q
+    _, _, bound, d, p = _locate(src, budget, PlaneRegion.B)
     notes = ()
-    point = _s_curve(q, m, budget.D)
-    if not math.isinf(budget.P) and budget.P < point.value - 1e-12:
-        raise DomainError("(D, P) is not in region B")
     if budget.D > src.n:
         notes = notes + (f"D={budget.D:g} exceeds n={src.n}; distortion saturates at n",)
-    d = point.d.copy()
     if math.isinf(budget.P):
-        p = point.p.copy()
         notes = notes + ("P=inf: perception left at the S(D) optimizers",)
     else:
-        p = point.p + (budget.P - point.value) / src.n
+        p = p + (budget.P - bound) / src.n
     # as in region A: a q = 1/2 component at d = q has no perception to spare
     labels = np.where((q > 0.0) & (q < 0.5) & (d <= q), _V, np.where(d > 0.0, _T, _EXT))
     return _result(PlaneRegion.B, d, p, q, src.counts, 0.0, 0.0, np.zeros_like(q),
@@ -914,21 +909,12 @@ def _c_labels(d: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """Both budgets bind: tune the shared multipliers (alpha, beta) so the
-    per-component stationarity solutions meet the budgets with equality."""
+    per-component stationarity solutions meet the budgets with equality.
+    Raises DomainError unless ``classify`` puts (D, P) in C."""
     src, budget = _as_source(src), _as_budget(budget)
     q_all, m_all = src.run_q, src.counts
     D, P = budget.D, budget.P
-
-    # the region test of ``_plane_boundary``, keeping the water fill for the
-    # start; S(D) also decides whether the budgets hug S(D) (below)
-    below_sum_q = D < _total(m_all, q_all)
-    if below_sum_q:
-        fill = water_fill(q_all, D, m_all)
-        bound = _t_of_fill(q_all, m_all, fill)
-    else:
-        bound = _s_curve(q_all, m_all, D).value
-    if P >= bound:
-        raise DomainError("(D, P) is not in region C")
+    _, side, bound, fill, _ = _locate(src, budget, PlaneRegion.C)
 
     # q = 0 components take no budget; they are solved without and
     # re-inserted as (d, p) = (0, 0) rows
@@ -948,7 +934,7 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         gaps = _beta_gap(d, p, q)
         beta = max(0.0, float(np.max(gaps)))  # +0.0, not the gaps' -0.0 where every d is 0
     else:
-        if below_sum_q:
+        if side == PlaneRegion.A:
             # alpha tends to the water level's multiplier as beta -> 0
             # (the level rounds to 1/2 next to sum q when a q is 1/2)
             start = (max(math.log((1.0 - fill.max()) / fill.max()), _MULTIPLIER_MIN), 1e-2)

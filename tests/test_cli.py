@@ -77,6 +77,9 @@ class TestEval:
         assert error["type"] == "DomainError"
         assert "entry 0 is nan" in error["message"]
 
+    def test_missing_q_exits_2(self, capsys):
+        exits_2(["eval", "-D", "0.1", "-P", "0.1"], capsys, "this command needs --q")
+
     def test_q_file_input(self, tmp_path, capsys):
         path = tmp_path / "source.json"
         path.write_text(json.dumps({"q": [0.25, 0.25]}))
@@ -293,6 +296,13 @@ class TestGraphCmd:
                                   "-D", "0.3", "-P", "0.15"], capsys)
         assert rec["rate_nats"] == json.loads(out2)["rate_nats"]
         assert len(rec["edges"]) == 3
+
+    def test_missing_matrix_flag_exits_2(self, capsys):
+        # argparse requires --matrix, so the command never runs without it
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "-D", "1", "-P", "1"])
+        assert exc.value.code == 2
+        assert "--matrix" in capsys.readouterr().err
 
     def test_asymmetric_matrix_exit_2(self, tmp_path, capsys):
         path = self._write_matrix(tmp_path, [[0.0, 0.3], [0.4, 0.0]], 2)

@@ -220,6 +220,10 @@ class TestWaterFill:
             if unsat.any():
                 assert np.allclose(d[unsat], level)
 
+    def test_rejects_distortion_above_sum_q(self):
+        with pytest.raises(DomainError, match="water filling needs"):
+            water_fill(np.array([0.3, 0.1]), 0.5)
+
     def test_tiny_budget_skips_the_zero_components(self):
         # a level of D / 2 passed the fit test of the trailing q = 0
         # component, which then took half the budget
@@ -367,12 +371,46 @@ class TestClassify:
         assert classify([0.0, 0.0], (0.0, 0.0)) == "B"
 
 
+def _accepts_exactly(solve, region: str) -> None:
+    """``solve`` takes its region from the test ``classify`` makes: on the
+    boundary curves and one float either side of them, it solves the
+    budgets classify puts in ``region`` and raises DomainError for all
+    others."""
+    rng = np.random.default_rng(41)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        raw = list(rng.uniform(0.02, 0.98, int(rng.integers(1, 8))))
+        raw += list(rng.choice([0.0, 0.5, 1.0], int(rng.integers(0, 3))))
+        src = normalize(raw)
+        s = float(src.q.sum())
+        for D in (float(rng.uniform(0.05, 0.95)) * s, s, np.nextafter(s, 0.0),
+                  s + float(rng.uniform(0.05, 0.95)) * float(np.sum(src.q * (1 - 2 * src.q)))):
+            edge = (t_of_d(src, D) if classify(src, (D, math.inf)) == "A"
+                    else s_of_d(src, D).value)
+            for P in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)):
+                inside = classify(src, (D, P)) == region
+                seen[inside] += 1
+                if inside:
+                    assert solve(src, (D, P)).region == region
+                else:
+                    with pytest.raises(DomainError, match=f"not in region {region}"):
+                        solve(src, (D, P))
+    assert min(seen.values()) > 0
+
+
 class TestRegionA:
     def test_zero_distortion_rate(self):
         res = solve_region_a([0.3, 0.1], (0.0, 0.7))
         assert res.rate == pytest.approx(SUM_H2_03_01, abs=1e-12)
         assert math.isinf(res.certificate.nu)
         assert abs(res.allocation.p.sum() - 0.7) < 1e-12
+
+    def test_negative_zero_distortion_is_zero(self):
+        # BudgetPair keeps D = -0.0; the water fill there is +0.0, as at D = 0
+        at_zero = solve_region_a([0.3, 0.1], (0.0, 0.7))
+        res = solve_region_a([0.3, 0.1], (-0.0, 0.7))
+        assert res.allocation.d.tobytes() == at_zero.allocation.d.tobytes()
+        assert res.rate == at_zero.rate and math.isinf(res.certificate.nu)
 
     def test_worked_two_component_rate(self):
         res = solve_region_a([0.4, 0.1], (0.1, 0.2))
@@ -409,6 +447,15 @@ class TestRegionA:
         with pytest.raises(DomainError):
             solve_region_a([0.3, 0.1], (0.1, 0.0))
 
+    def test_rejects_a_b_point(self):
+        # D = sum q is region B; the water fill there is q itself, whose
+        # T-type bound sum q once let P = sum q through as region A
+        with pytest.raises(DomainError, match="not in region A"):
+            solve_region_a([0.3, 0.1], (0.4, 0.4))
+
+    def test_accepts_exactly_the_budgets_classify_puts_in_a(self):
+        _accepts_exactly(solve_region_a, "A")
+
 
 class TestRegionB:
     def test_zero_rate_and_feasibility(self):
@@ -442,6 +489,22 @@ class TestRegionB:
             assert set(_regions(res)) <= {
                 ScalarRegion.T, ScalarRegion.V, ScalarRegion.EXTERIOR}
             assert abs(res.allocation.p.sum() - P) <= 1e-10
+
+    def test_rejects_an_a_point(self):
+        # D below sum q = 0.4 once returned rate 0 with d = q, a distortion
+        # residual of 0.3
+        with pytest.raises(DomainError, match="not in region B"):
+            solve_region_b([0.3, 0.1], (0.1, 1.0))
+
+    def test_accepts_exactly_the_budgets_classify_puts_in_b(self):
+        _accepts_exactly(solve_region_b, "B")
+
+    def test_distortion_above_n_saturates(self):
+        res = rdp([0.3, 0.1], (2.5, 0.1))
+        assert res.region == "B" and res.rate == 0.0
+        assert res.notes == ("D=2.5 exceeds n=2; distortion saturates at n",)
+        assert res.allocation.d == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert res.residuals[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def _one_component(alpha, beta, q):
@@ -665,24 +728,7 @@ class TestRegionC:
             solve_region_c([0.3, 0.1], (0.1, 0.5))
 
     def test_accepts_exactly_the_budgets_classify_puts_in_c(self):
-        # solve_region_c makes its own region test; on the boundary curves
-        # and one float either side of them it must agree with classify
-        rng = np.random.default_rng(41)
-        for _ in range(30):
-            raw = list(rng.uniform(0.02, 0.98, int(rng.integers(1, 8))))
-            raw += list(rng.choice([0.0, 0.5, 1.0], int(rng.integers(0, 3))))
-            src = normalize(raw)
-            s = float(src.q.sum())
-            for D in (float(rng.uniform(0.05, 0.95)) * s, s, np.nextafter(s, 0.0),
-                      s + float(rng.uniform(0.05, 0.95)) * float(np.sum(src.q * (1 - 2 * src.q)))):
-                edge = (t_of_d(src, D) if classify(src, (D, math.inf)) == "A"
-                        else s_of_d(src, D).value)
-                for P in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)):
-                    if classify(src, (D, P)) == "C":
-                        assert solve_region_c(src, (D, P)).region == "C"
-                    else:
-                        with pytest.raises(DomainError):
-                            solve_region_c(src, (D, P))
+        _accepts_exactly(solve_region_c, "C")
 
     def test_certificate_structure(self):
         rng = np.random.default_rng(27)
@@ -1428,6 +1474,37 @@ class TestCertificateChecks:
                               multiplier_iterations=0, residuals=res.residuals)
         with pytest.raises(ConvergenceError):
             br.check_certificate(broken)
+
+    @staticmethod
+    def _doctored(res, lam=None, residuals=None):
+        """``res`` with its multipliers lam or its residuals replaced."""
+        cert = res.certificate
+        bad = br.KktCertificate(nu=cert.nu, mu=cert.mu,
+                                lam=cert.lam if lam is None else np.asarray(lam, dtype=float),
+                                component_regions=cert.component_regions)
+        return br.RdpResult(rate=res.rate, region=res.region, allocation=res.allocation,
+                            certificate=bad, multiplier_iterations=0,
+                            residuals=res.residuals if residuals is None else residuals)
+
+    def test_negative_multiplier_rejected(self):
+        res = rdp([0.3, 0.1], (0.2, 0.05))
+        with pytest.raises(ConvergenceError, match="negative"):
+            br.check_certificate(self._doctored(res, lam=[-1e-9, 0.0]))
+
+    def test_slackness_violation_rejected(self):
+        res = rdp([0.3, 0.1], (0.2, 0.05))
+        assert res.allocation.p.max() > 1e-3
+        with pytest.raises(ConvergenceError, match="complementary slackness"):
+            br.check_certificate(self._doctored(res, lam=[1e-2, 1e-2]))
+
+    @pytest.mark.parametrize("residuals, kind", [((1e-6, 0.0), "distortion"),
+                                                 ((0.0, 1e-6), "perception")])
+    def test_budget_residual_above_tolerance_rejected(self, residuals, kind):
+        budget = BudgetPair(0.2, 0.05)
+        res = rdp([0.3, 0.1], budget)
+        with pytest.raises(ConvergenceError, match=f"{kind} budget residual"):
+            br.solver._check_result(budget, self._doctored(res, residuals=residuals),
+                                    br.solver.BUDGET_RTOL)
 
     @pytest.mark.parametrize("codes", [[0, 5], [-1, 2]])
     def test_unknown_label_code_rejected(self, codes):
