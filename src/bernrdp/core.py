@@ -48,8 +48,10 @@ def _as_unit(x, name: str, lo: float = 0.0, hi: float = 1.0):
 
 
 def _xlogx(m: np.ndarray) -> np.ndarray:
-    # masked ufuncs, not a boolean gather: m <= 0 and nan cells stay 0
     pos = m > 0.0
+    if pos.all():
+        return m * np.log(m)
+    # masked ufuncs, not a boolean gather: m <= 0 and nan cells stay 0
     out = np.log(m, out=np.zeros_like(m), where=pos)
     return np.multiply(out, m, out=out, where=pos)
 
@@ -88,36 +90,67 @@ def scalar_rdp(d, p, q):
     ``p`` the tolerated gap between source and reconstruction marginals.
     Nonincreasing and jointly convex in (d, p), continuous across all branch
     boundaries.  Branch ties: the zero branch is closed, the rate-distortion
-    branch is open on its right edge.  Each term is evaluated at the shape
-    of the inputs it depends on; only the ternary masses take the full shape.
+    branch is open on its right edge.  The branch of each element is chosen
+    first, from thresholds that take no logarithm, and each branch is then
+    evaluated only on its own elements (``scalar_rdp_arr``).
     """
     dd = _as_unit(d, "d")
     pp = _as_unit(p, "p", hi=np.inf)
     qq = _as_unit(q, "q", hi=0.5)
+    return _maybe_float(scalar_rdp_arr(dd, pp, qq), d, p, q)
 
-    hq = h2_arr(qq)
-    rd_branch = hq - h2_arr(dd)
-    # the cap at q keeps the last h3's masses legal off-branch
-    ternary = (2.0 * hq + h2_arr(np.maximum(qq - pp, 0.0))
-               - h3_arr(np.maximum(dd - pp, 0.0) / 2.0, qq)
-               - h3_arr(np.minimum((dd + pp) / 2.0, qq), 1.0 - qq))
 
+def scalar_rdp_arr(d: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """scalar_rdp on pre-validated arrays (no domain checks, no clipping),
+    at the broadcast shape of all three."""
     # the low-p branches are selected only where p < q, so capping p at q
     # changes nothing there and spares p = inf the inf/inf and 0 * inf
-    pl = np.minimum(pp, qq)
-    zero_thresh = 2.0 * qq * (1.0 - qq) - (1.0 - 2.0 * qq) * pl
-    den = 1.0 - 2.0 * (qq - pl)
+    pl = np.minimum(p, q)
+    zero_thresh = 2.0 * q * (1.0 - q) - (1.0 - 2.0 * q) * pl
+    high_p = p >= q
+    live = (q > 0.0) & np.where(high_p, d < q, d < zero_thresh)  # off the zero branch
+    if not live.any():  # as in plane region B: no threshold or branch left to evaluate
+        return np.zeros(live.shape)
+    den = 1.0 - 2.0 * (q - pl)
     # p == 0 makes the first-branch threshold 0 for every q (incl. q = 1/2,
     # where the raw expression is 0/0); the ternary branch then takes over
     # and coincides with h2(q) - h2(d) exactly.
     rd_thresh = np.where(pl > 0.0, pl / np.where(den != 0.0, den, 1.0), 0.0)
+    rd = live & (high_p | (d < rd_thresh))
+    out = _branch(np.zeros(live.shape), rd, _rd_rate, d, q)
+    out = _branch(out, live & ~rd, _ternary_rate, d, p, q)
+    return np.maximum(out, 0.0)
 
-    low_p = np.where(dd >= zero_thresh, 0.0,
-                     np.where(dd < rd_thresh, rd_branch, ternary))
-    high_p = np.where(dd < qq, rd_branch, 0.0)
-    val = np.where(qq <= 0.0, 0.0, np.where(pp >= qq, high_p, low_p))
-    val = np.maximum(val, 0.0)
-    return _maybe_float(val, d, p, q)
+
+def _rd_rate(d, q):
+    return h2_arr(q) - h2_arr(d)
+
+
+def _ternary_rate(d, p, q):
+    # the caps are no-ops on this branch up to rounding, and keep the
+    # masses legal there
+    return (2.0 * h2_arr(q) + h2_arr(np.maximum(q - p, 0.0))
+            - h3_arr(np.maximum(d - p, 0.0) / 2.0, q)
+            - h3_arr(np.minimum((d + p) / 2.0, q), 1.0 - q))
+
+
+def _branch(out: np.ndarray, mask: np.ndarray, rate, *args) -> np.ndarray:
+    """``out`` with the elementwise ``rate(*args)`` written where ``mask``
+    holds.  ``rate`` runs on the args as they are (and, where the mask holds
+    everywhere, its value is returned with no copy) when their broadcast
+    shape has no more elements than the mask selects, else on the entries
+    the mask selects."""
+    count = np.count_nonzero(mask)
+    if count == 0:
+        return out
+    if count >= math.prod(np.broadcast_shapes(*(np.shape(a) for a in args))):
+        value = rate(*args)
+        if count == out.size and np.shape(value) == out.shape:
+            return value
+        np.copyto(out, value, where=mask)
+        return out
+    out[mask] = rate(*(np.broadcast_to(a, out.shape)[mask] for a in args))
+    return out
 
 
 def h2_arr(u: np.ndarray) -> np.ndarray:

@@ -34,6 +34,8 @@ remainder.  One test decides: ``_plane_boundary`` gives the boundary at D
 and the allocation on it, and ``_locate`` compares P with it for
 ``classify`` and each region solver.  So a solver accepts exactly the
 budgets ``classify`` puts in its region, and raises DomainError for others.
+``rdp`` locates (D, P) once and hands the result to the solver of its
+region with the budget (``_LocatedBudget``), which does not test again.
 
 Every solve works on the k distinct values of q, each weighted by the
 number m_k of components that share it: R is jointly convex in (d, p), so
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ScalarRegion, rd_boundary, scalar_rdp
+from .core import ScalarRegion, rd_boundary, scalar_rdp_arr
 from .errors import ConvergenceError, DomainError
 
 #: Default relative tolerance on |sum d - D| and |sum p - P|.
@@ -160,8 +162,17 @@ class BudgetPair:
             raise DomainError(f"D must be finite and >= 0, got {self.D!r}")
         if math.isnan(self.P) or self.P < -1e-12:
             raise DomainError(f"P must be >= 0, got {self.P!r}")
-        object.__setattr__(self, "D", max(float(self.D), 0.0))
-        object.__setattr__(self, "P", max(float(self.P), 0.0))
+        # 0.0 first: max keeps its first argument on a tie, so -0.0 gives +0.0
+        object.__setattr__(self, "D", max(0.0, float(self.D)))
+        object.__setattr__(self, "P", max(0.0, float(self.P)))
+
+
+@dataclass(frozen=True)
+class _LocatedBudget(BudgetPair):
+    """A budget with ``_locate``'s tuple for it, which ``rdp`` hands to the
+    region solver so that the solver does not repeat the region test."""
+
+    located: tuple = field(compare=False, repr=False)
 
 
 class PlaneRegion(str, enum.Enum):
@@ -400,9 +411,13 @@ def _plane_boundary(src: BernoulliVectorSource, D: float):
 def _locate(src: BernoulliVectorSource, budget: BudgetPair, want: PlaneRegion | None = None):
     """The region of (D, P), with the side of sum q it lies on and that
     side's boundary and allocation: (region, side, bound, d, p).  Raises
-    DomainError if ``want`` is given and the region is another."""
-    side, bound, d, p = _plane_boundary(src, budget.D)
-    region = side if budget.P >= bound else PlaneRegion.C
+    DomainError if ``want`` is given and the region is another.  A
+    ``_LocatedBudget`` brings the tuple along, and the test is not repeated."""
+    if isinstance(budget, _LocatedBudget):
+        region, side, bound, d, p = budget.located
+    else:
+        side, bound, d, p = _plane_boundary(src, budget.D)
+        region = side if budget.P >= bound else PlaneRegion.C
     if want is not None and region != want:
         raise DomainError(f"(D, P) is not in region {want.value}")
     return region, side, bound, d, p
@@ -776,11 +791,11 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         alpha, beta, d, p = cur[2]
         # the kernel's corner p = q (1 - 1e-15) rounds to a few 1e-15 nats, (q, q) to 0
         d, p = np.where(p >= q * (1.0 - _CORNER_RTOL), [q, q], [d, p])
-        lower = (_total(m, scalar_rdp(d, p, q)) + alpha * (_total(m, d) - D)
+        lower = (_total(m, scalar_rdp_arr(d, p, q)) + alpha * (_total(m, d) - D)
                  + beta * (_total(m, p) - P))
         # a few ulps for the rates' rounding, above the blend tolerance at tiny multipliers
         slack = 0.01 * (alpha * tol_d + beta * tol_p) + 4.0 * math.ulp(1.0)
-        if _total(m, scalar_rdp(start[2], start[3], q)) - lower <= slack:
+        if _total(m, scalar_rdp_arr(start[2], start[3], q)) - lower <= slack:
             return alpha, beta, start[2], start[3], evals
     # alphas: (log beta, bracket on log alpha); stall: the residual Newton last failed at
     betas, alphas, stall = _Bracket(_LOG_MIN, b_max), (None, None), math.inf
@@ -836,15 +851,17 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
 def _result(region, d, p, q, counts, nu, mu, lam, labels, iters, budget, notes=()) -> RdpResult:
     """Assemble a result from per-run values (run k holds counts[k]
     components with q[k]).  Every per-component array repeats its run's
-    entry, and the rate and residuals are sums over those components."""
-    rates = np.atleast_1d(np.asarray(scalar_rdp(d, p, q), dtype=float))
-    d, p, rates = (np.repeat(v, counts) for v in (d, p, rates))
+    entry, and the rate and residuals are sums over those components.  The
+    per-run arrays must be the caller's own: with one component per run
+    they are kept as they are."""
+    rates = scalar_rdp_arr(d, p, q)
+    lam, labels = np.asarray(lam, dtype=float), np.asarray(labels, dtype=np.int8)
+    if counts.size != counts.sum():
+        d, p, rates, lam, labels = (np.repeat(v, counts) for v in (d, p, rates, lam, labels))
     res_d = abs(float(d.sum()) - budget.D)
     res_p = 0.0 if math.isinf(budget.P) else abs(float(p.sum()) - budget.P)
     alloc = Allocation(d=d, p=p, per_component_rate=rates, total_rate=float(rates.sum()))
-    cert = KktCertificate(nu=float(nu), mu=float(mu),
-                          lam=np.repeat(np.asarray(lam, dtype=float), counts),
-                          component_regions=np.repeat(np.asarray(labels, dtype=np.int8), counts))
+    cert = KktCertificate(nu=float(nu), mu=float(mu), lam=lam, component_regions=labels)
     return RdpResult(rate=alloc.total_rate, region=region, allocation=alloc,
                      certificate=cert, multiplier_iterations=int(iters),
                      residuals=(res_d, res_p), notes=tuple(notes))
@@ -972,13 +989,14 @@ def rdp(src, budget, check: bool = True, budget_rtol: float = BUDGET_RTOL) -> Rd
     structure) and raises ConvergenceError if they fail.
     """
     src, budget = _as_source(src), _as_budget(budget)
-    region = classify(src, budget)
-    if region == PlaneRegion.A:
-        result = solve_region_a(src, budget)
-    elif region == PlaneRegion.B:
-        result = solve_region_b(src, budget)
+    located = _locate(src, budget)
+    solving = _LocatedBudget(budget.D, budget.P, located)
+    if located[0] == PlaneRegion.A:
+        result = solve_region_a(src, solving)
+    elif located[0] == PlaneRegion.B:
+        result = solve_region_b(src, solving)
     else:
-        result = solve_region_c(src, budget, budget_rtol)
+        result = solve_region_c(src, solving, budget_rtol)
     if check:
         _check_result(budget, result, budget_rtol)
     return result

@@ -360,6 +360,14 @@ class TestBounds:
         assert hi - lo == pytest.approx(math.log2(lo + 1) + 5, rel=1e-9)
 
 
+@pytest.mark.parametrize("argv, key", [(["eval", "--q", "0.3,0.1", "-D", "-0", "-P", "0.1"], "D"),
+                                       (["bounds", "--q", "0.3,0.1", "-D", "0.1", "-P", "-0"], "P")])
+def test_negative_zero_budget_prints_zero(capsys, argv, key):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and "-0.0" not in out
+    assert math.copysign(1.0, json.loads(out)[key]) == 1.0
+
+
 class TestVerify:
     def test_scalar_only_pass(self, capsys):
         code, out, _ = run_cli(["verify", "--q", "0.3", "--scalar-only",

@@ -1,9 +1,10 @@
 """The masked-ufunc entropy kernel against the versions it replaced.
 
 ``old_xlogx`` (a boolean gather), ``old_h2_arr``, ``old_h3_arr`` (which
-broadcast and copied its masses) and ``old_scalar_rdp`` (which broadcast d,
-p and q before any work) are copies of the earlier implementations and
-serve as the reference: every output must agree bit for bit.  The new
+broadcast and copied its masses), ``old_scalar_rdp`` (which broadcast d,
+p and q before any work) and ``all_branches_scalar_rdp`` (which evaluated
+every branch on every element) are copies of the earlier implementations
+and serve as the reference: every output must agree bit for bit.  The new
 code runs with warnings turned into errors; the reference is run with
 numpy's floating-point warnings silenced, because it warned at p = inf.
 """
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bernrdp.core import _as_unit, _maybe_float, _xlogx, scalar_rdp
+from bernrdp.core import _as_unit, _maybe_float, _xlogx, h2_arr, h3_arr, scalar_rdp
 
 
 def old_xlogx(m):
@@ -51,6 +52,30 @@ def old_scalar_rdp(d, p, q):
     u2 = np.minimum((dd + pp) / 2.0, qq)
     ternary = (2.0 * old_h2_arr(qq) + old_h2_arr(np.maximum(qq - pp, 0.0))
                - old_h3_arr(u1, qq) - old_h3_arr(u2, 1.0 - qq))
+
+    low_p = np.where(dd >= zero_thresh, 0.0,
+                     np.where(dd < rd_thresh, rd_branch, ternary))
+    high_p = np.where(dd < qq, rd_branch, 0.0)
+    val = np.where(qq <= 0.0, 0.0, np.where(pp >= qq, high_p, low_p))
+    val = np.maximum(val, 0.0)
+    return _maybe_float(val, d, p, q)
+
+
+def all_branches_scalar_rdp(d, p, q):
+    dd = _as_unit(d, "d")
+    pp = _as_unit(p, "p", hi=np.inf)
+    qq = _as_unit(q, "q", hi=0.5)
+
+    hq = h2_arr(qq)
+    rd_branch = hq - h2_arr(dd)
+    ternary = (2.0 * hq + h2_arr(np.maximum(qq - pp, 0.0))
+               - h3_arr(np.maximum(dd - pp, 0.0) / 2.0, qq)
+               - h3_arr(np.minimum((dd + pp) / 2.0, qq), 1.0 - qq))
+
+    pl = np.minimum(pp, qq)
+    zero_thresh = 2.0 * qq * (1.0 - qq) - (1.0 - 2.0 * qq) * pl
+    den = 1.0 - 2.0 * (qq - pl)
+    rd_thresh = np.where(pl > 0.0, pl / np.where(den != 0.0, den, 1.0), 0.0)
 
     low_p = np.where(dd >= zero_thresh, 0.0,
                      np.where(dd < rd_thresh, rd_branch, ternary))
@@ -145,3 +170,34 @@ def test_infinite_perception_budget_warns_nothing():
     # 0 * inf in the zero-rate threshold at q = 1/2
     assert strict(scalar_rdp, 0.2, math.inf, 0.3) == reference(old_scalar_rdp, 0.2, math.inf, 0.3)
     assert strict(scalar_rdp, 0.1, math.inf, 0.5) == reference(old_scalar_rdp, 0.1, math.inf, 0.5)
+
+
+@st.composite
+def rdp_points(draw):
+    """(d, p, q) with q in {0, 1/2} or [0, 1/2], p in {0, q, inf} or
+    [0, 1], and d in {0, q, 2q(1-q)}, on either branch threshold (as the
+    kernel computes them), just below the zero threshold or in [0, 1]."""
+    q = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5))
+    p = draw(st.sampled_from([0.0, q, math.inf]) | st.floats(0.0, 1.0))
+    pl = min(p, q)
+    den = 1.0 - 2.0 * (q - pl)
+    rd_thresh = pl / (den if den != 0.0 else 1.0) if pl > 0.0 else 0.0
+    zero_thresh = 2.0 * q * (1.0 - q) - (1.0 - 2.0 * q) * pl
+    # just below the zero threshold the ternary branch rounds to about -1e-16
+    below = max(math.nextafter(zero_thresh, 0.0), 0.0)
+    d = draw(st.sampled_from([0.0, q, 2.0 * q * (1.0 - q), rd_thresh, zero_thresh, below])
+             | st.floats(0.0, 1.0))
+    return d, p, q
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(rdp_points(), min_size=1, max_size=30))
+def test_branch_only_scalar_rdp_matches_all_branches(points):
+    d, p, q = (np.array(v) for v in zip(*points))
+    cases = [points[0], tuple(np.asarray(v) for v in points[0]), (d, p, q),
+             (d[:, None], p, float(q[0])),  # the oracle's (rows, 1) x (cols,) blocks
+             (d[:, None], p[None, :], q), (d, p[:, None], q[:, None]), (d[0], p, q[:, None])]
+    for args in cases:
+        got, want = strict(scalar_rdp, *args), reference(all_branches_scalar_rdp, *args)
+        assert type(got) is type(want)
+        assert same_bits(got, want)

@@ -8,6 +8,7 @@ in test_oracle.py and the acceptance suite.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -406,7 +407,9 @@ class TestRegionA:
         assert abs(res.allocation.p.sum() - 0.7) < 1e-12
 
     def test_negative_zero_distortion_is_zero(self):
-        # BudgetPair keeps D = -0.0; the water fill there is +0.0, as at D = 0
+        # BudgetPair stores D = -0.0 as +0.0, and the result equals D = 0's
+        budget = BudgetPair(-0.0, -0.0)
+        assert math.copysign(1.0, budget.D) == math.copysign(1.0, budget.P) == 1.0
         at_zero = solve_region_a([0.3, 0.1], (0.0, 0.7))
         res = solve_region_a([0.3, 0.1], (-0.0, 0.7))
         assert res.allocation.d.tobytes() == at_zero.allocation.d.tobytes()
@@ -1400,6 +1403,30 @@ class TestRdpDispatch:
         assert res.region == "B"
         assert res.rate == 0.0
         assert abs(res.allocation.d.sum() - 0.3) <= 1e-12
+
+
+class TestRdpLocatesOnce:
+    """rdp makes the region test once and hands it to the solver; with one
+    component per run its result keeps the solver's arrays unrepeated."""
+
+    CASES = {"A": (0.1, 0.5), "B": (1.5, 0.3), "C": (0.1, 0.02), "P=0": (0.1, 0.0)}
+
+    @pytest.mark.parametrize("raw", [[0.3, 0.1, 0.2], [0.3, 0.1, 0.3, 0.2], [0.3, 0.0, 0.1]])
+    @pytest.mark.parametrize("label", list(CASES))
+    def test_one_plane_boundary_per_solve(self, monkeypatch, label, raw):
+        src = normalize(raw)
+        boundary = mock.Mock(wraps=br.solver._plane_boundary)
+        monkeypatch.setattr(br.solver, "_plane_boundary", boundary)
+        res = rdp(src, self.CASES[label])
+        assert boundary.call_count == 1
+        assert res.region == ("C" if label == "P=0" else label)
+        arrays = [res.allocation.d, res.allocation.p, res.allocation.per_component_rate,
+                  res.certificate.lam, res.certificate.component_regions]
+        assert all(a.shape == (src.n,) for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not np.shares_memory(a, src.q)
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestRdpPZero:
