@@ -4,9 +4,10 @@ against the brute-force oracles.
 
 Output is deterministic: stable field order, floats at 12 significant
 digits, no timestamps.  JSON is the default format (streams emit one JSON
-object per line); --format csv gives flat tables.  Exit codes: 0 success,
-2 input validation, 3 convergence failure, 4 verification failure,
-5 size limit.
+object per line); --format csv gives flat tables.  The exit code is 0 on
+success.  An error a command raises is written to stderr as one JSON
+object (type, message, exit code) and exits with the code of its type in
+``_EXIT_CODES``, the one place the codes are kept.
 
 Every command writes through one emitter, ``_emit``.  Small records
 (bounds, the region boundaries, the verify report and the head of every
@@ -47,18 +48,19 @@ from .core import ScalarRegion, scalar_rdp
 from .solver import (_LN2, BudgetPair, PlaneRegion, _plane_boundary, classify, length_bounds,
                      normalize, rdp, s_of_d)
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CONVERGENCE = 3
-EXIT_VERIFY = 4
-EXIT_SIZE = 5
-
-#: Output names of the component label codes (see KktCertificate).
-_REGION_NAMES = np.array([r.value for r in ScalarRegion])
-
 
 class VerificationFailure(Exception):
     pass
+
+
+#: The exit code of each error a command may raise: input validation,
+#: convergence failure, verification failure and size limit.
+_EXIT_CODES = {DomainError: 2, ConvergenceError: 3, VerificationFailure: 4, SizeError: 5}
+EXIT_OK = 0
+EXIT_INPUT, EXIT_CONVERGENCE, EXIT_VERIFY, EXIT_SIZE = _EXIT_CODES.values()
+
+#: Output names of the component label codes (see KktCertificate).
+_REGION_NAMES = np.array([r.value for r in ScalarRegion])
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +491,11 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--tol", type=float, default=None,
                         help="budget residual tolerance (env BERNRDP_TOL)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("-D", type=float, required=True)
+    budget.add_argument("-P", type=float, required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate one (D, P) point")
-    p.add_argument("-D", type=float, required=True)
-    p.add_argument("-P", type=float, required=True)
+    sub.add_parser("eval", parents=[common, budget], help="evaluate one (D, P) point")
 
     p = sub.add_parser("curve", parents=[common], help="sweep rate along one axis")
     p.add_argument("--axis", choices=("D", "P"), required=True)
@@ -514,14 +517,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--self-check", action="store_true",
                    help="assert the emitted boundaries classify as A / B")
 
-    p = sub.add_parser("graph", parents=[common], help="RDP of an ER edge-probability matrix")
+    p = sub.add_parser("graph", parents=[common, budget],
+                       help="RDP of an ER edge-probability matrix")
     p.add_argument("--matrix", required=True, help="JSON file with n_vertices and probs")
-    p.add_argument("-D", type=float, required=True)
-    p.add_argument("-P", type=float, required=True)
 
-    p = sub.add_parser("bounds", parents=[common], help="one-shot code length bounds")
-    p.add_argument("-D", type=float, required=True)
-    p.add_argument("-P", type=float, required=True)
+    sub.add_parser("bounds", parents=[common, budget], help="one-shot code length bounds")
 
     p = sub.add_parser("verify", parents=[common], help="cross-check against the oracles")
     p.add_argument("--scalar-only", action="store_true")
@@ -540,23 +540,11 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so that a command replaced after import is run
         return globals()[f"cmd_{args.command}"](args, sys.stdout)
-    except DomainError as exc:
-        _error(exc, EXIT_INPUT)
-        return EXIT_INPUT
-    except SizeError as exc:
-        _error(exc, EXIT_SIZE)
-        return EXIT_SIZE
-    except ConvergenceError as exc:
-        _error(exc, EXIT_CONVERGENCE)
-        return EXIT_CONVERGENCE
-    except VerificationFailure as exc:
-        _error(exc, EXIT_VERIFY)
-        return EXIT_VERIFY
-
-
-def _error(exc: Exception, code: int) -> None:
-    sys.stderr.write(json.dumps(
-        {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}) + "\n")
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        sys.stderr.write(json.dumps(
+            {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}) + "\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -882,6 +882,14 @@ def _spread_perception(lower: np.ndarray, m: np.ndarray, P: float) -> np.ndarray
 # region solvers
 
 
+def _ab_labels(d: np.ndarray, q: np.ndarray, off_corner: np.int8) -> np.ndarray:
+    """Labels in regions A and B: V on the corner d = q, p >= q (not at
+    q = 1/2, which has p = 0 there), else ``off_corner`` (S in A, T in B)
+    where d > 0.  The water fill of A has d <= q and the S(D) optimizers of
+    B have d >= q, so d == q is A's d >= q and B's d <= q."""
+    return np.where((q > 0.0) & (q < 0.5) & (d == q), _V, np.where(d > 0.0, off_corner, _EXT))
+
+
 def solve_region_a(src, budget) -> RdpResult:
     """Perception-slack region: water-fill the distortion, pick any
     perception split above the per-component frontier; the rate is the
@@ -894,10 +902,8 @@ def solve_region_a(src, budget) -> RdpResult:
     p = _spread_perception(lower, m, budget.P)
     level = float(d.max())
     nu = math.log((1.0 - level) / level) if level > 0.0 else math.inf  # D = 0 or underflows
-    # V is the corner d = q, p >= q; a q = 1/2 component at d = q has p = 0
-    labels = np.where((q > 0.0) & (q < 0.5) & (d >= q), _V, np.where(d > 0.0, _S, _EXT))
     return _result(PlaneRegion.A, d, p, q, src.counts, nu, 0.0, np.zeros_like(q),
-                   labels, 0, budget, notes)
+                   _ab_labels(d, q, _S), 0, budget, notes)
 
 
 def solve_region_b(src, budget) -> RdpResult:
@@ -914,10 +920,8 @@ def solve_region_b(src, budget) -> RdpResult:
         notes = notes + ("P=inf: perception left at the S(D) optimizers",)
     else:
         p = p + (budget.P - bound) / src.n
-    # as in region A: a q = 1/2 component at d = q has no perception to spare
-    labels = np.where((q > 0.0) & (q < 0.5) & (d <= q), _V, np.where(d > 0.0, _T, _EXT))
     return _result(PlaneRegion.B, d, p, q, src.counts, 0.0, 0.0, np.zeros_like(q),
-                   labels, 0, budget, notes)
+                   _ab_labels(d, q, _T), 0, budget, notes)
 
 
 def _c_labels(d: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -933,10 +937,10 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     D, P = budget.D, budget.P
     _, side, bound, fill, _ = _locate(src, budget, PlaneRegion.C)
 
-    # q = 0 components take no budget; they are solved without and
-    # re-inserted as (d, p) = (0, 0) rows
-    pos = q_all > 0.0
-    q, m = q_all[pos], m_all[pos]
+    # q = 0 components take no budget; sorted last, they form the last run,
+    # which is solved without and appended as a (d, p) = (0, 0) row
+    k = q_all.size - int(q_all[-1] == 0.0)
+    q, m = q_all[:k], m_all[:k]
 
     tol_d = budget_rtol * max(1.0, D)
     tol_p = budget_rtol * max(1.0, P)
@@ -967,11 +971,8 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         gaps = _beta_gap(d, p, q)
     lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))
 
-    if not pos.all():
-        full = np.zeros((3, q_all.size))
-        for row, values in zip(full, (d, p, lam)):
-            row[pos] = values
-        d, p, lam = full
+    if k < q_all.size:
+        d, p, lam = (np.append(v, 0.0) for v in (d, p, lam))
     return _result(PlaneRegion.C, d, p, q_all, src.counts, alpha, beta, lam,
                    _c_labels(d, q_all), iters, budget)
 

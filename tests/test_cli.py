@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernrdp import classify, cli, normalize, s_of_d, scalar_rdp, t_of_d
+from bernrdp import ConvergenceError, classify, cli, normalize, s_of_d, scalar_rdp, t_of_d
 from bernrdp.cli import main
 
 TERN_01_005_025 = 0.238077788518041652
@@ -93,13 +94,28 @@ class TestEval:
         ('{"q": [[0.1], [0.2, 0.3]]}', '"q" must be a list of numbers'),
         (None, "cannot read --q file"),
         ('{"q": [NaN, 0.2]}', "entry 0 is nan"),
-    ], ids=["non_numeric", "invalid_json", "ragged", "directory", "nan"])
+        ('[0.1, 0.2]', 'expected a JSON object with a "q" list'),
+    ], ids=["non_numeric", "invalid_json", "ragged", "directory", "nan", "list"])
     def test_bad_q_file_exits_2(self, tmp_path, capsys, content, needle):
         path = tmp_path
         if content is not None:
             path = tmp_path / "source.json"
             path.write_text(content)
         exits_2(["eval", "--q", str(path), "-D", "0.2", "-P", "0.1"], capsys, needle)
+
+    def test_q_neither_numbers_nor_file_exits_2(self, tmp_path, capsys):
+        exits_2(["eval", "--q", str(tmp_path / "absent.json"), "-D", "0.2", "-P", "0.1"],
+                capsys, "is neither a number list nor a file")
+
+    def test_convergence_error_exits_3(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no multipliers meet both budgets")
+
+        monkeypatch.setattr(cli, "rdp", fail)
+        code, out, err = run_cli(["eval", "--q", "0.3,0.1", "-D", "0.2", "-P", "0.05"], capsys)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == {"type": "ConvergenceError", "exit_code": 3,
+                                            "message": "no multipliers meet both budgets"}
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(["eval", "--q", "0.3,0.1", "-D", "0.2", "-P", "0.05",
@@ -142,6 +158,23 @@ class TestCurve:
         code2, out2, _ = run_cli(["eval", "--q", "0.3,0.1", "-D", "0.2", "-P", "0.05"], capsys)
         assert sweep_rec == json.loads(out2)
 
+    def test_start_above_stop_exits_2(self, capsys):
+        exits_2(["curve", "--q", "0.3,0.1", "--axis", "D", "--start", "1", "--stop", "0",
+                 "--count", "3"], capsys, "--start must be <= --stop")
+
+    def test_self_check_fails_on_a_rising_rate(self, capsys, monkeypatch):
+        solve = cli.rdp
+        monkeypatch.setattr(cli, "rdp", lambda src, budget, **kw: dataclasses.replace(
+            solve(src, budget, **kw), rate=budget.D))
+        code, out, err = run_cli(["curve", "--q", "0.3,0.1", "--axis", "D", "--start", "0",
+                                  "--stop", "1", "--count", "3", "-P", "0", "--self-check"],
+                                 capsys)
+        assert code == 4
+        assert len(json_lines(out)) == 3  # the curve is written before the check
+        error = json.loads(err)["error"]
+        assert error["type"] == "VerificationFailure"
+        assert "rate increased along the D axis" in error["message"]
+
     def test_byte_identical_runs(self, capsys):
         argv = ["curve", "--q", "0.3,0.1", "--axis", "D",
                 "--start", "0", "--stop", "0.6", "--count", "25", "-P", "0.05"]
@@ -163,6 +196,15 @@ class TestRegion:
         assert {c["region"] for c in cells} == {"A", "B", "C"}
         for b in bounds:
             assert (b["T"] is None) != (b["S"] is None)
+
+    def test_self_check_fails_on_a_misclassified_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "classify", lambda src, budget: "C")
+        code, out, err = run_cli(["region", "--q", "0.3,0.1", "--d-max", "0.7", "--d-count", "3",
+                                  "--p-max", "0.5", "--p-count", "2", "--self-check"], capsys)
+        assert (code, out) == (4, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "VerificationFailure"
+        assert "classify(D, T(D)) = C != A at D=0" in error["message"]
 
     def test_all_b_beyond_caps(self, capsys):
         code, out, _ = run_cli(["region", "--q", "0.3,0.1", "--d-min", "0.61",

@@ -83,6 +83,21 @@ class TestLoadMatrix:
         with pytest.raises(DomainError, match="n_vertices must be an integer"):
             EdgeProbabilityMatrix(n, np.array(probs))
 
+    @pytest.mark.parametrize("n, probs, match", [
+        (1, [[0.0]], "at least 2 vertices"),
+        (2, [[0.0, 1.5], [1.5, 0.0]], r"must lie in \[0, 1\]"),
+        (2, [[0.0, -0.2], [-0.2, 0.0]], r"must lie in \[0, 1\]"),
+    ], ids=["one_vertex", "above_one", "negative"])
+    def test_out_of_domain_matrix_rejected(self, n, probs, match):
+        with pytest.raises(DomainError, match=match):
+            EdgeProbabilityMatrix(n, np.array(probs))
+        with pytest.raises(DomainError, match=match):
+            load_matrix(_matrix_bytes(n, probs))
+
+    def test_unreadable_source_rejected(self):
+        with pytest.raises(DomainError, match="cannot read matrix from int"):
+            load_matrix(5)
+
     def test_integral_float_vertex_count_accepted(self):
         assert load_matrix(_matrix_bytes(2.0, [[0.0, 0.3], [0.3, 0.0]])).n_vertices == 2
 

@@ -213,6 +213,10 @@ class TestAllocationGridOracle:
         with pytest.raises(SizeError):
             allocation_grid_oracle([0.1, 0.2, 0.3, 0.4], (0.2, 0.1))
 
+    def test_infinite_perception_budget_rejected(self):
+        with pytest.raises(DomainError, match="finite P"):
+            allocation_grid_oracle([0.3, 0.1], (0.2, math.inf))
+
 
 class TestSOfDOracle:
     def test_plateau_is_zero(self):
