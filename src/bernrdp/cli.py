@@ -43,10 +43,11 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, DomainError, SizeError
 from .graph import _parse_json, graph_rdp, load_matrix
-from .oracle import GridSpec, allocation_grid_oracle, s_of_d_oracle, scalar_channel_oracle
+from .oracle import (SCALAR_GRID, SCALAR_TOL, VECTOR_GRID, VECTOR_TOL, GridSpec,
+                     allocation_grid_oracle, s_of_d_oracle, scalar_channel_oracle)
 from .core import ScalarRegion, scalar_rdp
-from .solver import (_LN2, BudgetPair, PlaneRegion, _plane_boundary, classify, length_bounds,
-                     normalize, rdp, s_of_d)
+from .solver import (_LN2, BUDGET_RTOL, BudgetPair, PlaneRegion, _plane_boundary, classify,
+                     length_bounds, normalize, rdp, s_of_d)
 
 
 class VerificationFailure(Exception):
@@ -424,11 +425,10 @@ def cmd_verify(args, out) -> int:
         if not tol >= 0.0:  # NaN fails too
             raise DomainError(f"{flag} must be >= 0; got {tol!r}")
     src = _source_from(args)
-    def grid(resolution, rounds):
-        return GridSpec(resolution if args.grid_resolution is None else args.grid_resolution,
-                        rounds if args.refine_rounds is None else args.refine_rounds)
-
-    scalar_grid, vector_grid = grid(400, 3), grid(200, 2)
+    scalar_grid, vector_grid = (
+        GridSpec(g.resolution if args.grid_resolution is None else args.grid_resolution,
+                 g.refinement_rounds if args.refine_rounds is None else args.refine_rounds)
+        for g in (SCALAR_GRID, VECTOR_GRID))
     _check_count("--budget-count", args.budget_count)
     report = {"n": src.n, "stages": {}}
 
@@ -528,15 +528,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-resolution", type=int, default=None)
     p.add_argument("--refine-rounds", type=int, default=None)
     p.add_argument("--budget-count", type=int, default=4)
-    p.add_argument("--scalar-tol", type=float, default=2e-3)
-    p.add_argument("--vector-tol", type=float, default=5e-3)
+    p.add_argument("--scalar-tol", type=float, default=SCALAR_TOL)
+    p.add_argument("--vector-tol", type=float, default=VECTOR_TOL)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.tol is None:  # read per call, not when the parser is built
-        args.tol = float(os.environ.get("BERNRDP_TOL", "1e-8"))
+        args.tol = float(os.environ.get("BERNRDP_TOL", BUDGET_RTOL))
     try:
         # looked up per call, so that a command replaced after import is run
         return globals()[f"cmd_{args.command}"](args, sys.stdout)

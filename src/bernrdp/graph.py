@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
+from .core import DOMAIN_TOL
 from .errors import DomainError
 from .solver import BernoulliVectorSource, RdpResult, normalize, rdp
-
-_SYM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,14 @@ class EdgeProbabilityMatrix:
             i, j = np.argwhere(~np.isfinite(probs))[0]
             raise DomainError(f"probs[{i}][{j}]={float(probs[i, j])!r} is not finite")
         asym = np.abs(probs - probs.T)
-        if np.any(asym > _SYM_TOL):
+        if np.any(asym > DOMAIN_TOL):
             i, j = np.unravel_index(int(np.argmax(asym)), probs.shape)
             raise DomainError(
                 f"probs[{i}][{j}]={probs[i, j]!r} != probs[{j}][{i}]={probs[j, i]!r}")
-        if np.any(np.abs(np.diag(probs)) > _SYM_TOL):
+        if np.any(np.abs(np.diag(probs)) > DOMAIN_TOL):
             i = int(np.argmax(np.abs(np.diag(probs))))
             raise DomainError(f"diagonal must be zero; probs[{i}][{i}]={probs[i, i]!r}")
-        if np.any(probs < -_SYM_TOL) or np.any(probs > 1.0 + _SYM_TOL):
+        if np.any(probs < -DOMAIN_TOL) or np.any(probs > 1.0 + DOMAIN_TOL):
             raise DomainError("edge probabilities must lie in [0, 1]")
         sym = 0.5 * (probs + probs.T)
         np.fill_diagonal(sym, 0.0)
@@ -93,8 +92,8 @@ def load_matrix(source) -> EdgeProbabilityMatrix:
     ``NaN``/``Infinity`` literals and overflowing numbers such as ``1e400``,
     so ``_parse_json`` re-reads those documents with ``json``: they then fail
     the finiteness check, which names the entry, not the parse.  Symmetry is
-    enforced within 1e-12 and then made exact; any larger mismatch, a
-    nonzero diagonal or a non-finite entry is a validation error naming the
+    enforced within ``DOMAIN_TOL`` and then made exact; any larger mismatch,
+    a nonzero diagonal or a non-finite entry is a validation error naming the
     offending entry.  So is a non-integer ``n_vertices``, a ``probs`` that
     is not a dense list of rows of numbers, invalid JSON or bytes that are
     not UTF-8.

@@ -36,9 +36,10 @@ and columns only: at D = 0 one cell a round, at P = 0 a line of cells.
 Accuracy scales with the final grid spacing: after the requested rounds
 the boxed spacing is (range / resolution) / shrink^rounds with shrink
 about 4 per round, and the observed deviation is bounded by that spacing
-times the local slope of the objective.  The acceptance settings
-(resolution 400 / 3 rounds scalar, 200 / 2 rounds vector) land safely
-inside 2e-3 and 5e-3 nats.
+times the local slope of the objective.  ``verify`` runs the scalar
+oracle on ``SCALAR_GRID`` and the vector oracles on ``VECTOR_GRID``, the
+oracles' default grids, and their deviations land safely inside its
+tolerances ``SCALAR_TOL`` and ``VECTOR_TOL`` nats.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _xlogx, h2, scalar_rdp
+from .core import DOMAIN_TOL, _xlogx, h2, scalar_rdp
 from .errors import ConvergenceError, DomainError, SizeError
 from .solver import _as_budget, _as_source
 
@@ -83,6 +84,12 @@ class GridSpec:
             if isinstance(value, (bool, np.bool_)) or not whole or value < least:
                 raise DomainError(f"{name} must be an integer >= {least}; got {value!r}")
             object.__setattr__(self, name, int(value))
+
+
+#: ``verify``'s acceptance settings: each oracle's grid and the largest
+#: deviation from the closed form it may show, in nats.
+SCALAR_GRID, SCALAR_TOL = GridSpec(400, 3), 2e-3
+VECTOR_GRID, VECTOR_TOL = GridSpec(200, 2), 5e-3
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,7 @@ def _budget_box(u, v, D: float, P: float):
 
 
 def scalar_channel_oracle(q: float, D: float, P: float,
-                          grid: GridSpec = GridSpec(400, 3)) -> tuple[float, ScalarChannel]:
+                          grid: GridSpec = SCALAR_GRID) -> tuple[float, ScalarChannel]:
     """Minimize I(X; Xhat) over binary channels subject to the distortion
     and perception budgets, by grid search over (a, b) in [0, 1]^2.
 
@@ -232,7 +239,7 @@ def _rounds_for(res: int, base: int, rounds: int) -> int:
     return min(need + rounds, _MAX_ROUNDS)
 
 
-def allocation_grid_oracle(src, budget, grid: GridSpec = GridSpec(200, 2)):
+def allocation_grid_oracle(src, budget, grid: GridSpec = VECTOR_GRID):
     """Minimize sum_i R(d_i, p_i, q_i) over grids of budget splits with
     sum d_i = D and sum p_i = P (equality via elimination of the last
     component).  Supports n <= 3; the free-variable grid is 0-, 2- or
@@ -285,7 +292,7 @@ def allocation_grid_oracle(src, budget, grid: GridSpec = GridSpec(200, 2)):
     return best, (np.array([z[0], z[1], D - z[0] - z[1]]), np.array([z[2], z[3], P - z[2] - z[3]]))
 
 
-def s_of_d_oracle(src, D: float, grid: GridSpec = GridSpec(200, 3)) -> float:
+def s_of_d_oracle(src, D: float, grid: GridSpec = VECTOR_GRID) -> float:
     """Minimize sum p_i over the zero-rate polytope
     {q_i <= d_i, sum d_i = D, 2q_i(1-q_i) - (1-2q_i) p_i <= d_i, p_i >= 0}
     by gridding the distortion split; for each split the optimal p_i is
@@ -297,7 +304,7 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = GridSpec(200, 3)) -> float:
         raise SizeError("s_of_d_oracle supports n <= 3")
     q = src.q
     D = float(D)
-    if D < float(q.sum()) - 1e-12:
+    if D < float(q.sum()) - DOMAIN_TOL:
         raise DomainError(f"s_of_d_oracle needs D >= sum q = {float(q.sum())}")
     caps = 2.0 * q * (1.0 - q)
     if D >= float(caps.sum()):

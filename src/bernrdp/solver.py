@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ScalarRegion, rd_boundary, scalar_rdp_arr
+from .core import DOMAIN_TOL, ScalarRegion, rd_boundary, scalar_rdp_arr
 from .errors import ConvergenceError, DomainError
 
 #: Default relative tolerance on |sum d - D| and |sum p - P|.
@@ -97,13 +97,12 @@ class BernoulliVectorSource:
     permutation: np.ndarray
     run_q: np.ndarray = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _starts: np.ndarray = field(init=False, repr=False, compare=False)  # first index of each run
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 1 or q.size == 0:
             raise DomainError("source needs at least one component")
-        if not np.all((q >= -1e-12) & (q <= 0.5 + 1e-12)):  # NaN fails too
+        if not np.all((q >= -DOMAIN_TOL) & (q <= 0.5 + DOMAIN_TOL)):  # NaN fails too
             raise DomainError("normalized q entries must lie in [0, 1/2]")
         if np.any(np.diff(q) > 1e-15):
             raise DomainError("normalized q must be sorted non-increasing")
@@ -117,7 +116,6 @@ class BernoulliVectorSource:
         object.__setattr__(self, "permutation", perm)
         object.__setattr__(self, "run_q", q[starts])
         object.__setattr__(self, "counts", np.diff(np.append(starts, q.size)))
-        object.__setattr__(self, "_starts", starts)
 
     @property
     def n(self) -> int:
@@ -158,9 +156,9 @@ class BudgetPair:
     P: float
 
     def __post_init__(self):
-        if not math.isfinite(self.D) or self.D < -1e-12:
+        if not math.isfinite(self.D) or self.D < -DOMAIN_TOL:
             raise DomainError(f"D must be finite and >= 0, got {self.D!r}")
-        if math.isnan(self.P) or self.P < -1e-12:
+        if math.isnan(self.P) or self.P < -DOMAIN_TOL:
             raise DomainError(f"P must be >= 0, got {self.P!r}")
         # 0.0 first: max keeps its first argument on a tie, so -0.0 gives +0.0
         object.__setattr__(self, "D", max(0.0, float(self.D)))
@@ -264,8 +262,8 @@ def normalize(raw_q) -> BernoulliVectorSource:
     if not np.all(np.isfinite(raw)):
         k = int(np.argmin(np.isfinite(raw)))
         raise DomainError(f"probabilities must be finite; entry {k} is {float(raw[k])!r}")
-    if np.any(raw < -1e-12) or np.any(raw > 1.0 + 1e-12):
-        bad = raw[(raw < -1e-12) | (raw > 1.0 + 1e-12)][0]
+    if np.any(raw < -DOMAIN_TOL) or np.any(raw > 1.0 + DOMAIN_TOL):
+        bad = raw[(raw < -DOMAIN_TOL) | (raw > 1.0 + DOMAIN_TOL)][0]
         raise DomainError(f"probabilities must lie in [0, 1]; got {bad!r}")
     raw = np.clip(raw, 0.0, 1.0)
     flip = raw > 0.5
@@ -314,7 +312,7 @@ def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.
     m = np.ones(q.size) if counts is None else counts
     mq = m * q
     total = float(mq.sum())
-    if D < 0 or D > total + 1e-12:
+    if D < 0 or D > total + DOMAIN_TOL:
         raise DomainError(f"water filling needs 0 <= D <= sum q = {total}")
     if D >= total:
         return q.copy()
@@ -386,10 +384,10 @@ def s_of_d(src, D: float) -> SCurvePoint:
     src = _as_source(src)
     q, m = src.run_q, src.counts
     sum_q = _total(m, q)
-    if D < sum_q - 1e-12:
+    if D < sum_q - DOMAIN_TOL:
         raise DomainError(f"S(D) needs D >= sum q = {sum_q}")
     point = _s_curve(q, m, float(D))
-    k = None if point.k is None else int(src._starts[point.k - 1]) + 1
+    k = None if point.k is None else int(src.counts[:point.k - 1].sum()) + 1
     return SCurvePoint(point.value, k, point.d_k, np.repeat(point.d, src.counts),
                        np.repeat(point.p, src.counts))
 
@@ -785,7 +783,8 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         sides[not above] = point
         return a, b, point, consider(point), jac
 
-    b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)  # all p = 0 above
+    with np.errstate(over="ignore"):  # a subnormal q gives inf: no upper end
+        b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)  # all p = 0 above
     cur = evaluate(math.log(start[0]), min(max(math.log(start[1]), _LOG_MIN), b_max))
     if len(start) > 2 and cur[4][1][1] == 0.0:  # no component in U
         alpha, beta, d, p = cur[2]
@@ -981,13 +980,13 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
 # top-level entry points
 
 
-def rdp(src, budget, check: bool = True, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
+def rdp(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """RDP function of a Bernoulli vector source at budgets (D, P).
 
     Dispatches on the plane region and returns the rate in nats together
-    with the optimal allocation and its KKT certificate.  ``check`` runs
-    the post-solve consistency checks (budget equality, certificate
-    structure) and raises ConvergenceError if they fail.
+    with the optimal allocation and its KKT certificate.  The post-solve
+    consistency checks (budget equality, certificate structure) always
+    run, and raise ConvergenceError if they fail.
     """
     src, budget = _as_source(src), _as_budget(budget)
     located = _locate(src, budget)
@@ -998,8 +997,7 @@ def rdp(src, budget, check: bool = True, budget_rtol: float = BUDGET_RTOL) -> Rd
         result = solve_region_b(src, solving)
     else:
         result = solve_region_c(src, solving, budget_rtol)
-    if check:
-        _check_result(budget, result, budget_rtol)
+    _check_result(budget, result, budget_rtol)
     return result
 
 
@@ -1026,11 +1024,11 @@ _FAMILIES = (
 )
 
 
-def check_certificate(result: RdpResult, cs_tol: float = 1e-5) -> None:
+def check_certificate(result: RdpResult) -> None:
     """Structural KKT certificate checks.
 
     Raises ConvergenceError unless lam >= 0, complementary
-    slackness lam_i p_i = 0 holds within cs_tol, every label code names a
+    slackness lam_i p_i = 0 holds within 1e-5, every label code names a
     ScalarRegion, and the component labels form one consistent family (all
     S/V, all T/V, or all U), ignoring degenerate EXTERIOR components.
     """
@@ -1038,7 +1036,7 @@ def check_certificate(result: RdpResult, cs_tol: float = 1e-5) -> None:
     if np.any(cert.lam < -1e-12):
         raise ConvergenceError("negative perception multiplier in certificate")
     slack = np.abs(cert.lam * result.allocation.p)
-    if np.any(slack > cs_tol):
+    if np.any(slack > 1e-5):
         raise ConvergenceError(f"complementary slackness violated: {slack.max():g}")
     codes = cert.component_regions
     if codes.size and (codes.min() < 0 or codes.max() >= len(_REGIONS)):
@@ -1049,9 +1047,9 @@ def check_certificate(result: RdpResult, cs_tol: float = 1e-5) -> None:
         raise ConvergenceError(f"component regions {labels} mix incompatible families")
 
 
-def in_region_closure(d: float, p: float, q: float, region: ScalarRegion,
-                      tol: float = 1e-9) -> bool:
-    """Membership of (d, p) in the closure of a scalar region."""
+def in_region_closure(d: float, p: float, q: float, region: ScalarRegion) -> bool:
+    """Membership of (d, p) in the closure of a scalar region, within 1e-9."""
+    tol = 1e-9
     if region is ScalarRegion.EXTERIOR:
         return d <= tol
     if region is ScalarRegion.S:

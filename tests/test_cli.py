@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernrdp import ConvergenceError, classify, cli, normalize, s_of_d, scalar_rdp, t_of_d
+from bernrdp import (ConvergenceError, classify, cli, normalize, oracle, rdp, s_of_d, scalar_rdp,
+                     t_of_d)
 from bernrdp.cli import main
+from bernrdp.solver import BUDGET_RTOL
 
 TERN_01_005_025 = 0.238077788518041652
 
@@ -301,7 +303,7 @@ class TestParser:
         assert main([*self.ARGV, "--tol", "1e-5"]) == 0
         monkeypatch.delenv("BERNRDP_TOL")
         assert main(self.ARGV) == 0
-        assert seen == [1e-6, 1e-7, 1e-5, 1e-8]
+        assert seen == [1e-6, 1e-7, 1e-5, BUDGET_RTOL]
 
     def test_command_looked_up_per_call(self, capsys, monkeypatch):
         assert run_cli(self.ARGV, capsys)[0] == 0
@@ -461,6 +463,24 @@ class TestVerify:
                                   "--budget-count", "2", "--scalar-tol", "1e-12"], capsys)
         assert code == 4
         assert json.loads(out)["pass"] is False
+
+    def test_defaults_are_the_oracle_acceptance_settings(self, capsys):
+        # each oracle returns the closed form, so every stage passes
+        oracles = {"scalar_channel_oracle": lambda q, D, P, grid: (scalar_rdp(D, P, q), None),
+                   "allocation_grid_oracle": lambda src, b, grid: (rdp(src, b).rate, None),
+                   "s_of_d_oracle": lambda src, D, grid: s_of_d(src, D).value}
+        with contextlib.ExitStack() as stack:
+            mocks = {name: stack.enter_context(mock.patch.object(cli, name, side_effect=fn))
+                     for name, fn in oracles.items()}
+            code, out, _ = run_cli(["verify", "--q", "0.3,0.1", "--budget-count", "2"], capsys)
+        assert code == 0
+        grids = {name: {call.args[-1] for call in m.call_args_list} for name, m in mocks.items()}
+        assert grids == {"scalar_channel_oracle": {oracle.SCALAR_GRID},
+                         "allocation_grid_oracle": {oracle.VECTOR_GRID},
+                         "s_of_d_oracle": {oracle.VECTOR_GRID}}
+        tols = {name: stage["tolerance"] for name, stage in json.loads(out)["stages"].items()}
+        assert tols == {"scalar_channel": oracle.SCALAR_TOL, "vector_allocation": oracle.VECTOR_TOL,
+                        "s_curve": oracle.VECTOR_TOL}
 
     @pytest.mark.parametrize("resolution", ["0", "1", "-3"])
     def test_resolution_below_two_exits_2_before_any_oracle(self, capsys, resolution):

@@ -798,7 +798,7 @@ class TestRegionC:
     def test_perception_within_tolerance_of_zero(self, raw, D, P):
         # once "no multipliers meet both budgets": P this small is served
         # by the P = 0 allocation
-        res = rdp(raw, (D, P), check=True)
+        res = rdp(raw, (D, P))
         assert res.region == "C"
         assert res.rate == rdp(raw, (D, 0.0)).rate
         assert np.all(res.allocation.p == 0.0)
@@ -841,7 +841,7 @@ class TestRegionCNearS:
     def test_four_components(self):
         q = [0.4, 0.25, 0.1, 0.05]
         D, P = 1.12887, 0.00062778
-        res = rdp(q, (D, P), check=True)
+        res = rdp(q, (D, P))
         assert res.region == "C"
         assert rdp(q, (D, math.inf)).rate - 1e-12 <= res.rate <= rdp(q, (D, 0.0)).rate + 1e-12
         assert res.multiplier_iterations < 4081
@@ -850,7 +850,7 @@ class TestRegionCNearS:
         raw = self.TEN
         D, P = self.TEN_DP
         try:
-            res = rdp(raw, (D, P), check=True)
+            res = rdp(raw, (D, P))
         except BernRdpError:
             return
         assert res.region == "C"
@@ -908,7 +908,7 @@ class TestRegionCNearS:
                0.5794989321961663, 0.9638585959232597, 0.1966024346074155,
                0.18218607547392604, 0.5141028785420876, 0.1141200573406126]
         D, P = 2.6653906064061346, 0.13456449768922127
-        res = rdp(raw, (D, P), check=True)
+        res = rdp(raw, (D, P))
         assert not res.notes
         assert res.multiplier_iterations <= 10
         assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
@@ -924,7 +924,7 @@ class TestRegionCNearS:
         s = float(q.sum())
         D = s + share * (float(np.sum(2 * q * (1 - q))) - s)
         P = (1 - rel) * s_of_d(src, D).value
-        res = rdp(src, (D, P), check=True)
+        res = rdp(src, (D, P))
         assert res.notes == ()
         assert res.multiplier_iterations <= 50
         cert = res.certificate
@@ -976,7 +976,7 @@ class TestRegionCProperties:
     @given(_region_c_case())
     def test_solved_within_budgets_and_rate_bounds(self, case):
         raw, D, P = case
-        res = rdp(raw, (D, P), check=True)
+        res = rdp(raw, (D, P))
         assert res.region == "C"
         assert res.residuals[0] <= 1e-8 * max(1.0, D)
         assert res.residuals[1] <= 1e-8 * max(1.0, P)
@@ -1008,7 +1008,7 @@ def test_multiplier_search_serves_budgets_next_to_t(case):
     # bound to rounding, where the water-filled allocation at T(D), scaled
     # down to P, misses it by up to 3.9e-10 nats
     raw, D, P = case
-    res = rdp(raw, (D, P), check=True)
+    res = rdp(raw, (D, P))
     assert res.region == "C"
     assert not any("snapped" in note for note in res.notes)
     cert = res.certificate
@@ -1040,7 +1040,7 @@ def test_multiplier_search_serves_budgets_next_to_s(case):
     # allocation shaped like the S(D) optimizers the rest, never above the
     # rate at P = 0
     raw, D, P = case
-    res = rdp(raw, (D, P), check=True)
+    res = rdp(raw, (D, P))
     assert res.region == "C" and not res.notes
     cert = res.certificate
     slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
@@ -1060,7 +1060,7 @@ def test_q_half_just_below_sum_q_is_region_a():
     # q = 1/2 is solved as it is: 5e-10 below sum q = 0.8 the water level is
     # 1/2 - 5e-10, the q = 1/2 component needs no perception, and T(D) is
     # the 0.3 of the other component
-    res = rdp([0.5, 0.3], (0.8 - 5e-10, 0.5), check=True)
+    res = rdp([0.5, 0.3], (0.8 - 5e-10, 0.5))
     assert res.region == "A" and not res.notes
     assert res.rate == 0.0
     assert t_of_d([0.5, 0.3], 0.7999999995) == 0.3
@@ -1068,7 +1068,7 @@ def test_q_half_just_below_sum_q_is_region_a():
     # saturates, and at T(D) each sits at its zero-rate corner
     raw = [0.5, 0.5, 0.9252486399089482, 0.22558861071384154]
     D, P = 1.3003399708048933, 0.3003399708048933
-    res = rdp(raw, (D, P), check=True)
+    res = rdp(raw, (D, P))
     assert res.region == "A" and res.certificate.nu == 0.0
     assert res.rate == 0.0
 
@@ -1099,7 +1099,7 @@ def _half_case(draw):
 @given(_half_case())
 def test_q_half_budgets_solved_in_every_region(case):
     raw, D, P = case
-    res = rdp(raw, (D, P), check=True)
+    res = rdp(raw, (D, P))
     assert res.region == classify(raw, (D, P))
     for d, p, q, label in zip(res.allocation.d, res.allocation.p, normalize(raw).q, _regions(res)):
         assert br.in_region_closure(float(d), float(p), float(q), label), (q, label)
@@ -1128,7 +1128,7 @@ def test_q_next_to_half_next_to_sum_q_fails_typed(eps, below_sum_q, below_t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            res = rdp(raw, (D, P), check=True)
+            res = rdp(raw, (D, P))
         except ConvergenceError:
             return
     assert res.region == "C"
@@ -1144,7 +1144,7 @@ def test_q_next_to_half_just_above_sum_q_is_solved():
     q = [0.5, 0.5, 0.4998446415269858, 0.39328140013857643, 0.303575947914513,
          0.22547457356318845, 0.20891149033338982, 0.09771198504655099]
     D, P = 2.7288000388834983, 1.7287944704214857
-    res = rdp(q, (D, P), check=True)
+    res = rdp(q, (D, P))
     assert res.region == "C"
 
 
@@ -1169,7 +1169,7 @@ def test_brackets_alone_solve_near_s(n, monkeypatch):
     started = rdp(q, (D, P))
     # an alpha root below _MULTIPLIER_MIN gives no start
     monkeypatch.setattr(br.solver, "_s_side", lambda *args: (0.0, 0.0, None, None, 0))
-    res = rdp(q, (D, P), check=True)
+    res = rdp(q, (D, P))
     assert res.multiplier_iterations > started.multiplier_iterations
     assert res.rate - _dual_bound(q, D, P, res) <= 1e-12
     assert res.rate == pytest.approx(started.rate, rel=1e-8)
@@ -1201,7 +1201,7 @@ def test_candidate_kept_within_rounding():
            0.7871264150597708, 0.3064487780342413, 0.7341175823888125,
            0.8942773090200938, 0.682694305113326, 0.4275716336411905]
     D, P = 2.7471459886091703, 0.4726989512602569
-    res = rdp(raw, (D, P), check=True)
+    res = rdp(raw, (D, P))
     assert res.multiplier_iterations == 1 and not res.notes
     assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
 
@@ -1212,10 +1212,42 @@ def test_start_takes_the_candidates_multipliers():
     # the start used to be clipped, and the search then took 29 kernel calls
     q = 0.9775042855673485
     D, P = 0.02412565296287344, 0.008819826662086961
-    res = rdp([q], (D, P), check=True)
+    res = rdp([q], (D, P))
     assert res.region == "C" and not res.notes
     assert res.multiplier_iterations <= 3
     assert res.rate == pytest.approx(scalar_rdp(D, P, 1.0 - q), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+@pytest.mark.parametrize("share", [None, 0.5, 1.0 - 1e-10])
+def test_subnormal_component_leaves_the_rate(tiny, share):
+    # (1 - q) / q overflows at such a q, which leaves the beta bracket no
+    # upper end; None is a budget below sum q, a share one below S(D), and
+    # the last share is served by the S(D)-shaped allocation
+    base = [0.3, 0.1]
+    D, P = (0.15, 0.15 / 3.5) if share is None else (0.45, share * s_of_d(base, 0.45).value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = rdp([*base, tiny], (D, P))
+    assert res.region == "C"
+    assert res.rate == rdp(base, (D, P)).rate
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1e-6]), min_size=1, max_size=8),
+       st.floats(-25.0, 4.0), st.floats(-25.0, 4.0))
+def test_kernel_minimizer_is_optimal_at_its_budgets(raw, log_alpha, log_beta):
+    # Lagrangian sufficiency: the kernel's minimizer of R + alpha d + beta p
+    # is optimal at the budgets it spends, so rdp must return its rate
+    # there, up to what rdp's own budget residuals are worth
+    src = normalize(raw)
+    live = src.run_q > 0.0
+    q, m = src.run_q[live], src.counts[live]
+    d, p, _ = _component_dp(math.exp(log_alpha), math.exp(log_beta), q, m)
+    want = float((m * scalar_rdp(d, p, q)).sum())
+    res = rdp(src, (float((m * d).sum()), float((m * p).sum())))
+    (res_d, res_p), cert = res.residuals, res.certificate
+    assert abs(res.rate - want) <= cert.nu * res_d + cert.mu * res_p + 1e-12
 
 
 class TestRegionCKernelCalls:
@@ -1225,7 +1257,7 @@ class TestRegionCKernelCalls:
     @pytest.mark.parametrize("n", [3, 30, 300])
     def test_bench_profiles(self, n):
         q, budgets = _bench_profile(n)
-        calls = {label: rdp(q, budget, check=True).multiplier_iterations
+        calls = {label: rdp(q, budget).multiplier_iterations
                  for label, budget in budgets.items()}
         assert calls["inside"] <= 12
         assert calls["near-T"] <= 12
@@ -1494,14 +1526,16 @@ class TestRdpPZero:
         assert rdp([0.3, 0.1], (0.0, 0.0)).rate == pytest.approx(SUM_H2_03_01, abs=1e-12)
 
     def test_matches_rdp(self):
-        # regions A (D = 0), B and C at P = 0 all pass the post-solve checks
+        # regions A (D = 0), B and C at P = 0 all pass the post-solve checks,
+        # which leave the rate of the region's solver as it is
         rng = np.random.default_rng(32)
+        solvers = {"A": solve_region_a, "B": solve_region_b, "C": solve_region_c}
         for _ in range(25):
             src = _rand_source(rng, 1, 5)
             caps = float((2 * src.q * (1 - src.q)).sum())
             D = float(rng.uniform(0.0, 1.1 * caps))
             assert rdp(src, (D, 0.0)).rate == pytest.approx(
-                rdp(src, (D, 0.0), check=False).rate, abs=1e-8)
+                solvers[classify(src, (D, 0.0))](src, (D, 0.0)).rate, abs=1e-8)
 
 
 class TestLengthBounds:
@@ -1601,3 +1635,30 @@ class TestCertificateChecks:
                 assert br.in_region_closure(
                     float(res.allocation.d[i]), float(res.allocation.p[i]),
                     float(src.q[i]), lab), (src.q, budget, lab, i)
+
+
+class TestDomainTol:
+    """Every check on outside input lets it stray DOMAIN_TOL outside its
+    domain, and no further."""
+
+    CHECKS = {
+        "normalize below 0": lambda e: normalize([-e, 0.3]),
+        "normalize above 1": lambda e: normalize([1.0 + e, 0.3]),
+        "source below 0": lambda e: br.BernoulliVectorSource([0.3, -e], [False] * 2, [0, 1]),
+        "source above 1/2": lambda e: br.BernoulliVectorSource([0.5 + e, 0.3], [False] * 2, [0, 1]),
+        "budget D": lambda e: BudgetPair(-e, 0.1),
+        "budget P": lambda e: BudgetPair(0.1, -e),
+        "water_fill": lambda e: water_fill(np.array([0.25, 0.125]), 0.375 + e),
+        "s_of_d": lambda e: s_of_d([0.25, 0.125], 0.375 - e),
+        "s_of_d_oracle": lambda e: br.s_of_d_oracle([0.25, 0.125], 0.375 - e, br.GridSpec(20, 0)),
+        "matrix symmetry": lambda e: br.EdgeProbabilityMatrix(2, [[0.0, 0.3], [0.3 + e, 0.0]]),
+        "matrix diagonal": lambda e: br.EdgeProbabilityMatrix(2, [[e, 0.3], [0.3, 0.0]]),
+        "matrix below 0": lambda e: br.EdgeProbabilityMatrix(2, [[0.0, -e], [-e, 0.0]]),
+        "matrix above 1": lambda e: br.EdgeProbabilityMatrix(2, [[0.0, 1.0 + e], [1.0 + e, 0.0]]),
+    }
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_half_tolerance_accepted_twice_rejected(self, name):
+        self.CHECKS[name](0.5 * br.core.DOMAIN_TOL)
+        with pytest.raises(DomainError):
+            self.CHECKS[name](2.0 * br.core.DOMAIN_TOL)
