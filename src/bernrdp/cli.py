@@ -22,8 +22,10 @@ record's constant cells (a CSV line's D, P, rate and multipliers) are
 written once.
 
 ``region`` evaluates one boundary per D, not one region test per cell.
-The argument parser is built once per process; BERNRDP_TOL is read, and
-the command looked up, on every call.
+Each command takes only the options it reads: all six take --format, all
+but ``graph`` take --q, and only eval, curve and bounds take --tol, whose
+default they read from BERNRDP_TOL on every call.  The argument parser is
+built once per process, and the command is looked up on every call.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from .graph import _parse_json, graph_rdp, load_matrix
 from .oracle import (SCALAR_GRID, SCALAR_TOL, VECTOR_GRID, VECTOR_TOL, GridSpec,
                      allocation_grid_oracle, s_of_d_oracle, scalar_channel_oracle)
 from .core import ScalarRegion, scalar_rdp
-from .solver import (_LN2, BUDGET_RTOL, BudgetPair, PlaneRegion, _plane_boundary, classify,
-                     length_bounds, normalize, rdp, s_of_d)
+from .solver import (_LN2, BUDGET_RTOL, BudgetPair, PlaneRegion, _check_rtol, _plane_boundary,
+                     classify, length_bounds, normalize, rdp, s_of_d)
 
 
 class VerificationFailure(Exception):
@@ -171,9 +173,7 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
         return _num(obj)
-    if isinstance(obj, (int, np.integer, str, bool)) or obj is None:
-        return obj
-    return str(obj)
+    return obj
 
 
 def _json_line(record, floats: dict) -> str:
@@ -272,8 +272,6 @@ def _check_count(flag: str, count: int) -> None:
 
 
 def _source_from(args):
-    if getattr(args, "q", None) is None:
-        raise DomainError("this command needs --q")
     return normalize(_parse_q(args.q))
 
 
@@ -332,9 +330,7 @@ def cmd_curve(args, out) -> int:
     if args.start > args.stop:
         raise DomainError("--start must be <= --stop")
     values = np.linspace(args.start, args.stop, args.count)
-    records = []
-    rates = []
-    failed = False
+    records, rates = [], []  # a rate of None marks a failed point
     for v in values:
         D, P = (float(v), args.P) if args.axis == "D" else (args.D, float(v))
         try:
@@ -343,7 +339,6 @@ def cmd_curve(args, out) -> int:
             records.append(_base_record(src, budget, result))
             rates.append(result.rate)
         except (DomainError, ConvergenceError) as exc:
-            failed = True
             records.append(_Record(
                 {"D": D, "P": P, "error": {"type": type(exc).__name__, "message": str(exc)}},
                 {"D": D, "P": P, "region": f"error: {exc}"}))
@@ -356,7 +351,7 @@ def cmd_curve(args, out) -> int:
                 raise VerificationFailure(
                     f"self-check: rate increased along the {args.axis} axis "
                     f"({prev:.12g} -> {cur:.12g})")
-    return EXIT_CONVERGENCE if failed else EXIT_OK
+    return EXIT_CONVERGENCE if None in rates else EXIT_OK
 
 
 def cmd_region(args, out) -> int:
@@ -435,12 +430,11 @@ def cmd_verify(args, out) -> int:
     def stage(name, worst, tol):
         report["stages"][name] = {"max_deviation": worst, "tolerance": tol, "pass": worst <= tol}
 
-    d_pts = np.linspace(0.0, 0.6, args.budget_count)
-    p_pts = np.linspace(0.0, 0.6, args.budget_count)
+    pts = np.linspace(0.0, 0.6, args.budget_count)
     worst = 0.0
     for q in sorted(set(src.q.tolist())):
-        for D in d_pts:
-            for P in p_pts:
+        for D in pts:
+            for P in pts:
                 oracle, _ = scalar_channel_oracle(q, float(D), float(P), scalar_grid)
                 worst = max(worst, abs(oracle - scalar_rdp(float(D), float(P), q)))
     stage("scalar_channel", worst, args.scalar_tol)
@@ -486,18 +480,21 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bernrdp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", help="inline q list '0.3,0.1' or a JSON file with {\"q\": [...]}")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--tol", type=float, default=None,
-                        help="budget residual tolerance (env BERNRDP_TOL)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--q", required=True,
+                        help="inline q list '0.3,0.1' or a JSON file with {\"q\": [...]}")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None,
+                     help="budget residual tolerance (env BERNRDP_TOL)")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("-D", type=float, required=True)
     budget.add_argument("-P", type=float, required=True)
 
-    sub.add_parser("eval", parents=[common, budget], help="evaluate one (D, P) point")
+    sub.add_parser("eval", parents=[source, fmt, tol, budget], help="evaluate one (D, P) point")
 
-    p = sub.add_parser("curve", parents=[common], help="sweep rate along one axis")
+    p = sub.add_parser("curve", parents=[source, fmt, tol], help="sweep rate along one axis")
     p.add_argument("--axis", choices=("D", "P"), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
@@ -507,7 +504,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--self-check", action="store_true",
                    help="assert rates are non-increasing along the axis")
 
-    p = sub.add_parser("region", parents=[common], help="map plane regions and boundaries")
+    p = sub.add_parser("region", parents=[source, fmt], help="map plane regions and boundaries")
     p.add_argument("--d-min", type=float, default=0.0)
     p.add_argument("--d-max", type=float, required=True)
     p.add_argument("--d-count", type=int, default=21)
@@ -517,13 +514,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--self-check", action="store_true",
                    help="assert the emitted boundaries classify as A / B")
 
-    p = sub.add_parser("graph", parents=[common, budget],
-                       help="RDP of an ER edge-probability matrix")
+    p = sub.add_parser("graph", parents=[fmt, budget], help="RDP of an ER edge-probability matrix")
     p.add_argument("--matrix", required=True, help="JSON file with n_vertices and probs")
 
-    sub.add_parser("bounds", parents=[common, budget], help="one-shot code length bounds")
+    sub.add_parser("bounds", parents=[source, fmt, tol, budget], help="one-shot code length bounds")
 
-    p = sub.add_parser("verify", parents=[common], help="cross-check against the oracles")
+    p = sub.add_parser("verify", parents=[source, fmt], help="cross-check against the oracles")
     p.add_argument("--scalar-only", action="store_true")
     p.add_argument("--grid-resolution", type=int, default=None)
     p.add_argument("--refine-rounds", type=int, default=None)
@@ -535,9 +531,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.tol is None:  # read per call, not when the parser is built
-        args.tol = float(os.environ.get("BERNRDP_TOL", BUDGET_RTOL))
     try:
+        if "tol" in args:  # eval, curve and bounds; BERNRDP_TOL is read per call
+            tol = os.environ.get("BERNRDP_TOL", BUDGET_RTOL) if args.tol is None else args.tol
+            try:
+                args.tol = float(tol)
+            except ValueError:
+                raise DomainError(f"BERNRDP_TOL must be a number; got {tol!r}") from None
+            _check_rtol(args.tol)  # here, or curve would report it once per point
         # looked up per call, so that a command replaced after import is run
         return globals()[f"cmd_{args.command}"](args, sys.stdout)
     except tuple(_EXIT_CODES) as exc:

@@ -73,8 +73,8 @@ _BLOCK_CELLS = 16384
 class GridSpec:
     """Grid-search controls: points per axis and local refinement passes."""
 
-    resolution: int = 200
-    refinement_rounds: int = 2
+    resolution: int
+    refinement_rounds: int
 
     def __post_init__(self):
         for name, least in (("resolution", 2), ("refinement_rounds", 0)):

@@ -349,11 +349,9 @@ def _s_curve(q: np.ndarray, m: np.ndarray, D: float) -> SCurvePoint:
     if D >= _total(m, caps):
         # zero plateau: p = 0 and the distortion spread proportionally to
         # the headroom 1 - cap_i, so every d_i >= cap_i and d_i <= 1.
-        n = int(m.sum())
-        d_total = min(D, float(n))
+        d_total = min(D, float(m.sum()))
         head = 1.0 - caps
-        head_total = _total(m, head)
-        w = head / head_total if head_total > 0 else np.full(q.size, 1.0 / n)
+        w = head / _total(m, head)  # each headroom is >= 1/2
         d = caps + (d_total - _total(m, caps)) * w
         return SCurvePoint(0.0, None, math.nan, d, np.zeros_like(d))
     prefix_caps = np.concatenate(([0.0], np.cumsum(m * caps)))
@@ -400,7 +398,7 @@ def _plane_boundary(src: BernoulliVectorSource, D: float):
     q, m = src.run_q, src.counts
     if D < _total(m, q):
         d = water_fill(q, D, m)
-        p = np.asarray(rd_boundary(d, q), dtype=float)
+        p = rd_boundary(d, q)
         return PlaneRegion.A, _total(m, p), d, p
     point = _s_curve(q, m, D)
     return PlaneRegion.B, point.value, point.d, point.p
@@ -868,11 +866,12 @@ def _result(region, d, p, q, counts, nu, mu, lam, labels, iters, budget, notes=(
 
 def _spread_perception(lower: np.ndarray, m: np.ndarray, P: float) -> np.ndarray:
     """Deterministic slack rule: meet sum p = P with p >= lower by scaling
-    proportionally to the lower bounds (uniformly when they vanish)."""
+    proportionally to the lower bounds (uniformly when they vanish, or when
+    they are so small, at a subnormal D, that P / total overflows)."""
     total = _total(m, lower)
     if math.isinf(P):
         return lower.copy()
-    if total <= 0.0:
+    if total <= 0.0 or P / total == math.inf:
         return np.full(lower.size, P / int(m.sum()))
     return lower * (P / total)
 
@@ -927,10 +926,16 @@ def _c_labels(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where((q > 0.0) & (d > 0.0), _U, _EXT)
 
 
+def _check_rtol(budget_rtol: float) -> None:
+    if not 0.0 < budget_rtol < math.inf:  # nan fails too
+        raise DomainError(f"budget tolerance must be finite and > 0; got {budget_rtol!r}")
+
+
 def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """Both budgets bind: tune the shared multipliers (alpha, beta) so the
     per-component stationarity solutions meet the budgets with equality.
     Raises DomainError unless ``classify`` puts (D, P) in C."""
+    _check_rtol(budget_rtol)
     src, budget = _as_source(src), _as_budget(budget)
     q_all, m_all = src.run_q, src.counts
     D, P = budget.D, budget.P
@@ -986,8 +991,9 @@ def rdp(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     Dispatches on the plane region and returns the rate in nats together
     with the optimal allocation and its KKT certificate.  The post-solve
     consistency checks (budget equality, certificate structure) always
-    run, and raise ConvergenceError if they fail.
-    """
+    run, and raise ConvergenceError if they fail.  ``budget_rtol`` must be
+    finite and > 0."""
+    _check_rtol(budget_rtol)
     src, budget = _as_source(src), _as_budget(budget)
     located = _locate(src, budget)
     solving = _LocatedBudget(budget.D, budget.P, located)
@@ -1069,6 +1075,6 @@ def _check_result(budget: BudgetPair, result: RdpResult, rtol: float) -> None:
     allowed_d = max(0.0, budget.D - n)  # distortion saturates at n
     if res_d > allowed_d + rtol * max(1.0, min(budget.D, n)) + 1e-15:
         raise ConvergenceError(f"distortion budget residual {res_d:g} above tolerance")
-    if not math.isinf(budget.P) and res_p > rtol * max(1.0, budget.P) + 1e-15:
+    if res_p > rtol * max(1.0, budget.P) + 1e-15:
         raise ConvergenceError(f"perception budget residual {res_p:g} above tolerance")
     check_certificate(result)

@@ -81,7 +81,11 @@ class TestEval:
         assert "entry 0 is nan" in error["message"]
 
     def test_missing_q_exits_2(self, capsys):
-        exits_2(["eval", "-D", "0.1", "-P", "0.1"], capsys, "this command needs --q")
+        # argparse requires --q, so the command never runs without it
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "-D", "0.1", "-P", "0.1"])
+        assert exc.value.code == 2
+        assert "--q" in capsys.readouterr().err
 
     def test_q_file_input(self, tmp_path, capsys):
         path = tmp_path / "source.json"
@@ -289,6 +293,10 @@ def test_region_negative_grid_exits_2(capsys, bounds, needle):
 
 class TestParser:
     ARGV = ["eval", "--q", "0.3,0.1", "-D", "0.2", "-P", "0.05"]
+    #: the commands that read a budget tolerance
+    SOLVING = {"eval": ARGV, "bounds": ["bounds", *ARGV[1:]],
+               "curve": ["curve", "--q", "0.3,0.1", "--axis", "P", "--start", "0.05",
+                         "--stop", "0.1", "--count", "2", "-D", "0.1"]}
 
     def test_tolerance_read_per_call(self, capsys, monkeypatch):
         monkeypatch.delenv("BERNRDP_TOL", raising=False)
@@ -304,6 +312,72 @@ class TestParser:
         monkeypatch.delenv("BERNRDP_TOL")
         assert main(self.ARGV) == 0
         assert seen == [1e-6, 1e-7, 1e-5, BUDGET_RTOL]
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--q", "0.3,0.1", "--axis", "P", "--start", "0.05", "--stop", "0.05",
+         "--count", "1", "-D", "0.1"],
+        ["bounds", "--q", "0.3,0.1", "-D", "0.2", "-P", "0.05"]], ids=["curve", "bounds"])
+    def test_tolerance_reaches_rdp(self, capsys, monkeypatch, argv):
+        seen = []
+        solve = cli.rdp
+        monkeypatch.setattr(cli, "rdp", lambda *args, budget_rtol: (
+            seen.append(budget_rtol), solve(*args, budget_rtol=budget_rtol))[1])
+        monkeypatch.setenv("BERNRDP_TOL", "1e-6")
+        assert main(argv) == 0
+        assert main([*argv, "--tol", "1e-5"]) == 0
+        monkeypatch.delenv("BERNRDP_TOL")
+        assert main(argv) == 0
+        assert seen == [1e-6, 1e-5, BUDGET_RTOL]
+
+    def test_each_command_takes_only_the_options_it_reads(self):
+        commands = cli._parser()._subparsers._group_actions[0].choices
+        options = {name: [action.option_strings[0] for action in parser._actions
+                          if action.dest != "help"] for name, parser in commands.items()}
+        assert options["graph"] == ["--format", "-D", "-P", "--matrix"]
+        assert [name for name, opts in options.items() if "--q" in opts] == [
+            "eval", "curve", "region", "bounds", "verify"]
+        assert [name for name, opts in options.items() if "--tol" in opts] == [
+            "eval", "curve", "bounds"]
+        assert sum(map(len, options.values())) == 41
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--matrix", "m.json", "-D", "0.2", "-P", "0.1", "--q", "0.3"],
+        ["graph", "--matrix", "m.json", "-D", "0.2", "-P", "0.1", "--tol", "1e-6"],
+        ["region", "--q", "0.3", "--d-max", "0.5", "--p-max", "0.5", "--tol", "1e-6"],
+        ["verify", "--q", "0.3", "--scalar-only", "--tol", "1e-6"]],
+        ids=["graph-q", "graph-tol", "region-tol", "verify-tol"])
+    def test_option_a_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", list(SOLVING))
+    def test_invalid_tolerance_exits_2(self, capsys, monkeypatch, command, tol):
+        # at --tol 0 eval divided by zero, -1 and nan exited 3, and inf gave
+        # R(D, 0) for a budget in region C
+        argv = self.SOLVING[command]
+        monkeypatch.delenv("BERNRDP_TOL", raising=False)
+        exits_2([*argv, f"--tol={tol}"], capsys, "budget tolerance must be finite and > 0")
+        monkeypatch.setenv("BERNRDP_TOL", tol)
+        exits_2(argv, capsys, "budget tolerance must be finite and > 0")
+
+    @pytest.mark.parametrize("command", list(SOLVING))
+    def test_non_numeric_env_tolerance_exits_2(self, capsys, monkeypatch, command):
+        argv = self.SOLVING[command]
+        monkeypatch.setenv("BERNRDP_TOL", "abc")
+        exits_2(argv, capsys, "BERNRDP_TOL must be a number; got 'abc'")
+
+    def test_commands_without_tol_ignore_the_env_tolerance(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"n_vertices": 2, "probs": [[0.0, 0.3], [0.3, 0.0]]}))
+        monkeypatch.setenv("BERNRDP_TOL", "abc")
+        for argv in (["graph", "--matrix", str(path), "-D", "0.1", "-P", "0.05"],
+                     ["region", "--q", "0.3,0.1", "--d-max", "0.5", "--p-max", "0.5"],
+                     ["verify", "--q", "0.3", "--scalar-only", "--budget-count", "1",
+                      "--grid-resolution", "50", "--refine-rounds", "0"]):
+            assert run_cli(argv, capsys)[0] == 0
 
     def test_command_looked_up_per_call(self, capsys, monkeypatch):
         assert run_cli(self.ARGV, capsys)[0] == 0

@@ -20,9 +20,9 @@ H2_03 = 0.610864302054893463
 class TestGridSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
-            GridSpec(resolution=1)
+            GridSpec(resolution=1, refinement_rounds=2)
         with pytest.raises(DomainError):
-            GridSpec(refinement_rounds=-1)
+            GridSpec(resolution=200, refinement_rounds=-1)
 
     @pytest.mark.parametrize("kwargs", [
         {"resolution": 400.7}, {"resolution": math.nan}, {"resolution": math.inf},
@@ -30,8 +30,13 @@ class TestGridSpec:
         {"refinement_rounds": -0.5}, {"refinement_rounds": 2.5}, {"refinement_rounds": False},
         {"refinement_rounds": -math.inf}])
     def test_non_integral_values_raise_domain_error(self, kwargs):
+        # the other field is valid, so the check reached is the one on kwargs
         with pytest.raises(DomainError):
-            GridSpec(**kwargs)
+            GridSpec(**{"resolution": 200, "refinement_rounds": 2, **kwargs})
+
+    def test_fields_have_no_defaults(self):
+        with pytest.raises(TypeError):
+            GridSpec(400)
 
     def test_integral_values_are_kept(self):
         grid = GridSpec(np.int64(400), 3.0)
