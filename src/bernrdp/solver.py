@@ -16,12 +16,12 @@ plane splits into three regions:
      (0, q), the component takes its p = 0 edge if it fell at or below 0
      and its (q, q) corner otherwise.  The shared multipliers
      (alpha, beta) meet the budgets by 2-D Newton steps on the sensitivity
-     of (sum d, sum p), summed from the inverse Hessians of R, or where it
-     is singular by Newton steps inside brackets (``_Bracket``).  These
-     rest on monotonicity of the gradient map of a convex function: a
-     component's beta gap falls as p grows along its fixed-alpha contour,
+     of (sum d, sum p), summed from the inverse Hessians of R, and after
+     the first singular or failed step by two nested monotone searches.
+     These rest on monotonicity of the gradient map of a convex function:
+     a component's beta gap falls as p grows along its fixed-alpha contour,
      sum d falls as alpha grows at fixed beta, and sum p falls as beta
-     grows along sum d = D.  Where a component's minimizer jumps, sum d = D
+     grows along sum d = D.  Where a component's minimizer jumps, a budget
      is met by a convex blend of the allocations on both sides of the jump.
      Above sum q the allocation shaped like the S(D) optimizers
      (``_s_side``) serves budgets within the perception tolerance of S(D),
@@ -483,51 +483,37 @@ def _gap_slopes(d, p, q):
     return a_d, 0.5 * (xu - yv), a_d + 1.0 / (q - p) + 1.0 / (1.0 - q + p)
 
 
-class _Bracket:
-    """A bracket [lo, hi] (ends possibly infinite) on the root of a
-    decreasing function.  A positive value moves lo up to the evaluated
-    point, any other moves hi down.  The next iterate is the Newton point
-    if strictly inside, else the midpoint; while the end the root lies
-    towards is unevaluated, it is replaced by a cap 1, 2, 4, ... beyond the
-    point, and the fallback is the cap (clipped to the end).  A zero or
-    nan slope gives no Newton point."""
-
-    def __init__(self, lo: float, hi: float):
-        self.lo, self.hi = lo, hi
-        self.lo_seen = self.hi_seen = False
-        self.reach = 1.0
-
-    def step(self, x: float, fx: float, slope: float) -> float:
-        up = fx > 0.0
-        if up:
-            self.lo, self.lo_seen = x, True
-        else:
-            self.hi, self.hi_seen = x, True
-        unseen = not (self.hi_seen if up else self.lo_seen)
-        cap = min(self.hi, max(self.lo, x + self.reach if up else x - self.reach))
-        low = cap if unseen and not up else self.lo
-        high = cap if unseen and up else self.hi
-        newton = x - fx / slope if slope else math.nan
-        if low < newton < high or newton == x:  # or lost to rounding
-            return newton
-        if unseen:
-            self.reach *= 2.0
-            return cap
-        return 0.5 * (self.lo + self.hi)
-
-
-def _bracketed_newton(f, x: float, lo: float, hi: float, ftol: float = 0.0,
-                      xtol: float = 0.0) -> tuple[float, int]:
-    """Root of a decreasing function by ``_Bracket`` steps from ``x`` in
-    [lo, hi], with ``f(x)`` its value and slope at ``x``; stops at
-    |value| <= ftol or a step <= xtol.  Returns the root and the number of
-    calls of ``f``."""
-    bracket = _Bracket(lo, hi)
+def _bracketed_newton(f, x: float, lo: float, hi: float, xtol: float = 0.0) -> tuple[float, int]:
+    """Root of a decreasing function by Newton steps inside a bracket
+    [lo, hi] (ends possibly infinite), from ``x`` in it, with ``f(x)`` its
+    value and slope at ``x``.  A positive value moves lo up to x, any other
+    moves hi down.  The next iterate is the Newton point if strictly inside,
+    else the midpoint; while the end the root lies towards is unevaluated,
+    it is replaced by a cap 1, 2, 4, ... beyond the point, and the fallback
+    is the cap (clipped to the end).  A zero or nan slope gives no Newton
+    point.  Stops at a zero value or a step <= xtol.  Returns the root and
+    the number of calls of ``f``."""
+    lo_seen = hi_seen = False
+    reach = 1.0
     for calls in range(1, MAX_ROOT_ITER + 1):
         fx, slope = f(x)
-        if abs(fx) <= ftol:
+        if fx == 0.0:
             return x, calls
-        nxt = bracket.step(x, fx, slope)
+        up = fx > 0.0
+        if up:
+            lo, lo_seen = x, True
+        else:
+            hi, hi_seen = x, True
+        unseen = not (hi_seen if up else lo_seen)
+        cap = min(hi, max(lo, x + reach if up else x - reach))
+        low, high = ((lo, cap) if up else (cap, hi)) if unseen else (lo, hi)
+        newton = x - fx / slope if slope else math.nan
+        if low < newton < high or newton == x:  # or lost to rounding
+            nxt = newton
+        elif unseen:
+            nxt, reach = cap, 2.0 * reach
+        else:
+            nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= xtol:
             return nxt, calls
         x = nxt
@@ -643,17 +629,18 @@ def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
         # d = 4w / (1 + r) with r = sqrt(1 + 4w expm1(2 alpha)), so
         # dd/dalpha = -e^{2 alpha} d^2 / r = -e^{2 alpha} d^3 / (4w - d)
         slope = -math.exp(2.0 * alpha) * _total(m, d ** 3 / (4.0 * w - d)) / total
-        return _log_resid(total, D), slope
+        # to float64 resolution: this path defines R(D, 0), the upper end of
+        # every region-C rate at this D
+        resid = _log_resid(total, D)
+        return 0.0 if abs(resid) <= 1e-15 else resid, slope
 
-    # to float64 resolution: this path defines R(D, 0), the upper end of
-    # every region-C rate at this D
-    return _bracketed_newton(f, alpha0, 0.0, alpha_hi, ftol=1e-15)
+    return _bracketed_newton(f, alpha0, 0.0, alpha_hi)
 
 
-def _blend(above, below, m: np.ndarray, D: float, gap_tol: float):
+def _blend(above, below, m: np.ndarray, axis: int, target: float, gap_tol: float):
     """Convex combination of two kernel points (alpha, beta, d, p) whose sum
-    of d lies above and below D, weighted to meet D, or None if it may be
-    too far from optimal.
+    of d (axis 0) or of p (axis 1) lies above and below target, weighted to
+    meet it, or None if it may be too far from optimal.
 
     Each point i minimizes the Lagrangian at its own multipliers m_i and
     meets the budget totals s_i = (sum d, sum p).  So at the totals s the
@@ -665,7 +652,7 @@ def _blend(above, below, m: np.ndarray, D: float, gap_tol: float):
     of a jump of the minimizer the multipliers are adjacent floats.  The
     points' d and p are per run of m equal components."""
     s_hi, s_lo = ((_total(m, pt[2]), _total(m, pt[3])) for pt in (above, below))
-    w = (s_hi[0] - D) / (s_hi[0] - s_lo[0])
+    w = (s_hi[axis] - target) / (s_hi[axis] - s_lo[axis])
     gap = w * (1.0 - w) * abs(sum((above[j] - below[j]) * (s_hi[j] - s_lo[j])
                                   for j in (0, 1)))
     if gap > gap_tol:
@@ -702,13 +689,14 @@ def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
         # times the rounding of d_k, about an ulp of D / m_k: within that
         # floor Newton steps no longer move it, so it counts as 0
         floor = 4.0 * (math.ulp(1.0) + abs(a_d) * math.ulp(D) / mk)
+        signs.append(resid > floor)  # the sign of the value
         return resid if abs(resid) > floor else 0.0, a_d * grow - alpha
 
-    alpha, calls = 0.0, 0
-    if pk < qk and f(_LOG_MIN)[0] > 0.0:
+    alpha, calls, signs = 0.0, 0, []
+    if pk < qk:
         try:
             a, calls = _bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)
-            alpha = math.exp(a)
+            alpha = math.exp(a) if signs[0] else 0.0  # no root above _MULTIPLIER_MIN
         except ConvergenceError:  # its slopes lost to rounding: taken as unresolved
             calls = MAX_ROOT_ITER
     de = _d_p_zero(alpha, edge)
@@ -718,45 +706,43 @@ def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
             np.concatenate((np.zeros(k), [pk], q[k + 1:])), calls)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # inf and nan steps are tested for
 def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d: float,
                          tol_p: float, start: tuple):
-    """Find alpha, beta > 0 with sum d = D and sum p = P in one loop over
-    (log alpha, log beta) from the start multipliers, for runs of m equal
-    components.  ``start`` is (alpha, beta) or an ``_s_side`` tuple, whose
-    allocation is the candidate below.
+    """Find alpha, beta > 0 with sum d = D and sum p = P from the start
+    multipliers, for runs of m equal components.  ``start`` is (alpha, beta)
+    or an ``_s_side`` tuple, whose allocation is the candidate below.
 
-    Where the 2x2 sensitivity jac is invertible (J00 < 0 and Schur
+    While the 2x2 sensitivity jac is invertible (J00 < 0 and Schur
     complement J11 - J01^2 / J00 < 0) the step is Newton's on the budget
-    residuals, each multiplier moving at most e^2-fold and beta inside its
-    bracket, halved twice at most until the larger scaled residual falls.
-    Where the Schur complement vanishes (near S(D) no component may be in
-    U, and one at its (q, q) corner or p = 0 edge does not move with beta)
-    or Newton stalls, the brackets step until a residual below the stall:
-    sum d falls in alpha at fixed beta, so log alpha in
-    [log _MULTIPLIER_MIN, inf) steps with slope J00 to sum d = D; along
-    that curve sum p falls in beta and is 0 < P above b_hi, so log beta in
-    [log _MULTIPLIER_MIN, log b_hi] steps with the Schur complement, alpha
-    following to first order.  A minimizer jumping between adjacent floats
-    (its Lagrangian flat along its zero-rate edge, beta / alpha near 1 - 2q)
-    meets sum d = D by ``_blend``: each kernel point is blended with the
-    latest one across D, and a collapsed alpha bracket takes that blend.
-    Aims at a hundredth of the budget tolerances within 5 MAX_ROOT_ITER
-    kernel calls, stopping earlier only where float64 resolves the
-    multipliers no further.
+    residuals, each multiplier moving at most e^2-fold and log beta inside
+    (log _MULTIPLIER_MIN, b_max), halved twice at most until the larger
+    scaled residual falls.  From the first step that is singular (near S(D)
+    no component may be in U, and one at its (q, q) corner or p = 0 edge
+    does not move with beta) or fails, two nested ``_bracketed_newton``
+    levels go on from the last point reached: the outer on log(sum p / P) in
+    log beta in [log _MULTIPLIER_MIN, b_max] along sum d = D, where sum p
+    falls in beta and is 0 < P above e^b_max, with the Schur complement as
+    slope, and at each beta the inner on log(sum d / D), which falls in
+    alpha, in log alpha in [log _MULTIPLIER_MIN, inf) with slope J00, from
+    the previous alpha.  A level ends within 1/100 of its tolerance, or once
+    its latest points on the two sides of its budget ``_blend`` within 1e-6
+    of the rate change the tolerances allow: a minimizer jumps between
+    adjacent floats where its Lagrangian is flat along its zero-rate edge
+    (beta / alpha near 1 - 2q).  Each kernel point is also blended with the
+    latest one across D within 1/100.  Guard: 5 MAX_ROOT_ITER kernel calls.
 
-    Where the first kernel point K is singular in beta (no component in U,
-    where components jumping between corner and edge can make the search
-    cycle), the candidate is returned with K's multipliers if it is within
-    the blend tolerance, plus a few ulps, of K's Lagrangian bound R(K) +
-    alpha (sum d_K - D) + beta (sum p_K - P), K's corners taken at (q, q).
-    Otherwise returns the point or blend closest to both budgets as
-    (alpha, beta, d, p, kernel calls) if it meets them, else None, whatever
-    stopped the search: a root below _MULTIPLIER_MIN, multipliers float64
-    resolves no further or the call cap.
+    Where the first kernel point K has no component in U, the candidate is
+    returned with K's multipliers if it is within the blend tolerance, plus
+    a few ulps, of K's Lagrangian bound R(K) + alpha (sum d_K - D) +
+    beta (sum p_K - P), K's corners taken at (q, q).  Otherwise returns the
+    point or blend closest to both budgets as (alpha, beta, d, p, kernel
+    calls) if it meets them, else None.
     """
     evals = 0
     best = (math.inf, None)  # (larger budget residual in tolerances, point)
     sides = [None, None]  # the latest kernel points with sum d > D and <= D
+    across = [None, None]  # the latest points on sum d = D with sum p > P and <= P
 
     def consider(point) -> float:
         nonlocal best
@@ -767,11 +753,14 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
             best = (miss, point)
         return miss
 
-    def blend(above, below):  # within a hundredth of the rate change the tolerances allow
-        return _blend(above, below, m, D, 0.01 * (above[0] * tol_d + above[1] * tol_p))
+    def blend(above, below, axis=0, share=0.01):  # a share of the rate change the tolerances allow
+        return _blend(above, below, m, axis, (D, P)[axis],
+                      share * (above[0] * tol_d + above[1] * tol_p))
 
     def evaluate(a: float, b: float):
         nonlocal evals
+        if evals >= 5 * MAX_ROOT_ITER:
+            raise ConvergenceError("multiplier search reached its call guard")
         evals += 1
         d, p, jac = _component_dp(math.exp(a), math.exp(b), q, m)
         point = (math.exp(a), math.exp(b), d, p)
@@ -781,8 +770,37 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         sides[not above] = point
         return a, b, point, consider(point), jac
 
-    with np.errstate(over="ignore"):  # a subnormal q gives inf: no upper end
-        b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)  # all p = 0 above
+    def level(axis: int, point, ends: list):
+        """Value of a level's search at a point on sum d (axis 0) or p (axis 1),
+        with the point, or blend across the budget, that ends the level or None."""
+        target, tol = (D, tol_d) if axis == 0 else (P, tol_p)
+        total = _total(m, point[2 + axis])
+        ends[total <= target] = point
+        if abs(total - target) <= 0.01 * tol:
+            return 0.0, point
+        mix = None if None in ends else blend(*ends, axis, 1e-6)
+        return (0.0, mix) if consider(mix) < math.inf else (_log_resid(total, target), None)
+
+    def p_resid(b: float):  # the outer level, at the point on sum d = D at log beta b
+        nonlocal a
+        ends, point = [None, None], None
+
+        def d_resid(x: float):
+            nonlocal cur, point
+            cur = evaluate(x, b)
+            value, point = level(0, cur[2], ends)
+            return value, cur[4][0][0] * cur[2][0] / _total(m, cur[2][2])  # J00 alpha / sum d
+
+        a = _bracketed_newton(d_resid, a, _LOG_MIN, math.inf, xtol=_LOG_XTOL)[0]
+        if point is None:  # the bracket collapsed, or the root is below _MULTIPLIER_MIN
+            raise ConvergenceError("no point meets sum d = D")
+        (j00, j01), (_, j11) = cur[4]  # at the last kernel point
+        schur = j11 - j01 * j01 / j00
+        slope = schur * point[1] / _total(m, point[3]) if j00 < 0.0 and schur < 0.0 else math.nan
+        return level(1, point, across)[0], slope
+
+    # all p = 0 above e^b_max; a subnormal q gives inf, no upper end
+    b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)
     cur = evaluate(math.log(start[0]), min(max(math.log(start[1]), _LOG_MIN), b_max))
     if len(start) > 2 and cur[4][1][1] == 0.0:  # no component in U
         alpha, beta, d, p = cur[2]
@@ -794,50 +812,31 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         slack = 0.01 * (alpha * tol_d + beta * tol_p) + 4.0 * math.ulp(1.0)
         if _total(m, scalar_rdp_arr(start[2], start[3], q)) - lower <= slack:
             return alpha, beta, start[2], start[3], evals
-    # alphas: (log beta, bracket on log alpha); stall: the residual Newton last failed at
-    betas, alphas, stall = _Bracket(_LOG_MIN, b_max), (None, None), math.inf
-    while best[0] > 0.01 and evals < 5 * MAX_ROOT_ITER:
-        a, b, point, miss, ((j00, j01), (_, j11)) = cur
-        alpha, beta, s_d, s_p = *point[:2], _total(m, point[2]), _total(m, point[3])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    try:
+        while best[0] > 0.01:
+            a, b, point, miss, ((j00, j01), (_, j11)) = cur
+            alpha, beta, s_d, s_p = *point[:2], _total(m, point[2]), _total(m, point[3])
             schur = j11 - j01 * j01 / j00
             step_b = -(s_p - P - j01 * (s_d - D) / j00) / schur
             step_a = -(s_d - D + j01 * step_b) / j00
-            slope_a = j00 * alpha / s_d  # of log(sum d) in log alpha
-        smooth = j00 < 0.0 and schur < 0.0
-        if smooth and miss < stall and math.isfinite(step_a) and math.isfinite(step_b):
+            if not (j00 < 0.0 and schur < 0.0 and np.isfinite([step_a, step_b]).all()):
+                break
             t = min([1.0] + [m * (math.expm1(2.0) if s > 0.0 else -math.expm1(-2.0)) / abs(s)
                              for m, s in ((alpha, step_a), (beta, step_b)) if s != 0.0])
             for _ in range(3):
                 na, nb = math.log(alpha + t * step_a), math.log(beta + t * step_b)
-                if not (na > _LOG_MIN and betas.lo < nb < betas.hi):
+                if not (na > _LOG_MIN and _LOG_MIN < nb < b_max):
                     break
                 cur = evaluate(na, nb)
                 if cur[3] < miss:
                     break
                 t *= 0.5
-            if cur[3] < miss:
-                continue
-            stall = miss
-        alphas = alphas if alphas[0] == b else (b, _Bracket(_LOG_MIN, math.inf))
-        on_curve, slope = point, math.nan
-        if abs(s_d - D) > 0.01 * tol_d:
-            nxt = alphas[1].step(a, _log_resid(s_d, D), slope_a)
-            if abs(nxt - a) > _LOG_XTOL:
-                cur = evaluate(nxt, b)
-                continue
-            # the alpha bracket collapsed on a jump of sum d across D
-            on_curve = None if None in sides else blend(*sides)
-            if on_curve is None:
+            if not cur[3] < miss:
                 break
-        elif smooth and s_p > 0.0:
-            slope = schur * beta / s_p
-        nb = betas.step(b, _log_resid(_total(m, on_curve[3]), P), slope)
-        if abs(nb - b) <= _LOG_XTOL:
-            break
-        # along sum d = D to first order (no move when no component moves)
-        na = a - j01 * beta / (j00 * alpha) * (nb - b) if j00 < 0.0 else a
-        cur = evaluate(max(na, _LOG_MIN), nb)
+        if best[0] > 0.01:
+            _bracketed_newton(p_resid, b, _LOG_MIN, b_max, xtol=_LOG_XTOL)
+    except ConvergenceError:  # the call guard, or a root float64 resolves no further
+        pass
     return (*best[1], evals) if best[0] <= 1.0 else None
 
 

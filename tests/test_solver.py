@@ -20,7 +20,7 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      classify, length_bounds, normalize, rdp, s_of_d, scalar_rdp,
                      solve_region_a, solve_region_b, solve_region_c, t_of_d,
                      water_fill)
-from bernrdp.solver import (_CORNER_RTOL, _Bracket, _beta_gap, _blend, _component_dp,
+from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _blend, _bracketed_newton, _component_dp,
                             _d_of_alpha, _d_p_zero, _plane_boundary, _s_curve, _s_side,
                             _solve_c_multipliers)
 
@@ -1149,15 +1149,37 @@ def test_q_next_to_half_just_above_sum_q_is_solved():
     assert res.region == "C"
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="region C does not yet resolve every budget inside C")
 def test_budget_inside_c_away_from_the_boundaries_is_solved():
-    # D below sum q = 0.594 and P at 15% of T(D) = 0.353: the search
-    # cycles between a Newton step and an alpha-bracket step at one beta
-    # and raises at the call cap; D * (1 +- 1e-2) solve in 20 calls
-    raw = [0.8478493219103388, 0.4421563817060524]
-    res = rdp(raw, (0.5403732238981972, 0.054333183408430574))
+    # D below sum q = 0.594 and P at 15% of T(D) = 0.353: a search that went
+    # back to Newton after its bracket steps cycled at one beta between a
+    # Newton step and an alpha-bracket step, and raised at its call cap
+    raw, D, P = [0.8478493219103388, 0.4421563817060524], 0.5403732238981972, 0.054333183408430574
+    res = rdp(raw, (D, P))
     assert res.region == "C"
+    assert res.multiplier_iterations <= 60
+    cert = res.certificate
+    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+    assert res.rate - _dual_bound(raw, D, P, res) <= slack
+
+
+@pytest.mark.parametrize("rel", [7e-5, 7.5e-5])
+def test_many_distinct_q_between_the_pinned_budgets_next_to_s(rel):
+    # between test_many_distinct_q_next_to_s's budgets at share 0.8: the
+    # search that went back to Newton raised ConvergenceError at its
+    # 1,000-call cap at 7e-5 and took 467 kernel calls at 7.5e-5
+    q = np.random.default_rng([1505, 2]).uniform(0.05, 0.45, 179_700)
+    src = normalize(q)
+    s = float(q.sum())
+    D = s + 0.8 * (float(np.sum(2 * q * (1 - q))) - s)
+    P = (1 - rel) * s_of_d(src, D).value
+    res = rdp(src, (D, P))
+    assert res.region == "C" and res.notes == ()
+    assert res.multiplier_iterations <= 200
+    assert res.rate <= rdp(src, (D, 0.0)).rate
+    # the kernel's corners round to up to about 3.5e-11 nats at this n
+    cert = res.certificate
+    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1] + 1e-10
+    assert res.rate - _dual_bound(q, D, P, res) <= slack
 
 
 def _bench_profile(n):
@@ -1398,8 +1420,8 @@ class TestTiedComponents:
 
 
 class _ArrayBracket:
-    """Reference: the elementwise numpy form of ``_Bracket``, kept to pin
-    the scalar one bit for bit."""
+    """Reference: the elementwise numpy form of ``_bracketed_newton``'s
+    bracket steps, kept to pin the scalar one bit for bit."""
 
     def __init__(self, lo, hi):
         self.lo, self.hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
@@ -1439,33 +1461,57 @@ class TestBracket:
                               st.one_of(st.floats(-1e3, 1e3), _SPECIAL)),
                     min_size=1, max_size=40))
     def test_scalar_steps_match_the_array_form(self, ends, share, steps):
+        # the scripted (value, slope) pairs, then a zero value, where the
+        # search stops; it also stops where a step does not move
         lo, hi = ends
         x = max(lo, -30.0) + share * (min(hi, 30.0) - max(lo, -30.0))
-        scalar, array = _Bracket(lo, hi), _ArrayBracket(lo, hi)
+        steps = steps + [(0.0, math.nan)]
+        script, points = iter(steps), []
+
+        def f(x):
+            points.append(x)
+            return next(script)
+
+        root, calls = _bracketed_newton(f, x, lo, hi)
+        array, want = _ArrayBracket(lo, hi), []
         for fx, slope in steps:
-            got = scalar.step(x, fx, slope)
-            want = array.step(*(np.array([v]) for v in (x, fx, slope)))
-            assert isinstance(got, float)
-            assert _bits(got) == _bits(want), (x, fx, slope)
-            assert (_bits(scalar.lo), _bits(scalar.hi)) == (_bits(array.lo), _bits(array.hi))
-            x = got
+            want.append(x)
+            if fx == 0.0:
+                break
+            x, last = float(array.step(*(np.array([v]) for v in (x, fx, slope)))[0]), x
+            if abs(x - last) <= 0.0:
+                break
+        assert calls == len(points)
+        assert [_bits(v) for v in points] == [_bits(v) for v in want]
+        assert _bits(root) == _bits(x)
 
 
 class TestBlend:
     def test_meets_d_between_equal_multipliers(self):
         above = (1.0, 0.5, np.array([0.3, 0.2]), np.array([0.0, 0.1]))
         below = (1.0, 0.5, np.array([0.1, 0.2]), np.array([0.2, 0.1]))
-        alpha, beta, d, p = _blend(above, below, _ones(above[2]), 0.4, gap_tol=0.0)
+        alpha, beta, d, p = _blend(above, below, _ones(above[2]), 0, 0.4, gap_tol=0.0)
         assert (alpha, beta) == (1.0, 0.5)
         assert d.sum() == pytest.approx(0.4, abs=1e-15)
         np.testing.assert_allclose(p, [0.1, 0.1])
+
+    def test_meets_p_along_p(self):
+        above = (1.0, 0.5, np.array([0.3, 0.1]), np.array([0.2, 0.1]))
+        below = (1.0, 0.75, np.array([0.2, 0.2]), np.array([0.1, 0.0]))
+        # weight w = (0.3 - 0.25) / (0.3 - 0.1) = 1/4, gap bound
+        # w (1 - w) |0 x 0 + (0.5 - 0.75)(0.3 - 0.1)| = 0.009375
+        assert _blend(above, below, _ones(above[2]), 1, 0.25, gap_tol=0.009) is None
+        alpha, beta, d, p = _blend(above, below, _ones(above[2]), 1, 0.25, gap_tol=0.0095)
+        assert (alpha, beta) == (1.0, 0.5)  # the heavier point's
+        assert p.sum() == pytest.approx(0.25, abs=1e-15)
+        np.testing.assert_allclose(d, [0.275, 0.125])
 
     def test_refuses_distant_multipliers(self):
         above = (1.0, 0.5, np.array([0.3]), np.array([0.0]))
         below = (2.0, 0.5, np.array([0.1]), np.array([0.2]))
         # gap bound w (1 - w) |1 x 0.2| = 0.05 at w = 1/2
-        assert _blend(above, below, _ones(above[2]), 0.2, gap_tol=0.049) is None
-        assert _blend(above, below, _ones(above[2]), 0.2, gap_tol=0.051) is not None
+        assert _blend(above, below, _ones(above[2]), 0, 0.2, gap_tol=0.049) is None
+        assert _blend(above, below, _ones(above[2]), 0, 0.2, gap_tol=0.051) is not None
 
 
 class TestRdpDispatch:
