@@ -670,7 +670,8 @@ def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
     alpha equals run k's alpha gap, or is 0 (edge runs at their caps
     2q(1-q), as at S(D)) where that root lies below _MULTIPLIER_MIN; beta is
     run k's beta gap, or 0 where not positive or run k is outside U.
-    Returns (alpha, beta, d, p, calls of the alpha search)."""
+    Returns (alpha, beta, d, p, calls of the alpha search); an alpha search
+    that does not converge raises ConvergenceError."""
     tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)  # sum of q after each run
     k = int(np.flatnonzero(tail < P)[0])
     edge, m_edge, qk, mk = q[:k], m[:k], float(q[k]), m[k]
@@ -694,11 +695,8 @@ def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
 
     alpha, calls, signs = 0.0, 0, []
     if pk < qk:
-        try:
-            a, calls = _bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)
-            alpha = math.exp(a) if signs[0] else 0.0  # no root above _MULTIPLIER_MIN
-        except ConvergenceError:  # its slopes lost to rounding: taken as unresolved
-            calls = MAX_ROOT_ITER
+        a, calls = _bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)
+        alpha = math.exp(a) if signs[0] else 0.0  # no root above _MULTIPLIER_MIN
     de = _d_p_zero(alpha, edge)
     dk = (D - tail[k] - _total(m_edge, de)) / mk
     beta = max(0.0, float(_beta_gap(dk, pk, qk))) if pk < dk < 2.0 * qk - pk else 0.0
@@ -715,29 +713,31 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
 
     While the 2x2 sensitivity jac is invertible (J00 < 0 and Schur
     complement J11 - J01^2 / J00 < 0) the step is Newton's on the budget
-    residuals, each multiplier moving at most e^2-fold and log beta inside
-    (log _MULTIPLIER_MIN, b_max), halved twice at most until the larger
-    scaled residual falls.  From the first step that is singular (near S(D)
-    no component may be in U, and one at its (q, q) corner or p = 0 edge
-    does not move with beta) or fails, two nested ``_bracketed_newton``
-    levels go on from the last point reached: the outer on log(sum p / P) in
-    log beta in [log _MULTIPLIER_MIN, b_max] along sum d = D, where sum p
-    falls in beta and is 0 < P above e^b_max, with the Schur complement as
-    slope, and at each beta the inner on log(sum d / D), which falls in
-    alpha, in log alpha in [log _MULTIPLIER_MIN, inf) with slope J00, from
-    the previous alpha.  A level ends within 1/100 of its tolerance, or once
-    its latest points on the two sides of its budget ``_blend`` within 1e-6
-    of the rate change the tolerances allow: a minimizer jumps between
-    adjacent floats where its Lagrangian is flat along its zero-rate edge
-    (beta / alpha near 1 - 2q).  Each kernel point is also blended with the
-    latest one across D within 1/100.  Guard: 5 MAX_ROOT_ITER kernel calls.
+    residuals, one per iteration, each multiplier moving at most e^2-fold.
+    From the first step that is singular (near S(D) no component may be in
+    U, and one at its (q, q) corner or p = 0 edge does not move with beta),
+    leaves (log _MULTIPLIER_MIN, inf) x (log _MULTIPLIER_MIN, b_max) in
+    (log alpha, log beta) or does not lower the larger scaled residual, two
+    nested ``_bracketed_newton`` levels go on from the last point reached:
+    the outer on log(sum p / P) in log beta in [log _MULTIPLIER_MIN, b_max]
+    along sum d = D, where sum p falls in beta and is 0 < P above e^b_max,
+    with the Schur complement as slope, and at each beta the inner on
+    log(sum d / D), which falls in alpha, in log alpha in
+    [log _MULTIPLIER_MIN, inf) with slope J00, from the previous alpha.  A
+    level ends within 1/100 of its tolerance, or once its latest points on
+    the two sides of its budget ``_blend`` within 1e-6 of the rate change
+    the tolerances allow: a minimizer jumps between adjacent floats where
+    its Lagrangian is flat along its zero-rate edge (beta / alpha near
+    1 - 2q).  Each kernel point is also blended with the latest one across
+    D within the same 1e-6.  Guard: 5 MAX_ROOT_ITER kernel calls.
 
     Where the first kernel point K has no component in U, the candidate is
-    returned with K's multipliers if it is within the blend tolerance, plus
-    a few ulps, of K's Lagrangian bound R(K) + alpha (sum d_K - D) +
-    beta (sum p_K - P), K's corners taken at (q, q).  Otherwise returns the
-    point or blend closest to both budgets as (alpha, beta, d, p, kernel
-    calls) if it meets them, else None.
+    returned with K's multipliers if it is within 1/100 of the rate change
+    the tolerances allow, plus a few ulps, of K's Lagrangian bound R(K) +
+    alpha (sum d_K - D) + beta (sum p_K - P), K's corners taken at (q, q).
+    Otherwise returns the point or blend closest to both budgets as
+    (alpha, beta, d, p, kernel calls) if it meets them, and raises
+    ConvergenceError if none does.
     """
     evals = 0
     best = (math.inf, None)  # (larger budget residual in tolerances, point)
@@ -753,9 +753,9 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
             best = (miss, point)
         return miss
 
-    def blend(above, below, axis=0, share=0.01):  # a share of the rate change the tolerances allow
+    def blend(above, below, axis=0):  # within 1e-6 of the rate change the tolerances allow
         return _blend(above, below, m, axis, (D, P)[axis],
-                      share * (above[0] * tol_d + above[1] * tol_p))
+                      1e-6 * (above[0] * tol_d + above[1] * tol_p))
 
     def evaluate(a: float, b: float):
         nonlocal evals
@@ -778,7 +778,7 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         ends[total <= target] = point
         if abs(total - target) <= 0.01 * tol:
             return 0.0, point
-        mix = None if None in ends else blend(*ends, axis, 1e-6)
+        mix = None if None in ends else blend(*ends, axis)
         return (0.0, mix) if consider(mix) < math.inf else (_log_resid(total, target), None)
 
     def p_resid(b: float):  # the outer level, at the point on sum d = D at log beta b
@@ -808,7 +808,7 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         d, p = np.where(p >= q * (1.0 - _CORNER_RTOL), [q, q], [d, p])
         lower = (_total(m, scalar_rdp_arr(d, p, q)) + alpha * (_total(m, d) - D)
                  + beta * (_total(m, p) - P))
-        # a few ulps for the rates' rounding, above the blend tolerance at tiny multipliers
+        # a few ulps for the rates' rounding, above the 1/100 share at tiny multipliers
         slack = 0.01 * (alpha * tol_d + beta * tol_p) + 4.0 * math.ulp(1.0)
         if _total(m, scalar_rdp_arr(start[2], start[3], q)) - lower <= slack:
             return alpha, beta, start[2], start[3], evals
@@ -823,21 +823,19 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
                 break
             t = min([1.0] + [m * (math.expm1(2.0) if s > 0.0 else -math.expm1(-2.0)) / abs(s)
                              for m, s in ((alpha, step_a), (beta, step_b)) if s != 0.0])
-            for _ in range(3):
-                na, nb = math.log(alpha + t * step_a), math.log(beta + t * step_b)
-                if not (na > _LOG_MIN and _LOG_MIN < nb < b_max):
-                    break
-                cur = evaluate(na, nb)
-                if cur[3] < miss:
-                    break
-                t *= 0.5
+            na, nb = math.log(alpha + t * step_a), math.log(beta + t * step_b)
+            if not (na > _LOG_MIN and _LOG_MIN < nb < b_max):
+                break
+            cur = evaluate(na, nb)
             if not cur[3] < miss:
                 break
         if best[0] > 0.01:
             _bracketed_newton(p_resid, b, _LOG_MIN, b_max, xtol=_LOG_XTOL)
     except ConvergenceError:  # the call guard, or a root float64 resolves no further
         pass
-    return (*best[1], evals) if best[0] <= 1.0 else None
+    if best[0] > 1.0:
+        raise ConvergenceError("no multipliers meet both budgets")
+    return (*best[1], evals)
 
 
 # ---------------------------------------------------------------------------
@@ -968,8 +966,6 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
             if bound - P > tol_p:
                 start = found if min(found[:2]) > 0.0 else (1e-3, 1e-2)
                 found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
-        if found is None:
-            raise ConvergenceError("no multipliers meet both budgets")
         alpha, beta, d, p, iters = found
         gaps = _beta_gap(d, p, q)
     lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))

@@ -885,7 +885,10 @@ class TestRegionCNearS:
             assert res.rate <= parent_rate + 1e-12
 
     def test_unresolved_search_raises(self, monkeypatch):
-        monkeypatch.setattr(br.solver, "_solve_c_multipliers", lambda *args: None)
+        def unresolved(*args):
+            raise ConvergenceError("no multipliers meet both budgets")
+
+        monkeypatch.setattr(br.solver, "_solve_c_multipliers", unresolved)
         # a search that finds no multipliers has no fallback on either side
         # of sum q: a snap to S(D) gave 4.65e-4 nats here, above
         # R(D, 0) = 4.0e-6
@@ -900,6 +903,21 @@ class TestRegionCNearS:
         # within that tolerance no search runs
         res = rdp([0.3, 0.1], (0.5, s_of_d([0.3, 0.1], 0.5).value - 5e-9))
         assert res.region == "C" and not res.notes
+
+    def test_unresolved_alpha_search_next_to_s_raises(self, monkeypatch):
+        # within the perception tolerance of S(D) the S(D)-shaped allocation
+        # is returned unsearched, and it meets both budgets by construction:
+        # an alpha search that gave up was taken as alpha = 0 with 200
+        # kernel calls, and no check caught it
+        D = 0.5
+        P = s_of_d([0.3, 0.1], D).value - 5e-9
+
+        def unresolved(*args, **kwargs):
+            raise ConvergenceError("bracketed Newton search did not converge")
+
+        monkeypatch.setattr(br.solver, "_bracketed_newton", unresolved)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            rdp([0.3, 0.1], (D, P))
 
     def test_s_side_alpha_search_stops_at_its_rounding_floor(self):
         # its residual stalls near 1e-16 while Newton steps no longer cross
@@ -1160,6 +1178,42 @@ def test_budget_inside_c_away_from_the_boundaries_is_solved():
     cert = res.certificate
     slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
     assert res.rate - _dual_bound(raw, D, P, res) <= slack
+
+
+def test_call_guard_ends_the_search_at_its_best_point(monkeypatch):
+    # 85 kernel calls; with MAX_ROOT_ITER = 16 every 1-D search still ends
+    # within its 16 calls, and the guard of 5 * 16 kernel calls stops the
+    # two levels, whose best point already meets both budgets
+    raw, D, P = [0.5, 0.001], 0.4173768958471343, 0.0009986087162118084
+    assert rdp(raw, (D, P)).multiplier_iterations > 80
+    monkeypatch.setattr(br.solver, "MAX_ROOT_ITER", 16)
+    res = rdp(raw, (D, P))
+    assert res.region == "C"
+    assert res.multiplier_iterations == 80
+
+
+def test_level_that_meets_no_budget_raises_inside_the_search(monkeypatch):
+    # sum d jumps across D at the alpha level's root, so with every blend
+    # refused its bracket closes with no point on sum d = D; the search then
+    # raises, since no point it met meets both budgets
+    raw = [0.001, 0.25597570408763803, 0.5414663637286097, 0.33223197459618015,
+           0.9556393271333874, 0.7038717763594212]
+    D, P = 1.546636340986051, 0.5756299785618599
+    assert rdp(raw, (D, P)).region == "C"
+    raised, search = [], br.solver._bracketed_newton
+
+    def recording(*args, **kwargs):
+        try:
+            return search(*args, **kwargs)
+        except ConvergenceError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(br.solver, "_blend", lambda *args: None)
+    monkeypatch.setattr(br.solver, "_bracketed_newton", recording)
+    with pytest.raises(ConvergenceError, match="no multipliers meet both budgets"):
+        rdp(raw, (D, P))
+    assert raised == ["no point meets sum d = D"]
 
 
 @pytest.mark.parametrize("rel", [7e-5, 7.5e-5])
@@ -1485,6 +1539,20 @@ class TestBracket:
         assert [_bits(v) for v in points] == [_bits(v) for v in want]
         assert _bits(root) == _bits(x)
 
+    def test_a_bracket_that_never_closes_raises(self):
+        # a value that stays positive towards hi = inf: the cap doubles at
+        # every call, and the search gives up after MAX_ROOT_ITER of them
+        points = []
+
+        def f(x):
+            points.append(x)
+            return 1.0, math.nan
+
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            _bracketed_newton(f, 0.0, 0.0, math.inf)
+        assert len(points) == br.solver.MAX_ROOT_ITER
+        assert points[:4] == [0.0, 1.0, 3.0, 7.0]
+
 
 class TestBlend:
     def test_meets_d_between_equal_multipliers(self):
@@ -1762,6 +1830,15 @@ class TestCertificateChecks:
                               multiplier_iterations=0, residuals=res.residuals)
         with pytest.raises(ConvergenceError, match="unknown"):
             br.check_certificate(broken)
+
+    def test_exterior_closure_is_d_at_most_its_tolerance(self):
+        # a q = 0 component takes no distortion and is labelled EXTERIOR
+        res = rdp([0.3, 0.0], (0.2, 0.05))
+        assert _regions(res)[1] == ScalarRegion.EXTERIOR
+        assert br.in_region_closure(float(res.allocation.d[1]), float(res.allocation.p[1]), 0.0,
+                                    ScalarRegion.EXTERIOR)
+        assert br.in_region_closure(1e-9, 0.1, 0.3, ScalarRegion.EXTERIOR)
+        assert not br.in_region_closure(2e-9, 0.1, 0.3, ScalarRegion.EXTERIOR)
 
     def test_closure_membership_random(self):
         rng = np.random.default_rng(34)
