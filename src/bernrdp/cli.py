@@ -425,6 +425,8 @@ def cmd_verify(args, out) -> int:
                  g.refinement_rounds if args.refine_rounds is None else args.refine_rounds)
         for g in (SCALAR_GRID, VECTOR_GRID))
     _check_count("--budget-count", args.budget_count)
+    if not args.scalar_only and src.n > 3:
+        raise SizeError("vector oracle verification needs n <= 3 (use --scalar-only)")
     report = {"n": src.n, "stages": {}}
 
     def stage(name, worst, tol):
@@ -440,8 +442,6 @@ def cmd_verify(args, out) -> int:
     stage("scalar_channel", worst, args.scalar_tol)
 
     if not args.scalar_only:
-        if src.n > 3:
-            raise SizeError("vector oracle verification needs n <= 3 (use --scalar-only)")
         caps = float((2.0 * src.q * (1.0 - src.q)).sum())
         sum_q = float(src.q.sum())
         worst = 0.0

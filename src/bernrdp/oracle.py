@@ -28,10 +28,12 @@ scalar objective clamps its computed I at 0, so that cells rounded just
 below it tie and the first feasible one in row-major order wins.
 
 The scalar objective works on the 1-D products u = (1-q)a and v = qb, both
-sorted.  It first keeps the rows and columns of a block that pass the
-budget tests against the other axis's ends (``_budget_box``), then tests
-both budgets on that box, and takes the entropies over the feasible rows
-and columns only: at D = 0 one cell a round, at P = 0 a line of cells.
+sorted.  Once a round it keeps the rows and columns that pass the budget
+tests against the other axis's ends (``_budget_box``).  A block whose rows
+miss that box is skipped with no array work; otherwise both budgets are
+tested on its rows in the box, and the entropies are taken over the
+feasible rows and columns only: at D = 0 one cell a round, at P = 0 a line
+of cells.
 
 Accuracy scales with the final grid spacing: after the requested rounds
 the boxed spacing is (range / resolution) / shrink^rounds with shrink
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DOMAIN_TOL, _xlogx, h2, scalar_rdp
+from .core import DOMAIN_TOL, _xlogx, h2, scalar_rdp, scalar_rdp_arr
 from .errors import ConvergenceError, DomainError, SizeError
 from .solver import _as_budget, _as_source
 
@@ -120,7 +122,9 @@ def _refine(objective, glo, ghi, res: int, rounds: int):
     scalar one does.
 
     A round with no finite value ends the search, raising if nothing was
-    found.  Returns ``(best, point)``.
+    found.  So does a round whose box has zero width on every axis: its
+    grid is one point, and the next round's box would be that point again.
+    Returns ``(best, point)``.
     """
     glo, ghi = np.asarray(glo, dtype=float), np.asarray(ghi, dtype=float)
     lo, hi, best, best_z = glo, ghi, math.inf, glo
@@ -151,7 +155,7 @@ def _refine(objective, glo, ghi, res: int, rounds: int):
         if top < best:
             best = top
             best_z = np.array([axes[k][at[k]] for k in range(glo.size)])
-        if best <= 0.0:
+        if best <= 0.0 or not (hi > lo).any():
             break
         h = np.where(hi > lo, (hi - lo) / (res - 1), 0.0)
         lo, hi = np.maximum(glo, best_z - _HALO * h), np.minimum(ghi, best_z + _HALO * h)
@@ -161,6 +165,8 @@ def _refine(objective, glo, ghi, res: int, rounds: int):
 def _budget_box(u, v, D: float, P: float):
     """The rows of ``u`` and the columns of ``v`` that can hold a cell with
     ``u + v <= D`` and ``|u - v| <= P``, as a pair of slices, or None.
+    The scalar oracle takes it once a round, on the round's whole axes, and
+    its blocks test only their rows inside it.
 
     ``u`` and ``v`` are non-decreasing and rounding is monotone, so the
     computed ``u + v`` and ``u - v`` are monotone along both axes: a row
@@ -201,26 +207,29 @@ def scalar_channel_oracle(q: float, D: float, P: float,
         ua, vb, qb = (1.0 - q) * a, q * b, q * (1.0 - b)
         xa = _xlogx((1.0 - q) * (1.0 - a)) + _xlogx(ua)
         xb1, xb2 = _xlogx(vb), _xlogx(qb)
+        box = _budget_box(ua, vb, D, P)
 
         def block(rows):
-            u = ua[rows]
-            box = _budget_box(u, vb, D, P)
             if box is None:
                 return None
             bi, bj = box
-            ok = (u[bi, None] + vb[bj] <= D) & (np.abs(u[bi, None] - vb[bj]) <= P)
+            lo, hi = max(rows.start, bi.start), min(rows.stop, bi.stop)
+            if lo >= hi:
+                return None
+            u = ua[lo:hi, None]
+            ok = (u + vb[bj] <= D) & (np.abs(u - vb[bj]) <= P)
             i, j = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
             if i.size == 0:
                 return None
             ok = ok[i[0]:i[-1] + 1, j[0]:j[-1] + 1]
-            i = slice(bi.start + i[0], bi.start + i[-1] + 1)
+            i = slice(lo + i[0], lo + i[-1] + 1)
             j = slice(bj.start + j[0], bj.start + j[-1] + 1)
             # I = H(X) + H(Xhat) - H(X, Xhat), every term from the joint cells;
             # I >= 0, so rounding below 0 is clamped and all such cells tie
-            joint = xa[rows][i, None] + xb1[j] + xb2[j]
-            qhat = u[i, None] + qb[j]
+            joint = xa[i, None] + xb1[j] + xb2[j]
+            qhat = ua[i, None] + qb[j]
             info = hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat)
-            return (i.start, j.start), np.where(ok, np.maximum(info, 0.0), np.inf)
+            return (i.start - rows.start, j.start), np.where(ok, np.maximum(info, 0.0), np.inf)
         return block
 
     best, (a, b) = _refine(information, [0.0, 0.0], [1.0, 1.0], grid.resolution,
@@ -281,7 +290,7 @@ def allocation_grid_oracle(src, budget, grid: GridSpec = VECTOR_GRID):
             d3 = D - d1[rows] - d2
             feasible = (d3 >= 0.0) & (d3 <= 1.0) & (p3 >= 0.0)
             total = (head[rows] + middle
-                     + scalar_rdp(np.clip(d3, 0.0, 1.0), np.maximum(p3, 0.0), q[2]))
+                     + scalar_rdp_arr(np.clip(d3, 0.0, 1.0), np.maximum(p3, 0.0), q[2]))
             return 0, np.where(feasible, total, np.inf)
         return block
 

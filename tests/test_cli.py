@@ -518,6 +518,12 @@ class TestVerify:
         assert code == 5
         assert json.loads(err)["error"]["exit_code"] == 5
 
+    def test_n4_vector_exits_5_before_any_oracle(self, capsys):
+        with mock.patch.object(cli, "scalar_channel_oracle", side_effect=AssertionError):
+            code, _, err = run_cli(["verify", "--q", "0.1,0.2,0.3,0.4"], capsys)
+        assert code == 5
+        assert json.loads(err)["error"]["exit_code"] == 5
+
     def test_n4_scalar_only_allowed(self, capsys):
         code, out, _ = run_cli(["verify", "--q", "0.3,0.2,0.15,0.1", "--scalar-only",
                                 "--grid-resolution", "100", "--refine-rounds", "1",

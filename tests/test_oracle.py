@@ -153,6 +153,21 @@ class TestSearchShortcuts:
         scalar_channel_oracle(0.3, 0.2, 0.1, GridSpec(400, 3))
         assert len(rounds) == 4
 
+    @pytest.mark.parametrize("budget", [(0.0, 0.2), (0.2, 0.0)])
+    def test_budget_box_once_a_round(self, rounds, budget):
+        # the grid's 400 rows make 10 blocks a round; the box bounds the round
+        with mock.patch.object(oracle, "_budget_box", side_effect=oracle._budget_box) as box:
+            scalar_channel_oracle(0.35, *budget, GridSpec(400, 3))
+        assert box.call_count == len(rounds) == 4
+
+    @pytest.mark.parametrize("qs", [[0.3, 0.1], [0.3, 0.25, 0.05]])
+    def test_one_point_box_runs_one_round(self, rounds, qs):
+        # at D = P = 0 every axis has zero width: a second round is the same cell
+        rate, (d, p) = allocation_grid_oracle(qs, (0.0, 0.0), GridSpec(200, 2))
+        assert rate == pytest.approx(sum(scalar_rdp(0.0, 0.0, v) for v in qs), abs=1e-12)
+        assert not d.any() and not p.any()
+        assert rounds == [1]
+
 
 #: Sorted axes as the scalar oracle builds them: (1-q) a and q b over
 #: linspace grids of [0, 1] sub-boxes, at times one point wide.

@@ -288,6 +288,10 @@ def vector_cases(draw, sizes, resolutions):
 @example((0.3, 0.6, 0.2, GridSpec(400, 3), 20))
 @example((0.1, 0.0, 0.2, GridSpec(400, 3), 16384))
 @example((0.35, 0.4, 0.0, GridSpec(400, 3), 16384))
+# a P = 0 budget inside the rate's support, in whole blocks of 40 rows and
+# in blocks of 3 rows, whose edges fall inside the round's budget box
+@example((0.35, 0.2, 0.0, GridSpec(400, 3), 16384))
+@example((0.35, 0.2, 0.0, GridSpec(400, 3), 1200))
 def test_scalar_channel_matches_full_grid(case):
     q, D, P, grid, cells = case
     with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
@@ -296,6 +300,9 @@ def test_scalar_channel_matches_full_grid(case):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(vector_cases(st.just(2), st.integers(2, 45)))
+# D = P = 0: the box is one point on every axis, and one round is searched
+@example(([0.3, 0.1], 0.0, 0.0, 0.4, GridSpec(200, 2), 16384))
+@example(([0.3, 0.1], 0.0, 0.0, 0.4, GridSpec(200, 2), 5))
 def test_n2_searches_match_full_grid(case):
     qs, D, P, D_s, grid, cells = case
     with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
@@ -305,6 +312,8 @@ def test_n2_searches_match_full_grid(case):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(vector_cases(st.just(3), st.one_of(st.integers(2, 9), st.just(30))))
+@example(([0.3, 0.25, 0.05], 0.0, 0.0, 0.6, GridSpec(200, 2), 16384))
+@example(([0.3, 0.25, 0.05], 0.0, 0.0, 0.6, GridSpec(200, 2), 5))
 def test_n3_searches_match_full_grid(case):
     qs, D, P, D_s, grid, cells = case
     with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
