@@ -10,14 +10,17 @@ flips, so undoing them is purely an indexing matter.
 Edges are held as arrays in row-major upper-triangle order
 (``np.triu_indices(n, 1)``): ``flatten`` returns the vertex index arrays
 (i, j), and ``GraphRdpResult`` carries i, j, q, d, p and the per-edge rate
-as arrays in that order.  Its ``edges`` rows, one ``EdgeAllocation`` per
-edge, are built only when first read.
+as arrays in that order.  Its ``edges`` is a read-only sequence view of
+those arrays: each ``EdgeAllocation`` row is built when it is read, so no
+per-edge Python objects are kept.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +120,8 @@ def load_matrix(source) -> EdgeProbabilityMatrix:
 def _edge_probs(matrix: EdgeProbabilityMatrix) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The upper-triangle edge probabilities in row-major order, with their
     vertex index arrays (i, j)."""
+    if not isinstance(matrix, EdgeProbabilityMatrix):
+        raise DomainError(f"matrix must be an EdgeProbabilityMatrix, got {type(matrix).__name__}")
     i, j = np.triu_indices(matrix.n_vertices, 1)
     return matrix.probs[i, j], (i, j)
 
@@ -143,6 +148,38 @@ class EdgeAllocation:
     rate: float
 
 
+def _rows(cols) -> map:
+    """``EdgeAllocation`` rows over equal-length columns, with Python
+    ``int`` and ``float`` fields."""
+    return map(EdgeAllocation, *(c.tolist() for c in cols))
+
+
+class _EdgeRows(Sequence):
+    """Read-only sequence of ``EdgeAllocation`` rows over the per-edge
+    arrays (i, j, q, d, p, rate).  A row is built when it is read: an index
+    or a slice builds the rows it names, and iteration builds them
+    ``_CHUNK`` at a time."""
+
+    __slots__ = ("_cols",)
+    _CHUNK = 4096
+
+    def __init__(self, cols: tuple[np.ndarray, ...]):
+        self._cols = cols
+
+    def __len__(self) -> int:
+        return len(self._cols[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(_rows(c[k] for c in self._cols))
+        k = operator.index(k)
+        return EdgeAllocation(*(c[k].item() for c in self._cols))
+
+    def __iter__(self):
+        for lo in range(0, len(self), self._CHUNK):
+            yield from _rows(c[lo:lo + self._CHUNK] for c in self._cols)
+
+
 @dataclass(frozen=True)
 class GraphRdpResult:
     """Vector-solver result plus the allocation indexed by edge.
@@ -150,8 +187,10 @@ class GraphRdpResult:
     ``i``, ``j``, ``q``, ``d``, ``p`` and ``edge_rate`` are per-edge arrays
     in raw edge order (the order of ``flatten``): the vertices, the edge
     probability (the matrix entry), the distortion and perception
-    shares and the rate contribution in nats.  ``edges`` holds the same
-    data as ``EdgeAllocation`` rows; they are built when first read.
+    shares and the rate contribution in nats.  ``edges`` is a read-only
+    sequence of the same data as ``EdgeAllocation`` rows, in the same
+    order.  It holds no rows: each is built from the arrays when it is
+    read, and a slice gives a tuple of rows.
     """
 
     result: RdpResult
@@ -167,9 +206,8 @@ class GraphRdpResult:
         return self.result.rate
 
     @functools.cached_property
-    def edges(self) -> tuple[EdgeAllocation, ...]:
-        cols = (self.i, self.j, self.q, self.d, self.p, self.edge_rate)
-        return tuple(EdgeAllocation(*row) for row in zip(*(c.tolist() for c in cols)))
+    def edges(self) -> Sequence[EdgeAllocation]:
+        return _EdgeRows((self.i, self.j, self.q, self.d, self.p, self.edge_rate))
 
 
 def graph_rdp(matrix: EdgeProbabilityMatrix, budget) -> GraphRdpResult:

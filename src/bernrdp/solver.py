@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,6 +146,18 @@ def _bijection(perm, n: int) -> np.ndarray | None:
     return idx if bool(seen.all()) else None
 
 
+def _real(x, name: str) -> float:
+    """x as a float; DomainError naming ``name`` unless x is a real number
+    (a Python or numpy bool, int or float, or a 0-d array of one)."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        real = x.ndim == 0 and x.dtype.kind in "biuf"
+    else:
+        real = isinstance(x, numbers.Real)
+    if not real:
+        raise DomainError(f"{name} must be a real number, got {x!r:.80}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class BudgetPair:
     """Total distortion budget D and total perception budget P.
@@ -156,13 +169,14 @@ class BudgetPair:
     P: float
 
     def __post_init__(self):
-        if not math.isfinite(self.D) or self.D < -DOMAIN_TOL:
-            raise DomainError(f"D must be finite and >= 0, got {self.D!r}")
-        if math.isnan(self.P) or self.P < -DOMAIN_TOL:
-            raise DomainError(f"P must be >= 0, got {self.P!r}")
+        D, P = _real(self.D, "D"), _real(self.P, "P")
+        if not math.isfinite(D) or D < -DOMAIN_TOL:
+            raise DomainError(f"D must be finite and >= 0, got {D!r}")
+        if math.isnan(P) or P < -DOMAIN_TOL:
+            raise DomainError(f"P must be >= 0, got {P!r}")
         # 0.0 first: max keeps its first argument on a tie, so -0.0 gives +0.0
-        object.__setattr__(self, "D", max(0.0, float(self.D)))
-        object.__setattr__(self, "P", max(0.0, float(self.P)))
+        object.__setattr__(self, "D", max(0.0, D))
+        object.__setattr__(self, "P", max(0.0, P))
 
 
 @dataclass(frozen=True)
@@ -256,7 +270,10 @@ class SCurvePoint:
 def normalize(raw_q) -> BernoulliVectorSource:
     """Canonicalize raw probabilities: complement entries above 1/2, then
     sort non-increasing, recording flips and the permutation."""
-    raw = np.asarray(raw_q, dtype=float)
+    try:
+        raw = np.asarray(raw_q, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"raw_q must be a sequence of numbers: {exc}") from exc
     if raw.ndim != 1 or raw.size == 0:
         raise DomainError("raw_q must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(raw)):
@@ -291,8 +308,11 @@ def _as_source(src) -> BernoulliVectorSource:
 def _as_budget(budget) -> BudgetPair:
     if isinstance(budget, BudgetPair):
         return budget
-    D, P = budget
-    return BudgetPair(float(D), float(P))
+    try:
+        D, P = budget
+    except (TypeError, ValueError):
+        raise DomainError(f"budget must be a pair (D, P), got {budget!r:.80}") from None
+    return BudgetPair(D, P)
 
 
 def _total(m: np.ndarray, x) -> float:
@@ -333,11 +353,11 @@ def t_of_d(src, D: float) -> float:
     Defined for 0 <= D < sum q_i; T(0) = 0, T is strictly increasing when
     the q_i are below 1/2, and T(D) <= D always.
     """
-    src = _as_source(src)
+    src, D = _as_source(src), _real(D, "D")
     total = _total(src.counts, src.run_q)
     if not 0.0 <= D < total:
         raise DomainError(f"T(D) needs 0 <= D < sum q = {total}")
-    return _plane_boundary(src, float(D))[1]
+    return _plane_boundary(src, D)[1]
 
 
 def _s_curve(q: np.ndarray, m: np.ndarray, D: float) -> SCurvePoint:
@@ -379,12 +399,12 @@ def s_of_d(src, D: float) -> SCurvePoint:
     segment per component (slope -1/(1-2q_k), so convex and decreasing
     because q is sorted); beyond the last breakpoint S(D) = 0.
     """
-    src = _as_source(src)
+    src, D = _as_source(src), _real(D, "D")
     q, m = src.run_q, src.counts
     sum_q = _total(m, q)
     if D < sum_q - DOMAIN_TOL:
         raise DomainError(f"S(D) needs D >= sum q = {sum_q}")
-    point = _s_curve(q, m, float(D))
+    point = _s_curve(q, m, D)
     k = None if point.k is None else int(src.counts[:point.k - 1].sum()) + 1
     return SCurvePoint(point.value, k, point.d_k, np.repeat(point.d, src.counts),
                        np.repeat(point.p, src.counts))

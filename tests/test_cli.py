@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernrdp import (ConvergenceError, classify, cli, normalize, oracle, rdp, s_of_d, scalar_rdp,
-                     t_of_d)
+from bernrdp import (ConvergenceError, GraphRdpResult, classify, cli, normalize, oracle, rdp,
+                     s_of_d, scalar_rdp, t_of_d)
 from bernrdp.cli import main
 from bernrdp.solver import BUDGET_RTOL
 
@@ -414,6 +414,18 @@ class TestGraphCmd:
                                   "-D", "0.3", "-P", "0.15"], capsys)
         assert rec["rate_nats"] == json.loads(out2)["rate_nats"]
         assert len(rec["edges"]) == 3
+
+    def test_graph_reads_the_arrays_not_the_rows(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        probs = np.triu(rng.uniform(0.0, 1.0, (5, 5)), 1)
+        path = self._write_matrix(tmp_path, (probs + probs.T).tolist(), 5)
+        for fmt in ("json", "csv"):
+            argv = ["graph", "--matrix", path, "-D", "1.2", "-P", "0.3", "--format", fmt]
+            want = run_cli(argv, capsys)
+            rows = mock.PropertyMock(side_effect=AssertionError("edge rows were read"))
+            with mock.patch.object(GraphRdpResult, "edges", new_callable=lambda: rows):
+                assert run_cli(argv, capsys) == want
+            assert want[0] == 0 and rows.call_count == 0
 
     def test_missing_matrix_flag_exits_2(self, capsys):
         # argparse requires --matrix, so the command never runs without it

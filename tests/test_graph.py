@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bernrdp import (DomainError, EdgeProbabilityMatrix, flatten, graph_rdp,
+from bernrdp import (DomainError, EdgeAllocation, EdgeProbabilityMatrix, flatten, graph_rdp,
                      h2, load_matrix, normalize, rdp, scalar_rdp)
 
 TRIPLE_TERN = 0.714233365554124956  # 3 * scalar ternary branch at (0.1, 0.05, 0.25)
@@ -245,7 +246,7 @@ class TestGraphRdp:
         assert res.q.tolist() == probs[i, j].tolist()
         assert res.edge_rate.sum() == pytest.approx(res.rate, abs=1e-12)
         rows = res.edges
-        assert res.edges is rows  # built once, on first read
+        assert res.edges is rows  # one view, made on first read
         for k, e in enumerate(rows):
             assert (e.i, e.j, e.q, e.d, e.p, e.rate) == (
                 int(res.i[k]), int(res.j[k]), float(res.q[k]), float(res.d[k]),
@@ -261,6 +262,77 @@ class TestGraphRdp:
         assert len(res.edges) == 3
         absent = [e for e in res.edges if e.q == 0.0]
         assert len(absent) == 1 and absent[0].d == 0.0 and absent[0].rate == 0.0
+
+
+def _six_vertex_result():
+    rng = np.random.default_rng(53)
+    probs = np.triu(rng.uniform(0.0, 1.0, (6, 6)), 1)
+    return graph_rdp(EdgeProbabilityMatrix(6, probs + probs.T), (2.0, 0.4))
+
+
+def _row(res, k):
+    """Edge k's fields, read from the result's arrays."""
+    return EdgeAllocation(int(res.i[k]), int(res.j[k]), float(res.q[k]), float(res.d[k]),
+                          float(res.p[k]), float(res.edge_rate[k]))
+
+
+class TestEdgeRows:
+    """``GraphRdpResult.edges`` is a read-only sequence view of the per-edge
+    arrays: it builds only the rows that are read."""
+
+    def test_length_and_identity(self):
+        res = _six_vertex_result()
+        assert len(res.edges) == 15
+        assert res.edges is res.edges
+
+    @pytest.mark.parametrize("k", [0, 7, 14, -1, -15, np.int64(3), np.int32(-2)])
+    def test_index(self, k):
+        res = _six_vertex_result()
+        e = res.edges[k]
+        assert e == _row(res, int(k) % 15)
+        assert type(e.i) is int and type(e.j) is int and type(e.q) is float
+
+    @pytest.mark.parametrize("k", [15, -16, 10**6])
+    def test_index_past_either_end(self, k):
+        with pytest.raises(IndexError):
+            _six_vertex_result().edges[k]
+
+    @pytest.mark.parametrize("s", [slice(None, None, 4), slice(1, 12, 3), slice(None, None, -5),
+                                   slice(-3, None), slice(5, 5), slice(20, None)])
+    def test_slice(self, s):
+        res = _six_vertex_result()
+        assert res.edges[s] == tuple(_row(res, k) for k in range(15)[s])
+
+    def test_iteration_matches_the_arrays(self, monkeypatch):
+        res = _six_vertex_result()
+        # several chunks, the last one short
+        monkeypatch.setattr(type(res.edges), "_CHUNK", 4)
+        rows = list(res.edges)
+        assert rows == [_row(res, k) for k in range(15)]
+        assert all(type(e.i) is int and type(e.d) is float for e in rows)
+
+    def test_sequence_methods(self):
+        res = _six_vertex_result()
+        e = _row(res, 9)
+        assert e in res.edges and res.edges.index(e) == 9
+        assert EdgeAllocation(0, 0, 0.0, 0.0, 0.0, 0.0) not in res.edges
+        assert list(reversed(res.edges)) == list(res.edges)[::-1]
+
+    def test_length_and_strided_slice_build_no_rows(self):
+        # 300 vertices, 44,850 edges: a tuple of all the rows takes about 10 MB
+        rng = np.random.default_rng(54)
+        probs = np.triu(rng.uniform(0.05, 0.45, (300, 300)), 1)
+        res = graph_rdp(EdgeProbabilityMatrix(300, probs + probs.T), (2000.0, 2000.0))
+        assert res.result.region == "A"
+        tracemalloc.start()
+        try:
+            n = len(res.edges)
+            picked = res.edges[:: n // 64]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 44_850 and len(picked) == 65
+        assert peak < 1_000_000
 
 
 def _homogeneous_budget(q, n_edges, region):

@@ -1877,3 +1877,40 @@ class TestDomainTol:
         self.CHECKS[name](0.5 * br.core.DOMAIN_TOL)
         with pytest.raises(DomainError):
             self.CHECKS[name](2.0 * br.core.DOMAIN_TOL)
+
+
+class TestMalformedArguments:
+    """Arguments of the wrong shape or type raise DomainError naming the
+    argument; numbers of any real type are still accepted."""
+
+    CALLS = {
+        "rdp one budget": (lambda: rdp([0.3, 0.1], (0.1,)), "budget"),
+        "rdp string budgets": (lambda: rdp([0.3, 0.1], ("a", "b")), "D"),
+        "rdp numeric strings": (lambda: rdp([0.3, 0.1], ("0.1", "0.1")), "D"),
+        "classify three budgets": (lambda: classify([0.3], (1, 2, 3)), "budget"),
+        "rdp None budget": (lambda: rdp([0.3, 0.1], (None, 0.1)), "D"),
+        "rdp scalar budget": (lambda: rdp([0.3, 0.1], 0.1), "budget"),
+        "BudgetPair string": (lambda: BudgetPair("a", 1.0), "D"),
+        "BudgetPair None": (lambda: BudgetPair(None, 1.0), "D"),
+        "BudgetPair complex": (lambda: BudgetPair(1j, 1.0), "D"),
+        "BudgetPair array P": (lambda: BudgetPair(0.1, np.array([1.0])), "P"),
+        "normalize dict": (lambda: normalize({"a": 1}), "raw_q"),
+        "rdp string q": (lambda: rdp(["x"], (0.1, 0.1)), "raw_q"),
+        "t_of_d string": (lambda: t_of_d([0.3], "x"), "D"),
+        "s_of_d None": (lambda: s_of_d([0.3], None), "D"),
+        "graph_rdp array": (lambda: br.graph_rdp(np.zeros((3, 3)), (0.1, 0.1)), "matrix"),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_raises_domain_error_naming_the_argument(self, name):
+        call, arg = self.CALLS[name]
+        with pytest.raises(DomainError, match=f"^{arg} must be"):
+            call()
+
+    def test_real_numbers_of_any_type_accepted(self):
+        want = rdp([0.3, 0.1], (0.1, 0.05)).rate
+        for budget in [(np.float64(0.1), np.float32(0.05)), np.array([0.1, 0.05]),
+                       (np.array(0.1), 0.05)]:
+            assert rdp([0.3, 0.1], budget).rate == pytest.approx(want, rel=1e-6)
+        assert BudgetPair(np.int64(1), True) == BudgetPair(1.0, 1.0)
+        assert t_of_d([0.3], np.int8(0)) == 0.0
