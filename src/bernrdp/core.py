@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 
 import numpy as np
 
@@ -37,9 +38,25 @@ class ScalarRegion(enum.Enum):
     EXTERIOR = "boundary-exterior"
 
 
+def _real(x, name: str) -> float:
+    """x as a float; DomainError naming ``name`` unless x is a real number
+    (a Python or numpy bool, int or float, or a 0-d array of one)."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        real = x.ndim == 0 and x.dtype.kind in "biuf"
+    else:
+        real = isinstance(x, numbers.Real)
+    if not real:
+        raise DomainError(f"{name} must be a real number, got {x!r:.80}")
+    return float(x)
+
+
 def _as_unit(x, name: str, lo: float = 0.0, hi: float = 1.0):
     """Validate x in [lo, hi] within DOMAIN_TOL and clip the excursion."""
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number or an array of them, "
+                          f"got {x!r:.80}") from None
     inside = (arr >= lo - DOMAIN_TOL) & (arr <= hi + DOMAIN_TOL)  # NaN fails too
     if not inside.all():
         bad = float(arr[~inside].flat[0])

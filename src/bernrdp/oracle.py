@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DOMAIN_TOL, _xlogx, h2, scalar_rdp, scalar_rdp_arr
+from .core import DOMAIN_TOL, _real, _xlogx, h2, scalar_rdp, scalar_rdp_arr
 from .errors import ConvergenceError, DomainError, SizeError
 from .solver import _as_budget, _as_source
 
@@ -92,6 +92,12 @@ class GridSpec:
 #: deviation from the closed form it may show, in nats.
 SCALAR_GRID, SCALAR_TOL = GridSpec(400, 3), 2e-3
 VECTOR_GRID, VECTOR_TOL = GridSpec(200, 2), 5e-3
+
+
+def _as_grid(grid) -> GridSpec:
+    if not isinstance(grid, GridSpec):
+        raise DomainError(f"grid must be a GridSpec, got {grid!r:.80}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -193,10 +199,14 @@ def scalar_channel_oracle(q: float, D: float, P: float,
     a = b = 0 is always feasible, so a minimizer always exists.  Grid ties
     go to the lexicographically smallest (a, b) index; a computed I below 0
     counts as 0, so at a zero-rate budget the first feasible cell with
-    I <= 0 is returned.  H(X) is ``h2(q)``;
+    I <= 0 is returned.  A budget with P >= D returns the rate and channel
+    of P = D, bit for bit: u = (1-q)a and v = qb are >= 0, so the computed
+    |u - v| is at most the computed u + v, and every perception test is
+    implied by the distortion test it is joined with.  H(X) is ``h2(q)``;
     it equals ``-q ln q - (1-q) ln(1-q)`` in float arithmetic for q in
     {0, 0.05, ..., 0.5}, and for about 0.2% of other q differs by 1-2 ulps.
     """
+    q, D, P, grid = _real(q, "q"), _real(D, "D"), _real(P, "P"), _as_grid(grid)
     if not 0.0 <= q <= 0.5:
         raise DomainError("q must lie in [0, 1/2]")
     if D < 0.0 or P < 0.0 or not (math.isfinite(D) and math.isfinite(P)):
@@ -257,8 +267,7 @@ def allocation_grid_oracle(src, budget, grid: GridSpec = VECTOR_GRID):
     Returns ``(rate, (d, p))`` with the minimizing allocation in sorted
     component order.
     """
-    src = _as_source(src)
-    budget = _as_budget(budget)
+    src, budget, grid = _as_source(src), _as_budget(budget), _as_grid(grid)
     if src.n > 3:
         raise SizeError("allocation_grid_oracle supports n <= 3")
     if math.isinf(budget.P):
@@ -308,11 +317,10 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = VECTOR_GRID) -> float:
     the explicit lower bound, so this is a direct linear-program check of
     the closed-form curve.
     """
-    src = _as_source(src)
+    src, D, grid = _as_source(src), _real(D, "D"), _as_grid(grid)
     if src.n > 3:
         raise SizeError("s_of_d_oracle supports n <= 3")
     q = src.q
-    D = float(D)
     if D < float(q.sum()) - DOMAIN_TOL:
         raise DomainError(f"s_of_d_oracle needs D >= sum q = {float(q.sum())}")
     caps = 2.0 * q * (1.0 - q)

@@ -52,12 +52,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DOMAIN_TOL, ScalarRegion, rd_boundary, scalar_rdp_arr
+from .core import DOMAIN_TOL, ScalarRegion, _real, rd_boundary, scalar_rdp_arr
 from .errors import ConvergenceError, DomainError
 
 #: Default relative tolerance on |sum d - D| and |sum p - P|.
@@ -144,18 +143,6 @@ def _bijection(perm, n: int) -> np.ndarray | None:
     seen = np.zeros(n, dtype=bool)
     seen[idx] = True
     return idx if bool(seen.all()) else None
-
-
-def _real(x, name: str) -> float:
-    """x as a float; DomainError naming ``name`` unless x is a real number
-    (a Python or numpy bool, int or float, or a 0-d array of one)."""
-    if isinstance(x, (np.ndarray, np.generic)):
-        real = x.ndim == 0 and x.dtype.kind in "biuf"
-    else:
-        real = isinstance(x, numbers.Real)
-    if not real:
-        raise DomainError(f"{name} must be a real number, got {x!r:.80}")
-    return float(x)
 
 
 @dataclass(frozen=True)
@@ -328,7 +315,7 @@ def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.
     the largest such m with q[m-1] > 0 is taken, since the trailing q = 0
     components take no share of D.  ``counts[k]``, 1 by default, is the
     number of components that share q[k]; the sums then weight q[k] by it."""
-    q = np.asarray(q, dtype=float)
+    q, D = np.asarray(q, dtype=float), _real(D, "D")
     m = np.ones(q.size) if counts is None else counts
     mq = m * q
     total = float(mq.sum())
@@ -944,7 +931,7 @@ def _c_labels(d: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _check_rtol(budget_rtol: float) -> None:
-    if not 0.0 < budget_rtol < math.inf:  # nan fails too
+    if not 0.0 < _real(budget_rtol, "budget tolerance") < math.inf:  # nan fails too
         raise DomainError(f"budget tolerance must be finite and > 0; got {budget_rtol!r}")
 
 
@@ -1028,6 +1015,7 @@ _LN2 = math.log(2.0)
 def length_bounds(rate_nats: float) -> tuple[float, float]:
     """One-shot prefix-code length sandwich for a rate given in nats:
     lower bound R_b = rate/ln 2 bits, upper bound R_b + log2(R_b + 1) + 5."""
+    rate_nats = _real(rate_nats, "rate")
     if not math.isfinite(rate_nats) or rate_nats < 0.0:
         raise DomainError("rate must be finite and >= 0")
     rb = rate_nats / _LN2
@@ -1070,6 +1058,7 @@ def check_certificate(result: RdpResult) -> None:
 
 def in_region_closure(d: float, p: float, q: float, region: ScalarRegion) -> bool:
     """Membership of (d, p) in the closure of a scalar region, within 1e-9."""
+    d, p, q = _real(d, "d"), _real(p, "p"), _real(q, "q")
     tol = 1e-9
     if region is ScalarRegion.EXTERIOR:
         return d <= tol

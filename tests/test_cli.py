@@ -580,3 +580,34 @@ class TestVerify:
         with mock.patch.object(cli, "scalar_channel_oracle", side_effect=AssertionError):
             exits_2(["verify", "--q", "0.3", "--scalar-only", "--budget-count", "1",
                      "--grid-resolution", resolution], capsys, "resolution must be")
+
+    def test_scalar_stage_asks_the_oracle_once_per_min_of_p_and_d(self, capsys):
+        # at P >= D the oracle's answer is the P = D one, so a 4 x 4 grid of
+        # budgets needs 1 + 2 + 3 + 4 oracle calls, none with P > D
+        with mock.patch.object(cli, "scalar_channel_oracle",
+                               wraps=oracle.scalar_channel_oracle) as spy:
+            code, _, _ = run_cli(["verify", "--scalar-only", "--q", "0.3",
+                                  "--budget-count", "4"], capsys)
+        assert code == 0
+        budgets = [call.args[1:3] for call in spy.call_args_list]
+        assert len(budgets) == len(set(budgets)) == 10
+        assert all(P <= D for D, P in budgets)
+
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    @pytest.mark.parametrize("q", ["0.3", "0.35,0.2,0.05", "0.5,0.1,0"])
+    def test_scalar_deviation_is_that_of_every_budget(self, capsys, q, count):
+        grid = oracle.GridSpec(60, 1)
+        want = 0.0
+        pts = np.linspace(0.0, 0.6, count)
+        for qi in sorted(set(normalize([float(v) for v in q.split(",")]).q.tolist())):
+            for D in pts:
+                for P in pts:
+                    rate, _ = oracle.scalar_channel_oracle(qi, float(D), float(P), grid)
+                    want = max(want, abs(rate - scalar_rdp(float(D), float(P), qi)))
+        argv = ["verify", "--scalar-only", "--q", q, "--budget-count", str(count),
+                "--grid-resolution", "60", "--refine-rounds", "1"]
+        _, out, _ = run_cli(argv, capsys)
+        # the report rounds to 12 significant digits
+        assert json.loads(out)["stages"]["scalar_channel"]["max_deviation"] == float("%.12g" % want)
+        _, out, _ = run_cli([*argv, "--format", "csv"], capsys)
+        assert next(csv.DictReader(io.StringIO(out)))["max_deviation"] == "%.12g" % want

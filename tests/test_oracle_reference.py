@@ -299,6 +299,22 @@ def test_scalar_channel_matches_full_grid(case):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(0.0, 0.5),
+       st.tuples(st.floats(0.0, 0.6), FRACTION).map(lambda b: (b[0], b[0] + b[1])),
+       st.builds(GridSpec, st.integers(2, 30), st.integers(0, 3)))
+# verify's default grid: the budgets with P > D that its scalar stage no
+# longer hands to the oracle, and D = 0
+@example(0.35, (0.2, 0.4), oracle.SCALAR_GRID)
+@example(0.35, (0.2, 0.6), oracle.SCALAR_GRID)
+@example(0.2, (0.0, 0.6), oracle.SCALAR_GRID)
+def test_scalar_channel_at_p_above_d_is_the_p_equal_d_answer(q, budget, grid):
+    # u = (1-q)a and v = qb are >= 0, so |u - v| <= u + v <= D <= P
+    # wherever the distortion test holds: the perception test never binds
+    D, P = budget
+    assert _bits(scalar_channel_oracle(q, D, P, grid)) == _bits(scalar_channel_oracle(q, D, D, grid))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(vector_cases(st.just(2), st.integers(2, 45)))
 # D = P = 0: the box is one point on every axis, and one round is searched
 @example(([0.3, 0.1], 0.0, 0.0, 0.4, GridSpec(200, 2), 16384))

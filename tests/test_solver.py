@@ -1907,6 +1907,32 @@ class TestMalformedArguments:
         with pytest.raises(DomainError, match=f"^{arg} must be"):
             call()
 
+    #: the kernels, the oracles and the helpers outside the solve path
+    OTHER_CALLS = {
+        "oracle string D": (lambda: br.scalar_channel_oracle(0.3, "x", 0.1), "D"),
+        "oracle string q": (lambda: br.scalar_channel_oracle("x", 0.1, 0.1), "q"),
+        "oracle None P": (lambda: br.scalar_channel_oracle(0.3, 0.1, None), "P"),
+        "oracle tuple grid": (lambda: br.scalar_channel_oracle(0.3, 0.1, 0.1, (400, 3)), "grid"),
+        "s_of_d_oracle None": (lambda: br.s_of_d_oracle([0.3, 0.1], None, br.GridSpec(20, 1)),
+                               "D"),
+        "water_fill string": (lambda: water_fill(np.array([0.3, 0.1]), "x"), "D"),
+        "rdp string rtol": (lambda: rdp([0.3, 0.1], (0.1, 0.1), budget_rtol="x"),
+                            "budget tolerance"),
+        "length_bounds string": (lambda: length_bounds("x"), "rate"),
+        "in_region_closure string": (
+            lambda: br.in_region_closure("x", 0.1, 0.3, ScalarRegion.S), "d"),
+        "scalar_rdp string": (lambda: scalar_rdp("x", 0.1, 0.3), "d"),
+        "h2 string": (lambda: br.h2("a"), "u"),
+        "h3 string": (lambda: br.h3("a", 0.1), "u"),
+        "scalar_region string": (lambda: br.scalar_region("x", 0.1, 0.3), "d"),
+    }
+
+    @pytest.mark.parametrize("name", list(OTHER_CALLS))
+    def test_other_entry_points_raise_domain_error(self, name):
+        call, arg = self.OTHER_CALLS[name]
+        with pytest.raises(DomainError, match=f"^{arg} must be"):
+            call()
+
     def test_real_numbers_of_any_type_accepted(self):
         want = rdp([0.3, 0.1], (0.1, 0.05)).rate
         for budget in [(np.float64(0.1), np.float32(0.05)), np.array([0.1, 0.05]),
