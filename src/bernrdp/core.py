@@ -51,12 +51,20 @@ def _real(x, name: str) -> float:
 
 
 def _as_unit(x, name: str, lo: float = 0.0, hi: float = 1.0):
-    """Validate x in [lo, hi] within DOMAIN_TOL and clip the excursion."""
+    """Validate x in [lo, hi] within DOMAIN_TOL and clip the excursion.
+
+    x is a real number or an array of booleans, integers or floats; text
+    is not parsed, so ``"0.1"`` raises as ``"x"`` does."""
     try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(x)
+    except (TypeError, ValueError):  # ragged nesting, say
+        arr = None
+    if arr is not None and arr.dtype.kind == "O" and isinstance(x, numbers.Real):
+        arr = np.asarray(float(x))  # a Fraction, say
+    if arr is None or arr.dtype.kind not in "biuf":
         raise DomainError(f"{name} must be a real number or an array of them, "
-                          f"got {x!r:.80}") from None
+                          f"got {x!r:.80}")
+    arr = arr.astype(float, copy=False)
     inside = (arr >= lo - DOMAIN_TOL) & (arr <= hi + DOMAIN_TOL)  # NaN fails too
     if not inside.all():
         bad = float(arr[~inside].flat[0])

@@ -32,8 +32,11 @@ sorted.  Once a round it keeps the rows and columns that pass the budget
 tests against the other axis's ends (``_budget_box``).  A block whose rows
 miss that box is skipped with no array work; otherwise both budgets are
 tested on its rows in the box, and the entropies are taken over the
-feasible rows and columns only: at D = 0 one cell a round, at P = 0 a line
-of cells.
+feasible rows and columns only: at D = 0 one cell a round.  At P = 0 a
+cell is feasible only where u == v as floats, since a computed u - v is 0
+only between equal floats; each row's tied columns are one run of the
+sorted v, found by ``searchsorted`` (``_tied_cells``), and the entropies
+are taken on those cells only, with the same per-cell arithmetic.
 
 Accuracy scales with the final grid spacing: after the requested rounds
 the boxed spacing is (range / resolution) / shrink^rounds with shrink
@@ -189,6 +192,37 @@ def _budget_box(u, v, D: float, P: float):
     return slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
 
 
+def _tied_cells(u, v, D: float, values):
+    """The scalar objective's blocks at P = 0, where ``values(i, j)`` gives
+    the objective on the cells listed by row and column index.
+
+    At P = 0 a cell passes the perception test only when ``u == v`` as
+    floats: a computed difference is 0 only between equal floats, and
+    ``abs`` adds no rounding.  Its distortion test is then ``u + u <= D``,
+    as ``u + v`` is ``2u``, exact.  ``v`` is non-decreasing, so row i's
+    tied columns are one run, from ``searchsorted`` left to right of
+    ``u[i]``.  The cells are listed once a round in row-major order and
+    the objective is taken on them only; a block returns its rows' cells
+    in their bounding box, inf elsewhere, as the budget-box blocks do.
+    """
+    lo, hi = np.searchsorted(v, u, "left"), np.searchsorted(v, u, "right")
+    count = np.where(u + u <= D, hi - lo, 0)
+    ci = np.repeat(np.arange(u.size), count)
+    cj = np.arange(ci.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    vals = values(ci, cj)
+
+    def block(rows):
+        k0, k1 = np.searchsorted(ci, [rows.start, rows.stop])
+        if k0 == k1:
+            return None
+        i, j = ci[k0:k1], cj[k0:k1]
+        i0, j0 = i[0], j.min()
+        box = np.full((i[-1] - i0 + 1, j.max() - j0 + 1), np.inf)
+        box[i - i0, j - j0] = vals[k0:k1]
+        return (i0 - rows.start, j0), box
+    return block
+
+
 def scalar_channel_oracle(q: float, D: float, P: float,
                           grid: GridSpec = SCALAR_GRID) -> tuple[float, ScalarChannel]:
     """Minimize I(X; Xhat) over binary channels subject to the distortion
@@ -202,7 +236,10 @@ def scalar_channel_oracle(q: float, D: float, P: float,
     I <= 0 is returned.  A budget with P >= D returns the rate and channel
     of P = D, bit for bit: u = (1-q)a and v = qb are >= 0, so the computed
     |u - v| is at most the computed u + v, and every perception test is
-    implied by the distortion test it is joined with.  H(X) is ``h2(q)``;
+    implied by the distortion test it is joined with.  At P = 0 the
+    feasible cells are the ties u == v with 2u <= D; the search lists them
+    a round by ``searchsorted`` and takes the entropies on them only, with
+    the answer of the box search bit for bit.  H(X) is ``h2(q)``;
     it equals ``-q ln q - (1-q) ln(1-q)`` in float arithmetic for q in
     {0, 0.05, ..., 0.5}, and for about 0.2% of other q differs by 1-2 ulps.
     """
@@ -217,6 +254,16 @@ def scalar_channel_oracle(q: float, D: float, P: float,
         ua, vb, qb = (1.0 - q) * a, q * b, q * (1.0 - b)
         xa = _xlogx((1.0 - q) * (1.0 - a)) + _xlogx(ua)
         xb1, xb2 = _xlogx(vb), _xlogx(qb)
+
+        def info_at(i, j):
+            # I = H(X) + H(Xhat) - H(X, Xhat), every term from the joint cells;
+            # I >= 0, so rounding below 0 is clamped and all such cells tie
+            qhat = ua[i] + qb[j]
+            return np.maximum(hx + (xa[i] + xb1[j] + xb2[j]) - _xlogx(qhat) - _xlogx(1.0 - qhat),
+                              0.0)
+
+        if P == 0.0:
+            return _tied_cells(ua, vb, D, info_at)
         box = _budget_box(ua, vb, D, P)
 
         def block(rows):
@@ -234,12 +281,7 @@ def scalar_channel_oracle(q: float, D: float, P: float,
             ok = ok[i[0]:i[-1] + 1, j[0]:j[-1] + 1]
             i = slice(lo + i[0], lo + i[-1] + 1)
             j = slice(bj.start + j[0], bj.start + j[-1] + 1)
-            # I = H(X) + H(Xhat) - H(X, Xhat), every term from the joint cells;
-            # I >= 0, so rounding below 0 is clamped and all such cells tie
-            joint = xa[i, None] + xb1[j] + xb2[j]
-            qhat = ua[i, None] + qb[j]
-            info = hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat)
-            return (i.start - rows.start, j.start), np.where(ok, np.maximum(info, 0.0), np.inf)
+            return (i.start - rows.start, j.start), np.where(ok, info_at((i, None), j), np.inf)
         return block
 
     best, (a, b) = _refine(information, [0.0, 0.0], [1.0, 1.0], grid.resolution,

@@ -1059,6 +1059,8 @@ def check_certificate(result: RdpResult) -> None:
 def in_region_closure(d: float, p: float, q: float, region: ScalarRegion) -> bool:
     """Membership of (d, p) in the closure of a scalar region, within 1e-9."""
     d, p, q = _real(d, "d"), _real(p, "p"), _real(q, "q")
+    if not isinstance(region, ScalarRegion):
+        raise DomainError(f"region must be a ScalarRegion, got {region!r:.80}")
     tol = 1e-9
     if region is ScalarRegion.EXTERIOR:
         return d <= tol

@@ -153,12 +153,30 @@ class TestSearchShortcuts:
         scalar_channel_oracle(0.3, 0.2, 0.1, GridSpec(400, 3))
         assert len(rounds) == 4
 
-    @pytest.mark.parametrize("budget", [(0.0, 0.2), (0.2, 0.0)])
+    @pytest.mark.parametrize("budget", [(0.0, 0.2)])
     def test_budget_box_once_a_round(self, rounds, budget):
         # the grid's 400 rows make 10 blocks a round; the box bounds the round
         with mock.patch.object(oracle, "_budget_box", side_effect=oracle._budget_box) as box:
             scalar_channel_oracle(0.35, *budget, GridSpec(400, 3))
         assert box.call_count == len(rounds) == 4
+
+    @pytest.mark.parametrize("q, D", [(0.35, 0.2), (0.3, 0.4), (0.5, 0.3)])
+    def test_p_zero_evaluates_only_tied_cells(self, rounds, q, D):
+        # at P = 0 the feasible cells are the ties u == v, a few per row: the
+        # entropies see the 400-point axes and those cells, not a 2-D box
+        seen = []
+        xlogx = oracle._xlogx
+
+        def counted(m):
+            seen.append(np.size(m))
+            return xlogx(m)
+
+        with mock.patch.object(oracle, "_budget_box", side_effect=oracle._budget_box) as box, \
+                mock.patch.object(oracle, "_xlogx", counted):
+            scalar_channel_oracle(q, D, 0.0, GridSpec(400, 3))
+        assert 1 <= len(rounds) <= 4
+        assert sum(seen) <= 6 * 400 * len(rounds)
+        box.assert_not_called()
 
     @pytest.mark.parametrize("qs", [[0.3, 0.1], [0.3, 0.25, 0.05]])
     def test_one_point_box_runs_one_round(self, rounds, qs):

@@ -7,6 +7,11 @@ same channel or allocation to the last bit: same grids, same per-cell
 arithmetic, same row-major tie rule.  Block boundaries are exercised by
 patching ``_BLOCK_CELLS`` down to a few cells.
 
+``_box_scalar_channel`` is a copy of the scalar oracle's objective before
+it took the tied cells u = v directly at P = 0: a budget box a round, then
+both budget tests on each block's rows in it.  Run through ``_refine``, it
+must give the oracle's P = 0 answers bit for bit.
+
 The scalar reference clamps I at 0 and stops after a round whose best is
 0, the rule under which the oracle stops at the first cell at 0.  The
 vector references have no such rule: their values are exactly >= 0, so
@@ -202,6 +207,49 @@ def _reference_s_of_d(src, D, grid):
     return best
 
 
+def _box_budget_box(u, v, D, P):
+    i = np.flatnonzero((u + v[0] <= D) & (u - v[-1] <= P) & (u - v[0] >= -P))
+    j = np.flatnonzero((u[0] + v <= D) & (u[0] - v <= P) & (u[-1] - v >= -P))
+    if i.size == 0 or j.size == 0:
+        return None
+    return slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
+
+
+def _box_scalar_channel(q, D, P, grid):
+    hx = h2(q)
+
+    def information(a, b):
+        ua, vb, qb = (1.0 - q) * a, q * b, q * (1.0 - b)
+        xa = _xlogx((1.0 - q) * (1.0 - a)) + _xlogx(ua)
+        xb1, xb2 = _xlogx(vb), _xlogx(qb)
+        box = _box_budget_box(ua, vb, D, P)
+
+        def block(rows):
+            if box is None:
+                return None
+            bi, bj = box
+            lo, hi = max(rows.start, bi.start), min(rows.stop, bi.stop)
+            if lo >= hi:
+                return None
+            u = ua[lo:hi, None]
+            ok = (u + vb[bj] <= D) & (np.abs(u - vb[bj]) <= P)
+            i, j = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
+            if i.size == 0:
+                return None
+            ok = ok[i[0]:i[-1] + 1, j[0]:j[-1] + 1]
+            i = slice(lo + i[0], lo + i[-1] + 1)
+            j = slice(bj.start + j[0], bj.start + j[-1] + 1)
+            joint = xa[i, None] + xb1[j] + xb2[j]
+            qhat = ua[i, None] + qb[j]
+            info = hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat)
+            return (i.start - rows.start, j.start), np.where(ok, np.maximum(info, 0.0), np.inf)
+        return block
+
+    best, (a, b) = oracle._refine(information, [0.0, 0.0], [1.0, 1.0], grid.resolution,
+                                  grid.refinement_rounds)
+    return best, oracle.ScalarChannel(float(a), float(b))
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -289,7 +337,7 @@ def vector_cases(draw, sizes, resolutions):
 @example((0.1, 0.0, 0.2, GridSpec(400, 3), 16384))
 @example((0.35, 0.4, 0.0, GridSpec(400, 3), 16384))
 # a P = 0 budget inside the rate's support, in whole blocks of 40 rows and
-# in blocks of 3 rows, whose edges fall inside the round's budget box
+# in blocks of 3 rows, whose edges split the round's tied cells
 @example((0.35, 0.2, 0.0, GridSpec(400, 3), 16384))
 @example((0.35, 0.2, 0.0, GridSpec(400, 3), 1200))
 def test_scalar_channel_matches_full_grid(case):
@@ -312,6 +360,23 @@ def test_scalar_channel_at_p_above_d_is_the_p_equal_d_answer(q, budget, grid):
     # wherever the distortion test holds: the perception test never binds
     D, P = budget
     assert _bits(scalar_channel_oracle(q, D, P, grid)) == _bits(scalar_channel_oracle(q, D, D, grid))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+       st.one_of(st.just(0.0), st.floats(0.0, 0.6)),
+       st.builds(GridSpec, st.integers(2, 40), st.integers(0, 3)), BLOCK_CELLS)
+# verify's default grid: q = 0, where every column ties with the row a = 0;
+# q = 1/2, where the diagonal ties; D = 0, where only (0, 0) is feasible
+@example(0.35, 0.2, oracle.SCALAR_GRID, oracle._BLOCK_CELLS)
+@example(0.3, 0.4, oracle.SCALAR_GRID, oracle._BLOCK_CELLS)
+@example(0.05, 0.6, oracle.SCALAR_GRID, oracle._BLOCK_CELLS)
+@example(0.0, 0.3, oracle.SCALAR_GRID, oracle._BLOCK_CELLS)
+@example(0.5, 0.3, oracle.SCALAR_GRID, oracle._BLOCK_CELLS)
+@example(0.3, 0.0, oracle.SCALAR_GRID, oracle._BLOCK_CELLS)
+def test_scalar_channel_at_p_zero_matches_the_box_objective(q, D, grid, cells):
+    with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
+        _assert_same(scalar_channel_oracle, _box_scalar_channel, q, D, 0.0, grid)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

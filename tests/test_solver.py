@@ -1925,6 +1925,15 @@ class TestMalformedArguments:
         "h2 string": (lambda: br.h2("a"), "u"),
         "h3 string": (lambda: br.h3("a", 0.1), "u"),
         "scalar_region string": (lambda: br.scalar_region("x", 0.1, 0.3), "d"),
+        "in_region_closure string region": (
+            lambda: br.in_region_closure(0.05, 0.02, 0.3, "S"), "region"),
+        "scalar_rdp numeric string": (lambda: scalar_rdp("0.1", 0.1, 0.3), "d"),
+        "scalar_rdp numeric strings array": (
+            lambda: scalar_rdp(np.array(["0.1", "0.2"]), 0.1, 0.3), "d"),
+        "h2 numeric string": (lambda: br.h2("0.5"), "u"),
+        "h2 numeric bytes": (lambda: br.h2(b"0.5"), "u"),
+        "h3 numeric strings": (lambda: br.h3("0.1", "0.2"), "u"),
+        "scalar_region numeric string": (lambda: br.scalar_region("0.1", 0.05, 0.3), "d"),
     }
 
     @pytest.mark.parametrize("name", list(OTHER_CALLS))
