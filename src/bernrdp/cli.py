@@ -440,9 +440,9 @@ def cmd_verify(args, out) -> int:
             # bit, so it is asked once per distinct min(P, D).  With
             # u = (1-q)a >= 0 and v = qb >= 0, |u - v| <= u + v, and rounding
             # is monotone, so fl|u - v| <= fl(u + v) <= D <= P wherever the
-            # distortion test holds: every perception test of the oracle
-            # (its budget box's and its blocks') is implied by the distortion
-            # test it is joined with, and the search sees the same cells.
+            # distortion test holds: the perception test of each of the
+            # oracle's blocks is implied by the distortion test it is joined
+            # with, and the search sees the same cells.
             rates = {}
             for P in pts:
                 at = min(P, D)

@@ -197,12 +197,14 @@ def rd_boundary(d, q):
     boundary curve of the perception-inactive plane region.  At q = 1/2 it
     is 0 for every d, d = 1/2 included.
     """
-    dd = np.asarray(d, dtype=float)
-    qq = np.asarray(q, dtype=float)
-    den = 1.0 - 2.0 * dd
-    out = np.where(den > 0.0, dd * (1.0 - 2.0 * qq) / np.where(den > 0.0, den, 1.0), 0.0)
-    out = np.where((dd == qq) & (den > 0.0), dd, out)  # the product can round off q at d = q
-    return _maybe_float(out, d, q)
+    return _maybe_float(rd_boundary_arr(_as_unit(d, "d"), _as_unit(q, "q", hi=0.5)), d, q)
+
+
+def rd_boundary_arr(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """rd_boundary on pre-validated arrays (no domain checks, no clipping)."""
+    den = 1.0 - 2.0 * d
+    out = np.where(den > 0.0, d * (1.0 - 2.0 * q) / np.where(den > 0.0, den, 1.0), 0.0)
+    return np.where((d == q) & (den > 0.0), d, out)  # the product can round off q at d = q
 
 
 def scalar_region(d, p, q) -> ScalarRegion:
@@ -218,7 +220,7 @@ def scalar_region(d, p, q) -> ScalarRegion:
     if dd <= 0.0:
         return ScalarRegion.EXTERIOR
     if dd < qv:
-        return ScalarRegion.S if pq >= rd_boundary(dd, qv) else ScalarRegion.U
+        return ScalarRegion.S if pq >= rd_boundary_arr(dd, qv) else ScalarRegion.U
     if dd == qv:
         return ScalarRegion.V if pq >= qv else ScalarRegion.U
     # d > q

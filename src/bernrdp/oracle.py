@@ -28,15 +28,13 @@ scalar objective clamps its computed I at 0, so that cells rounded just
 below it tie and the first feasible one in row-major order wins.
 
 The scalar objective works on the 1-D products u = (1-q)a and v = qb, both
-sorted.  Once a round it keeps the rows and columns that pass the budget
-tests against the other axis's ends (``_budget_box``).  A block whose rows
-miss that box is skipped with no array work; otherwise both budgets are
-tested on its rows in the box, and the entropies are taken over the
-feasible rows and columns only: at D = 0 one cell a round.  At P = 0 a
-cell is feasible only where u == v as floats, since a computed u - v is 0
-only between equal floats; each row's tied columns are one run of the
-sorted v, found by ``searchsorted`` (``_tied_cells``), and the entropies
-are taken on those cells only, with the same per-cell arithmetic.
+sorted.  Each block tests both budgets on its rows against every column
+and takes the entropies over the bounding box of its feasible cells only:
+at D = 0 one cell a round.  At P = 0 a cell is feasible only where u == v
+as floats, since a computed u - v is 0 only between equal floats; each
+row's tied columns are one run of the sorted v, found by ``searchsorted``
+(``_tied_cells``), and the entropies are taken on those cells only, with
+the same per-cell arithmetic.
 
 Accuracy scales with the final grid spacing: after the requested rounds
 the boxed spacing is (range / resolution) / shrink^rounds with shrink
@@ -55,9 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DOMAIN_TOL, _real, _xlogx, h2, scalar_rdp, scalar_rdp_arr
+from .core import DOMAIN_TOL, _as_unit, _real, _xlogx, h2, scalar_rdp, scalar_rdp_arr
 from .errors import ConvergenceError, DomainError, SizeError
-from .solver import _as_budget, _as_source
+from .solver import BudgetPair, _as_budget, _as_source
 
 #: Cells kept around the incumbent (per side) when a box is refined.
 _HALO = 3
@@ -171,27 +169,6 @@ def _refine(objective, glo, ghi, res: int, rounds: int):
     return best, best_z
 
 
-def _budget_box(u, v, D: float, P: float):
-    """The rows of ``u`` and the columns of ``v`` that can hold a cell with
-    ``u + v <= D`` and ``|u - v| <= P``, as a pair of slices, or None.
-    The scalar oracle takes it once a round, on the round's whole axes, and
-    its blocks test only their rows inside it.
-
-    ``u`` and ``v`` are non-decreasing and rounding is monotone, so the
-    computed ``u + v`` and ``u - v`` are monotone along both axes: a row
-    can hold a feasible cell only if it passes each test against the
-    column that is most lenient for that test (``v[0]`` or ``v[-1]``), and
-    the rows that do form a span; columns likewise against ``u[0]`` and
-    ``u[-1]``.  So the box holds every feasible cell, though not every
-    cell in it is feasible.
-    """
-    i = np.flatnonzero((u + v[0] <= D) & (u - v[-1] <= P) & (u - v[0] >= -P))
-    j = np.flatnonzero((u[0] + v <= D) & (u[0] - v <= P) & (u[-1] - v >= -P))
-    if i.size == 0 or j.size == 0:
-        return None
-    return slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
-
-
 def _tied_cells(u, v, D: float, values):
     """The scalar objective's blocks at P = 0, where ``values(i, j)`` gives
     the objective on the cells listed by row and column index.
@@ -203,7 +180,7 @@ def _tied_cells(u, v, D: float, values):
     tied columns are one run, from ``searchsorted`` left to right of
     ``u[i]``.  The cells are listed once a round in row-major order and
     the objective is taken on them only; a block returns its rows' cells
-    in their bounding box, inf elsewhere, as the budget-box blocks do.
+    in their bounding box, inf elsewhere, as the P > 0 blocks do.
     """
     lo, hi = np.searchsorted(v, u, "left"), np.searchsorted(v, u, "right")
     count = np.where(u + u <= D, hi - lo, 0)
@@ -239,15 +216,14 @@ def scalar_channel_oracle(q: float, D: float, P: float,
     implied by the distortion test it is joined with.  At P = 0 the
     feasible cells are the ties u == v with 2u <= D; the search lists them
     a round by ``searchsorted`` and takes the entropies on them only, with
-    the answer of the box search bit for bit.  H(X) is ``h2(q)``;
+    the answer of a 2-D test of both budgets, bit for bit.  H(X) is ``h2(q)``;
     it equals ``-q ln q - (1-q) ln(1-q)`` in float arithmetic for q in
     {0, 0.05, ..., 0.5}, and for about 0.2% of other q differs by 1-2 ulps.
     """
-    q, D, P, grid = _real(q, "q"), _real(D, "D"), _real(P, "P"), _as_grid(grid)
-    if not 0.0 <= q <= 0.5:
-        raise DomainError("q must lie in [0, 1/2]")
-    if D < 0.0 or P < 0.0 or not (math.isfinite(D) and math.isfinite(P)):
-        raise DomainError("D and P must be finite and >= 0")
+    q, budget, grid = _as_unit(_real(q, "q"), "q", hi=0.5), BudgetPair(D, P), _as_grid(grid)
+    q, D, P = float(q), budget.D, budget.P
+    if math.isinf(P):
+        raise DomainError("the grid oracle needs a finite P")
     hx = h2(q)
 
     def information(a, b):
@@ -264,24 +240,16 @@ def scalar_channel_oracle(q: float, D: float, P: float,
 
         if P == 0.0:
             return _tied_cells(ua, vb, D, info_at)
-        box = _budget_box(ua, vb, D, P)
 
         def block(rows):
-            if box is None:
-                return None
-            bi, bj = box
-            lo, hi = max(rows.start, bi.start), min(rows.stop, bi.stop)
-            if lo >= hi:
-                return None
-            u = ua[lo:hi, None]
-            ok = (u + vb[bj] <= D) & (np.abs(u - vb[bj]) <= P)
+            u = ua[rows, None]
+            ok = (u + vb <= D) & (np.abs(u - vb) <= P)
             i, j = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
             if i.size == 0:
                 return None
-            ok = ok[i[0]:i[-1] + 1, j[0]:j[-1] + 1]
-            i = slice(lo + i[0], lo + i[-1] + 1)
-            j = slice(bj.start + j[0], bj.start + j[-1] + 1)
-            return (i.start - rows.start, j.start), np.where(ok, info_at((i, None), j), np.inf)
+            ok, corner = ok[i[0]:i[-1] + 1, j[0]:j[-1] + 1], (i[0], j[0])
+            i, j = slice(rows.start + i[0], rows.start + i[-1] + 1), slice(j[0], j[-1] + 1)
+            return corner, np.where(ok, info_at((i, None), j), np.inf)
         return block
 
     best, (a, b) = _refine(information, [0.0, 0.0], [1.0, 1.0], grid.resolution,
@@ -363,7 +331,7 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = VECTOR_GRID) -> float:
     if src.n > 3:
         raise SizeError("s_of_d_oracle supports n <= 3")
     q = src.q
-    if D < float(q.sum()) - DOMAIN_TOL:
+    if not D >= float(q.sum()) - DOMAIN_TOL:  # NaN fails too
         raise DomainError(f"s_of_d_oracle needs D >= sum q = {float(q.sum())}")
     caps = 2.0 * q * (1.0 - q)
     if D >= float(caps.sum()):

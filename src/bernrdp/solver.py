@@ -56,7 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DOMAIN_TOL, ScalarRegion, _real, rd_boundary, scalar_rdp_arr
+from .core import (DOMAIN_TOL, ScalarRegion, _as_unit, _real, rd_boundary, rd_boundary_arr,
+                   scalar_rdp_arr)
 from .errors import ConvergenceError, DomainError
 
 #: Default relative tolerance on |sum d - D| and |sum p - P|.
@@ -109,10 +110,13 @@ class BernoulliVectorSource:
         perm = _bijection(self.permutation, q.size)
         if perm is None:
             raise DomainError("permutation must be a bijection on [n]")
+        flip = np.asarray(self.flip_mask, dtype=bool)
+        if flip.shape != q.shape:
+            raise DomainError(f"flip_mask must have shape {q.shape}, got {flip.shape}")
         q = np.clip(q, 0.0, 0.5)
         starts = np.flatnonzero(np.concatenate(([True], q[1:] != q[:-1])))
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "flip_mask", np.asarray(self.flip_mask, dtype=bool))
+        object.__setattr__(self, "flip_mask", flip)
         object.__setattr__(self, "permutation", perm)
         object.__setattr__(self, "run_q", q[starts])
         object.__setattr__(self, "counts", np.diff(np.append(starts, q.size)))
@@ -314,12 +318,21 @@ def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.
     level = (D - sum q[m:]) / m must lie in [q[m], q[m-1]] (within 1e-15);
     the largest such m with q[m-1] > 0 is taken, since the trailing q = 0
     components take no share of D.  ``counts[k]``, 1 by default, is the
-    number of components that share q[k]; the sums then weight q[k] by it."""
+    number of components that share q[k]; the sums then weight q[k] by it.
+    q is checked as ``BernoulliVectorSource`` checks it, and counts must
+    have its shape."""
     q, D = np.asarray(q, dtype=float), _real(D, "D")
     m = np.ones(q.size) if counts is None else counts
+    lo, hi = (float(q.min()), float(q.max())) if q.size else (0.0, 0.0)
+    if not (lo >= -DOMAIN_TOL and hi <= 0.5 + DOMAIN_TOL):  # NaN fails too
+        raise DomainError(f"q must lie in [0, 1/2]; got values in [{lo!r}, {hi!r}]")
+    if q.ndim != 1 or np.any(np.diff(q) > 1e-15):
+        raise DomainError("q must be a 1-d array sorted non-increasing")
+    if np.shape(m) != q.shape:
+        raise DomainError(f"counts must have q's shape {q.shape}, got {np.shape(m)}")
     mq = m * q
     total = float(mq.sum())
-    if D < 0 or D > total + DOMAIN_TOL:
+    if not 0.0 <= D <= total + DOMAIN_TOL:  # NaN fails too
         raise DomainError(f"water filling needs 0 <= D <= sum q = {total}")
     if D >= total:
         return q.copy()
@@ -389,7 +402,7 @@ def s_of_d(src, D: float) -> SCurvePoint:
     src, D = _as_source(src), _real(D, "D")
     q, m = src.run_q, src.counts
     sum_q = _total(m, q)
-    if D < sum_q - DOMAIN_TOL:
+    if not D >= sum_q - DOMAIN_TOL:  # NaN fails too
         raise DomainError(f"S(D) needs D >= sum q = {sum_q}")
     point = _s_curve(q, m, D)
     k = None if point.k is None else int(src.counts[:point.k - 1].sum()) + 1
@@ -405,7 +418,7 @@ def _plane_boundary(src: BernoulliVectorSource, D: float):
     q, m = src.run_q, src.counts
     if D < _total(m, q):
         d = water_fill(q, D, m)
-        p = rd_boundary(d, q)
+        p = rd_boundary_arr(d, q)
         return PlaneRegion.A, _total(m, p), d, p
     point = _s_curve(q, m, D)
     return PlaneRegion.B, point.value, point.d, point.p
@@ -1034,13 +1047,15 @@ _FAMILIES = (
 
 
 def check_certificate(result: RdpResult) -> None:
-    """Structural KKT certificate checks.
+    """Structural KKT certificate checks on an ``RdpResult``.
 
     Raises ConvergenceError unless lam >= 0, complementary
     slackness lam_i p_i = 0 holds within 1e-5, every label code names a
     ScalarRegion, and the component labels form one consistent family (all
     S/V, all T/V, or all U), ignoring degenerate EXTERIOR components.
     """
+    if not isinstance(result, RdpResult):
+        raise DomainError(f"result must be an RdpResult, got {result!r:.80}")
     cert = result.certificate
     if np.any(cert.lam < -1e-12):
         raise ConvergenceError("negative perception multiplier in certificate")
@@ -1057,8 +1072,10 @@ def check_certificate(result: RdpResult) -> None:
 
 
 def in_region_closure(d: float, p: float, q: float, region: ScalarRegion) -> bool:
-    """Membership of (d, p) in the closure of a scalar region, within 1e-9."""
-    d, p, q = _real(d, "d"), _real(p, "p"), _real(q, "q")
+    """Membership of (d, p) in the closure of a scalar region, within 1e-9.
+    d, p and q are checked as ``scalar_region`` checks them."""
+    d, p, q = (float(_as_unit(_real(x, name), name, hi=hi))
+               for x, name, hi in ((d, "d", 1.0), (p, "p", np.inf), (q, "q", 0.5)))
     if not isinstance(region, ScalarRegion):
         raise DomainError(f"region must be a ScalarRegion, got {region!r:.80}")
     tol = 1e-9

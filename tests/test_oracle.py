@@ -7,8 +7,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bernrdp import (BudgetPair, DomainError, GridSpec, SizeError,
                      allocation_grid_oracle, normalize, oracle, rdp, s_of_d,
@@ -102,6 +100,8 @@ class TestScalarChannelOracle:
             scalar_channel_oracle(0.7, 0.1, 0.1)
         with pytest.raises(DomainError):
             scalar_channel_oracle(0.3, -0.1, 0.1)
+        with pytest.raises(DomainError, match="finite P"):
+            scalar_channel_oracle(0.3, 0.1, math.inf)
 
 
 class TestSearchShortcuts:
@@ -153,13 +153,6 @@ class TestSearchShortcuts:
         scalar_channel_oracle(0.3, 0.2, 0.1, GridSpec(400, 3))
         assert len(rounds) == 4
 
-    @pytest.mark.parametrize("budget", [(0.0, 0.2)])
-    def test_budget_box_once_a_round(self, rounds, budget):
-        # the grid's 400 rows make 10 blocks a round; the box bounds the round
-        with mock.patch.object(oracle, "_budget_box", side_effect=oracle._budget_box) as box:
-            scalar_channel_oracle(0.35, *budget, GridSpec(400, 3))
-        assert box.call_count == len(rounds) == 4
-
     @pytest.mark.parametrize("q, D", [(0.35, 0.2), (0.3, 0.4), (0.5, 0.3)])
     def test_p_zero_evaluates_only_tied_cells(self, rounds, q, D):
         # at P = 0 the feasible cells are the ties u == v, a few per row: the
@@ -171,12 +164,10 @@ class TestSearchShortcuts:
             seen.append(np.size(m))
             return xlogx(m)
 
-        with mock.patch.object(oracle, "_budget_box", side_effect=oracle._budget_box) as box, \
-                mock.patch.object(oracle, "_xlogx", counted):
+        with mock.patch.object(oracle, "_xlogx", counted):
             scalar_channel_oracle(q, D, 0.0, GridSpec(400, 3))
         assert 1 <= len(rounds) <= 4
         assert sum(seen) <= 6 * 400 * len(rounds)
-        box.assert_not_called()
 
     @pytest.mark.parametrize("qs", [[0.3, 0.1], [0.3, 0.25, 0.05]])
     def test_one_point_box_runs_one_round(self, rounds, qs):
@@ -185,36 +176,6 @@ class TestSearchShortcuts:
         assert rate == pytest.approx(sum(scalar_rdp(0.0, 0.0, v) for v in qs), abs=1e-12)
         assert not d.any() and not p.any()
         assert rounds == [1]
-
-
-#: Sorted axes as the scalar oracle builds them: (1-q) a and q b over
-#: linspace grids of [0, 1] sub-boxes, at times one point wide.
-@st.composite
-def budget_boxes(draw):
-    q = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.3, 0.05]), st.floats(0.0, 0.5)))
-    ends = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted)
-    (a0, a1), (b0, b1) = draw(ends), draw(ends)
-    u = (1.0 - q) * np.linspace(a0, a1, draw(st.integers(1, 40)))
-    v = q * np.linspace(b0, b1, draw(st.integers(1, 40)))
-    # budgets at 0, on a cell's own sum or gap (the tests' edge) and anywhere
-    i, j = draw(st.integers(0, u.size - 1)), draw(st.integers(0, v.size - 1))
-    D = draw(st.sampled_from([0.0, float(u[i] + v[j]), draw(st.floats(0.0, 2.0))]))
-    P = draw(st.sampled_from([0.0, abs(float(u[i] - v[j])), draw(st.floats(0.0, 1.0))]))
-    return u, v, D, P
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(budget_boxes())
-def test_budget_box_holds_every_feasible_cell(case):
-    u, v, D, P = case
-    ok = (u[:, None] + v <= D) & (np.abs(u[:, None] - v) <= P)
-    box = oracle._budget_box(u, v, D, P)
-    if box is None:
-        assert not ok.any()
-        return
-    inside = np.zeros_like(ok)
-    inside[box] = True
-    assert not (ok & ~inside).any()
 
 
 class TestAllocationGridOracle:

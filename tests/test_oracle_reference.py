@@ -340,6 +340,12 @@ def vector_cases(draw, sizes, resolutions):
 # in blocks of 3 rows, whose edges split the round's tied cells
 @example((0.35, 0.2, 0.0, GridSpec(400, 3), 16384))
 @example((0.35, 0.2, 0.0, GridSpec(400, 3), 1200))
+# 0 < P < D, where each block tests both budgets against every column, in
+# whole blocks of 40 rows and in blocks of one row
+@example((0.3, 0.4, 0.2, GridSpec(400, 3), 16384))
+@example((0.3, 0.4, 0.2, GridSpec(400, 3), 400))
+@example((0.1, 0.6, 0.4, GridSpec(400, 3), 16384))
+@example((0.1, 0.6, 0.4, GridSpec(400, 3), 400))
 def test_scalar_channel_matches_full_grid(case):
     q, D, P, grid, cells = case
     with mock.patch.object(oracle, "_BLOCK_CELLS", cells):

@@ -1864,8 +1864,16 @@ class TestDomainTol:
         "budget D": lambda e: BudgetPair(-e, 0.1),
         "budget P": lambda e: BudgetPair(0.1, -e),
         "water_fill": lambda e: water_fill(np.array([0.25, 0.125]), 0.375 + e),
+        "water_fill q above 1/2": lambda e: water_fill(np.array([0.5 + e, 0.125]), 0.375),
+        "water_fill q below 0": lambda e: water_fill(np.array([0.25, -e]), 0.125),
         "s_of_d": lambda e: s_of_d([0.25, 0.125], 0.375 - e),
         "s_of_d_oracle": lambda e: br.s_of_d_oracle([0.25, 0.125], 0.375 - e, br.GridSpec(20, 0)),
+        "scalar oracle q": lambda e: br.scalar_channel_oracle(0.5 + e, 0.25, 0.125,
+                                                              br.GridSpec(20, 0)),
+        "scalar oracle D": lambda e: br.scalar_channel_oracle(0.25, -e, 0.125, br.GridSpec(20, 0)),
+        "rd_boundary q": lambda e: br.rd_boundary(0.25, 0.5 + e),
+        "in_region_closure q": lambda e: br.in_region_closure(0.25, 0.125, 0.5 + e,
+                                                              ScalarRegion.T),
         "matrix symmetry": lambda e: br.EdgeProbabilityMatrix(2, [[0.0, 0.3], [0.3 + e, 0.0]]),
         "matrix diagonal": lambda e: br.EdgeProbabilityMatrix(2, [[e, 0.3], [0.3, 0.0]]),
         "matrix below 0": lambda e: br.EdgeProbabilityMatrix(2, [[0.0, -e], [-e, 0.0]]),
@@ -1940,6 +1948,38 @@ class TestMalformedArguments:
     def test_other_entry_points_raise_domain_error(self, name):
         call, arg = self.OTHER_CALLS[name]
         with pytest.raises(DomainError, match=f"^{arg} must be"):
+            call()
+
+    #: well-typed arguments outside the domain, NaN among them
+    OUT_OF_DOMAIN = {
+        "water_fill NaN D": (lambda: water_fill(np.array([0.3, 0.1]), math.nan),
+                             "water filling needs"),
+        "s_of_d NaN D": (lambda: s_of_d([0.3, 0.1], math.nan), r"S\(D\) needs"),
+        "s_of_d_oracle NaN D": (lambda: br.s_of_d_oracle([0.3, 0.1], math.nan),
+                                "s_of_d_oracle needs"),
+        "water_fill unsorted q": (lambda: water_fill(np.array([0.1, 0.3]), 0.3),
+                                  "q must be a 1-d array sorted"),
+        "water_fill 2-d q": (lambda: water_fill(np.array([[0.3, 0.1]]), 0.3),
+                             "q must be a 1-d array sorted"),
+        "water_fill q above 1/2": (lambda: water_fill(np.array([0.3, 0.7]), 0.3), "q must lie"),
+        "water_fill short counts": (
+            lambda: water_fill(np.array([0.3, 0.1]), 0.3, counts=np.array([1])),
+            "counts must have"),
+        "rd_boundary string d": (lambda: br.rd_boundary("x", 0.3), "d must be"),
+        "rd_boundary q above 1/2": (lambda: br.rd_boundary(0.2, 0.8), "q must lie"),
+        "in_region_closure q above 1/2": (
+            lambda: br.in_region_closure(0.1, 0.1, 0.7, ScalarRegion.S), "q must lie"),
+        "in_region_closure NaN d": (
+            lambda: br.in_region_closure(math.nan, 0.1, 0.3, ScalarRegion.S), "d must lie"),
+        "check_certificate string": (lambda: br.check_certificate("x"), "result must be"),
+        "source short flip_mask": (
+            lambda: br.BernoulliVectorSource([0.3, 0.1], [0], [0, 1]), "flip_mask must have"),
+    }
+
+    @pytest.mark.parametrize("name", list(OUT_OF_DOMAIN))
+    def test_out_of_domain_raises_domain_error(self, name):
+        call, message = self.OUT_OF_DOMAIN[name]
+        with pytest.raises(DomainError, match=f"^{message}"):
             call()
 
     def test_real_numbers_of_any_type_accepted(self):
