@@ -50,21 +50,27 @@ def _real(x, name: str) -> float:
     return float(x)
 
 
-def _as_unit(x, name: str, lo: float = 0.0, hi: float = 1.0):
-    """Validate x in [lo, hi] within DOMAIN_TOL and clip the excursion.
-
-    x is a real number or an array of booleans, integers or floats; text
-    is not parsed, so ``"0.1"`` raises as ``"x"`` does."""
+def _real_array(x, name: str) -> np.ndarray:
+    """x as an array of booleans, integers or floats, not converted;
+    DomainError naming ``name`` for any other kind.  Text is not parsed, so
+    ``"0.1"`` raises as ``"x"`` does; a real number that numpy holds as an
+    object, such as a Fraction, becomes a float."""
     try:
         arr = np.asarray(x)
     except (TypeError, ValueError):  # ragged nesting, say
         arr = None
     if arr is not None and arr.dtype.kind == "O" and isinstance(x, numbers.Real):
-        arr = np.asarray(float(x))  # a Fraction, say
+        arr = np.asarray(float(x))
     if arr is None or arr.dtype.kind not in "biuf":
         raise DomainError(f"{name} must be a real number or an array of them, "
                           f"got {x!r:.80}")
-    arr = arr.astype(float, copy=False)
+    return arr
+
+
+def _as_unit(x, name: str, lo: float = 0.0, hi: float = 1.0):
+    """Validate x (as ``_real_array`` takes it) in [lo, hi] within
+    DOMAIN_TOL and clip the excursion."""
+    arr = _real_array(x, name).astype(float, copy=False)
     inside = (arr >= lo - DOMAIN_TOL) & (arr <= hi + DOMAIN_TOL)  # NaN fails too
     if not inside.all():
         bad = float(arr[~inside].flat[0])
@@ -214,9 +220,8 @@ def scalar_region(d, p, q) -> ScalarRegion:
     boundaries follow the closed-set definitions: S and T keep their closed
     edges, U is open, V is the segment d == q, p >= q.
     """
-    dd = float(_as_unit(d, "d"))
-    pq = float(_as_unit(p, "p", hi=np.inf))
-    qv = float(_as_unit(q, "q", hi=0.5))
+    dd, pq, qv = (float(_as_unit(_real(x, name), name, hi=hi))
+                  for x, name, hi in ((d, "d", 1.0), (p, "p", np.inf), (q, "q", 0.5)))
     if dd <= 0.0:
         return ScalarRegion.EXTERIOR
     if dd < qv:

@@ -26,6 +26,9 @@ plane splits into three regions:
      Above sum q the allocation shaped like the S(D) optimizers
      (``_s_side``) serves budgets within the perception tolerance of S(D),
      and elsewhere gives the search its start and, if certified, its answer.
+     Its one multiplier alpha is the root of the distortion budget, which
+     falls in alpha, found by the same 1-D Newton search as the P = 0
+     multiplier (``_p_zero_alpha``).
 
 Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
@@ -56,8 +59,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DOMAIN_TOL, ScalarRegion, _as_unit, _real, rd_boundary, rd_boundary_arr,
-                   scalar_rdp_arr)
+from .core import (DOMAIN_TOL, ScalarRegion, _as_unit, _real, _real_array, rd_boundary,
+                   rd_boundary_arr, scalar_rdp_arr)
 from .errors import ConvergenceError, DomainError
 
 #: Default relative tolerance on |sum d - D| and |sum p - P|.
@@ -100,7 +103,7 @@ class BernoulliVectorSource:
     counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = _real_array(self.q, "q").astype(float, copy=False)
         if q.ndim != 1 or q.size == 0:
             raise DomainError("source needs at least one component")
         if not np.all((q >= -DOMAIN_TOL) & (q <= 0.5 + DOMAIN_TOL)):  # NaN fails too
@@ -110,7 +113,7 @@ class BernoulliVectorSource:
         perm = _bijection(self.permutation, q.size)
         if perm is None:
             raise DomainError("permutation must be a bijection on [n]")
-        flip = np.asarray(self.flip_mask, dtype=bool)
+        flip = _real_array(self.flip_mask, "flip_mask").astype(bool, copy=False)
         if flip.shape != q.shape:
             raise DomainError(f"flip_mask must have shape {q.shape}, got {flip.shape}")
         q = np.clip(q, 0.0, 0.5)
@@ -321,7 +324,7 @@ def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.
     number of components that share q[k]; the sums then weight q[k] by it.
     q is checked as ``BernoulliVectorSource`` checks it, and counts must
     have its shape."""
-    q, D = np.asarray(q, dtype=float), _real(D, "D")
+    q, D = _real_array(q, "q").astype(float, copy=False), _real(D, "D")
     m = np.ones(q.size) if counts is None else counts
     lo, hi = (float(q.min()), float(q.max())) if q.size else (0.0, 0.0)
     if not (lo >= -DOMAIN_TOL and hi <= 0.5 + DOMAIN_TOL):  # NaN fails too
@@ -585,18 +588,21 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
     p = np.zeros_like(q)
     jac = np.zeros((2, 2))
     active = _beta_gap(d, p, q) > beta
-    edge_a_d = _gap_slopes(d[~active], 0.0, q[~active])[0]
-    jac[0, 0] = float(np.sum(m[~active] / edge_a_d))
-    if np.any(active):
-        qa, ma = q[active], m[active]
+    every = bool(active.all())  # then no edge run, and views in place of gathers
+    if not every:
+        edge_a_d = _gap_slopes(d[~active], 0.0, q[~active])[0]
+        jac[0, 0] = float(np.sum(m[~active] / edge_a_d))
+    if every or np.any(active):
+        sel = slice(None) if every else active
+        qa, ma = q[sel], m[sel]
         e1, e2 = math.expm1(alpha - beta), math.expm1(-alpha - beta)
         pa = -((1.0 - qa) * math.exp(-alpha - beta) * e1 + qa * e2) / (e1 * e2)
         edge = qa * (1.0 - _CORNER_RTOL)
         pa = np.where(pa >= edge, qa * (1.0 - 1e-15), np.where(pa <= 0.0, 0.0, pa))
         inner = pa < edge
         da = _d_of_alpha(alpha, pa, qa)
-        p[active] = pa
-        d[active] = da
+        p[sel] = pa
+        d[sel] = da
         a_d, a_p, b_p = _gap_slopes(da, pa, qa)
         det = a_d * b_p - a_p * a_p
         # rounding near the corner can leave the computed Hessian indefinite
@@ -609,8 +615,9 @@ def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
 #: Lower bracket end of both multiplier searches: smaller multipliers are
 #: not resolvable in float64.  The budgets that would need them are met
 #: within tolerance by larger ones, except within the perception tolerance
-#: of S(D), which ``_s_side`` serves, with alpha = 0 where its root lies
-#: below this.
+#: of S(D), which ``_s_side`` serves.  Its search for the root of the
+#: distortion budget starts here, and takes alpha = 0 where the budget's
+#: residual here is not positive.
 _MULTIPLIER_MIN = 1e-12
 _LOG_MIN = math.log(_MULTIPLIER_MIN)
 #: Steps of log alpha and log beta below this are lost to rounding.
@@ -621,6 +628,17 @@ def _log_resid(total: float, target: float) -> float:
     """log(total / target), -inf when the total vanishes; a residual of
     size r here means a budget residual of about r * target."""
     return math.log(total / target) if total > 0.0 else -math.inf
+
+
+def _edge_sums(alpha: float, q: np.ndarray, m: np.ndarray):
+    """Sum over components of the p = 0 edge's distortion ``_d_p_zero`` at
+    alpha, and its derivative in alpha."""
+    d = _d_p_zero(alpha, q)
+    # d = 4w / (1 + r) with r = sqrt(1 + 4w expm1(2 alpha)), so
+    # dd/dalpha = -e^{2 alpha} d^2 / r = -e^{2 alpha} d^3 / (4w - d); the
+    # cubes vanish before e^{2 alpha} overflows
+    cubes = _total(m, d ** 3 / (4.0 * q * (1.0 - q) - d))
+    return _total(m, d), -math.exp(2.0 * alpha) * cubes if cubes else 0.0
 
 
 def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
@@ -642,17 +660,13 @@ def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def f(alpha):
-        d = _d_p_zero(alpha, q)
-        total = _total(m, d)
+        total, slope = _edge_sums(alpha, q, m)
         if total == 0.0:
             return -math.inf, math.nan
-        # d = 4w / (1 + r) with r = sqrt(1 + 4w expm1(2 alpha)), so
-        # dd/dalpha = -e^{2 alpha} d^2 / r = -e^{2 alpha} d^3 / (4w - d)
-        slope = -math.exp(2.0 * alpha) * _total(m, d ** 3 / (4.0 * w - d)) / total
         # to float64 resolution: this path defines R(D, 0), the upper end of
         # every region-C rate at this D
         resid = _log_resid(total, D)
-        return 0.0 if abs(resid) <= 1e-15 else resid, slope
+        return 0.0 if abs(resid) <= 1e-15 else resid, slope / total
 
     return _bracketed_newton(f, alpha0, 0.0, alpha_hi)
 
@@ -687,36 +701,32 @@ def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
     before some k on their p = 0 edge at alpha, those after k at their
     (q, q) corner, the m_k components of run k in U with equal shares of
     the rest of both budgets (P fixes k), which are so met by construction.
-    alpha equals run k's alpha gap, or is 0 (edge runs at their caps
-    2q(1-q), as at S(D)) where that root lies below _MULTIPLIER_MIN; beta is
-    run k's beta gap, or 0 where not positive or run k is outside U.
-    Returns (alpha, beta, d, p, calls of the alpha search); an alpha search
-    that does not converge raises ConvergenceError."""
+    alpha is the root of the distortion budget with run k on its alpha
+    equation at p_k (``_d_of_alpha``, slope 1 / A_d): the sum falls
+    strictly in alpha, and ``_p_zero_alpha``'s search finds it, from
+    _MULTIPLIER_MIN up to a step of 1e-16.  Where the residual at that
+    first call is not positive, alpha is 0 (edge runs at their caps
+    2q(1-q), as at S(D)).  d_k is then taken from the budget.  beta is run
+    k's beta gap, or 0 where not positive or run k is outside U.  Returns
+    (alpha, beta, d, p, calls of the alpha search); an alpha search that
+    does not converge raises ConvergenceError."""
     tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)  # sum of q after each run
     k = int(np.flatnonzero(tail < P)[0])
     edge, m_edge, qk, mk = q[:k], m[:k], float(q[k]), m[k]
     pk = (P - tail[k]) / mk
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def f(a):  # in log alpha; d_k grows with alpha
-        alpha = math.exp(a)
-        de = _d_p_zero(alpha, edge)
-        dk = (D - tail[k] - _total(m_edge, de)) / mk
-        slopes = de ** 3 / (4.0 * edge * (1.0 - edge) - de)  # as in _p_zero_alpha
-        grow = alpha * math.exp(2.0 * alpha) * _total(m_edge, slopes) / mk
-        a_d = float(_gap_slopes(dk, pk, qk)[0])
-        resid = float(_alpha_gap(dk, pk, qk)) - alpha
-        # the residual carries a few ulps from the gap's logarithm and a_d
-        # times the rounding of d_k, about an ulp of D / m_k: within that
-        # floor Newton steps no longer move it, so it counts as 0
-        floor = 4.0 * (math.ulp(1.0) + abs(a_d) * math.ulp(D) / mk)
-        signs.append(resid > floor)  # the sign of the value
-        return resid if abs(resid) > floor else 0.0, a_d * grow - alpha
+    def f(alpha):
+        total, slope = _edge_sums(alpha, edge, m_edge)
+        dk = _d_of_alpha(alpha, pk, qk)
+        total += mk * dk
+        return _log_resid(total, D - tail[k]), (slope + mk / _gap_slopes(dk, pk, qk)[0]) / total
 
-    alpha, calls, signs = 0.0, 0, []
+    alpha, calls = 0.0, 0
     if pk < qk:
-        a, calls = _bracketed_newton(f, _LOG_MIN, _LOG_MIN, 4.0, xtol=_LOG_XTOL)
-        alpha = math.exp(a) if signs[0] else 0.0  # no root above _MULTIPLIER_MIN
+        alpha, calls = _bracketed_newton(f, _MULTIPLIER_MIN, _MULTIPLIER_MIN, math.inf,
+                                         xtol=1e-16)
+        alpha = float(alpha) if alpha > _MULTIPLIER_MIN else 0.0  # no root above _MULTIPLIER_MIN
     de = _d_p_zero(alpha, edge)
     dk = (D - tail[k] - _total(m_edge, de)) / mk
     beta = max(0.0, float(_beta_gap(dk, pk, qk))) if pk < dk < 2.0 * qk - pk else 0.0

@@ -20,9 +20,9 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      classify, length_bounds, normalize, rdp, s_of_d, scalar_rdp,
                      solve_region_a, solve_region_b, solve_region_c, t_of_d,
                      water_fill)
-from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _blend, _bracketed_newton, _component_dp,
-                            _d_of_alpha, _d_p_zero, _plane_boundary, _s_curve, _s_side,
-                            _solve_c_multipliers)
+from bernrdp.solver import (_CORNER_RTOL, _alpha_gap, _beta_gap, _blend, _bracketed_newton,
+                            _component_dp, _d_of_alpha, _d_p_zero, _gap_slopes, _plane_boundary,
+                            _s_curve, _s_side, _solve_c_multipliers)
 
 H2_03 = 0.610864302054893463
 SUM_H2_03_01 = 0.935947275446341703           # h2(0.3) + h2(0.1)
@@ -920,9 +920,11 @@ class TestRegionCNearS:
             rdp([0.3, 0.1], (D, P))
 
     def test_s_side_alpha_search_stops_at_its_rounding_floor(self):
-        # its residual stalls near 1e-16 while Newton steps no longer cross
-        # its sign; when the search gave up, the multiplier search started
-        # blind and took 393 kernel calls
+        # the alpha search on run k's alpha gap stalled here near 1e-16,
+        # its rounding floor, where Newton steps no longer crossed its sign;
+        # when it gave up, the multiplier search started blind and took 393
+        # kernel calls.  The search for the root of the distortion budget
+        # has no floor to stall at and takes 4 calls here
         raw = [0.07533756104271752, 0.837442412362563, 0.45769036997340473,
                0.5794989321961663, 0.9638585959232597, 0.1966024346074155,
                0.18218607547392604, 0.5141028785420876, 0.1141200573406126]
@@ -1261,6 +1263,98 @@ def test_brackets_alone_solve_near_s(n, monkeypatch):
     assert res.multiplier_iterations > started.multiplier_iterations
     assert res.rate - _dual_bound(q, D, P, res) <= 1e-12
     assert res.rate == pytest.approx(started.rate, rel=1e-8)
+
+
+@st.composite
+def _s_side_case(draw):
+    """A source of up to 12 components (ties and q = 1/2 included) and a
+    budget a relative 10^-12 to 10^-0.05 below S(D), D inside the S(D) span."""
+    src = normalize(draw(_RAW_Q))
+    s, caps = float(src.q.sum()), float(np.sum(2 * src.q * (1 - src.q)))
+    D = s + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (caps - s)
+    P = (1.0 - 10.0 ** draw(st.floats(-12.0, -0.05))) * s_of_d(src, D).value
+    assume(0.0 < P and classify(src, (D, P)) == "C")
+    return src, D, P
+
+
+class TestSSideSearch:
+    """``_s_side``'s alpha search: the root of the distortion budget with
+    run k on its alpha equation."""
+
+    @pytest.mark.parametrize("n", [3, 30, 300, 3000])
+    def test_bench_profiles_take_few_calls(self, n):
+        # the search on run k's alpha gap in log alpha took 13, 18, 17 and 24
+        q, budgets = _bench_profile(n)
+        src = normalize(q)
+        assert _s_side(src.run_q, src.counts, *budgets["near-S"])[4] <= 8
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_s_side_case())
+    def test_alpha_is_run_ks_alpha_gap(self, case):
+        src, D, P = case
+        q, m = src.run_q, src.counts
+        alpha, _, d, p, _ = _s_side(q, m, D, P)
+        n = int(m.sum())
+        assert abs(float(np.sum(m * d)) - D) <= 2 * n * math.ulp(D)
+        assert abs(float(np.sum(m * p)) - P) <= 2 * n * math.ulp(P)
+        if alpha > 0.0:
+            k = int(np.flatnonzero((p > 0.0) & (p < q))[0])
+            a_d = _gap_slopes(d[k], p[k], q[k])[0]
+            floor = 4.0 * (math.ulp(1.0) + abs(a_d) * math.ulp(D) / m[k])
+            assert abs(float(_alpha_gap(d[k], p[k], q[k])) - alpha) <= floor
+
+    def test_root_below_multiplier_min_gives_alpha_zero(self):
+        # P lies 4.6e-14 below S(D): the budget's residual is negative at
+        # _MULTIPLIER_MIN, and the first call decides
+        src = normalize([0.8573076493033616, 0.03777652896340232])
+        D, P = 0.27731974030176054, 0.04494021013591801
+        alpha, _, d, p, calls = _s_side(src.run_q, src.counts, D, P)
+        assert (alpha, calls) == (0.0, 1)
+        assert d[0] == D - src.q[1] and p[1] == src.q[1]
+        assert rdp(src, (D, P)).rate == 0.0
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _gathering_component_dp(alpha, beta, q, m):
+    """``_component_dp`` as it was before its all-active path: the p = 0
+    edge's slopes and the boolean gathers and scatters always run."""
+    d = _d_p_zero(alpha, q)
+    p = np.zeros_like(q)
+    jac = np.zeros((2, 2))
+    active = _beta_gap(d, p, q) > beta
+    edge_a_d = _gap_slopes(d[~active], 0.0, q[~active])[0]
+    jac[0, 0] = float(np.sum(m[~active] / edge_a_d))
+    if np.any(active):
+        qa, ma = q[active], m[active]
+        e1, e2 = math.expm1(alpha - beta), math.expm1(-alpha - beta)
+        pa = -((1.0 - qa) * math.exp(-alpha - beta) * e1 + qa * e2) / (e1 * e2)
+        edge = qa * (1.0 - _CORNER_RTOL)
+        pa = np.where(pa >= edge, qa * (1.0 - 1e-15), np.where(pa <= 0.0, 0.0, pa))
+        inner = pa < edge
+        da = _d_of_alpha(alpha, pa, qa)
+        p[active] = pa
+        d[active] = da
+        a_d, a_p, b_p = _gap_slopes(da, pa, qa)
+        det = a_d * b_p - a_p * a_p
+        inner &= (a_d < 0.0) & (det > 0.0)
+        sens = (np.array([b_p, -a_p, a_d])[:, inner] / det[inner] * ma[inner]).sum(axis=1)
+        jac += np.array([[sens[0], sens[1]], [sens[1], sens[2]]])
+    return d, p, jac
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(q=st.lists(st.one_of(st.just(0.3), st.floats(1e-6, 0.5)),
+                  min_size=1, max_size=8).map(lambda v: np.array(sorted(v, reverse=True))),
+       counts=st.lists(st.integers(1, 5), min_size=8, max_size=8),
+       log_alpha=st.floats(-28.0, 3.0), log_ratio=st.floats(-8.0, 0.5))
+def test_component_dp_same_bits_as_the_gathering_kernel(q, counts, log_alpha, log_ratio):
+    # beta / alpha = e^log_ratio spans runs all on their edge, all active and mixed
+    alpha = math.exp(log_alpha)
+    beta = alpha * math.exp(log_ratio)
+    m = np.array(counts[:q.size])
+    got, want = _component_dp(alpha, beta, q, m), _gathering_component_dp(alpha, beta, q, m)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_candidate_kept_only_where_certified():
@@ -1942,6 +2036,14 @@ class TestMalformedArguments:
         "h2 numeric bytes": (lambda: br.h2(b"0.5"), "u"),
         "h3 numeric strings": (lambda: br.h3("0.1", "0.2"), "u"),
         "scalar_region numeric string": (lambda: br.scalar_region("0.1", 0.05, 0.3), "d"),
+        "scalar_region array": (lambda: br.scalar_region(np.array([0.1, 0.2]), 0.1, 0.3), "d"),
+        "scalar_region one-element array": (
+            lambda: br.scalar_region(np.array([0.1]), 0.1, 0.3), "d"),
+        "water_fill string q": (lambda: water_fill(np.array(["0.3"]), 0.1), "q"),
+        "source string flip_mask": (
+            lambda: br.BernoulliVectorSource([0.3, 0.1], ["a", "b"], [0, 1]), "flip_mask"),
+        "source string q": (
+            lambda: br.BernoulliVectorSource(["0.3", "0.1"], [0, 0], [0, 1]), "q"),
     }
 
     @pytest.mark.parametrize("name", list(OTHER_CALLS))
