@@ -244,9 +244,10 @@ def _emit(records, fmt, out, fields) -> None:
 # input parsing
 
 
-def _parse_q(spec: str) -> np.ndarray:
-    """Inline comma-separated probabilities, or a path to a JSON document
-    {"q": [...]}."""
+def _parse_q(spec: str):
+    """Inline comma-separated probabilities as an array, or the "q" value of
+    the JSON document {"q": [...]} at that path as parsed; ``normalize``
+    checks either."""
     try:
         return np.array([float(tok) for tok in spec.split(",") if tok.strip() != ""])
     except ValueError:
@@ -259,10 +260,7 @@ def _parse_q(spec: str) -> np.ndarray:
             raise DomainError(f"cannot read --q file {spec!r}: {exc}") from exc
         if not isinstance(doc, dict) or "q" not in doc:
             raise DomainError(f'{spec}: expected a JSON object with a "q" list')
-        try:
-            return np.asarray(doc["q"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f'{spec}: "q" must be a list of numbers') from exc
+        return doc["q"]
     raise DomainError(f"--q value {spec!r} is neither a number list nor a file")
 
 

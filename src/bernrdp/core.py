@@ -1,10 +1,13 @@
 """Scalar building blocks: entropies, the Bernoulli rate-distortion-perception
-function R(d, p, q), and the (d, p) region classifier.
+function R(d, p, q), and the input checks for probabilities.
 
-All rates are in nats (natural log).  Every function accepts floats or numpy
-arrays and broadcasts; scalar inputs give a plain ``float`` back.  The
-``0 * log 0 = 0`` convention is implemented by explicit masking (masked
-ufuncs in ``_xlogx``), never by limit evaluation, so boundary values are exact.
+All rates are in nats (natural log).  The one public function,
+``scalar_rdp``, accepts floats or numpy arrays and broadcasts; scalar inputs
+give a plain ``float`` back.  The ``_arr`` kernels take arrays that the
+caller has already checked, and every probability array from outside is
+checked by ``_as_unit``.  The ``0 * log 0 = 0`` convention is implemented by
+explicit masking (masked ufuncs in ``_xlogx``), never by limit evaluation, so
+boundary values are exact.
 """
 
 from __future__ import annotations
@@ -67,15 +70,23 @@ def _real_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _as_unit(x, name: str, lo: float = 0.0, hi: float = 1.0):
-    """Validate x (as ``_real_array`` takes it) in [lo, hi] within
-    DOMAIN_TOL and clip the excursion."""
+def _as_unit(x, name: str, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """x (as ``_real_array`` takes it) as a float array in [lo, hi].
+
+    DomainError naming ``name`` and the first entry that lies more than
+    DOMAIN_TOL outside [lo, hi]; NaN fails, and so does inf unless hi is
+    inf.  Entries within DOMAIN_TOL outside are clipped onto [lo, hi] in a
+    copy; otherwise the float array of x is returned as it is, -0.0 kept."""
     arr = _real_array(x, name).astype(float, copy=False)
-    inside = (arr >= lo - DOMAIN_TOL) & (arr <= hi + DOMAIN_TOL)  # NaN fails too
-    if not inside.all():
-        bad = float(arr[~inside].flat[0])
-        raise DomainError(f"{name} must lie in [{lo}, {hi}]; got {bad!r}")
-    return np.clip(arr, lo, hi)
+    if arr.size == 0:
+        return arr
+    least, most = arr.min(), arr.max()
+    if not (least >= lo - DOMAIN_TOL and most <= hi + DOMAIN_TOL):  # NaN fails too
+        k = int(np.argmin((arr >= lo - DOMAIN_TOL) & (arr <= hi + DOMAIN_TOL)))
+        at = tuple(map(int, np.unravel_index(k, arr.shape)))
+        where = f"entry {at[0] if arr.ndim == 1 else at} is" if arr.ndim else "got"
+        raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}]; {where} {float(arr.flat[k])!r}")
+    return np.clip(arr, lo, hi) if least < lo or most > hi else arr
 
 
 def _xlogx(m: np.ndarray) -> np.ndarray:
@@ -91,27 +102,6 @@ def _maybe_float(x: np.ndarray, *inputs):
     if all(np.isscalar(i) or getattr(i, "ndim", 1) == 0 for i in inputs):
         return float(x)
     return x
-
-
-def h2(u):
-    """Binary entropy -u ln u - (1-u) ln(1-u) in nats.
-
-    Symmetric under u <-> 1-u with maximum ln 2 at u = 1/2, and h2(0) =
-    h2(1) = 0 exactly.
-    """
-    return _maybe_float(h2_arr(_as_unit(u, "u")), u)
-
-
-def h3(u, v):
-    """Ternary entropy of the probability vector (u, v, 1-u-v) in nats.
-
-    Requires u >= 0, v >= 0 and u + v <= 1 (within tolerance).  Collapses to
-    h2 when any mass is zero: h3(0, v) == h2(v) exactly.
-    """
-    uu, vv = _as_unit(u, "u"), _as_unit(v, "v")
-    if np.any(1.0 - uu - vv < -DOMAIN_TOL):
-        raise DomainError("h3 needs u + v <= 1")
-    return _maybe_float(h3_arr(uu, vv), u, v)
 
 
 def scalar_rdp(d, p, q):
@@ -185,50 +175,27 @@ def _branch(out: np.ndarray, mask: np.ndarray, rate, *args) -> np.ndarray:
 
 
 def h2_arr(u: np.ndarray) -> np.ndarray:
-    """h2 on pre-validated arrays (no domain checks, no clipping)."""
+    """Binary entropy -u ln u - (1-u) ln(1-u) in nats on pre-validated arrays
+    (no domain checks, no clipping); exactly 0 at u = 0 and u = 1."""
     return -_xlogx(u) - _xlogx(1.0 - u)
 
 
 def h3_arr(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """h3 on pre-validated arrays with masses clipped at 0."""
+    """Ternary entropy of (u, v, 1-u-v) in nats on pre-validated arrays, the
+    third mass clipped at 0; h3_arr(0, v) == h2_arr(v) exactly."""
     rest = np.maximum(1.0 - u - v, 0.0)
     return -_xlogx(u) - _xlogx(v) - _xlogx(rest)
 
 
-def rd_boundary(d, q):
+def rd_boundary_arr(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The perception level below which the constraint starts to bind,
-    p = d(1-2q)/(1-2d), for 0 <= d <= q <= 1/2.
+    p = d(1-2q)/(1-2d), for 0 <= d <= q <= 1/2, on pre-validated arrays (no
+    domain checks, no clipping).
 
     This is the S/U frontier; summed over water-filled components it is the
     boundary curve of the perception-inactive plane region.  At q = 1/2 it
     is 0 for every d, d = 1/2 included.
     """
-    return _maybe_float(rd_boundary_arr(_as_unit(d, "d"), _as_unit(q, "q", hi=0.5)), d, q)
-
-
-def rd_boundary_arr(d: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """rd_boundary on pre-validated arrays (no domain checks, no clipping)."""
     den = 1.0 - 2.0 * d
     out = np.where(den > 0.0, d * (1.0 - 2.0 * q) / np.where(den > 0.0, den, 1.0), 0.0)
     return np.where((d == q) & (den > 0.0), d, out)  # the product can round off q at d = q
-
-
-def scalar_region(d, p, q) -> ScalarRegion:
-    """Classify a single (d, p) pair into S, T, U or V for parameter q.
-
-    The partition is defined on d > 0; d = 0 returns EXTERIOR.  Shared
-    boundaries follow the closed-set definitions: S and T keep their closed
-    edges, U is open, V is the segment d == q, p >= q.
-    """
-    dd, pq, qv = (float(_as_unit(_real(x, name), name, hi=hi))
-                  for x, name, hi in ((d, "d", 1.0), (p, "p", np.inf), (q, "q", 0.5)))
-    if dd <= 0.0:
-        return ScalarRegion.EXTERIOR
-    if dd < qv:
-        return ScalarRegion.S if pq >= rd_boundary_arr(dd, qv) else ScalarRegion.U
-    if dd == qv:
-        return ScalarRegion.V if pq >= qv else ScalarRegion.U
-    # d > q
-    if dd >= 2.0 * qv * (1.0 - qv) - (1.0 - 2.0 * qv) * pq:
-        return ScalarRegion.T
-    return ScalarRegion.U

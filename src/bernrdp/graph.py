@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .core import DOMAIN_TOL
+from .core import DOMAIN_TOL, _as_unit
 from .errors import DomainError
 from .solver import BernoulliVectorSource, RdpResult, normalize, rdp
 
@@ -45,14 +45,11 @@ class EdgeProbabilityMatrix:
         if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
             raise DomainError(f"n_vertices must be an integer, got {n!r}")
         n = int(n)
-        probs = np.asarray(self.probs, dtype=float)
+        probs = _as_unit(self.probs, "probs")
         if n < 2:
             raise DomainError("a graph source needs at least 2 vertices")
         if probs.shape != (n, n):
             raise DomainError(f"probs must be {n}x{n}, got {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            i, j = np.argwhere(~np.isfinite(probs))[0]
-            raise DomainError(f"probs[{i}][{j}]={float(probs[i, j])!r} is not finite")
         asym = np.abs(probs - probs.T)
         if np.any(asym > DOMAIN_TOL):
             i, j = np.unravel_index(int(np.argmax(asym)), probs.shape)
@@ -61,12 +58,10 @@ class EdgeProbabilityMatrix:
         if np.any(np.abs(np.diag(probs)) > DOMAIN_TOL):
             i = int(np.argmax(np.abs(np.diag(probs))))
             raise DomainError(f"diagonal must be zero; probs[{i}][{i}]={probs[i, i]!r}")
-        if np.any(probs < -DOMAIN_TOL) or np.any(probs > 1.0 + DOMAIN_TOL):
-            raise DomainError("edge probabilities must lie in [0, 1]")
         sym = 0.5 * (probs + probs.T)
         np.fill_diagonal(sym, 0.0)
         object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "probs", np.clip(sym, 0.0, 1.0))
+        object.__setattr__(self, "probs", sym)
 
 
 def _parse_json(data):
@@ -76,7 +71,7 @@ def _parse_json(data):
     doubles.  It refuses the ``NaN`` and ``Infinity`` literals that Python's
     ``json.dumps`` writes and numbers that overflow a double (``1e400``);
     ``json`` reads those as non-finite floats, so such documents are parsed
-    again by ``json`` and reach the callers' finiteness checks.  Invalid JSON
+    again by ``json`` and reach the callers' range checks.  Invalid JSON
     and bytes that are not UTF-8 raise ``ValueError``; nesting too deep for
     ``json`` raises ``RecursionError``.
     """
@@ -94,12 +89,13 @@ def load_matrix(source) -> EdgeProbabilityMatrix:
     bytes are parsed without a decoded copy.  ``orjson`` refuses the
     ``NaN``/``Infinity`` literals and overflowing numbers such as ``1e400``,
     so ``_parse_json`` re-reads those documents with ``json``: they then fail
-    the finiteness check, which names the entry, not the parse.  Symmetry is
+    the range check, which names the entry, not the parse.  Symmetry is
     enforced within ``DOMAIN_TOL`` and then made exact; any larger mismatch,
-    a nonzero diagonal or a non-finite entry is a validation error naming the
-    offending entry.  So is a non-integer ``n_vertices``, a ``probs`` that
-    is not a dense list of rows of numbers, invalid JSON or bytes that are
-    not UTF-8.
+    a nonzero diagonal or an entry outside [0, 1] (NaN and inf among them)
+    is a validation error naming the offending entry.  So is a non-integer
+    ``n_vertices``, a ``probs`` that is not a dense list of rows of numbers
+    (text such as ``"0.3"`` included), invalid JSON or bytes that are not
+    UTF-8.
     """
     data = source.read() if hasattr(source, "read") else source
     if not isinstance(data, (bytes, bytearray, str)):
@@ -110,11 +106,7 @@ def load_matrix(source) -> EdgeProbabilityMatrix:
         raise DomainError(f"matrix file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n_vertices" not in doc or "probs" not in doc:
         raise DomainError('matrix file needs keys "n_vertices" and "probs"')
-    try:
-        probs = np.asarray(doc["probs"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError('"probs" must be a list of rows of numbers') from exc
-    return EdgeProbabilityMatrix(doc["n_vertices"], probs)
+    return EdgeProbabilityMatrix(doc["n_vertices"], doc["probs"])
 
 
 def _edge_probs(matrix: EdgeProbabilityMatrix) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:

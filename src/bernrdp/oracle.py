@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DOMAIN_TOL, _as_unit, _real, _xlogx, h2, scalar_rdp, scalar_rdp_arr
+from .core import DOMAIN_TOL, _as_unit, _real, _xlogx, h2_arr, scalar_rdp, scalar_rdp_arr
 from .errors import ConvergenceError, DomainError, SizeError
 from .solver import BudgetPair, _as_budget, _as_source
 
@@ -216,15 +216,15 @@ def scalar_channel_oracle(q: float, D: float, P: float,
     implied by the distortion test it is joined with.  At P = 0 the
     feasible cells are the ties u == v with 2u <= D; the search lists them
     a round by ``searchsorted`` and takes the entropies on them only, with
-    the answer of a 2-D test of both budgets, bit for bit.  H(X) is ``h2(q)``;
-    it equals ``-q ln q - (1-q) ln(1-q)`` in float arithmetic for q in
-    {0, 0.05, ..., 0.5}, and for about 0.2% of other q differs by 1-2 ulps.
+    the answer of a 2-D test of both budgets, bit for bit.  H(X) is
+    ``h2_arr(q)``; it equals ``-q ln q - (1-q) ln(1-q)`` in float arithmetic
+    for q in {0, 0.05, ..., 0.5}, and for about 0.2% of other q differs by
+    1-2 ulps.
     """
     q, budget, grid = _as_unit(_real(q, "q"), "q", hi=0.5), BudgetPair(D, P), _as_grid(grid)
-    q, D, P = float(q), budget.D, budget.P
+    q, D, P, hx = float(q), budget.D, budget.P, float(h2_arr(q))
     if math.isinf(P):
         raise DomainError("the grid oracle needs a finite P")
-    hx = h2(q)
 
     def information(a, b):
         ua, vb, qb = (1.0 - q) * a, q * b, q * (1.0 - b)

@@ -59,8 +59,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DOMAIN_TOL, ScalarRegion, _as_unit, _real, _real_array, rd_boundary,
-                   rd_boundary_arr, scalar_rdp_arr)
+from .core import (DOMAIN_TOL, ScalarRegion, _as_unit, _real, _real_array, rd_boundary_arr,
+                   scalar_rdp_arr)
 from .errors import ConvergenceError, DomainError
 
 #: Default relative tolerance on |sum d - D| and |sum p - P|.
@@ -103,11 +103,9 @@ class BernoulliVectorSource:
     counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = _real_array(self.q, "q").astype(float, copy=False)
+        q = np.array(_as_unit(self.q, "q", hi=0.5))  # its own copy
         if q.ndim != 1 or q.size == 0:
             raise DomainError("source needs at least one component")
-        if not np.all((q >= -DOMAIN_TOL) & (q <= 0.5 + DOMAIN_TOL)):  # NaN fails too
-            raise DomainError("normalized q entries must lie in [0, 1/2]")
         if np.any(np.diff(q) > 1e-15):
             raise DomainError("normalized q must be sorted non-increasing")
         perm = _bijection(self.permutation, q.size)
@@ -116,7 +114,6 @@ class BernoulliVectorSource:
         flip = _real_array(self.flip_mask, "flip_mask").astype(bool, copy=False)
         if flip.shape != q.shape:
             raise DomainError(f"flip_mask must have shape {q.shape}, got {flip.shape}")
-        q = np.clip(q, 0.0, 0.5)
         starts = np.flatnonzero(np.concatenate(([True], q[1:] != q[:-1])))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "flip_mask", flip)
@@ -263,20 +260,12 @@ class SCurvePoint:
 
 def normalize(raw_q) -> BernoulliVectorSource:
     """Canonicalize raw probabilities: complement entries above 1/2, then
-    sort non-increasing, recording flips and the permutation."""
-    try:
-        raw = np.asarray(raw_q, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"raw_q must be a sequence of numbers: {exc}") from exc
+    sort non-increasing, recording flips and the permutation.  raw_q is a
+    1-d array of real numbers in [0, 1], checked by ``_as_unit``, so text
+    such as ``"0.3"`` is rejected, not parsed."""
+    raw = _as_unit(raw_q, "raw_q")
     if raw.ndim != 1 or raw.size == 0:
         raise DomainError("raw_q must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(raw)):
-        k = int(np.argmin(np.isfinite(raw)))
-        raise DomainError(f"probabilities must be finite; entry {k} is {float(raw[k])!r}")
-    if np.any(raw < -DOMAIN_TOL) or np.any(raw > 1.0 + DOMAIN_TOL):
-        bad = raw[(raw < -DOMAIN_TOL) | (raw > 1.0 + DOMAIN_TOL)][0]
-        raise DomainError(f"probabilities must lie in [0, 1]; got {bad!r}")
-    raw = np.clip(raw, 0.0, 1.0)
     flip = raw > 0.5
     folded = np.where(flip, 1.0 - raw, raw)
     # numpy's default sort is several times faster than the stable one but
@@ -322,13 +311,10 @@ def water_fill(q: np.ndarray, D: float, counts: np.ndarray | None = None) -> np.
     the largest such m with q[m-1] > 0 is taken, since the trailing q = 0
     components take no share of D.  ``counts[k]``, 1 by default, is the
     number of components that share q[k]; the sums then weight q[k] by it.
-    q is checked as ``BernoulliVectorSource`` checks it, and counts must
-    have its shape."""
-    q, D = _real_array(q, "q").astype(float, copy=False), _real(D, "D")
+    q is checked by ``_as_unit`` on [0, 1/2] and must be sorted, and counts
+    must have its shape."""
+    q, D = _as_unit(q, "q", hi=0.5), _real(D, "D")
     m = np.ones(q.size) if counts is None else counts
-    lo, hi = (float(q.min()), float(q.max())) if q.size else (0.0, 0.0)
-    if not (lo >= -DOMAIN_TOL and hi <= 0.5 + DOMAIN_TOL):  # NaN fails too
-        raise DomainError(f"q must lie in [0, 1/2]; got values in [{lo!r}, {hi!r}]")
     if q.ndim != 1 or np.any(np.diff(q) > 1e-15):
         raise DomainError("q must be a 1-d array sorted non-increasing")
     if np.shape(m) != q.shape:
@@ -1079,27 +1065,6 @@ def check_certificate(result: RdpResult) -> None:
     labels = {_REGIONS[c] for c in np.flatnonzero(np.bincount(codes))} - {ScalarRegion.EXTERIOR}
     if labels and not any(labels <= fam for fam in _FAMILIES):
         raise ConvergenceError(f"component regions {labels} mix incompatible families")
-
-
-def in_region_closure(d: float, p: float, q: float, region: ScalarRegion) -> bool:
-    """Membership of (d, p) in the closure of a scalar region, within 1e-9.
-    d, p and q are checked as ``scalar_region`` checks them."""
-    d, p, q = (float(_as_unit(_real(x, name), name, hi=hi))
-               for x, name, hi in ((d, "d", 1.0), (p, "p", np.inf), (q, "q", 0.5)))
-    if not isinstance(region, ScalarRegion):
-        raise DomainError(f"region must be a ScalarRegion, got {region!r:.80}")
-    tol = 1e-9
-    if region is ScalarRegion.EXTERIOR:
-        return d <= tol
-    if region is ScalarRegion.S:
-        return -tol <= d <= q + tol and p >= rd_boundary(min(d, q), q) - tol
-    if region is ScalarRegion.T:
-        return d >= q - tol and d >= 2.0 * q * (1.0 - q) - (1.0 - 2.0 * q) * p - tol
-    if region is ScalarRegion.V:
-        return abs(d - q) <= tol and p >= q - tol
-    upper = 2.0 * q * (1.0 - q) - (1.0 - 2.0 * q) * min(p, q)
-    lower = p / (1.0 - 2.0 * (q - p)) if p > 0.0 else 0.0
-    return -tol <= p <= q + tol and lower - tol <= d <= upper + tol
 
 
 def _check_result(budget: BudgetPair, result: RdpResult, rtol: float) -> None:

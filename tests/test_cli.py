@@ -95,13 +95,14 @@ class TestEval:
         assert json.loads(out)["rate_nats"] == pytest.approx(2 * TERN_01_005_025, rel=1e-9)
 
     @pytest.mark.parametrize("content, needle", [
-        ('{"q": [0.1, "x"]}', '"q" must be a list of numbers'),
+        ('{"q": [0.1, "x"]}', "raw_q must be a real number or an array of them"),
         ('{"q": [0.1, 0.2', "cannot read --q file"),
-        ('{"q": [[0.1], [0.2, 0.3]]}', '"q" must be a list of numbers'),
+        ('{"q": [[0.1], [0.2, 0.3]]}', "raw_q must be a real number or an array of them"),
         (None, "cannot read --q file"),
         ('{"q": [NaN, 0.2]}', "entry 0 is nan"),
         ('[0.1, 0.2]', 'expected a JSON object with a "q" list'),
-    ], ids=["non_numeric", "invalid_json", "ragged", "directory", "nan", "list"])
+        ('{"q": [0.1, "0.2"]}', "raw_q must be a real number or an array of them"),
+    ], ids=["non_numeric", "invalid_json", "ragged", "directory", "nan", "list", "numeric_string"])
     def test_bad_q_file_exits_2(self, tmp_path, capsys, content, needle):
         path = tmp_path
         if content is not None:
@@ -444,7 +445,12 @@ class TestGraphCmd:
         probs = [[0.0, 0.3, math.nan], [0.3, 0.0, 0.2], [math.nan, 0.2, 0.0]]
         path = self._write_matrix(tmp_path, probs, 3)
         exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
-                      "probs[0][2]=nan is not finite")
+                      "probs must lie in [0, 1]; entry (0, 2) is nan")
+
+    def test_numeric_string_probability_exit_2(self, tmp_path, capsys):
+        path = self._write_matrix(tmp_path, [[0.0, "0.3"], ["0.3", 0.0]], 2)
+        exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
+                "probs must be a real number or an array of them")
 
     def test_undecodable_matrix_exit_2(self, tmp_path, capsys):
         path = tmp_path / "matrix.json"
@@ -460,7 +466,7 @@ class TestGraphCmd:
     def test_ragged_matrix_exit_2(self, tmp_path, capsys):
         path = self._write_matrix(tmp_path, [[0.0, 0.3], [0.3]], 2)
         exits_2(["graph", "--matrix", path, "-D", "0.1", "-P", "0.1"], capsys,
-                      '"probs"')
+                      "probs must be a real number or an array of them")
 
     def test_non_integer_vertex_count_exit_2(self, tmp_path, capsys):
         path = self._write_matrix(tmp_path, [[0.0, 0.3], [0.3, 0.0]], "two")

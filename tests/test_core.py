@@ -1,15 +1,28 @@
-"""Scalar primitives: entropies, the Bernoulli RDP function, region labels.
+"""Scalar primitives: the entropy kernels, the Bernoulli RDP function, the
+scalar regions it reads, and the probability check ``_as_unit``.
 
 High-precision reference values were computed independently with mpmath
 (30 digits) and frozen here.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bernrdp import DomainError, ScalarRegion, h2, h3, rd_boundary, scalar_rdp, scalar_region
+from bernrdp import (BernoulliVectorSource, DomainError, EdgeProbabilityMatrix, normalize,
+                     scalar_channel_oracle, scalar_rdp, water_fill)
+from bernrdp.core import _as_unit, h2_arr, h3_arr, rd_boundary_arr
+
+
+def _h2(u):
+    """The kernel on a float or an array."""
+    return h2_arr(np.asarray(u, dtype=float))
+
+
+def _h3(u, v):
+    return h3_arr(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 H2_03 = 0.610864302054893463          # -0.3 ln 0.3 - 0.7 ln 0.7
 H3_01_025 = 0.85684099503947249       # ternary entropy of (0.1, 0.25, 0.65)
@@ -19,60 +32,55 @@ TERN_02_005_03 = 0.120227319891441581  # ternary branch at d=0.2, p=0.05, q=0.3
 
 class TestH2:
     def test_endpoints_exact(self):
-        assert h2(0.0) == 0.0
-        assert h2(1.0) == 0.0
+        assert _h2(0.0) == 0.0
+        assert _h2(1.0) == 0.0
 
     def test_maximum(self):
-        assert h2(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert _h2(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_reference_value(self):
-        assert h2(0.3) == pytest.approx(H2_03, abs=1e-12)
+        assert _h2(0.3) == pytest.approx(H2_03, abs=1e-12)
 
     def test_symmetry(self):
         for u in np.linspace(0.0, 1.0, 37):
-            assert h2(u) == pytest.approx(h2(1.0 - u), abs=1e-15)
+            assert _h2(u) == pytest.approx(_h2(1.0 - u), abs=1e-15)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            h2(-1e-6)
-        with pytest.raises(DomainError):
-            h2(1.0 + 1e-6)
+        # the kernel reads what _as_unit passes, and it refuses these
+        with pytest.raises(DomainError, match="u must lie in"):
+            _as_unit(-1e-6, "u")
+        with pytest.raises(DomainError, match="u must lie in"):
+            _as_unit(1.0 + 1e-6, "u")
 
     def test_tolerated_excursion(self):
-        assert h2(-1e-13) == 0.0
-        assert h2(1.0 + 1e-13) == 0.0
+        assert h2_arr(_as_unit(-1e-13, "u")) == 0.0
+        assert h2_arr(_as_unit(1.0 + 1e-13, "u")) == 0.0
 
     def test_array_input(self):
         u = np.array([0.0, 0.3, 0.5])
-        out = h2(u)
+        out = _h2(u)
         assert out.shape == (3,)
         assert out[1] == pytest.approx(H2_03, abs=1e-12)
 
 
 class TestH3:
     def test_uniform_maximum(self):
-        assert h3(1.0 / 3.0, 1.0 / 3.0) == pytest.approx(math.log(3.0), abs=1e-15)
+        assert _h3(1.0 / 3.0, 1.0 / 3.0) == pytest.approx(math.log(3.0), abs=1e-15)
 
     def test_collapses_to_h2(self):
         for v in np.linspace(0.0, 1.0, 23):
-            assert h3(0.0, v) == h2(v)
+            assert _h3(0.0, v) == _h2(v)
 
     def test_reference_value(self):
-        assert h3(0.1, 0.25) == pytest.approx(H3_01_025, abs=1e-12)
+        assert _h3(0.1, 0.25) == pytest.approx(H3_01_025, abs=1e-12)
 
     def test_mass_permutation_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             m = rng.dirichlet([1.0, 1.0, 1.0])
-            base = h3(m[0], m[1])
+            base = _h3(m[0], m[1])
             for a, b in [(m[1], m[0]), (m[0], m[2]), (m[2], m[1])]:
-                assert h3(a, b) == pytest.approx(base, abs=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            h3(0.7, 0.5)
-        with pytest.raises(DomainError):
-            h3(-0.1, 0.2)
+                assert _h3(a, b) == pytest.approx(base, abs=1e-12)
 
 
 class TestScalarRdp:
@@ -144,7 +152,7 @@ class TestScalarRdp:
         # so any perception budget gives h2(1/2) - h2(d)
         for p in (0.0, 0.1, 0.5):
             for d in (0.0, 0.2, 0.4):
-                want = math.log(2.0) - h2(d)
+                want = math.log(2.0) - _h2(d)
                 assert scalar_rdp(d, p, 0.5) == pytest.approx(want, abs=1e-12)
 
     def test_vectorized_matches_scalar(self):
@@ -166,79 +174,102 @@ class TestScalarRdp:
 
 
 class TestScalarRegion:
+    """The scalar regions as the rate reads them: in S the perception
+    budget is slack, in T and on the corner V the rate is 0, in U both
+    budgets bind, and at d = 0 (EXTERIOR) the rate is H(X) for every p."""
+
     def test_spec_points(self):
-        assert scalar_region(0.05, 0.4, 0.25) is ScalarRegion.S
-        assert scalar_region(0.25, 0.3, 0.25) is ScalarRegion.V
-        assert scalar_region(0.2, 0.01, 0.25) is ScalarRegion.U
+        assert scalar_rdp(0.05, 0.4, 0.25) == scalar_rdp(0.05, math.inf, 0.25) > 0.0  # S
+        assert scalar_rdp(0.25, 0.3, 0.25) == 0.0  # V
+        assert scalar_rdp(0.2, 0.01, 0.25) > scalar_rdp(0.2, math.inf, 0.25) > 0.0  # U
 
     def test_zero_distortion_is_exterior(self):
-        assert scalar_region(0.0, 0.3, 0.25) is ScalarRegion.EXTERIOR
+        for p in (0.0, 0.1, 0.3, math.inf):
+            assert scalar_rdp(0.0, p, 0.25) == pytest.approx(_h2(0.25), abs=1e-15)
 
     def test_t_region(self):
-        assert scalar_region(0.45, 0.0, 0.3) is ScalarRegion.T
-        assert scalar_region(0.9, 0.2, 0.3) is ScalarRegion.T
+        assert scalar_rdp(0.45, 0.0, 0.3) == 0.0
+        assert scalar_rdp(0.9, 0.2, 0.3) == 0.0
 
     def test_q_zero_everything_is_t(self):
-        assert scalar_region(0.2, 0.0, 0.0) is ScalarRegion.T
-
-    def test_boundary_conventions(self):
-        q = 0.3
-        d = 0.2
-        bdry = rd_boundary(d, q)
-        # S keeps its closed edge, U is open below it
-        assert scalar_region(d, bdry, q) is ScalarRegion.S
-        assert scalar_region(d, bdry * (1 - 1e-9), q) is ScalarRegion.U
-        # T keeps its closed edge toward U
-        p = 0.05
-        upper = 2 * q * (1 - q) - (1 - 2 * q) * p
-        assert scalar_region(upper, p, q) is ScalarRegion.T
-        assert scalar_region(upper * (1 - 1e-12), p, q) is ScalarRegion.U
-        # the saturation column: p >= q goes to V, below it U
-        assert scalar_region(q, q, q) is ScalarRegion.V
-        assert scalar_region(q, q * (1 - 1e-9), q) is ScalarRegion.U
+        assert scalar_rdp(0.2, 0.0, 0.0) == 0.0
 
     def test_rd_boundary_is_q_at_the_corner(self):
         # d (1-2q) / (1-2d) can round an ulp below q at d = q, which left a
         # saturated component a few 1e-16 nats off its zero-rate corner
         q = np.random.default_rng(16).uniform(0.0, 0.5, 1000)
         q = np.append(q, 1.0 - 0.9252486399089482)
-        assert np.all(rd_boundary(q, q) == q)
-        assert scalar_rdp(q[-1], rd_boundary(q[-1], q[-1]), q[-1]) == 0.0
-        assert rd_boundary(0.5, 0.5) == 0.0
-
-    def test_every_point_classified(self):
-        rng = np.random.default_rng(15)
-        for _ in range(500):
-            q = rng.uniform(0.01, 0.5)
-            d = rng.uniform(1e-9, 1.0)
-            p = rng.uniform(0.0, 1.0)
-            assert scalar_region(d, p, q) in (
-                ScalarRegion.S, ScalarRegion.T, ScalarRegion.U, ScalarRegion.V)
+        assert np.all(rd_boundary_arr(q, q) == q)
+        assert scalar_rdp(q[-1], rd_boundary_arr(q[-1], q[-1]), q[-1]) == 0.0
+        assert rd_boundary_arr(np.float64(0.5), np.float64(0.5)) == 0.0
 
 
 NAN = math.nan
 
 
+def _matrix(x):
+    return EdgeProbabilityMatrix(2, [[0.0, x], [x, 0.0]])
+
+
+def _source(q):
+    return BernoulliVectorSource(q, [False] * len(q), list(range(len(q))))
+
+
 @pytest.mark.parametrize("fn, args", [
-    (h2, (NAN,)),
-    (h2, (np.array([0.2, NAN, 0.4]),)),
-    (h3, (NAN, 0.2)),
-    (h3, (0.2, NAN)),
+    (normalize, ([0.3, NAN],)),
+    (water_fill, (np.array([NAN, 0.1]), 0.1)),
+    (_source, ([0.3, NAN],)),
+    (_matrix, (NAN,)),
     (scalar_rdp, (NAN, 0.1, 0.3)),
     (scalar_rdp, (0.1, NAN, 0.3)),
     (scalar_rdp, (0.1, 0.0, NAN)),
     (scalar_rdp, (np.array([0.1, 0.2]), 0.0, np.array([0.3, NAN]))),
-    (scalar_region, (NAN, 0.1, 0.3)),
-    (scalar_region, (0.1, NAN, 0.3)),
-    (scalar_region, (0.1, 0.1, NAN)),
+    (scalar_channel_oracle, (NAN, 0.1, 0.05)),
 ])
 def test_nan_input_raises_domain_error(fn, args):
     # every range comparison with NaN is False, so the check must be
     # written to fail on it; scalar_rdp(0.1, 0.0, nan) once returned 0.0
-    with pytest.raises(DomainError, match="got nan"):
+    with pytest.raises(DomainError, match=r"; (got|entry .+ is) nan$"):
         fn(*args)
 
 
 def test_infinite_perception_is_accepted():
     assert scalar_rdp(0.1, math.inf, 0.3) == pytest.approx(RD_03_01, abs=1e-12)
-    assert scalar_region(0.05, math.inf, 0.25) is ScalarRegion.S
+
+
+class TestAsUnit:
+    """The one check for arrays of probabilities."""
+
+    @pytest.mark.parametrize("x", ["0.3", b"0.3", ["0.3", "0.1"], [0.3, "0.1"],
+                                   np.array(["0.3"]), [Fraction(3, 10)], None, 1j,
+                                   [[0.1], [0.2, 0.3]]])
+    def test_only_real_kinds(self, x):
+        with pytest.raises(DomainError, match="^q must be a real number or an array of them"):
+            _as_unit(x, "q")
+
+    def test_real_scalar_of_any_type(self):
+        for x in (Fraction(1, 10), np.float32(0.25), np.int8(1), True):
+            assert _as_unit(x, "q") == float(x)
+        assert scalar_rdp(Fraction(1, 10), 0.0, 0.3) == scalar_rdp(0.1, 0.0, 0.3)
+
+    @pytest.mark.parametrize("x, where", [
+        (1.5, "got 1.5"), ([0.2, -0.5, 2.0], "entry 1 is -0.5"),
+        ([[0.0, 0.3], [0.3, np.inf]], r"entry \(1, 1\) is inf"),
+        (np.full((2, 2, 2), -np.inf), r"entry \(0, 0, 0\) is -inf")])
+    def test_names_the_argument_and_the_first_bad_entry(self, x, where):
+        with pytest.raises(DomainError, match=rf"^q must lie in \[0, 1\]; {where}$"):
+            _as_unit(x, "q")
+
+    def test_bounds_and_infinite_upper_end(self):
+        with pytest.raises(DomainError, match=r"^q must lie in \[0, 0.5\]; got 0.6$"):
+            _as_unit(0.6, "q", hi=0.5)
+        assert _as_unit([0.0, math.inf], "p", hi=math.inf).tolist() == [0.0, math.inf]
+
+    def test_copies_only_to_clip(self):
+        x = np.array([0.0, -0.0, 0.5, 1.0])
+        assert _as_unit(x, "q") is x
+        y = np.array([-1e-13, 0.5, 1.0 + 1e-13])
+        out = _as_unit(y, "q")
+        assert out is not y and out.tolist() == [0.0, 0.5, 1.0] and y[0] == -1e-13
+        assert np.signbit(_as_unit(np.array([-0.0, -1e-13]), "q")[0])
+        assert _as_unit([], "q").size == 0

@@ -14,8 +14,8 @@ quoting is pinned); the region cases have empty T and S cells; the eval and
 bounds cases at P = inf pin how each format writes an infinite value.
 The verify cases are the benchmark's verify sources, including its known
 scalar-oracle failure (exit 4); their files were written before the scalar
-oracle took H(X) from ``core.h2`` and the entropy kernel became masked
-ufuncs, and pin the oracles' reports.
+oracle took H(X) from the binary-entropy kernel ``core.h2_arr`` and that
+kernel became masked ufuncs, and pin the oracles' reports.
 
 Regenerate the files, only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py``.

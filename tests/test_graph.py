@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernrdp import (DomainError, EdgeAllocation, EdgeProbabilityMatrix, flatten, graph_rdp,
-                     h2, load_matrix, normalize, rdp, scalar_rdp)
+                     load_matrix, normalize, rdp, scalar_rdp)
+from bernrdp.core import h2_arr
 
 TRIPLE_TERN = 0.714233365554124956  # 3 * scalar ternary branch at (0.1, 0.05, 0.25)
 
@@ -50,15 +51,15 @@ class TestLoadMatrix:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_entry_rejected(self, bad):
         probs = [[0.0, 0.3, 0.1], [0.3, 0.0, bad], [0.1, bad, 0.0]]
-        with pytest.raises(DomainError, match=re.escape(f"probs[1][2]={bad!r} is not finite")):
+        with pytest.raises(DomainError, match=re.escape(f"entry (1, 2) is {bad!r}")):
             load_matrix(_matrix_bytes(3, probs))
-        with pytest.raises(DomainError, match="not finite"):
+        with pytest.raises(DomainError, match=re.escape(f"entry (1, 2) is {bad!r}")):
             EdgeProbabilityMatrix(3, np.array(probs))
 
     def test_overflowing_entry_rejected(self):
         # orjson refuses 1e400; json reads it as inf, which the entry check names.
         text = b'{"n_vertices": 2, "probs": [[0.0, 1e400], [1e400, 0.0]]}'
-        with pytest.raises(DomainError, match=re.escape("probs[0][1]=inf is not finite")):
+        with pytest.raises(DomainError, match=re.escape("entry (0, 1) is inf")):
             load_matrix(text)
 
     @pytest.mark.parametrize("data", [
@@ -73,8 +74,13 @@ class TestLoadMatrix:
     @pytest.mark.parametrize("probs", [[[0.0, 0.3], [0.3]], [[0.0, "x"], ["x", 0.0]],
                                        [[0.0, [0.3]], [0.3, 0.0]]])
     def test_malformed_probs_rejected(self, probs):
-        with pytest.raises(DomainError, match='"probs"'):
+        with pytest.raises(DomainError, match="^probs must be a real number or an array of them"):
             load_matrix(_matrix_bytes(2, probs))
+
+    def test_numeric_text_probability_rejected(self):
+        # text is not parsed: "0.3" once loaded as the probability 0.3
+        with pytest.raises(DomainError, match="^probs must be a real number or an array of them"):
+            load_matrix('{"n_vertices": 2, "probs": [[0, "0.3"], ["0.3", 0]]}')
 
     @pytest.mark.parametrize("n", [2.5, "two", "2", True, None, [2]])
     def test_non_integer_vertex_count_rejected(self, n):
@@ -195,7 +201,7 @@ class TestGraphRdp:
             [0.2, 0.0, 0.9],
             [0.5, 0.9, 0.0]]))
         res = graph_rdp(m, (0.0, 0.4))
-        want = h2(0.2) + h2(0.5) + h2(0.1)
+        want = h2_arr(np.array([0.2, 0.5, 0.1])).sum()
         assert res.rate == pytest.approx(want, abs=1e-12)
 
     def test_matches_flattened_solver(self):

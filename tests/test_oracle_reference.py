@@ -28,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernrdp import oracle
-from bernrdp.core import _xlogx, h2, scalar_rdp
+from bernrdp.core import _xlogx, h2_arr, scalar_rdp
 from bernrdp.errors import BernRdpError, ConvergenceError
 from bernrdp.oracle import (GridSpec, _rounds_for, allocation_grid_oracle, s_of_d_oracle,
                             scalar_channel_oracle)
@@ -50,7 +50,7 @@ def _reference_scalar(q, D, P, grid):
     res = grid.resolution
     lo_a = lo_b = 0.0
     hi_a = hi_b = 1.0
-    hx = h2(q)
+    hx = float(h2_arr(np.float64(q)))
     best = math.inf
     best_ab = (0.0, 0.0)
     for _ in range(1 + grid.refinement_rounds):
@@ -216,7 +216,7 @@ def _box_budget_box(u, v, D, P):
 
 
 def _box_scalar_channel(q, D, P, grid):
-    hx = h2(q)
+    hx = float(h2_arr(np.float64(q)))
 
     def information(a, b):
         ua, vb, qb = (1.0 - q) * a, q * b, q * (1.0 - b)

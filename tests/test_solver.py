@@ -8,6 +8,7 @@ in test_oracle.py and the acceptance suite.
 
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      classify, length_bounds, normalize, rdp, s_of_d, scalar_rdp,
                      solve_region_a, solve_region_b, solve_region_c, t_of_d,
                      water_fill)
+from bernrdp.core import h2_arr, rd_boundary_arr
 from bernrdp.solver import (_CORNER_RTOL, _alpha_gap, _beta_gap, _blend, _bracketed_newton,
                             _component_dp, _d_of_alpha, _d_p_zero, _gap_slopes, _plane_boundary,
                             _s_curve, _s_side, _solve_c_multipliers)
@@ -41,6 +43,23 @@ def _ones(q):
 def _regions(res) -> list[ScalarRegion]:
     """The certificate's component labels as ScalarRegion members."""
     return [tuple(ScalarRegion)[code] for code in res.certificate.component_regions]
+
+
+def in_region_closure(d: float, p: float, q: float, region: ScalarRegion) -> bool:
+    """The reference for the component labels: membership of (d, p) in the
+    closure of a scalar region for parameter q, within 1e-9."""
+    tol = 1e-9
+    if region is ScalarRegion.EXTERIOR:
+        return d <= tol
+    if region is ScalarRegion.S:
+        return -tol <= d <= q + tol and p >= rd_boundary_arr(min(d, q), q) - tol
+    if region is ScalarRegion.T:
+        return d >= q - tol and d >= 2.0 * q * (1.0 - q) - (1.0 - 2.0 * q) * p - tol
+    if region is ScalarRegion.V:
+        return abs(d - q) <= tol and p >= q - tol
+    upper = 2.0 * q * (1.0 - q) - (1.0 - 2.0 * q) * min(p, q)
+    lower = p / (1.0 - 2.0 * (q - p)) if p > 0.0 else 0.0
+    return -tol <= p <= q + tol and lower - tol <= d <= upper + tol
 
 
 def _rand_source(rng, n_lo=1, n_hi=5):
@@ -94,7 +113,7 @@ class TestNormalize:
             normalize([0.3, bad, 0.2])
 
     def test_nan_source_entry_rejected(self):
-        with pytest.raises(DomainError, match=r"\[0, 1/2\]"):
+        with pytest.raises(DomainError, match=r"^q must lie in \[0, 0.5\]; entry 1 is nan$"):
             br.BernoulliVectorSource(q=np.array([0.3, math.nan]),
                                      flip_mask=np.zeros(2, dtype=bool),
                                      permutation=np.array([0, 1]))
@@ -1123,7 +1142,7 @@ def test_q_half_budgets_solved_in_every_region(case):
     res = rdp(raw, (D, P))
     assert res.region == classify(raw, (D, P))
     for d, p, q, label in zip(res.allocation.d, res.allocation.p, normalize(raw).q, _regions(res)):
-        assert br.in_region_closure(float(d), float(p), float(q), label), (q, label)
+        assert in_region_closure(float(d), float(p), float(q), label), (q, label)
     cert = res.certificate
     if cert.nu == cert.mu == 0.0:  # zero rate, the Lagrangian's minimum
         assert res.rate == 0.0
@@ -1167,6 +1186,18 @@ def test_q_next_to_half_just_above_sum_q_is_solved():
     D, P = 2.7288000388834983, 1.7287944704214857
     res = rdp(q, (D, P))
     assert res.region == "C"
+
+
+def test_newton_step_out_of_the_multiplier_domain_hands_over_to_the_levels():
+    # one component, so the exact rate is scalar_rdp(D, P, q); a Newton
+    # step of the 2-D search lands outside its log-multiplier box here, and
+    # the nested searches take over from the last point
+    q, D, P = 0.4616618115010593, 0.44992027523706346, 0.34443164270314525
+    res = rdp([q], (D, P))
+    assert res.region == "C"
+    assert res.rate == pytest.approx(scalar_rdp(D, P, q), rel=0.0, abs=1e-14)
+    rtol = br.solver.BUDGET_RTOL
+    assert res.residuals[0] <= rtol * max(1.0, D) and res.residuals[1] <= rtol * max(1.0, P)
 
 
 def test_budget_inside_c_away_from_the_boundaries_is_solved():
@@ -1765,7 +1796,7 @@ class TestRdpDispatch:
         d, p = res.allocation.d[0], res.allocation.p[0]
         assert p == 0.0
         assert res.allocation.per_component_rate[0] == pytest.approx(
-            math.log(2.0) - br.h2(d), abs=1e-15)
+            math.log(2.0) - h2_arr(d), abs=1e-15)
 
     def test_zero_q_components_stripped(self):
         res = rdp([0.3, 0.0, 0.1], (0.1, 0.02))
@@ -1814,7 +1845,7 @@ class TestRdpPZero:
         # the P = 0 multiplier's bracket end is found in log form, and where
         # e^{2 alpha} overflows every distortion is 0
         res = rdp([0.3, 0.2], (D, 0.0))
-        assert res.rate == pytest.approx(br.h2(0.3) + br.h2(0.2), abs=1e-15)
+        assert res.rate == pytest.approx(h2_arr(np.array([0.3, 0.2])).sum(), abs=1e-15)
         # every d and beta gap is 0 here; the multiplier is +0.0, not -0.0
         assert math.copysign(1.0, res.certificate.mu) == 1.0
 
@@ -1929,10 +1960,10 @@ class TestCertificateChecks:
         # a q = 0 component takes no distortion and is labelled EXTERIOR
         res = rdp([0.3, 0.0], (0.2, 0.05))
         assert _regions(res)[1] == ScalarRegion.EXTERIOR
-        assert br.in_region_closure(float(res.allocation.d[1]), float(res.allocation.p[1]), 0.0,
-                                    ScalarRegion.EXTERIOR)
-        assert br.in_region_closure(1e-9, 0.1, 0.3, ScalarRegion.EXTERIOR)
-        assert not br.in_region_closure(2e-9, 0.1, 0.3, ScalarRegion.EXTERIOR)
+        assert in_region_closure(float(res.allocation.d[1]), float(res.allocation.p[1]), 0.0,
+                                 ScalarRegion.EXTERIOR)
+        assert in_region_closure(1e-9, 0.1, 0.3, ScalarRegion.EXTERIOR)
+        assert not in_region_closure(2e-9, 0.1, 0.3, ScalarRegion.EXTERIOR)
 
     def test_closure_membership_random(self):
         rng = np.random.default_rng(34)
@@ -1941,7 +1972,7 @@ class TestCertificateChecks:
             budget = _rand_budget(rng, src)
             res = rdp(src, budget)
             for i, lab in enumerate(_regions(res)):
-                assert br.in_region_closure(
+                assert in_region_closure(
                     float(res.allocation.d[i]), float(res.allocation.p[i]),
                     float(src.q[i]), lab), (src.q, budget, lab, i)
 
@@ -1965,9 +1996,6 @@ class TestDomainTol:
         "scalar oracle q": lambda e: br.scalar_channel_oracle(0.5 + e, 0.25, 0.125,
                                                               br.GridSpec(20, 0)),
         "scalar oracle D": lambda e: br.scalar_channel_oracle(0.25, -e, 0.125, br.GridSpec(20, 0)),
-        "rd_boundary q": lambda e: br.rd_boundary(0.25, 0.5 + e),
-        "in_region_closure q": lambda e: br.in_region_closure(0.25, 0.125, 0.5 + e,
-                                                              ScalarRegion.T),
         "matrix symmetry": lambda e: br.EdgeProbabilityMatrix(2, [[0.0, 0.3], [0.3 + e, 0.0]]),
         "matrix diagonal": lambda e: br.EdgeProbabilityMatrix(2, [[e, 0.3], [0.3, 0.0]]),
         "matrix below 0": lambda e: br.EdgeProbabilityMatrix(2, [[0.0, -e], [-e, 0.0]]),
@@ -1998,6 +2026,8 @@ class TestMalformedArguments:
         "BudgetPair array P": (lambda: BudgetPair(0.1, np.array([1.0])), "P"),
         "normalize dict": (lambda: normalize({"a": 1}), "raw_q"),
         "rdp string q": (lambda: rdp(["x"], (0.1, 0.1)), "raw_q"),
+        "rdp numeric strings q": (lambda: rdp(["0.3", "0.1"], (0.1, 0.05)), "raw_q"),
+        "normalize Fractions": (lambda: normalize([Fraction(3, 10), Fraction(1, 10)]), "raw_q"),
         "t_of_d string": (lambda: t_of_d([0.3], "x"), "D"),
         "s_of_d None": (lambda: s_of_d([0.3], None), "D"),
         "graph_rdp array": (lambda: br.graph_rdp(np.zeros((3, 3)), (0.1, 0.1)), "matrix"),
@@ -2021,24 +2051,10 @@ class TestMalformedArguments:
         "rdp string rtol": (lambda: rdp([0.3, 0.1], (0.1, 0.1), budget_rtol="x"),
                             "budget tolerance"),
         "length_bounds string": (lambda: length_bounds("x"), "rate"),
-        "in_region_closure string": (
-            lambda: br.in_region_closure("x", 0.1, 0.3, ScalarRegion.S), "d"),
         "scalar_rdp string": (lambda: scalar_rdp("x", 0.1, 0.3), "d"),
-        "h2 string": (lambda: br.h2("a"), "u"),
-        "h3 string": (lambda: br.h3("a", 0.1), "u"),
-        "scalar_region string": (lambda: br.scalar_region("x", 0.1, 0.3), "d"),
-        "in_region_closure string region": (
-            lambda: br.in_region_closure(0.05, 0.02, 0.3, "S"), "region"),
         "scalar_rdp numeric string": (lambda: scalar_rdp("0.1", 0.1, 0.3), "d"),
         "scalar_rdp numeric strings array": (
             lambda: scalar_rdp(np.array(["0.1", "0.2"]), 0.1, 0.3), "d"),
-        "h2 numeric string": (lambda: br.h2("0.5"), "u"),
-        "h2 numeric bytes": (lambda: br.h2(b"0.5"), "u"),
-        "h3 numeric strings": (lambda: br.h3("0.1", "0.2"), "u"),
-        "scalar_region numeric string": (lambda: br.scalar_region("0.1", 0.05, 0.3), "d"),
-        "scalar_region array": (lambda: br.scalar_region(np.array([0.1, 0.2]), 0.1, 0.3), "d"),
-        "scalar_region one-element array": (
-            lambda: br.scalar_region(np.array([0.1]), 0.1, 0.3), "d"),
         "water_fill string q": (lambda: water_fill(np.array(["0.3"]), 0.1), "q"),
         "source string flip_mask": (
             lambda: br.BernoulliVectorSource([0.3, 0.1], ["a", "b"], [0, 1]), "flip_mask"),
@@ -2067,12 +2083,6 @@ class TestMalformedArguments:
         "water_fill short counts": (
             lambda: water_fill(np.array([0.3, 0.1]), 0.3, counts=np.array([1])),
             "counts must have"),
-        "rd_boundary string d": (lambda: br.rd_boundary("x", 0.3), "d must be"),
-        "rd_boundary q above 1/2": (lambda: br.rd_boundary(0.2, 0.8), "q must lie"),
-        "in_region_closure q above 1/2": (
-            lambda: br.in_region_closure(0.1, 0.1, 0.7, ScalarRegion.S), "q must lie"),
-        "in_region_closure NaN d": (
-            lambda: br.in_region_closure(math.nan, 0.1, 0.3, ScalarRegion.S), "d must lie"),
         "check_certificate string": (lambda: br.check_certificate("x"), "result must be"),
         "source short flip_mask": (
             lambda: br.BernoulliVectorSource([0.3, 0.1], [0], [0, 1]), "flip_mask must have"),
