@@ -21,8 +21,9 @@ plane splits into three regions:
      These rest on monotonicity of the gradient map of a convex function:
      a component's beta gap falls as p grows along its fixed-alpha contour,
      sum d falls as alpha grows at fixed beta, and sum p falls as beta
-     grows along sum d = D.  Where a component's minimizer jumps, a budget
-     is met by a convex blend of the allocations on both sides of the jump.
+     grows along sum d = D.  Where a component's minimizer jumps, the
+     distortion budget is met by a convex blend of the allocations on both
+     sides of the jump.
      Above sum q the allocation shaped like the S(D) optimizers
      (``_s_side``) serves budgets within the perception tolerance of S(D),
      and elsewhere gives the search its start and, if certified, its answer.
@@ -451,14 +452,6 @@ def _d_p_zero(alpha: float, q: np.ndarray) -> np.ndarray:
     return 4.0 * q * (1.0 - q) / (1.0 + np.sqrt(1.0 + 4.0 * q * (1.0 - q) * t))
 
 
-def _alpha_gap(d, p, q):
-    """Minus the distortion-direction gradient of the ternary-branch rate:
-    -(1/2) log[(d-p)(d+p) / ((2(1-q)-(d-p))(2q-(d+p)))]."""
-    num = np.maximum((d - p) * (d + p), _TINY)
-    den = np.maximum((2.0 * (1.0 - q) - (d - p)) * (2.0 * q - (d + p)), _TINY)
-    return -0.5 * np.log(num / den)
-
-
 def _beta_gap(d, p, q):
     """Minus the perception-direction gradient of the ternary-branch rate.
 
@@ -657,10 +650,10 @@ def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
     return _bracketed_newton(f, alpha0, 0.0, alpha_hi)
 
 
-def _blend(above, below, m: np.ndarray, axis: int, target: float, gap_tol: float):
+def _blend(above, below, m: np.ndarray, D: float, gap_tol: float):
     """Convex combination of two kernel points (alpha, beta, d, p) whose sum
-    of d (axis 0) or of p (axis 1) lies above and below target, weighted to
-    meet it, or None if it may be too far from optimal.
+    of d lies above and below D, weighted to meet it, or None if it may be
+    too far from optimal.
 
     Each point i minimizes the Lagrangian at its own multipliers m_i and
     meets the budget totals s_i = (sum d, sum p).  So at the totals s the
@@ -672,7 +665,7 @@ def _blend(above, below, m: np.ndarray, axis: int, target: float, gap_tol: float
     of a jump of the minimizer the multipliers are adjacent floats.  The
     points' d and p are per run of m equal components."""
     s_hi, s_lo = ((_total(m, pt[2]), _total(m, pt[3])) for pt in (above, below))
-    w = (s_hi[axis] - target) / (s_hi[axis] - s_lo[axis])
+    w = (s_hi[0] - D) / (s_hi[0] - s_lo[0])
     gap = w * (1.0 - w) * abs(sum((above[j] - below[j]) * (s_hi[j] - s_lo[j])
                                   for j in (0, 1)))
     if gap > gap_tol:
@@ -732,20 +725,20 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
     residuals, one per iteration, each multiplier moving at most e^2-fold.
     From the first step that is singular (near S(D) no component may be in
     U, and one at its (q, q) corner or p = 0 edge does not move with beta),
-    leaves (log _MULTIPLIER_MIN, inf) x (log _MULTIPLIER_MIN, b_max) in
-    (log alpha, log beta) or does not lower the larger scaled residual, two
-    nested ``_bracketed_newton`` levels go on from the last point reached:
-    the outer on log(sum p / P) in log beta in [log _MULTIPLIER_MIN, b_max]
-    along sum d = D, where sum p falls in beta and is 0 < P above e^b_max,
-    with the Schur complement as slope, and at each beta the inner on
-    log(sum d / D), which falls in alpha, in log alpha in
-    [log _MULTIPLIER_MIN, inf) with slope J00, from the previous alpha.  A
-    level ends within 1/100 of its tolerance, or once its latest points on
-    the two sides of its budget ``_blend`` within 1e-6 of the rate change
-    the tolerances allow: a minimizer jumps between adjacent floats where
-    its Lagrangian is flat along its zero-rate edge (beta / alpha near
-    1 - 2q).  Each kernel point is also blended with the latest one across
-    D within the same 1e-6.  Guard: 5 MAX_ROOT_ITER kernel calls.
+    takes a multiplier to _MULTIPLIER_MIN or below, or does not lower the
+    larger scaled residual, two nested ``_bracketed_newton`` levels go on
+    from the last point the steps kept, which is not evaluated again: the
+    outer on log(sum p / P) in log beta in [log _MULTIPLIER_MIN, inf) along
+    sum d = D, where sum p falls in beta, with the Schur complement as
+    slope, and at each beta the inner on log(sum d / D), which falls in
+    alpha, in log alpha in [log _MULTIPLIER_MIN, inf) with slope J00, from
+    the previous alpha.  The outer level ends within 1/100 of tol_p; the
+    inner within 1/100 of tol_d, or once its latest points on the two sides
+    of D ``_blend`` within 1e-6 of the rate change the tolerances allow: a
+    minimizer jumps between adjacent floats where its Lagrangian is flat
+    along its zero-rate edge (beta / alpha near 1 - 2q).  Each kernel point
+    is also blended with the latest one across D within the same 1e-6.
+    Guard: 5 MAX_ROOT_ITER kernel calls.
 
     Where the first kernel point K has no component in U, the candidate is
     returned with K's multipliers if it is within 1/100 of the rate change
@@ -758,7 +751,6 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
     evals = 0
     best = (math.inf, None)  # (larger budget residual in tolerances, point)
     sides = [None, None]  # the latest kernel points with sum d > D and <= D
-    across = [None, None]  # the latest points on sum d = D with sum p > P and <= P
 
     def consider(point) -> float:
         nonlocal best
@@ -769,9 +761,8 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
             best = (miss, point)
         return miss
 
-    def blend(above, below, axis=0):  # within 1e-6 of the rate change the tolerances allow
-        return _blend(above, below, m, axis, (D, P)[axis],
-                      1e-6 * (above[0] * tol_d + above[1] * tol_p))
+    def blend(above, below):  # within 1e-6 of the rate change the tolerances allow
+        return _blend(above, below, m, D, 1e-6 * (above[0] * tol_d + above[1] * tol_p))
 
     def evaluate(a: float, b: float):
         nonlocal evals
@@ -786,38 +777,34 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
         sides[not above] = point
         return a, b, point, consider(point), jac
 
-    def level(axis: int, point, ends: list):
-        """Value of a level's search at a point on sum d (axis 0) or p (axis 1),
-        with the point, or blend across the budget, that ends the level or None."""
-        target, tol = (D, tol_d) if axis == 0 else (P, tol_p)
-        total = _total(m, point[2 + axis])
-        ends[total <= target] = point
-        if abs(total - target) <= 0.01 * tol:
-            return 0.0, point
-        mix = None if None in ends else blend(*ends, axis)
-        return (0.0, mix) if consider(mix) < math.inf else (_log_resid(total, target), None)
-
     def p_resid(b: float):  # the outer level, at the point on sum d = D at log beta b
         nonlocal a
         ends, point = [None, None], None
 
-        def d_resid(x: float):
+        def d_resid(x: float):  # the inner level, at log alpha x
             nonlocal cur, point
-            cur = evaluate(x, b)
-            value, point = level(0, cur[2], ends)
-            return value, cur[4][0][0] * cur[2][0] / _total(m, cur[2][2])  # J00 alpha / sum d
+            if (x, b) != cur[:2]:  # the hand-over starts at cur, already evaluated
+                cur = evaluate(x, b)
+            s_d = _total(m, cur[2][2])
+            ends[s_d <= D] = cur[2]
+            mix = None if None in ends else blend(*ends)
+            if abs(s_d - D) <= 0.01 * tol_d:
+                point = cur[2]
+            elif consider(mix) < math.inf:
+                point = mix
+            value = _log_resid(s_d, D) if point is None else 0.0
+            return value, cur[4][0][0] * cur[2][0] / s_d  # J00 alpha / sum d
 
         a = _bracketed_newton(d_resid, a, _LOG_MIN, math.inf, xtol=_LOG_XTOL)[0]
         if point is None:  # the bracket collapsed, or the root is below _MULTIPLIER_MIN
             raise ConvergenceError("no point meets sum d = D")
         (j00, j01), (_, j11) = cur[4]  # at the last kernel point
         schur = j11 - j01 * j01 / j00
-        slope = schur * point[1] / _total(m, point[3]) if j00 < 0.0 and schur < 0.0 else math.nan
-        return level(1, point, across)[0], slope
+        s_p = _total(m, point[3])
+        slope = schur * point[1] / s_p if j00 < 0.0 and schur < 0.0 else math.nan
+        return (0.0 if abs(s_p - P) <= 0.01 * tol_p else _log_resid(s_p, P)), slope
 
-    # all p = 0 above e^b_max; a subnormal q gives inf, no upper end
-    b_max = math.log(float(np.max(0.5 * np.log((1.0 - q) / q))) + 1.0)
-    cur = evaluate(math.log(start[0]), min(max(math.log(start[1]), _LOG_MIN), b_max))
+    cur = evaluate(math.log(start[0]), max(math.log(start[1]), _LOG_MIN))
     if len(start) > 2 and cur[4][1][1] == 0.0:  # no component in U
         alpha, beta, d, p = cur[2]
         # the kernel's corner p = q (1 - 1e-15) rounds to a few 1e-15 nats, (q, q) to 0
@@ -840,13 +827,14 @@ def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d
             t = min([1.0] + [m * (math.expm1(2.0) if s > 0.0 else -math.expm1(-2.0)) / abs(s)
                              for m, s in ((alpha, step_a), (beta, step_b)) if s != 0.0])
             na, nb = math.log(alpha + t * step_a), math.log(beta + t * step_b)
-            if not (na > _LOG_MIN and _LOG_MIN < nb < b_max):
+            if not (na > _LOG_MIN and nb > _LOG_MIN):
                 break
-            cur = evaluate(na, nb)
-            if not cur[3] < miss:
+            nxt = evaluate(na, nb)
+            if not nxt[3] < miss:
                 break
+            cur = nxt
         if best[0] > 0.01:
-            _bracketed_newton(p_resid, b, _LOG_MIN, b_max, xtol=_LOG_XTOL)
+            _bracketed_newton(p_resid, b, _LOG_MIN, math.inf, xtol=_LOG_XTOL)
     except ConvergenceError:  # the call guard, or a root float64 resolves no further
         pass
     if best[0] > 1.0:

@@ -22,9 +22,9 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      solve_region_a, solve_region_b, solve_region_c, t_of_d,
                      water_fill)
 from bernrdp.core import h2_arr, rd_boundary_arr
-from bernrdp.solver import (_CORNER_RTOL, _alpha_gap, _beta_gap, _blend, _bracketed_newton,
-                            _component_dp, _d_of_alpha, _d_p_zero, _gap_slopes, _plane_boundary,
-                            _s_curve, _s_side, _solve_c_multipliers)
+from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _blend, _bracketed_newton, _component_dp,
+                            _d_of_alpha, _d_p_zero, _gap_slopes, _plane_boundary, _s_curve,
+                            _s_side, _solve_c_multipliers)
 
 H2_03 = 0.610864302054893463
 SUM_H2_03_01 = 0.935947275446341703           # h2(0.3) + h2(0.1)
@@ -851,6 +851,89 @@ def _dual_bound(raw, D, P, res):
     return float(np.sum(scalar_rdp(d, p, q))) + nu * (d.sum() - D) + mu * (p.sum() - P)
 
 
+def _inside_sweep():
+    """CHANGES.md:851's sweep: 755 budgets inside C below sum q, seed 1."""
+    rng = np.random.default_rng(1)
+    kept = 0
+    while kept < 755:
+        n = int(rng.integers(1, 13)) if rng.random() < 0.8 else int(rng.integers(13, 400))
+        raw = rng.uniform(0.02, 0.98, n)
+        if rng.random() < 0.25:
+            raw[:n // 3] = raw[0]
+        src = normalize(raw)
+        D = rng.uniform(0.02, 0.98) * float(src.q.sum())
+        P = rng.uniform(0.05, 0.95) * t_of_d(src, D)
+        if classify(src, (D, P)) == "C":
+            kept += 1
+            yield raw, D, P
+
+
+def _near_s_sweep():
+    """The S-side sweep of CHANGES.md:803 (seed 11), taken through ``rdp``:
+    1,500 budgets in C a relative 10^-12 to 10^-0.05 below S(D)."""
+    rng = np.random.default_rng(11)
+    kept = 0
+    while kept < 1500:
+        n = int(rng.integers(1, 13))
+        raw = rng.uniform(0.02, 0.98, n)
+        src = normalize(raw)
+        D = rng.uniform(float(src.q.sum()), float(np.sum(2 * src.q * (1 - src.q))))
+        P = s_of_d(src, D).value * (1 - 10 ** rng.uniform(-12, -0.05))
+        if classify(src, (D, P)) == "C":
+            kept += 1
+            yield raw, D, P
+
+
+def _half_sweep():
+    """CHANGES.md:508's sweep: 300 budgets on sources with one to three
+    q = 1/2, D within 1e-9 above sum q and P below S(D), seed 1603."""
+    rng = np.random.default_rng(1603)
+    for _ in range(300):
+        nh = int(rng.integers(1, 4))
+        nr = int(rng.integers(1, 8))
+        raw = np.concatenate((np.full(nh, 0.5), rng.uniform(0.02, 0.98, nr)))
+        src = normalize(raw)
+        D = float(src.q.sum()) + rng.uniform(0, 1e-9)
+        P = s_of_d(src, D).value * (1 - 10 ** rng.uniform(-6, -0.05))
+        yield raw, D, P
+
+
+class TestRegionCSweeps:
+    """The region-C acceptance sweeps, rebuilt from CHANGES.md and solved
+    through ``rdp``.  ``max_calls`` is the kernel-call count of each sweep's
+    costliest budget under the search that also blended across P and had a
+    ceiling on beta.  The q = 1/2 sweep keeps one ConvergenceError, at the
+    budget of test_q_next_to_half_just_above_sum_q_is_solved (ROADMAP
+    item 2)."""
+
+    @pytest.mark.parametrize("sweep, max_calls, failures", [
+        (_inside_sweep, 45, 0), (_near_s_sweep, 276, 0), (_half_sweep, 301, 1)])
+    def test_solved_within_the_dual_bound(self, sweep, max_calls, failures, monkeypatch):
+        points, kernel = [], br.solver._component_dp
+
+        def recording(alpha, beta, q, m):
+            points.append((alpha, beta))
+            return kernel(alpha, beta, q, m)
+
+        monkeypatch.setattr(br.solver, "_component_dp", recording)
+        calls, failed = [], []
+        for raw, D, P in sweep():
+            points.clear()
+            try:
+                res = rdp(raw, (D, P))  # a DomainError fails the test
+            except ConvergenceError:
+                failed.append(normalize(raw).q)
+                continue
+            assert len(set(points)) == len(points), "a kernel point evaluated twice"
+            cert = res.certificate
+            slack = 1e-10 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+            assert res.rate - _dual_bound(raw, D, P, res) <= slack
+            calls.append(res.multiplier_iterations)
+        assert len(failed) <= failures
+        assert all(0.4998446415269858 in q for q in failed), failed
+        assert max(calls) <= max_calls
+
+
 class TestRegionCNearS:
     """Budgets just below a small S(D), where both multipliers are tiny and
     components sit next to the zero-rate corner of their Lagrangian."""
@@ -1190,8 +1273,8 @@ def test_q_next_to_half_just_above_sum_q_is_solved():
 
 def test_newton_step_out_of_the_multiplier_domain_hands_over_to_the_levels():
     # one component, so the exact rate is scalar_rdp(D, P, q); a Newton
-    # step of the 2-D search lands outside its log-multiplier box here, and
-    # the nested searches take over from the last point
+    # step of the 2-D search takes beta below _MULTIPLIER_MIN here, and the
+    # nested searches take over from the last point
     q, D, P = 0.4616618115010593, 0.44992027523706346, 0.34443164270314525
     res = rdp([q], (D, P))
     assert res.region == "C"
@@ -1214,15 +1297,16 @@ def test_budget_inside_c_away_from_the_boundaries_is_solved():
 
 
 def test_call_guard_ends_the_search_at_its_best_point(monkeypatch):
-    # 85 kernel calls; with MAX_ROOT_ITER = 16 every 1-D search still ends
-    # within its 16 calls, and the guard of 5 * 16 kernel calls stops the
-    # two levels, whose best point already meets both budgets
-    raw, D, P = [0.5, 0.001], 0.4173768958471343, 0.0009986087162118084
-    assert rdp(raw, (D, P)).multiplier_iterations > 80
-    monkeypatch.setattr(br.solver, "MAX_ROOT_ITER", 16)
+    # the q = 1/2 sweep's costliest budget, 300 kernel calls; with
+    # MAX_ROOT_ITER = 40 every 1-D search still ends within its 40 calls,
+    # and the guard of 5 * 40 kernel calls stops the two levels, whose best
+    # point already meets both budgets
+    raw, D, P = [0.5, 0.5, 0.8056703649140609], 1.1943296360757067, 0.19432938892259768
+    assert rdp(raw, (D, P)).multiplier_iterations > 200
+    monkeypatch.setattr(br.solver, "MAX_ROOT_ITER", 40)
     res = rdp(raw, (D, P))
     assert res.region == "C"
-    assert res.multiplier_iterations == 80
+    assert res.multiplier_iterations == 200
 
 
 def test_level_that_meets_no_budget_raises_inside_the_search(monkeypatch):
@@ -1306,6 +1390,15 @@ def _s_side_case(draw):
     P = (1.0 - 10.0 ** draw(st.floats(-12.0, -0.05))) * s_of_d(src, D).value
     assume(0.0 < P and classify(src, (D, P)) == "C")
     return src, D, P
+
+
+def _alpha_gap(d, p, q):
+    """The reference for ``_s_side``'s alpha: minus the distortion-direction
+    gradient of the ternary-branch rate,
+    -(1/2) log[(d-p)(d+p) / ((2(1-q)-(d-p))(2q-(d+p)))]."""
+    num = np.maximum((d - p) * (d + p), 1e-300)
+    den = np.maximum((2.0 * (1.0 - q) - (d - p)) * (2.0 * q - (d + p)), 1e-300)
+    return -0.5 * np.log(num / den)
 
 
 class TestSSideSearch:
@@ -1421,8 +1514,8 @@ def test_candidate_kept_within_rounding():
 
 def test_start_takes_the_candidates_multipliers():
     # one component, so the S(D)-shaped candidate (d, p) = (D, P) is the
-    # optimum; its beta, 1.354, lies above b_max - 1 in log form, where
-    # the start used to be clipped, and the search then took 29 kernel calls
+    # optimum; its beta, 1.354, is the start, which a ceiling on beta once
+    # clipped, and the search then took 29 kernel calls
     q = 0.9775042855673485
     D, P = 0.02412565296287344, 0.008819826662086961
     res = rdp([q], (D, P))
@@ -1434,9 +1527,9 @@ def test_start_takes_the_candidates_multipliers():
 @pytest.mark.parametrize("tiny", [5e-324, 1e-310])
 @pytest.mark.parametrize("share", [None, 0.5, 1.0 - 1e-10])
 def test_subnormal_component_leaves_the_rate(tiny, share):
-    # (1 - q) / q overflows at such a q, which leaves the beta bracket no
-    # upper end; None is a budget below sum q, a share one below S(D), and
-    # the last share is served by the S(D)-shaped allocation
+    # (1 - q) / q overflows at such a q; None is a budget below sum q, a
+    # share one below S(D), and the last share is served by the S(D)-shaped
+    # allocation
     base = [0.3, 0.1]
     D, P = (0.15, 0.15 / 3.5) if share is None else (0.45, share * s_of_d(base, 0.45).value)
     with warnings.catch_warnings():
@@ -1683,28 +1776,32 @@ class TestBlend:
     def test_meets_d_between_equal_multipliers(self):
         above = (1.0, 0.5, np.array([0.3, 0.2]), np.array([0.0, 0.1]))
         below = (1.0, 0.5, np.array([0.1, 0.2]), np.array([0.2, 0.1]))
-        alpha, beta, d, p = _blend(above, below, _ones(above[2]), 0, 0.4, gap_tol=0.0)
+        alpha, beta, d, p = _blend(above, below, _ones(above[2]), 0.4, gap_tol=0.0)
         assert (alpha, beta) == (1.0, 0.5)
         assert d.sum() == pytest.approx(0.4, abs=1e-15)
         np.testing.assert_allclose(p, [0.1, 0.1])
 
-    def test_meets_p_along_p(self):
+    def test_carries_the_heavier_points_multipliers(self):
         above = (1.0, 0.5, np.array([0.3, 0.1]), np.array([0.2, 0.1]))
-        below = (1.0, 0.75, np.array([0.2, 0.2]), np.array([0.1, 0.0]))
-        # weight w = (0.3 - 0.25) / (0.3 - 0.1) = 1/4, gap bound
-        # w (1 - w) |0 x 0 + (0.5 - 0.75)(0.3 - 0.1)| = 0.009375
-        assert _blend(above, below, _ones(above[2]), 1, 0.25, gap_tol=0.009) is None
-        alpha, beta, d, p = _blend(above, below, _ones(above[2]), 1, 0.25, gap_tol=0.0095)
-        assert (alpha, beta) == (1.0, 0.5)  # the heavier point's
-        assert p.sum() == pytest.approx(0.25, abs=1e-15)
-        np.testing.assert_allclose(d, [0.275, 0.125])
+        below = (1.0, 0.75, np.array([0.1, 0.1]), np.array([0.1, 0.0]))
+        # at D = 0.35 the weight is w = (0.4 - 0.35) / (0.4 - 0.2) = 1/4, and
+        # the gap bound w (1 - w) |0 x 0.2 + (0.5 - 0.75)(0.3 - 0.1)| = 0.009375
+        m = _ones(above[2])
+        assert _blend(above, below, m, 0.35, gap_tol=0.009) is None
+        alpha, beta, d, p = _blend(above, below, m, 0.35, gap_tol=0.0095)
+        assert (alpha, beta) == (1.0, 0.5)  # above weighs 3/4
+        assert d.sum() == pytest.approx(0.35, abs=1e-15)
+        np.testing.assert_allclose(d, [0.25, 0.1])
+        np.testing.assert_allclose(p, [0.175, 0.075])
+        # at D = 0.25, w = 3/4 and below is the heavier point
+        assert _blend(above, below, m, 0.25, gap_tol=0.0095)[:2] == (1.0, 0.75)
 
     def test_refuses_distant_multipliers(self):
         above = (1.0, 0.5, np.array([0.3]), np.array([0.0]))
         below = (2.0, 0.5, np.array([0.1]), np.array([0.2]))
         # gap bound w (1 - w) |1 x 0.2| = 0.05 at w = 1/2
-        assert _blend(above, below, _ones(above[2]), 0, 0.2, gap_tol=0.049) is None
-        assert _blend(above, below, _ones(above[2]), 0, 0.2, gap_tol=0.051) is not None
+        assert _blend(above, below, _ones(above[2]), 0.2, gap_tol=0.049) is None
+        assert _blend(above, below, _ones(above[2]), 0.2, gap_tol=0.051) is not None
 
 
 class TestRdpDispatch:
