@@ -9,27 +9,20 @@ plane splits into three regions:
   A: perception slack.  Reverse water-filling sets d_i = min(level, q_i)
      and the rate is the classic rate-distortion value.
   B: zero rate.  A reconstruction independent of the source is feasible.
-  C: both budgets bind.  Each component solves a two-multiplier
-     stationarity system inside its U region.  At given multipliers its
-     root is closed-form: the root of a cubic in q - p whose other two
-     roots are known (``_component_dp``).  Where that root falls outside
-     (0, q), the component takes its p = 0 edge if it fell at or below 0
-     and its (q, q) corner otherwise.  The shared multipliers
-     (alpha, beta) meet the budgets by 2-D Newton steps on the sensitivity
-     of (sum d, sum p), summed from the inverse Hessians of R, and after
-     the first singular or failed step by two nested monotone searches.
-     These rest on monotonicity of the gradient map of a convex function:
-     a component's beta gap falls as p grows along its fixed-alpha contour,
-     sum d falls as alpha grows at fixed beta, and sum p falls as beta
-     grows along sum d = D.  Where a component's minimizer jumps, the
-     distortion budget is met by a convex blend of the allocations on both
-     sides of the jump.
-     Above sum q the allocation shaped like the S(D) optimizers
-     (``_s_side``) serves budgets within the perception tolerance of S(D),
-     and elsewhere gives the search its start and, if certified, its answer.
-     Its one multiplier alpha is the root of the distortion budget, which
-     falls in alpha, found by the same 1-D Newton search as the P = 0
-     multiplier (``_p_zero_alpha``).
+  C: both budgets bind.  Each component minimizes R + alpha d + beta p
+     at shared multipliers, on its U branch, its p = 0 edge or its (q, q)
+     corner.  In the variables A = 1/expm1(alpha - beta) and
+     B = 1/expm1(alpha + beta) the U branch's root is the line
+     p = (1-q) B - q A, clipped to [0, q] (``_component_dp``).  So at fixed
+     A the total p is piecewise linear and non-decreasing in B, and the B
+     that meets P has a closed form on its piece (``_perception_piece``).
+     Along that curve the total d rises in A, and one bracketed Newton
+     search in log A meets D (``_c_search``).  It starts at the multipliers
+     of T(D) below sum q, and above sum q at those of the allocation shaped
+     like the S(D) optimizers (``_s_side``), which itself serves budgets
+     within the perception tolerance of S(D).  Its one multiplier alpha is
+     the root of the distortion budget, which falls in alpha, found by the
+     same 1-D Newton search as the P = 0 multiplier (``_p_zero_alpha``).
 
 Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
@@ -54,6 +47,7 @@ per-component one.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -71,11 +65,6 @@ BUDGET_RTOL = 1e-8
 MAX_ROOT_ITER = 200
 
 _TINY = 1e-300
-
-#: Within this distance (relative to q) of the (q, q) corner, d - p and
-#: 2q - d - p keep too few digits to resolve the stationarity system or its
-#: slopes; a component whose perception root lies there takes the corner.
-_CORNER_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +462,11 @@ def _d_of_alpha(alpha: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return c / (s + np.sqrt(s * s + (1.0 - s) * c))
 
 
-def _gap_slopes(d, p, q):
-    """Partial derivatives (A_d, A_p, B_p) of the alpha gap A and the beta
-    gap B in (d, p); B_d = A_p because both gaps are minus the gradient of
-    the same rate.  [[A_d, A_p], [A_p, B_p]] is minus the Hessian of R, so
-    it is negative definite inside U."""
+def _alpha_slope(d, p, q):
+    """Partial derivative in d of the alpha gap, minus the distortion-
+    direction gradient of the ternary-branch rate; negative inside U."""
     x, y = d - p, d + p
-    xu = 1.0 / x + 1.0 / (2.0 * (1.0 - q) - x)
-    yv = 1.0 / y + 1.0 / (2.0 * q - y)
-    a_d = -0.5 * (xu + yv)
-    return a_d, 0.5 * (xu - yv), a_d + 1.0 / (q - p) + 1.0 / (1.0 - q + p)
+    return -0.5 * (1.0 / x + 1.0 / (2.0 * (1.0 - q) - x) + 1.0 / y + 1.0 / (2.0 * q - y))
 
 
 def _bracketed_newton(f, x: float, lo: float, hi: float, xtol: float = 0.0) -> tuple[float, int]:
@@ -523,83 +507,63 @@ def _bracketed_newton(f, x: float, lo: float, hi: float, xtol: float = 0.0) -> t
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _component_dp(alpha: float, beta: float, q: np.ndarray, m: np.ndarray):
+def _component_dp(A: float, b: float, q: np.ndarray, m: np.ndarray, q0: float = 0.0):
     """Per-component minimizer of R(d, p, q) + alpha d + beta p over
-    d, p >= 0, vectorized over runs of m equal components, with the
-    sensitivity of the totals.
+    d, p >= 0 at alpha > |beta|, vectorized over runs of m equal
+    components, in the variables A = 1 / expm1(alpha - beta) and
+    B = 1 / expm1(alpha + beta), with the derivatives of sum d.
 
-    Returns (d, p, jac), where jac[i, j] is the derivative of
-    (sum d, sum p)[i] with respect to (alpha, beta)[j], the sums taken
-    over components.
+    With x = d - p, y = d + p and u = q - p, dividing the beta equation of
+    the U branch by its alpha equation gives u (2(1-q) - x) = (1 + 1/A)
+    (1 - u) x, and multiplying them gives u y = B (1 - u) (2q - y) / (1 + B),
+    so
+        x = 2 (1-q) u A / (A + 1 - u),   y = 2 q B (1 - u) / (B + u),
+    and the condition y - x = 2 p leaves one root in (0, 1), the line
+        p = (1 - q) B - q A.
+    A component's beta gap falls as p grows along its fixed-alpha contour,
+    so a root at or below 0 puts it on its p = 0 edge, with d from
+    ``_d_p_zero`` at alpha, and one at or above q at its (q, q) corner,
+    stored as exactly (q, q).  alpha - beta = log1p(1/A) and
+    alpha + beta = log1p(1/B).
 
-    At p = 0 the stationarity condition has the closed form
-    ``_d_p_zero``; a component stays on that edge when its beta gap there
-    is already at or below beta.  Otherwise its beta gap falls as p grows
-    along the fixed-alpha contour, so the stationarity system has at most
-    one root p in (0, q), and that root has a closed form.  With
-    x = d - p, y = d + p, u = q - p, a = e^(alpha - beta) and
-    b = e^(-alpha - beta), dividing the beta equation by the alpha
-    equation gives u (2(1-q) - x) = a (1 - u) x, and multiplying them
-    gives u y = b (1 - u) (2q - y), so
-        x = 2(1-q) u / (u + a (1-u)),   y = 2q b (1-u) / (u + b (1-u)).
-    With e1 = expm1(alpha - beta), e2 = expm1(-alpha - beta) and
-    c0 = e1 (1-q) + q e2 + e1 e2, the condition y - x = 2(q - u) has the
-    factors u (the (q, q) corner), u - 1 (beyond q <= 1/2) and
-    e1 e2 u - c0, so the root is u = c0 / (e1 e2), that is
-        p = -((1-q) b e1 + q e2) / (e1 e2),
-    written so that it keeps its relative accuracy as p -> 0.  d then
-    solves the alpha equation at that p (``_d_of_alpha``).
+    B enters as its excess b over A q0 / (1 - q0), the p = 0 threshold of
+    a component at q0 (b = B at q0 = 0): p = (1 - q) b + A (q0 - q) / (1 - q0)
+    then keeps its digits where A and B are large and a component's p is a
+    small difference of them.
 
-    A root p in (0, q (1 - _CORNER_RTOL)) is taken.  An active
-    component's beta gap exceeds beta at p = 0 and falls along the
-    contour, so its root lies in (0, q]: a computed root at or below 0
-    (-inf where alpha = beta) is rounding of a root at p -> 0+ and becomes
-    p = 0, and one at or above q (1 - _CORNER_RTOL) puts the component at
-    its corner.  The corner (q, q) is the subdifferential solution, stored
-    as p = q (1 - 1e-15) with d from the alpha equation.
-
-    The sensitivities are the inverse of [[A_d, A_p], [B_d, B_p]] for
-    interior components and for active ones put at p = 0, d/dalpha of
-    ``_d_p_zero`` (and nothing in beta) on the p = 0 edge, and zero at the
-    corner.
+    Returns (d, p, grad), where grad is the derivative of sum d, the sum
+    taken over components, with respect to (A, B).
     """
-    d = _d_p_zero(alpha, q)
-    p = np.zeros_like(q)
-    jac = np.zeros((2, 2))
-    active = _beta_gap(d, p, q) > beta
-    every = bool(active.all())  # then no edge run, and views in place of gathers
-    if not every:
-        edge_a_d = _gap_slopes(d[~active], 0.0, q[~active])[0]
-        jac[0, 0] = float(np.sum(m[~active] / edge_a_d))
-    if every or np.any(active):
-        sel = slice(None) if every else active
-        qa, ma = q[sel], m[sel]
-        e1, e2 = math.expm1(alpha - beta), math.expm1(-alpha - beta)
-        pa = -((1.0 - qa) * math.exp(-alpha - beta) * e1 + qa * e2) / (e1 * e2)
-        edge = qa * (1.0 - _CORNER_RTOL)
-        pa = np.where(pa >= edge, qa * (1.0 - 1e-15), np.where(pa <= 0.0, 0.0, pa))
-        inner = pa < edge
-        da = _d_of_alpha(alpha, pa, qa)
-        p[sel] = pa
-        d[sel] = da
-        a_d, a_p, b_p = _gap_slopes(da, pa, qa)
-        det = a_d * b_p - a_p * a_p
-        # rounding near the corner can leave the computed Hessian indefinite
-        inner &= (a_d < 0.0) & (det > 0.0)
-        sens = (np.array([b_p, -a_p, a_d])[:, inner] / det[inner] * ma[inner]).sum(axis=1)
-        jac += np.array([[sens[0], sens[1]], [sens[1], sens[2]]])
-    return d, p, jac
+    B = A * q0 / (1.0 - q0) + b
+    alpha = 0.5 * (math.log1p(1.0 / A) + math.log1p(1.0 / B))
+    p = (1.0 - q) * b + A * (q0 - q) / (1.0 - q0)
+    edge, inner = p <= 0.0, (p > 0.0) & (p < q)
+    p = np.where(edge, 0.0, np.minimum(p, q))
+    d = p.copy()
+    # d alpha = -dA / (2 A (A + 1)) - dB / (2 B (B + 1))
+    d[edge], d_alpha = _edge_d(alpha, q[edge], m[edge])
+    grad = np.array([-d_alpha / (2.0 * A * (A + 1.0)), -d_alpha / (2.0 * B * (B + 1.0))])
+    if np.any(inner):
+        qi, mi, u = q[inner], m[inner], q[inner] - p[inner]
+        ga, gb = A + 1.0 - u, B + u
+        x = 2.0 * (1.0 - qi) * u * A / ga
+        y = 2.0 * qi * B * (1.0 - u) / gb
+        d[inner] = 0.5 * (x + y)
+        # u moves by q dA - (1 - q) dB
+        xy_u = 2.0 * (1.0 - qi) * A * (A + 1.0) / (ga * ga) - 2.0 * qi * B * (B + 1.0) / (gb * gb)
+        grad += 0.5 * np.array([
+            _total(mi, 2.0 * (1.0 - qi) * u * (1.0 - u) / (ga * ga) + xy_u * qi),
+            _total(mi, 2.0 * qi * u * (1.0 - u) / (gb * gb) - xy_u * (1.0 - qi))])
+    return d, p, grad
 
 
-#: Lower bracket end of both multiplier searches: smaller multipliers are
-#: not resolvable in float64.  The budgets that would need them are met
-#: within tolerance by larger ones, except within the perception tolerance
-#: of S(D), which ``_s_side`` serves.  Its search for the root of the
-#: distortion budget starts here, and takes alpha = 0 where the budget's
-#: residual here is not positive.
+#: The least start of the multiplier searches.  ``_s_side``'s search for
+#: the root of the distortion budget starts at this alpha, and takes
+#: alpha = 0 where the budget's residual here is not positive.  Region C's
+#: search starts at alpha - beta no smaller, that is at A no larger than
+#: 1 / expm1(_MULTIPLIER_MIN), about 1e12.
 _MULTIPLIER_MIN = 1e-12
-_LOG_MIN = math.log(_MULTIPLIER_MIN)
-#: Steps of log alpha and log beta below this are lost to rounding.
+#: Steps of log A below this are lost to rounding.
 _LOG_XTOL = 1e-14
 
 
@@ -609,15 +573,16 @@ def _log_resid(total: float, target: float) -> float:
     return math.log(total / target) if total > 0.0 else -math.inf
 
 
-def _edge_sums(alpha: float, q: np.ndarray, m: np.ndarray):
-    """Sum over components of the p = 0 edge's distortion ``_d_p_zero`` at
-    alpha, and its derivative in alpha."""
+def _edge_d(alpha: float, q: np.ndarray, m: np.ndarray):
+    """The p = 0 edge's distortion ``_d_p_zero`` at alpha, per run of m
+    equal components, and the derivative in alpha of its sum over
+    components."""
     d = _d_p_zero(alpha, q)
     # d = 4w / (1 + r) with r = sqrt(1 + 4w expm1(2 alpha)), so
     # dd/dalpha = -e^{2 alpha} d^2 / r = -e^{2 alpha} d^3 / (4w - d); the
     # cubes vanish before e^{2 alpha} overflows
     cubes = _total(m, d ** 3 / (4.0 * q * (1.0 - q) - d))
-    return _total(m, d), -math.exp(2.0 * alpha) * cubes if cubes else 0.0
+    return d, -math.exp(2.0 * alpha) * cubes if cubes else 0.0
 
 
 def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
@@ -639,7 +604,8 @@ def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def f(alpha):
-        total, slope = _edge_sums(alpha, q, m)
+        d, slope = _edge_d(alpha, q, m)
+        total = _total(m, d)
         if total == 0.0:
             return -math.inf, math.nan
         # to float64 resolution: this path defines R(D, 0), the upper end of
@@ -650,36 +616,13 @@ def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
     return _bracketed_newton(f, alpha0, 0.0, alpha_hi)
 
 
-def _blend(above, below, m: np.ndarray, D: float, gap_tol: float):
-    """Convex combination of two kernel points (alpha, beta, d, p) whose sum
-    of d lies above and below D, weighted to meet it, or None if it may be
-    too far from optimal.
-
-    Each point i minimizes the Lagrangian at its own multipliers m_i and
-    meets the budget totals s_i = (sum d, sum p).  So at the totals s the
-    blend meets, the optimal rate is at least R_i + m_i.(s_i - s) for both,
-    and, R being convex, the blend's rate exceeds that bound by at most
-    w (1 - w) |(m_1 - m_2).(s_1 - s_2)| for weight w.  The blend is kept
-    when this gap is at most gap_tol, and carries the multipliers of the
-    heavier point, whose bound is within twice the gap.  On the two sides
-    of a jump of the minimizer the multipliers are adjacent floats.  The
-    points' d and p are per run of m equal components."""
-    s_hi, s_lo = ((_total(m, pt[2]), _total(m, pt[3])) for pt in (above, below))
-    w = (s_hi[0] - D) / (s_hi[0] - s_lo[0])
-    gap = w * (1.0 - w) * abs(sum((above[j] - below[j]) * (s_hi[j] - s_lo[j])
-                                  for j in (0, 1)))
-    if gap > gap_tol:
-        return None
-    heavy = below if w > 0.5 else above
-    return (heavy[0], heavy[1], (1.0 - w) * above[2] + w * below[2],
-            (1.0 - w) * above[3] + w * below[3])
-
-
 def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
-    """The allocation below S(D) shaped like the S(D) optimizers: runs
-    before some k on their p = 0 edge at alpha, those after k at their
-    (q, q) corner, the m_k components of run k in U with equal shares of
-    the rest of both budgets (P fixes k), which are so met by construction.
+    """The allocation below S(D) shaped like the S(D) optimizers, which
+    serves budgets within the perception tolerance of S(D) and gives region
+    C's search its start elsewhere above sum q: runs before some k on their
+    p = 0 edge at alpha, those after k at their (q, q) corner, the m_k
+    components of run k in U with equal shares of the rest of both budgets
+    (P fixes k), which are so met by construction.
     alpha is the root of the distortion budget with run k on its alpha
     equation at p_k (``_d_of_alpha``, slope 1 / A_d): the sum falls
     strictly in alpha, and ``_p_zero_alpha``'s search finds it, from
@@ -696,10 +639,10 @@ def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def f(alpha):
-        total, slope = _edge_sums(alpha, edge, m_edge)
+        d, slope = _edge_d(alpha, edge, m_edge)
         dk = _d_of_alpha(alpha, pk, qk)
-        total += mk * dk
-        return _log_resid(total, D - tail[k]), (slope + mk / _gap_slopes(dk, pk, qk)[0]) / total
+        total = _total(m_edge, d) + mk * dk
+        return _log_resid(total, D - tail[k]), (slope + mk / _alpha_slope(dk, pk, qk)) / total
 
     alpha, calls = 0.0, 0
     if pk < qk:
@@ -713,133 +656,108 @@ def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
             np.concatenate((np.zeros(k), [pk], q[k + 1:])), calls)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # inf and nan steps are tested for
-def _solve_c_multipliers(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d: float,
-                         tol_p: float, start: tuple):
-    """Find alpha, beta > 0 with sum d = D and sum p = P from the start
-    multipliers, for runs of m equal components.  ``start`` is (alpha, beta)
-    or an ``_s_side`` tuple, whose allocation is the candidate below.
+def _perception_piece(q: np.ndarray, m: np.ndarray, P: float):
+    """The perception budget met exactly at each A, for runs of m equal
+    components: returns piece(A) -> (e, c, b), where B = A r_e + b is the
+    least B with sum p = P in ``_component_dp``'s variables, r = q / (1-q).
 
-    While the 2x2 sensitivity jac is invertible (J00 < 0 and Schur
-    complement J11 - J01^2 / J00 < 0) the step is Newton's on the budget
-    residuals, one per iteration, each multiplier moving at most e^2-fold.
-    From the first step that is singular (near S(D) no component may be in
-    U, and one at its (q, q) corner or p = 0 edge does not move with beta),
-    takes a multiplier to _MULTIPLIER_MIN or below, or does not lower the
-    larger scaled residual, two nested ``_bracketed_newton`` levels go on
-    from the last point the steps kept, which is not evaluated again: the
-    outer on log(sum p / P) in log beta in [log _MULTIPLIER_MIN, inf) along
-    sum d = D, where sum p falls in beta, with the Schur complement as
-    slope, and at each beta the inner on log(sum d / D), which falls in
-    alpha, in log alpha in [log _MULTIPLIER_MIN, inf) with slope J00, from
-    the previous alpha.  The outer level ends within 1/100 of tol_p; the
-    inner within 1/100 of tol_d, or once its latest points on the two sides
-    of D ``_blend`` within 1e-6 of the rate change the tolerances allow: a
-    minimizer jumps between adjacent floats where its Lagrangian is flat
-    along its zero-rate edge (beta / alpha near 1 - 2q).  Each kernel point
-    is also blended with the latest one across D within the same 1e-6.
-    Guard: 5 MAX_ROOT_ITER kernel calls.
-
-    Where the first kernel point K has no component in U, the candidate is
-    returned with K's multipliers if it is within 1/100 of the rate change
-    the tolerances allow, plus a few ulps, of K's Lagrangian bound R(K) +
-    alpha (sum d_K - D) + beta (sum p_K - P), K's corners taken at (q, q).
-    Otherwise returns the point or blend closest to both budgets as
-    (alpha, beta, d, p, kernel calls) if it meets them, and raises
-    ConvergenceError if none does.
+    At fixed A a run's p = (1-q) B - q A clipped to [0, q] rises in B, from
+    its p = 0 edge at B = A r to its corner at B = (A + 1) r, so sum p is
+    piecewise linear and non-decreasing in B, with the runs at their edge
+    first and those at their corner last, in q order.  On the piece just
+    left of the least root, runs [e, c) are between edge and corner, and b
+    has a closed form, each p written relative to run e's (``_component_dp``'s
+    q0) so that it keeps its digits at large A.  Both ends are counted by
+    bisection on prefix sums, which are exact to rounding only at moderate
+    A, and the piece is then walked, one edge or corner crossing at a time,
+    until the runs' own p put B on it; a crossing that rounding reverses
+    ends the walk.  On a flat piece, where P is the sum q of the runs at
+    their corner, the least root is its left end.
     """
-    evals = 0
-    best = (math.inf, None)  # (larger budget residual in tolerances, point)
-    sides = [None, None]  # the latest kernel points with sum d > D and <= D
+    k = q.size
+    r = q / (1.0 - q)
+    neg_r = -r  # ascending
+    wsum = np.concatenate(([0.0], np.cumsum(m * (1.0 - q))))
+    qsum = np.concatenate(([0.0], np.cumsum(m * q)))
+    tail = np.append(np.cumsum((m * q)[::-1])[::-1], 0.0)  # sum over runs j, j + 1, ...
+    P = min(P, float(tail[0]))  # a P within rounding of sum q can exceed this sum of it
 
-    def consider(point) -> float:
-        nonlocal best
-        if point is None:
-            return math.inf
-        miss = max(abs(_total(m, point[2]) - D) / tol_d, abs(_total(m, point[3]) - P) / tol_p)
-        if miss < best[0]:
-            best = (miss, point)
-        return miss
+    def sum_p(A: float, B: float) -> float:  # from the prefix sums
+        e, c = bisect.bisect_right(neg_r, -B / A), bisect.bisect_left(neg_r, -B / (A + 1.0))
+        return B * (wsum[c] - wsum[e]) - A * (qsum[c] - qsum[e]) + qsum[k] - qsum[c]
 
-    def blend(above, below):  # within 1e-6 of the rate change the tolerances allow
-        return _blend(above, below, m, D, 1e-6 * (above[0] * tol_d + above[1] * tol_p))
+    def count(A: float, scale: float) -> int:  # runs t with sum_p at scale r_t >= P
+        lo, hi = 0, k
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if sum_p(A, scale * r[mid]) >= P else (lo, mid)
+        return lo
 
-    def evaluate(a: float, b: float):
-        nonlocal evals
-        if evals >= 5 * MAX_ROOT_ITER:
-            raise ConvergenceError("multiplier search reached its call guard")
-        evals += 1
-        d, p, jac = _component_dp(math.exp(a), math.exp(b), q, m)
-        point = (math.exp(a), math.exp(b), d, p)
-        above = _total(m, d) > D
-        if sides[above] is not None:
-            consider(blend(point, sides[1]) if above else blend(sides[0], point))
-        sides[not above] = point
-        return a, b, point, consider(point), jac
+    def piece(A: float):
+        c, went, last = count(A, A + 1.0), 0, None
+        e = min(count(A, A), c)
+        while True:
+            if c > e:
+                qe, at = q[e], lambda t: A * (qe - q[t]) / (1.0 - qe) + (1.0 - q[t]) * b
+                base = A * (qe - q[e:c]) / (1.0 - qe)  # p at b = 0
+                b = (P - tail[c] - _total(m[e:c], base)) / _total(m[e:c], 1.0 - q[e:c])
+                # run c - 1's excess over its corner, from the budget as on a flat piece
+                over = P - tail[c - 1] - _total(m[e:c - 1], base[:-1] + (1.0 - q[e:c - 1]) * b)
+                left = b <= 0.0 or (c < k and at(c) <= q[c])
+                move = -1 if left else 1 if (e > 0 and at(e - 1) > 0.0) or over > 0.0 else 0
+                if move == 0 or move == -went:
+                    return e, c, b
+                last = e, c, b
+            else:  # a flat piece, at tail[c]
+                move = -1 if tail[c] >= P else 1
+                if move == -went:
+                    return last
+            went = move
+            if move < 0:  # across the larger of run e's edge and run c's corner
+                if c < k and (c == e or A * (q[e] - q[c]) / (1.0 - q[e]) < q[c]):
+                    c += 1
+                else:
+                    e += 1
+            elif e > 0 and (c == e or A * (q[e - 1] - q[c - 1]) / (1.0 - q[e - 1]) < q[c - 1]):
+                e -= 1
+            else:
+                c -= 1
 
-    def p_resid(b: float):  # the outer level, at the point on sum d = D at log beta b
-        nonlocal a
-        ends, point = [None, None], None
+    return piece
 
-        def d_resid(x: float):  # the inner level, at log alpha x
-            nonlocal cur, point
-            if (x, b) != cur[:2]:  # the hand-over starts at cur, already evaluated
-                cur = evaluate(x, b)
-            s_d = _total(m, cur[2][2])
-            ends[s_d <= D] = cur[2]
-            mix = None if None in ends else blend(*ends)
-            if abs(s_d - D) <= 0.01 * tol_d:
-                point = cur[2]
-            elif consider(mix) < math.inf:
-                point = mix
-            value = _log_resid(s_d, D) if point is None else 0.0
-            return value, cur[4][0][0] * cur[2][0] / s_d  # J00 alpha / sum d
 
-        a = _bracketed_newton(d_resid, a, _LOG_MIN, math.inf, xtol=_LOG_XTOL)[0]
-        if point is None:  # the bracket collapsed, or the root is below _MULTIPLIER_MIN
-            raise ConvergenceError("no point meets sum d = D")
-        (j00, j01), (_, j11) = cur[4]  # at the last kernel point
-        schur = j11 - j01 * j01 / j00
-        s_p = _total(m, point[3])
-        slope = schur * point[1] / s_p if j00 < 0.0 and schur < 0.0 else math.nan
-        return (0.0 if abs(s_p - P) <= 0.01 * tol_p else _log_resid(s_p, P)), slope
+def _c_search(q: np.ndarray, m: np.ndarray, D: float, P: float, tol_d: float, x0: float):
+    """Region C's multipliers for runs of m equal components, by one
+    monotone search in x = log A from x0, in ``_component_dp``'s variables,
+    each evaluation meeting P exactly (``_perception_piece``).  Along that
+    B(A), sum d rises in A, from P (A -> 0, where alpha -> inf) to the caps
+    of the runs on their edge, and ``_bracketed_newton`` finds D, with the
+    slope of sum d from the kernel's derivatives and dB/dA = sum m q /
+    sum m (1-q) over the runs between edge and corner.  Ends within 1/100 of
+    tol_d or at a step of x below _LOG_XTOL.  Returns (alpha, beta, d, p,
+    evaluations); raises ConvergenceError if the last point misses D by more
+    than tol_d.
+    """
+    piece, point = _perception_piece(q, m, P), None
 
-    cur = evaluate(math.log(start[0]), max(math.log(start[1]), _LOG_MIN))
-    if len(start) > 2 and cur[4][1][1] == 0.0:  # no component in U
-        alpha, beta, d, p = cur[2]
-        # the kernel's corner p = q (1 - 1e-15) rounds to a few 1e-15 nats, (q, q) to 0
-        d, p = np.where(p >= q * (1.0 - _CORNER_RTOL), [q, q], [d, p])
-        lower = (_total(m, scalar_rdp_arr(d, p, q)) + alpha * (_total(m, d) - D)
-                 + beta * (_total(m, p) - P))
-        # a few ulps for the rates' rounding, above the 1/100 share at tiny multipliers
-        slack = 0.01 * (alpha * tol_d + beta * tol_p) + 4.0 * math.ulp(1.0)
-        if _total(m, scalar_rdp_arr(start[2], start[3], q)) - lower <= slack:
-            return alpha, beta, start[2], start[3], evals
-    try:
-        while best[0] > 0.01:
-            a, b, point, miss, ((j00, j01), (_, j11)) = cur
-            alpha, beta, s_d, s_p = *point[:2], _total(m, point[2]), _total(m, point[3])
-            schur = j11 - j01 * j01 / j00
-            step_b = -(s_p - P - j01 * (s_d - D) / j00) / schur
-            step_a = -(s_d - D + j01 * step_b) / j00
-            if not (j00 < 0.0 and schur < 0.0 and np.isfinite([step_a, step_b]).all()):
-                break
-            t = min([1.0] + [m * (math.expm1(2.0) if s > 0.0 else -math.expm1(-2.0)) / abs(s)
-                             for m, s in ((alpha, step_a), (beta, step_b)) if s != 0.0])
-            na, nb = math.log(alpha + t * step_a), math.log(beta + t * step_b)
-            if not (na > _LOG_MIN and nb > _LOG_MIN):
-                break
-            nxt = evaluate(na, nb)
-            if not nxt[3] < miss:
-                break
-            cur = nxt
-        if best[0] > 0.01:
-            _bracketed_newton(p_resid, b, _LOG_MIN, math.inf, xtol=_LOG_XTOL)
-    except ConvergenceError:  # the call guard, or a root float64 resolves no further
-        pass
-    if best[0] > 1.0:
+    def f(x: float):
+        nonlocal point
+        A = math.exp(x)
+        e, c, b = piece(A)
+        d, p, grad = _component_dp(A, b, q, m, q[e])
+        point = (A, A * q[e] / (1.0 - q[e]) + b, d, p)
+        total = _total(m, d)
+        if abs(total - D) <= 0.01 * tol_d:
+            return 0.0, math.nan
+        slope = grad[0] + grad[1] * _total(m[e:c], q[e:c]) / _total(m[e:c], 1.0 - q[e:c])
+        return -_log_resid(total, D), -A * slope / total
+
+    calls = _bracketed_newton(f, x0, -math.inf, math.inf, xtol=_LOG_XTOL)[1]
+    A, B, d, p = point
+    if abs(_total(m, d) - D) > tol_d:
         raise ConvergenceError("no multipliers meet both budgets")
-    return (*best[1], evals)
+    u, v = math.log1p(1.0 / A), math.log1p(1.0 / B)
+    return 0.5 * (u + v), max(0.0, 0.5 * (v - u)), d, p, calls
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +853,10 @@ def _check_rtol(budget_rtol: float) -> None:
 def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """Both budgets bind: tune the shared multipliers (alpha, beta) so the
     per-component stationarity solutions meet the budgets with equality.
-    Raises DomainError unless ``classify`` puts (D, P) in C."""
+    ``multiplier_iterations`` counts the evaluations of the search in log A
+    (one kernel call each), or within tol_p of P = 0 or of S(D) those of
+    the 1-D alpha search there.  Raises DomainError unless ``classify`` puts
+    (D, P) in C."""
     _check_rtol(budget_rtol)
     src, budget = _as_source(src), _as_budget(budget)
     q_all, m_all = src.run_q, src.counts
@@ -951,8 +872,7 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     tol_p = budget_rtol * max(1.0, P)
 
     # the P = 0 allocation meets a P within tol_p of 0, and the S(D)-shaped
-    # one a P within tol_p of S(D): budgets the search cannot resolve (it
-    # exits with no multipliers meeting both)
+    # one a P within tol_p of S(D), where the multipliers underflow
     if P <= tol_p:
         alpha, iters = _p_zero_alpha(q, m, D)
         d = _d_p_zero(alpha, q)
@@ -961,15 +881,15 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
         beta = max(0.0, float(np.max(gaps)))  # +0.0, not the gaps' -0.0 where every d is 0
     else:
         if side == PlaneRegion.A:
-            # alpha tends to the water level's multiplier as beta -> 0
-            # (the level rounds to 1/2 next to sum q when a q is 1/2)
-            start = (max(math.log((1.0 - fill.max()) / fill.max()), _MULTIPLIER_MIN), 1e-2)
-            found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
+            # at T(D) A = B = level / (1 - 2 level), where alpha is the water
+            # level's multiplier and beta = 0 (the level rounds to 1/2 next to
+            # sum q when a q is 1/2)
+            start = math.log((1.0 - fill.max()) / fill.max())
         else:
             found = _s_side(q, m, D, P)
-            if bound - P > tol_p:
-                start = found if min(found[:2]) > 0.0 else (1e-3, 1e-2)
-                found = _solve_c_multipliers(q, m, D, P, tol_d, tol_p, start)
+            start = found[0] - found[1]
+        if side == PlaneRegion.A or bound - P > tol_p:
+            found = _c_search(q, m, D, P, tol_d, -math.log(math.expm1(max(start, _MULTIPLIER_MIN))))
         alpha, beta, d, p, iters = found
         gaps = _beta_gap(d, p, q)
     lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))

@@ -22,9 +22,8 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      solve_region_a, solve_region_b, solve_region_c, t_of_d,
                      water_fill)
 from bernrdp.core import h2_arr, rd_boundary_arr
-from bernrdp.solver import (_CORNER_RTOL, _beta_gap, _blend, _bracketed_newton, _component_dp,
-                            _d_of_alpha, _d_p_zero, _gap_slopes, _plane_boundary, _s_curve,
-                            _s_side, _solve_c_multipliers)
+from bernrdp.solver import (_alpha_slope, _beta_gap, _bracketed_newton, _component_dp, _d_of_alpha,
+                            _d_p_zero, _perception_piece, _plane_boundary, _s_curve, _s_side)
 
 H2_03 = 0.610864302054893463
 SUM_H2_03_01 = 0.935947275446341703           # h2(0.3) + h2(0.1)
@@ -561,9 +560,19 @@ def test_a_and_b_label_v_exactly_on_the_corner(raw, share_a, share_b, over):
         assert [r == ScalarRegion.V for r in _regions(res)] == corner.tolist()
 
 
+def _kernel_at(alpha, beta, q, m):
+    """The Lagrangian minimizer (d, p) at multipliers alpha > 0, beta >= 0:
+    the kernel at A = 1/expm1(alpha - beta), B = 1/expm1(alpha + beta)
+    where alpha > beta.  At beta >= alpha every component is on its p = 0
+    edge: its beta gap there is below alpha."""
+    if beta >= alpha:
+        return _d_p_zero(alpha, q), np.zeros_like(q)
+    return _component_dp(1.0 / math.expm1(alpha - beta), 1.0 / math.expm1(alpha + beta), q, m)[:2]
+
+
 def _one_component(alpha, beta, q):
     """The kernel's (d, p) for a single component."""
-    d, p, _ = _component_dp(alpha, beta, np.array([q]), _ones(q))
+    d, p = _kernel_at(alpha, beta, np.array([q]), _ones(q))
     return float(d[0]), float(p[0])
 
 
@@ -639,11 +648,6 @@ def _lagrangian(alpha, beta, d, p, q):
     return scalar_rdp(d, p, q) + alpha * d + beta * p
 
 
-def _totals(alpha, beta, q):
-    d, p, _ = _component_dp(alpha, beta, q, _ones(q))
-    return np.array([d.sum(), p.sum()])
-
-
 class TestComponentKernel:
     Q = np.array([0.01, 0.05, 0.2, 0.35, 0.5 - 1e-9])  # last one next to 1/2
 
@@ -651,7 +655,7 @@ class TestComponentKernel:
         kinds = set()
         for alpha in (0.01, 0.1, 0.5, 1.5, 4.0):
             for beta in (1e-4, 1e-2, 0.1, 0.5, 2.0, 10.0):
-                d, p, _ = _component_dp(alpha, beta, self.Q, _ones(self.Q))
+                d, p = _kernel_at(alpha, beta, self.Q, _ones(self.Q))
                 d_ref, p_ref = _bisection_component_dp(alpha, beta, self.Q)
                 assert np.abs(d - d_ref).max() <= 1e-12, (alpha, beta)
                 assert np.abs(p - p_ref).max() <= 1e-12, (alpha, beta)
@@ -668,7 +672,7 @@ class TestComponentKernel:
                     if beta <= 0.0:
                         continue
                     qv = np.array([q])
-                    d, p, _ = _component_dp(alpha, beta, qv, _ones(qv))
+                    d, p = _kernel_at(alpha, beta, qv, _ones(qv))
                     d_ref, p_ref = _bisection_component_dp(alpha, beta, qv)
                     assert abs(d[0] - d_ref[0]) <= 1e-12, (alpha, q, delta)
                     assert abs(p[0] - p_ref[0]) <= 1e-12, (alpha, q, delta)
@@ -677,41 +681,41 @@ class TestComponentKernel:
         assert closest < 1e-3  # some roots sat within 0.1% of the corner
 
     def test_roots_inside_the_corner_band(self):
-        # within _CORNER_RTOL * q of q, d - p and 2q - d - p keep too few
-        # digits to place the root; both kernels land within a few band
-        # widths of the corner
+        # within 1e-8 q of q, d - p and 2q - d - p keep too few digits for
+        # the bisection to place the root from the alpha equation; the
+        # closed form in (A, B) takes d from x and y, which vanish and tend
+        # to 2q there, and lands between the corner and the bisection root
         alpha, q = 1.5, np.array([0.05])
-        band = _CORNER_RTOL * q[0]
+        band = 1e-8 * q[0]
         for delta in (1e-9, 1e-11, 1e-13):
             beta = _corner_beta(alpha, 0.05) + delta
-            d, p, _ = _component_dp(alpha, beta, q, _ones(q))
+            d, p = _kernel_at(alpha, beta, q, _ones(q))
             d_ref, p_ref = _bisection_component_dp(alpha, beta, q)
             assert 0.0 < q[0] - p_ref[0] < band
-            assert 0.0 < q[0] - p[0] <= 4.0 * band
-            assert abs(d[0] - d_ref[0]) <= 4.0 * band
+            assert 0.0 < q[0] - p[0] <= q[0] - p_ref[0]
+            assert abs(d[0] - d_ref[0]) <= band
 
     def test_runs_match_their_expanded_components(self):
         counts = np.array([3, 1, 2, 4, 1])
-        for alpha, beta in ((0.5, 0.1), (1.5, 0.5), (4.0, 0.01), (0.01, 10.0)):
-            d, p, jac = _component_dp(alpha, beta, self.Q, counts)
+        for A, B in ((0.5, 0.1), (1.5, 0.5), (4.0, 0.01), (0.01, 10.0), (50.0, 40.0)):
+            d, p, grad = _component_dp(A, B, self.Q, counts)
             q_all = np.repeat(self.Q, counts)
-            d_all, p_all, jac_all = _component_dp(alpha, beta, q_all, _ones(q_all))
+            d_all, p_all, grad_all = _component_dp(A, B, q_all, _ones(q_all))
             assert np.repeat(d, counts).tobytes() == d_all.tobytes()
             assert np.repeat(p, counts).tobytes() == p_all.tobytes()
-            np.testing.assert_allclose(jac, jac_all, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(grad, grad_all, rtol=1e-13, atol=0.0)
 
     def test_sensitivities_match_finite_differences(self):
+        # grad is the derivative of sum d in (A, B), edge runs included
         q = np.array([0.05, 0.2, 0.35, 0.45])
-        for alpha, beta in ((0.5, 0.1), (1.5, 0.1), (1.5, 0.5), (4.0, 0.5), (4.0, 0.01)):
-            _, p, jac = _component_dp(alpha, beta, q, _ones(q))
-            assert np.any(p > 0.0)
-            assert jac[0, 0] < 0.0 and jac[1, 1] <= 0.0
-            assert np.linalg.det(jac) >= -1e-12
-            for j, h in enumerate((1e-6 * alpha, 1e-6 * beta)):
-                step = np.array([h, 0.0]) if j == 0 else np.array([0.0, h])
-                fd = (_totals(alpha + step[0], beta + step[1], q)
-                      - _totals(alpha - step[0], beta - step[1], q)) / (2.0 * h)
-                assert fd == pytest.approx(jac[:, j], rel=1e-5, abs=1e-9), (alpha, beta, j)
+        m = _ones(q)
+        for A, B in ((1.0, 0.3), (0.5, 0.35), (0.2, 0.31), (4.0, 2.5), (4.0, 0.25), (40.0, 33.0)):
+            _, p, grad = _component_dp(A, B, q, m)
+            assert np.any((p > 0.0) & (p < q))
+            for j, step in enumerate(((1e-6 * A, 0.0), (0.0, 1e-6 * B))):
+                fd = (_component_dp(A + step[0], B + step[1], q, m)[0].sum()
+                      - _component_dp(A - step[0], B - step[1], q, m)[0].sum()) / (2.0 * sum(step))
+                assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-9), (A, B, j)
 
     @settings(derandomize=True, max_examples=600, deadline=None)
     @given(st.floats(-12.0, math.log10(8.0)), st.floats(-12.0, math.log10(8.0)),
@@ -728,7 +732,10 @@ class TestComponentKernel:
                 "above alpha": math.nextafter(alpha, math.inf),
                 "below alpha": math.nextafter(alpha, -math.inf),
                 "barely active": gap * (1.0 - 10.0 ** log_eps)}[beta_from]
-        d, p, _ = _component_dp(alpha, beta, qv, _ones(qv))
+        # a multiplier is >= 0; at a q near the smallest normal the gap at
+        # p = 0 rounds to a negative value
+        beta = max(beta, 0.0)
+        d, p = _kernel_at(alpha, beta, qv, _ones(qv))
         found = _lagrangian(alpha, beta, d, p, qv)[0]
         # u = q - p from the corner to p = 0, both ends included
         grid_p = np.append(q - q * np.logspace(-16.0, 0.0, 4001), [0.0, q * (1.0 - 1e-15)])
@@ -743,15 +750,16 @@ class TestComponentKernel:
         # at or below 0; that must not send the component to its corner
         qv = np.array([q])
         beta = _beta_gap(_d_p_zero(alpha, qv), 0.0, qv)[0] * (1.0 - 1e-12)
-        _, p, _ = _component_dp(alpha, beta, qv, _ones(qv))
+        _, p = _kernel_at(alpha, beta, qv, _ones(qv))
         assert 0.0 <= p[0] <= 1e-8
 
     def test_tiny_multipliers_take_the_corner(self):
-        # the beta gaps at both ends are lost to rounding here; the corner
-        # has the lower Lagrangian of the two
+        # the beta gaps at both ends are lost to rounding here; the corner,
+        # stored as exactly (q, q) at rate 0, has the lower Lagrangian of the two
         alpha, beta, q = 7.79e-8, 1.34e-10, np.array([0.489978])
-        d, p, _ = _component_dp(alpha, beta, q, _ones(q))
-        assert p[0] == q[0] * (1.0 - 1e-15)
+        d, p = _kernel_at(alpha, beta, q, _ones(q))
+        assert (d[0], p[0]) == (q[0], q[0])
+        assert scalar_rdp(d, p, q)[0] == 0.0
         zero = np.zeros(1)
         assert (_lagrangian(alpha, beta, d, p, q)
                 < _lagrangian(alpha, beta, _d_of_alpha(alpha, zero, q), zero, q))
@@ -847,7 +855,7 @@ def _dual_bound(raw, D, P, res):
     q = normalize(raw).q
     q = q[q > 0.0]
     nu, mu = res.certificate.nu, res.certificate.mu
-    d, p, _ = _component_dp(nu, mu, q, _ones(q))
+    d, p = _kernel_at(nu, mu, q, _ones(q))
     return float(np.sum(scalar_rdp(d, p, q))) + nu * (d.sum() - D) + mu * (p.sum() - P)
 
 
@@ -900,37 +908,21 @@ def _half_sweep():
 
 class TestRegionCSweeps:
     """The region-C acceptance sweeps, rebuilt from CHANGES.md and solved
-    through ``rdp``.  ``max_calls`` is the kernel-call count of each sweep's
-    costliest budget under the search that also blended across P and had a
-    ceiling on beta.  The q = 1/2 sweep keeps one ConvergenceError, at the
-    budget of test_q_next_to_half_just_above_sum_q_is_solved (ROADMAP
-    item 2)."""
+    through ``rdp``, each budget with no ConvergenceError.  ``max_calls`` is
+    the kernel-call count of each sweep's costliest budget under the one
+    search in log A; the two-level search it replaced took 41, 275 and 300,
+    and raised at one budget of the q = 1/2 sweep."""
 
-    @pytest.mark.parametrize("sweep, max_calls, failures", [
-        (_inside_sweep, 45, 0), (_near_s_sweep, 276, 0), (_half_sweep, 301, 1)])
-    def test_solved_within_the_dual_bound(self, sweep, max_calls, failures, monkeypatch):
-        points, kernel = [], br.solver._component_dp
-
-        def recording(alpha, beta, q, m):
-            points.append((alpha, beta))
-            return kernel(alpha, beta, q, m)
-
-        monkeypatch.setattr(br.solver, "_component_dp", recording)
-        calls, failed = [], []
+    @pytest.mark.parametrize("sweep, max_calls", [
+        (_inside_sweep, 6), (_near_s_sweep, 7), (_half_sweep, 3)])
+    def test_solved_within_the_dual_bound(self, sweep, max_calls):
+        calls = []
         for raw, D, P in sweep():
-            points.clear()
-            try:
-                res = rdp(raw, (D, P))  # a DomainError fails the test
-            except ConvergenceError:
-                failed.append(normalize(raw).q)
-                continue
-            assert len(set(points)) == len(points), "a kernel point evaluated twice"
+            res = rdp(raw, (D, P))
             cert = res.certificate
             slack = 1e-10 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
             assert res.rate - _dual_bound(raw, D, P, res) <= slack
             calls.append(res.multiplier_iterations)
-        assert len(failed) <= failures
-        assert all(0.4998446415269858 in q for q in failed), failed
         assert max(calls) <= max_calls
 
 
@@ -975,11 +967,12 @@ class TestRegionCNearS:
     def test_budgets_outside_the_snap_window_are_solved(self, raw, D, P, parent_rate):
         # beta / alpha lands next to 1 - 2q of one component, where its
         # Lagrangian is nearly flat along its zero-rate edge: its p moves by
-        # whole per cents of q between adjacent floats of alpha, so sum d = D
-        # has no float root.  These searches used to fall back to a snap;
-        # the search now blends the evaluations on either side.  The nested
-        # brentq search failed the budget check on the first and last and
-        # solved the second.
+        # whole per cents of q between adjacent floats of alpha, so in
+        # (alpha, beta) sum d = D has no float root.  These searches fell
+        # back to a snap, then to a blend of the evaluations on either side;
+        # in log A, with P met at every evaluation, sum d is continuous.  The
+        # nested brentq search failed the budget check on the first and last
+        # and solved the second.
         res = rdp(raw, (D, P))
         assert not res.notes
         assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
@@ -990,7 +983,7 @@ class TestRegionCNearS:
         def unresolved(*args):
             raise ConvergenceError("no multipliers meet both budgets")
 
-        monkeypatch.setattr(br.solver, "_solve_c_multipliers", unresolved)
+        monkeypatch.setattr(br.solver, "_c_search", unresolved)
         # a search that finds no multipliers has no fallback on either side
         # of sum q: a snap to S(D) gave 4.65e-4 nats here, above
         # R(D, 0) = 4.0e-6
@@ -1241,46 +1234,66 @@ def test_q_half_budgets_solved_in_every_region(case):
 @pytest.mark.parametrize("below_sum_q", [1e-15, 1e-13, 1e-12])
 @pytest.mark.parametrize("below_t", [1e-15, 1e-12, 1e-9])
 def test_q_next_to_half_next_to_sum_q_fails_typed(eps, below_sum_q, below_t):
-    # a q this close to 1/2 puts the water level next to 1/2 and the
-    # multipliers beyond what the search resolves; the solve must end in a
-    # checked result or a ConvergenceError, with no other error and no
-    # floating-point warning
+    # a q this close to 1/2 puts the water level next to 1/2, and the
+    # search in (alpha, beta) raised ConvergenceError at every one of these
+    # budgets; the search in log A solves each at its first kernel call,
+    # with no floating-point warning
     raw = [0.5 - eps, 0.176, 0.1188]
     D = sum(raw) - below_sum_q
     P = t_of_d(raw, D) * (1.0 - below_t)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            res = rdp(raw, (D, P))
-        except ConvergenceError:
-            return
-    assert res.region == "C"
+        res = rdp(raw, (D, P))
+    assert res.region == "C" and res.multiplier_iterations == 1
+    cert = res.certificate
+    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+    assert res.rate - _dual_bound(raw, D, P, res) <= slack
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="region C does not yet resolve every budget next to S(D)")
 def test_q_next_to_half_just_above_sum_q_is_solved():
     # 3.6e-10 above sum q and 2.6e-6 (relative) below S(D), with two q at
-    # 1/2 and one next to it: the search raises ConvergenceError.  Once it
-    # resolves this budget the test passes, and strict=True fails it so
-    # that it is turned into a plain test
+    # 1/2 and one next to it: beta lies below 1e-12, where the search in
+    # (alpha, beta) stopped, and it raised ConvergenceError
     q = [0.5, 0.5, 0.4998446415269858, 0.39328140013857643, 0.303575947914513,
          0.22547457356318845, 0.20891149033338982, 0.09771198504655099]
     D, P = 2.7288000388834983, 1.7287944704214857
     res = rdp(q, (D, P))
     assert res.region == "C"
+    cert = res.certificate
+    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+    assert res.rate - _dual_bound(q, D, P, res) <= slack
 
 
-def test_newton_step_out_of_the_multiplier_domain_hands_over_to_the_levels():
-    # one component, so the exact rate is scalar_rdp(D, P, q); a Newton
-    # step of the 2-D search takes beta below _MULTIPLIER_MIN here, and the
-    # nested searches take over from the last point
-    q, D, P = 0.4616618115010593, 0.44992027523706346, 0.34443164270314525
-    res = rdp([q], (D, P))
-    assert res.region == "C"
-    assert res.rate == pytest.approx(scalar_rdp(D, P, q), rel=0.0, abs=1e-14)
-    rtol = br.solver.BUDGET_RTOL
-    assert res.residuals[0] <= rtol * max(1.0, D) and res.residuals[1] <= rtol * max(1.0, P)
+@pytest.mark.parametrize("raw, D, P", [
+    pytest.param([0.4616618115010593], 0.44992027523706346, 0.34443164270314525,
+                 id="newton-step-out-of-the-domain"),
+    pytest.param([0.5, 0.5, 0.8056703649140609], 1.1943296360757067, 0.19432938892259768,
+                 id="call-guard"),
+    pytest.param([0.001, 0.25597570408763803, 0.5414663637286097, 0.33223197459618015,
+                  0.9556393271333874, 0.7038717763594212], 1.546636340986051, 0.5756299785618599,
+                 id="jump-across-d"),
+    pytest.param([0.5721630686552444, 0.8386218530855583, 0.8764190946628216],
+                 0.9660250183924649, 0.014409120099688767, id="candidate-certified"),
+    pytest.param([0.1498169717565819, 0.6291599968535792, 0.048499734835858885,
+                  0.7871264150597708, 0.3064487780342413, 0.7341175823888125,
+                  0.8942773090200938, 0.682694305113326, 0.4275716336411905],
+                 2.7471459886091703, 0.4726989512602569, id="candidate-within-rounding"),
+])
+def test_budgets_that_pinned_the_two_level_search_are_solved(raw, D, P):
+    # budgets that pinned the search in (alpha, beta), which this one in
+    # log A replaced: a Newton step that took beta below 1e-12 (one
+    # component, so the exact rate is scalar_rdp(D, P, q)), the q = 1/2
+    # sweep's costliest budget (300 kernel calls and the call guard), a sum
+    # d that jumped across D at the alpha level's root, and two budgets next
+    # to S(D) that the S(D)-shaped candidate served
+    res = rdp(raw, (D, P))
+    assert res.region == "C" and not res.notes
+    assert res.multiplier_iterations <= 2
+    cert = res.certificate
+    slack = 1e-14 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+    assert res.rate - _dual_bound(raw, D, P, res) <= slack
+    if len(raw) == 1:
+        assert abs(res.rate - scalar_rdp(D, P, raw[0])) <= slack
 
 
 def test_budget_inside_c_away_from_the_boundaries_is_solved():
@@ -1294,43 +1307,6 @@ def test_budget_inside_c_away_from_the_boundaries_is_solved():
     cert = res.certificate
     slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
     assert res.rate - _dual_bound(raw, D, P, res) <= slack
-
-
-def test_call_guard_ends_the_search_at_its_best_point(monkeypatch):
-    # the q = 1/2 sweep's costliest budget, 300 kernel calls; with
-    # MAX_ROOT_ITER = 40 every 1-D search still ends within its 40 calls,
-    # and the guard of 5 * 40 kernel calls stops the two levels, whose best
-    # point already meets both budgets
-    raw, D, P = [0.5, 0.5, 0.8056703649140609], 1.1943296360757067, 0.19432938892259768
-    assert rdp(raw, (D, P)).multiplier_iterations > 200
-    monkeypatch.setattr(br.solver, "MAX_ROOT_ITER", 40)
-    res = rdp(raw, (D, P))
-    assert res.region == "C"
-    assert res.multiplier_iterations == 200
-
-
-def test_level_that_meets_no_budget_raises_inside_the_search(monkeypatch):
-    # sum d jumps across D at the alpha level's root, so with every blend
-    # refused its bracket closes with no point on sum d = D; the search then
-    # raises, since no point it met meets both budgets
-    raw = [0.001, 0.25597570408763803, 0.5414663637286097, 0.33223197459618015,
-           0.9556393271333874, 0.7038717763594212]
-    D, P = 1.546636340986051, 0.5756299785618599
-    assert rdp(raw, (D, P)).region == "C"
-    raised, search = [], br.solver._bracketed_newton
-
-    def recording(*args, **kwargs):
-        try:
-            return search(*args, **kwargs)
-        except ConvergenceError as exc:
-            raised.append(str(exc))
-            raise
-
-    monkeypatch.setattr(br.solver, "_blend", lambda *args: None)
-    monkeypatch.setattr(br.solver, "_bracketed_newton", recording)
-    with pytest.raises(ConvergenceError, match="no multipliers meet both budgets"):
-        rdp(raw, (D, P))
-    assert raised == ["no point meets sum d = D"]
 
 
 @pytest.mark.parametrize("rel", [7e-5, 7.5e-5])
@@ -1347,9 +1323,10 @@ def test_many_distinct_q_between_the_pinned_budgets_next_to_s(rel):
     assert res.region == "C" and res.notes == ()
     assert res.multiplier_iterations <= 200
     assert res.rate <= rdp(src, (D, 0.0)).rate
-    # the kernel's corners round to up to about 3.5e-11 nats at this n
+    # the kernel's corners, stored as exactly (q, q), add no rate: at
+    # q (1 - 1e-15) they added up to about 3.5e-11 nats at this n
     cert = res.certificate
-    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1] + 1e-10
+    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
     assert res.rate - _dual_bound(q, D, P, res) <= slack
 
 
@@ -1366,9 +1343,10 @@ def _bench_profile(n):
 
 @pytest.mark.parametrize("n", [3, 30])
 def test_brackets_alone_solve_near_s(n, monkeypatch):
-    # without the start at the S(D) optimizers' shape, the search starts
-    # with every component on its p = 0 edge, where the Newton system is
-    # singular, and the monotone brackets and blends must find the root
+    # without the start at the multipliers of the allocation shaped like
+    # the S(D) optimizers, the search starts at A = 1 / expm1(1e-12), about
+    # 1e12, where no run is between its edge and its corner, and the
+    # bracket's caps must find the root
     q, budgets = _bench_profile(n)
     D, P = budgets["near-S"]
     started = rdp(q, (D, P))
@@ -1423,7 +1401,7 @@ class TestSSideSearch:
         assert abs(float(np.sum(m * p)) - P) <= 2 * n * math.ulp(P)
         if alpha > 0.0:
             k = int(np.flatnonzero((p > 0.0) & (p < q))[0])
-            a_d = _gap_slopes(d[k], p[k], q[k])[0]
+            a_d = _alpha_slope(d[k], p[k], q[k])
             floor = 4.0 * (math.ulp(1.0) + abs(a_d) * math.ulp(D) / m[k])
             assert abs(float(_alpha_gap(d[k], p[k], q[k])) - alpha) <= floor
 
@@ -1439,88 +1417,132 @@ class TestSSideSearch:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _gathering_component_dp(alpha, beta, q, m):
-    """``_component_dp`` as it was before its all-active path: the p = 0
-    edge's slopes and the boolean gathers and scatters always run."""
-    d = _d_p_zero(alpha, q)
-    p = np.zeros_like(q)
-    jac = np.zeros((2, 2))
-    active = _beta_gap(d, p, q) > beta
-    edge_a_d = _gap_slopes(d[~active], 0.0, q[~active])[0]
-    jac[0, 0] = float(np.sum(m[~active] / edge_a_d))
-    if np.any(active):
-        qa, ma = q[active], m[active]
-        e1, e2 = math.expm1(alpha - beta), math.expm1(-alpha - beta)
-        pa = -((1.0 - qa) * math.exp(-alpha - beta) * e1 + qa * e2) / (e1 * e2)
-        edge = qa * (1.0 - _CORNER_RTOL)
-        pa = np.where(pa >= edge, qa * (1.0 - 1e-15), np.where(pa <= 0.0, 0.0, pa))
-        inner = pa < edge
-        da = _d_of_alpha(alpha, pa, qa)
-        p[active] = pa
-        d[active] = da
-        a_d, a_p, b_p = _gap_slopes(da, pa, qa)
-        det = a_d * b_p - a_p * a_p
-        inner &= (a_d < 0.0) & (det > 0.0)
-        sens = (np.array([b_p, -a_p, a_d])[:, inner] / det[inner] * ma[inner]).sum(axis=1)
-        jac += np.array([[sens[0], sens[1]], [sens[1], sens[2]]])
-    return d, p, jac
+def _gathering_component_dp(A, b, q, m, q0):
+    """``_component_dp`` with boolean gathers and scatters for each kind of
+    run: the p = 0 edge's d is taken on the edge runs alone, and the
+    corners are written (q, q) by a scatter."""
+    B = A * q0 / (1.0 - q0) + b
+    alpha = 0.5 * (math.log1p(1.0 / A) + math.log1p(1.0 / B))
+    p = (1.0 - q) * b + A * (q0 - q) / (1.0 - q0)
+    edge, corner = p <= 0.0, p >= q
+    inner = ~edge & ~corner
+    d = np.empty_like(q)
+    d[edge], p[edge] = _d_p_zero(alpha, q[edge]), 0.0
+    d[corner] = p[corner] = q[corner]
+    de, qe = d[edge], q[edge]
+    cubes = float((m[edge] * (de ** 3 / (4.0 * qe * (1.0 - qe) - de))).sum())
+    d_alpha = -math.exp(2.0 * alpha) * cubes if cubes else 0.0
+    grad = np.array([-d_alpha / (2.0 * A * (A + 1.0)), -d_alpha / (2.0 * B * (B + 1.0))])
+    if np.any(inner):
+        qi, mi, u = q[inner], m[inner], q[inner] - p[inner]
+        ga, gb = A + 1.0 - u, B + u
+        d[inner] = 0.5 * (2.0 * (1.0 - qi) * u * A / ga + 2.0 * qi * B * (1.0 - u) / gb)
+        xy_u = 2.0 * (1.0 - qi) * A * (A + 1.0) / (ga * ga) - 2.0 * qi * B * (B + 1.0) / (gb * gb)
+        grad += 0.5 * np.array([
+            float((mi * (2.0 * (1.0 - qi) * u * (1.0 - u) / (ga * ga) + xy_u * qi)).sum()),
+            float((mi * (2.0 * qi * u * (1.0 - u) / (gb * gb) - xy_u * (1.0 - qi))).sum())])
+    return d, p, grad
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(q=st.lists(st.one_of(st.just(0.3), st.floats(1e-6, 0.5)),
                   min_size=1, max_size=8).map(lambda v: np.array(sorted(v, reverse=True))),
        counts=st.lists(st.integers(1, 5), min_size=8, max_size=8),
-       log_alpha=st.floats(-28.0, 3.0), log_ratio=st.floats(-8.0, 0.5))
-def test_component_dp_same_bits_as_the_gathering_kernel(q, counts, log_alpha, log_ratio):
-    # beta / alpha = e^log_ratio spans runs all on their edge, all active and mixed
-    alpha = math.exp(log_alpha)
-    beta = alpha * math.exp(log_ratio)
+       log_a=st.floats(-3.0, 12.0), share=st.floats(1e-3, 1.2),
+       anchor=st.integers(-1, 7))
+def test_component_dp_same_bits_as_the_gathering_kernel(q, counts, log_a, share, anchor):
+    # B = share A spans runs all on their edge, mixed and all at their
+    # corner; the anchor q0 is 0 or one of the q
+    A = 10.0 ** log_a
     m = np.array(counts[:q.size])
-    got, want = _component_dp(alpha, beta, q, m), _gathering_component_dp(alpha, beta, q, m)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    q0 = 0.0 if anchor < 0 else float(q[anchor % q.size])
+    b = share * A - A * q0 / (1.0 - q0)
+    got, want = _component_dp(A, b, q, m, q0), _gathering_component_dp(A, b, q, m, q0)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
 
 
-def test_candidate_kept_only_where_certified():
-    # next to S(D) the search's first kernel point has no component in U,
-    # and the S(D)-shaped allocation is kept at that first call; the same
-    # budgets met by a worse allocation are searched past
-    raw = [0.5721630686552444, 0.8386218530855583, 0.8764190946628216]
-    D, P = 0.9660250183924649, 0.014409120099688767
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(raw=st.lists(st.one_of(st.sampled_from((0.5, 0.3, math.nextafter(0.3, 1.0), 0.3 + 1e-9,
+                                               5e-324, 1e-310)),
+                              st.floats(1e-6, 0.5)), min_size=1, max_size=10),
+       log_a=st.floats(-3.0, 15.0), share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_perception_budget_met_at_every_evaluation(raw, log_a, share):
+    # at any A the search's kernel point meets P to rounding: ties, q at
+    # 1/2, q one float apart and subnormal q included
     src = normalize(raw)
-    q, m = src.run_q, src.counts
-    tols = (1e-8 * max(1.0, D), 1e-8 * max(1.0, P))
-    side = _s_side(q, m, D, P)
-    kept = _solve_c_multipliers(q, m, D, P, *tols, side)
-    assert kept[2] is side[2] and kept[4] == 1
-    d = side[2] + [1e-3, -1e-3, 0.0]  # between the two runs on their p = 0 edge
-    found = _solve_c_multipliers(q, m, D, P, *tols, (*side[:2], d, side[3], 0))
-    assert found[2] is not d and found[4] > 1
-    assert np.sum(scalar_rdp(found[2], found[3], q)) <= np.sum(scalar_rdp(*side[2:4], q)) + 1e-12
+    live = src.run_q > 0.0
+    q, m = src.run_q[live], src.counts[live]
+    P = share * float((m * q).sum())
+    assume(P > 0.0)
+    A = 10.0 ** log_a
+    e, _, b = _perception_piece(q, m, P)(A)
+    _, p, _ = _component_dp(A, b, q, m, q[e])
+    assert abs(float((m * p).sum()) - P) <= 2 * int(m.sum()) * math.ulp(P)
 
 
-def test_candidate_kept_within_rounding():
-    # at multipliers of 2e-8 the blend tolerance is about 1e-18 nats, below
-    # the rates' own rounding; the search took 100 kernel calls when the
-    # candidate had to meet it
-    raw = [0.1498169717565819, 0.6291599968535792, 0.048499734835858885,
-           0.7871264150597708, 0.3064487780342413, 0.7341175823888125,
-           0.8942773090200938, 0.682694305113326, 0.4275716336411905]
-    D, P = 2.7471459886091703, 0.4726989512602569
+def _least_root_p(q, m, A, P):
+    """Reference for ``_perception_piece``: each run's p at the least B with
+    sum m clip((1-q) B - q A, 0, q) = P, in exact rational arithmetic on the
+    given floats."""
+    A, P, qs = Fraction(A), Fraction(P), [Fraction(v) for v in q]
+
+    def sum_p(B):
+        return sum(mi * min(max((1 - qi) * B - qi * A, 0), qi) for qi, mi in zip(qs, m))
+
+    lo = Fraction(0)
+    for hi in sorted({A * qi / (1 - qi) for qi in qs} | {(A + 1) * qi / (1 - qi) for qi in qs}):
+        if sum_p(hi) >= P:
+            break
+        lo = hi
+    B = lo + (P - sum_p(lo)) * (hi - lo) / (sum_p(hi) - sum_p(lo))  # sum p is linear here
+    return [float(min(max((1 - qi) * B - qi * A, 0), qi)) for qi in qs]
+
+
+@pytest.mark.parametrize("A", [1e4, 1e6, 1e8, 1e10])
+def test_perception_piece_keeps_its_digits_at_large_a(A):
+    # three q 1e-9 apart share the piece between edge and corner at large A,
+    # where p = (1 - q) B - q A is a difference of numbers near 0.43 A: taken
+    # directly it is off by 5.5e-9 of q at A = 1e8, and the near-S sweep then
+    # raised ConvergenceError 18 times.  Each p is written relative to the
+    # first such run's
+    q, m = np.array([0.3 + 2e-9, 0.3 + 1e-9, 0.3, 0.2]), np.array([1, 2, 1, 1])
+    P = 0.2 + 0.3 + 0.6 * 0.5
+    e, _, b = _perception_piece(q, m, P)(A)
+    _, p, _ = _component_dp(A, b, q, m, q[e])
+    np.testing.assert_allclose(p, _least_root_p(q, m, A, P), rtol=0.0, atol=4.0 * math.ulp(0.3))
+
+
+@pytest.mark.parametrize("raw, D, P, parent_rate", [
+    ([0.25, 0.125, 1e-5], 0.125, 1e-5, 0.5083098977786396),
+    ([0.1875] + [0.05333838389862612] * 3, 0.34972822832635303, 0.16001515169587838, None),
+])
+def test_flat_piece_takes_its_left_end(raw, D, P, parent_rate):
+    # P is the sum of q of the runs at their corner, so sum p is flat in B
+    # between the last of them reaching its corner and the next leaving its
+    # edge; the least root is the left end at every A, and a search that
+    # took one end at some A and the other at the next raised
+    # ConvergenceError here
     res = rdp(raw, (D, P))
-    assert res.multiplier_iterations == 1 and not res.notes
-    assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
+    assert res.region == "C" and not res.notes
+    assert res.allocation.p[-1] == normalize(raw).q[-1]
+    cert = res.certificate
+    slack = 1e-12 + cert.nu * res.residuals[0] + cert.mu * res.residuals[1]
+    assert res.rate - _dual_bound(raw, D, P, res) <= slack
+    if parent_rate is not None:
+        assert abs(res.rate - parent_rate) <= slack
 
 
 def test_start_takes_the_candidates_multipliers():
     # one component, so the S(D)-shaped candidate (d, p) = (D, P) is the
     # optimum; its beta, 1.354, is the start, which a ceiling on beta once
-    # clipped, and the search then took 29 kernel calls
+    # clipped, and the search then took 29 kernel calls.  The start's A is
+    # the root, met at the first call
     q = 0.9775042855673485
     D, P = 0.02412565296287344, 0.008819826662086961
     res = rdp([q], (D, P))
     assert res.region == "C" and not res.notes
-    assert res.multiplier_iterations <= 3
+    assert res.multiplier_iterations == 1
     assert res.rate == pytest.approx(scalar_rdp(D, P, 1.0 - q), rel=1e-13, abs=0.0)
 
 
@@ -1549,7 +1571,7 @@ def test_kernel_minimizer_is_optimal_at_its_budgets(raw, log_alpha, log_beta):
     src = normalize(raw)
     live = src.run_q > 0.0
     q, m = src.run_q[live], src.counts[live]
-    d, p, _ = _component_dp(math.exp(log_alpha), math.exp(log_beta), q, m)
+    d, p = _kernel_at(math.exp(log_alpha), math.exp(log_beta), q, m)
     want = float((m * scalar_rdp(d, p, q)).sum())
     res = rdp(src, (float((m * d).sum()), float((m * p).sum())))
     (res_d, res_p), cert = res.residuals, res.certificate
@@ -1563,7 +1585,7 @@ def test_kernel_minimizer_is_optimal_at_many_distinct_q(log_alpha, log_beta):
     # sums carry rounding of that size, so the slack is relative
     src = normalize(np.random.default_rng([1505, 2]).uniform(0.05, 0.45, 179_700))
     q, m = src.run_q, src.counts
-    d, p, _ = _component_dp(math.exp(log_alpha), math.exp(log_beta), q, m)
+    d, p = _kernel_at(math.exp(log_alpha), math.exp(log_beta), q, m)
     want = float((m * scalar_rdp(d, p, q)).sum())
     res = rdp(src, (float((m * d).sum()), float((m * p).sum())))
     (res_d, res_p), cert = res.residuals, res.certificate
@@ -1636,18 +1658,20 @@ def test_budget_tolerance_must_be_finite_and_positive(solve, rtol):
 
 
 class TestRegionCKernelCalls:
-    # kernel calls of the multiplier search on the near-S budgets, each
-    # started from the S(D)-shaped allocation
-    NESTED_NEAR_S = {3: 23, 30: 21, 300: 18}
+    # kernel calls of the search in log A on the bench profiles, the near-S
+    # budgets started from the S(D)-shaped allocation's multipliers; the
+    # search in (alpha, beta) took up to 12 inside and near T(D), and 23,
+    # 21 and 18 near S(D)
+    NEAR_S = {3: 1, 30: 1, 300: 3}
 
     @pytest.mark.parametrize("n", [3, 30, 300])
     def test_bench_profiles(self, n):
         q, budgets = _bench_profile(n)
         calls = {label: rdp(q, budget).multiplier_iterations
                  for label, budget in budgets.items()}
-        assert calls["inside"] <= 12
-        assert calls["near-T"] <= 12
-        assert calls["near-S"] <= self.NESTED_NEAR_S[n]
+        assert calls["inside"] <= 4
+        assert calls["near-T"] <= 3
+        assert calls["near-S"] <= self.NEAR_S[n]
 
 
 class TestTiedComponents:
@@ -1770,38 +1794,6 @@ class TestBracket:
             _bracketed_newton(f, 0.0, 0.0, math.inf)
         assert len(points) == br.solver.MAX_ROOT_ITER
         assert points[:4] == [0.0, 1.0, 3.0, 7.0]
-
-
-class TestBlend:
-    def test_meets_d_between_equal_multipliers(self):
-        above = (1.0, 0.5, np.array([0.3, 0.2]), np.array([0.0, 0.1]))
-        below = (1.0, 0.5, np.array([0.1, 0.2]), np.array([0.2, 0.1]))
-        alpha, beta, d, p = _blend(above, below, _ones(above[2]), 0.4, gap_tol=0.0)
-        assert (alpha, beta) == (1.0, 0.5)
-        assert d.sum() == pytest.approx(0.4, abs=1e-15)
-        np.testing.assert_allclose(p, [0.1, 0.1])
-
-    def test_carries_the_heavier_points_multipliers(self):
-        above = (1.0, 0.5, np.array([0.3, 0.1]), np.array([0.2, 0.1]))
-        below = (1.0, 0.75, np.array([0.1, 0.1]), np.array([0.1, 0.0]))
-        # at D = 0.35 the weight is w = (0.4 - 0.35) / (0.4 - 0.2) = 1/4, and
-        # the gap bound w (1 - w) |0 x 0.2 + (0.5 - 0.75)(0.3 - 0.1)| = 0.009375
-        m = _ones(above[2])
-        assert _blend(above, below, m, 0.35, gap_tol=0.009) is None
-        alpha, beta, d, p = _blend(above, below, m, 0.35, gap_tol=0.0095)
-        assert (alpha, beta) == (1.0, 0.5)  # above weighs 3/4
-        assert d.sum() == pytest.approx(0.35, abs=1e-15)
-        np.testing.assert_allclose(d, [0.25, 0.1])
-        np.testing.assert_allclose(p, [0.175, 0.075])
-        # at D = 0.25, w = 3/4 and below is the heavier point
-        assert _blend(above, below, m, 0.25, gap_tol=0.0095)[:2] == (1.0, 0.75)
-
-    def test_refuses_distant_multipliers(self):
-        above = (1.0, 0.5, np.array([0.3]), np.array([0.0]))
-        below = (2.0, 0.5, np.array([0.1]), np.array([0.2]))
-        # gap bound w (1 - w) |1 x 0.2| = 0.05 at w = 1/2
-        assert _blend(above, below, _ones(above[2]), 0.2, gap_tol=0.049) is None
-        assert _blend(above, below, _ones(above[2]), 0.2, gap_tol=0.051) is not None
 
 
 class TestRdpDispatch:
