@@ -17,12 +17,13 @@ plane splits into three regions:
      A the total p is piecewise linear and non-decreasing in B, and the B
      that meets P has a closed form on its piece (``_perception_piece``).
      Along that curve the total d rises in A, and one bracketed Newton
-     search in log A meets D (``_c_search``).  It starts at the multipliers
-     of T(D) below sum q, and above sum q at those of the allocation shaped
-     like the S(D) optimizers (``_s_side``), which itself serves budgets
-     within the perception tolerance of S(D).  Its one multiplier alpha is
-     the root of the distortion budget, which falls in alpha, found by the
-     same 1-D Newton search as the P = 0 multiplier (``_p_zero_alpha``).
+     search in log A meets D (``_c_search``), for every budget but those
+     within the perception tolerance of P = 0 (``_p_zero_alpha``).  It
+     starts at the multipliers of T(D) below sum q, and above sum q at
+     those of the allocation shaped like the S(D) optimizers (``_s_side``),
+     whose one multiplier alpha is the root of the distortion budget,
+     which falls in alpha, found by the same 1-D Newton search as the P = 0
+     multiplier.
 
 Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
@@ -558,9 +559,8 @@ def _component_dp(A: float, b: float, q: np.ndarray, m: np.ndarray, q0: float = 
 
 
 #: The least start of the multiplier searches.  ``_s_side``'s search for
-#: the root of the distortion budget starts at this alpha, and takes
-#: alpha = 0 where the budget's residual here is not positive.  Region C's
-#: search starts at alpha - beta no smaller, that is at A no larger than
+#: the root of the distortion budget starts at this alpha, and region C's
+#: search at alpha - beta no smaller, that is at A no larger than
 #: 1 / expm1(_MULTIPLIER_MIN), about 1e12.
 _MULTIPLIER_MIN = 1e-12
 #: Steps of log A below this are lost to rounding.
@@ -616,26 +616,27 @@ def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
     return _bracketed_newton(f, alpha0, 0.0, alpha_hi)
 
 
-def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
-    """The allocation below S(D) shaped like the S(D) optimizers, which
-    serves budgets within the perception tolerance of S(D) and gives region
-    C's search its start elsewhere above sum q: runs before some k on their
-    p = 0 edge at alpha, those after k at their (q, q) corner, the m_k
-    components of run k in U with equal shares of the rest of both budgets
-    (P fixes k), which are so met by construction.
+def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float) -> tuple[float, int]:
+    """Region C's start above sum q: alpha - beta of the allocation below
+    S(D) shaped like the S(D) optimizers, runs before some k on their p = 0
+    edge at alpha, those after k at their (q, q) corner, the m_k components
+    of run k in U with equal shares of the rest of both budgets (P fixes k).
     alpha is the root of the distortion budget with run k on its alpha
     equation at p_k (``_d_of_alpha``, slope 1 / A_d): the sum falls
-    strictly in alpha, and ``_p_zero_alpha``'s search finds it, from
-    _MULTIPLIER_MIN up to a step of 1e-16.  Where the residual at that
-    first call is not positive, alpha is 0 (edge runs at their caps
-    2q(1-q), as at S(D)).  d_k is then taken from the budget.  beta is run
-    k's beta gap, or 0 where not positive or run k is outside U.  Returns
-    (alpha, beta, d, p, calls of the alpha search); an alpha search that
+    strictly in alpha, to P as alpha grows, and ``_p_zero_alpha``'s search
+    finds it, from _MULTIPLIER_MIN up to a step of 1e-16.  There is no root
+    with run k at its corner or where P >= D, which above sum q happens
+    only within rounding of the corner D = S(D) = sum q: no search runs
+    there, and the start is 0.  d_k is taken from the budget, and beta is
+    run k's beta gap, or 0 where not positive or run k is outside U.
+    Returns (alpha - beta, calls of the alpha search); an alpha search that
     does not converge raises ConvergenceError."""
     tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)  # sum of q after each run
     k = int(np.flatnonzero(tail < P)[0])
     edge, m_edge, qk, mk = q[:k], m[:k], float(q[k]), m[k]
     pk = (P - tail[k]) / mk
+    if not (pk < qk and P < D):
+        return 0.0, 0
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def f(alpha):
@@ -644,16 +645,10 @@ def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float):
         total = _total(m_edge, d) + mk * dk
         return _log_resid(total, D - tail[k]), (slope + mk / _alpha_slope(dk, pk, qk)) / total
 
-    alpha, calls = 0.0, 0
-    if pk < qk:
-        alpha, calls = _bracketed_newton(f, _MULTIPLIER_MIN, _MULTIPLIER_MIN, math.inf,
-                                         xtol=1e-16)
-        alpha = float(alpha) if alpha > _MULTIPLIER_MIN else 0.0  # no root above _MULTIPLIER_MIN
-    de = _d_p_zero(alpha, edge)
-    dk = (D - tail[k] - _total(m_edge, de)) / mk
+    alpha, calls = _bracketed_newton(f, _MULTIPLIER_MIN, _MULTIPLIER_MIN, math.inf, xtol=1e-16)
+    dk = (D - tail[k] - _total(m_edge, _d_p_zero(alpha, edge))) / mk
     beta = max(0.0, float(_beta_gap(dk, pk, qk))) if pk < dk < 2.0 * qk - pk else 0.0
-    return (alpha, beta, np.concatenate((de, [dk], q[k + 1:])),
-            np.concatenate((np.zeros(k), [pk], q[k + 1:])), calls)
+    return float(alpha) - beta, calls
 
 
 def _perception_piece(q: np.ndarray, m: np.ndarray, P: float):
@@ -854,14 +849,15 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """Both budgets bind: tune the shared multipliers (alpha, beta) so the
     per-component stationarity solutions meet the budgets with equality.
     ``multiplier_iterations`` counts the evaluations of the search in log A
-    (one kernel call each), or within tol_p of P = 0 or of S(D) those of
-    the 1-D alpha search there.  Raises DomainError unless ``classify`` puts
+    (one kernel call each), or within tol_p of P = 0 those of the 1-D alpha
+    search there; the calls of ``_s_side``'s search for the start above
+    sum q are not counted.  Raises DomainError unless ``classify`` puts
     (D, P) in C."""
     _check_rtol(budget_rtol)
     src, budget = _as_source(src), _as_budget(budget)
     q_all, m_all = src.run_q, src.counts
     D, P = budget.D, budget.P
-    _, side, bound, fill, _ = _locate(src, budget, PlaneRegion.C)
+    _, side, _, fill, _ = _locate(src, budget, PlaneRegion.C)
 
     # q = 0 components take no budget; sorted last, they form the last run,
     # which is solved without and appended as a (d, p) = (0, 0) row
@@ -871,8 +867,9 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     tol_d = budget_rtol * max(1.0, D)
     tol_p = budget_rtol * max(1.0, P)
 
-    # the P = 0 allocation meets a P within tol_p of 0, and the S(D)-shaped
-    # one a P within tol_p of S(D), where the multipliers underflow
+    # the P = 0 allocation meets a P within tol_p of 0, where the search in
+    # log A would stop within tol_d / 100 of R(D, 0); every other budget is
+    # searched
     if P <= tol_p:
         alpha, iters = _p_zero_alpha(q, m, D)
         d = _d_p_zero(alpha, q)
@@ -886,11 +883,9 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
             # sum q when a q is 1/2)
             start = math.log((1.0 - fill.max()) / fill.max())
         else:
-            found = _s_side(q, m, D, P)
-            start = found[0] - found[1]
-        if side == PlaneRegion.A or bound - P > tol_p:
-            found = _c_search(q, m, D, P, tol_d, -math.log(math.expm1(max(start, _MULTIPLIER_MIN))))
-        alpha, beta, d, p, iters = found
+            start = _s_side(q, m, D, P)[0]
+        x0 = -math.log(math.expm1(max(start, _MULTIPLIER_MIN)))
+        alpha, beta, d, p, iters = _c_search(q, m, D, P, tol_d, x0)
         gaps = _beta_gap(d, p, q)
     lam = np.where(p > 0.0, 0.0, np.maximum(beta - gaps, 0.0))
 

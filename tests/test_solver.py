@@ -22,8 +22,9 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      solve_region_a, solve_region_b, solve_region_c, t_of_d,
                      water_fill)
 from bernrdp.core import h2_arr, rd_boundary_arr
-from bernrdp.solver import (_alpha_slope, _beta_gap, _bracketed_newton, _component_dp, _d_of_alpha,
-                            _d_p_zero, _perception_piece, _plane_boundary, _s_curve, _s_side)
+from bernrdp.solver import (_MULTIPLIER_MIN, _alpha_slope, _beta_gap, _bracketed_newton,
+                            _component_dp, _d_of_alpha, _d_p_zero, _perception_piece,
+                            _plane_boundary, _s_curve, _s_side)
 
 H2_03 = 0.610864302054893463
 SUM_H2_03_01 = 0.935947275446341703           # h2(0.3) + h2(0.1)
@@ -838,14 +839,16 @@ class TestRegionC:
         res = solve_region_c(raw, (D, S - 1e-7))
         assert not res.notes
         assert res.rate - _dual_bound(raw, D, S - 1e-7, res) <= 1e-12
-        # within the perception tolerance of S(D) the allocation shaped like
-        # the S(D) optimizers serves; it meets both budgets by construction
+        # within the perception tolerance of S(D) it is searched too, from
+        # the start ``_s_side`` gives; the allocation shaped like the S(D)
+        # optimizers, returned unsearched, took 3 calls of its alpha search
         res = solve_region_c(raw, (D, S - 5e-9))
         assert not res.notes
         assert res.residuals[0] <= 1e-12
         assert res.residuals[1] <= 1e-12
         assert res.rate <= 1e-6  # continuous with the zero-rate region
-        assert res.multiplier_iterations > 0  # its alpha search's evaluations
+        assert res.rate - _dual_bound(raw, D, S - 5e-9, res) <= 1e-12
+        assert res.multiplier_iterations == 1
 
 
 def _dual_bound(raw, D, P, res):
@@ -892,6 +895,29 @@ def _near_s_sweep():
             yield raw, D, P
 
 
+def _window_sweep():
+    """500 budgets in C within the perception tolerance of S(D), seed 21:
+    half the D a relative 10^-16 to 10^-6 above sum q and the rest anywhere
+    in the S(D) span, P a relative 10^-16 to 10^-8.3 below S(D).  The
+    S(D)-shaped allocation served these unsearched, and at 38 of them its
+    multipliers' bound lay up to 3.6e-3 nats below the rate."""
+    rng = np.random.default_rng(21)
+    kept = 0
+    while kept < 500:
+        n = int(rng.integers(1, 13))
+        raw = rng.uniform(0.02, 0.98, n)
+        src = normalize(raw)
+        s = float(src.q.sum())
+        if rng.random() < 0.5:
+            D = s * (1 + 10 ** rng.uniform(-16, -6))
+        else:
+            D = rng.uniform(s, float(np.sum(2 * src.q * (1 - src.q))))
+        P = s_of_d(src, D).value * (1 - 10 ** rng.uniform(-16, -8.3))
+        if classify(src, (D, P)) == "C":
+            kept += 1
+            yield raw, D, P
+
+
 def _half_sweep():
     """CHANGES.md:508's sweep: 300 budgets on sources with one to three
     q = 1/2, D within 1e-9 above sum q and P below S(D), seed 1603."""
@@ -910,11 +936,11 @@ class TestRegionCSweeps:
     """The region-C acceptance sweeps, rebuilt from CHANGES.md and solved
     through ``rdp``, each budget with no ConvergenceError.  ``max_calls`` is
     the kernel-call count of each sweep's costliest budget under the one
-    search in log A; the two-level search it replaced took 41, 275 and 300,
-    and raised at one budget of the q = 1/2 sweep."""
+    search in log A; the two-level search it replaced took 41, 275 and 300
+    on the first three, and raised at one budget of the q = 1/2 sweep."""
 
     @pytest.mark.parametrize("sweep, max_calls", [
-        (_inside_sweep, 6), (_near_s_sweep, 7), (_half_sweep, 3)])
+        (_inside_sweep, 6), (_near_s_sweep, 4), (_half_sweep, 3), (_window_sweep, 1)])
     def test_solved_within_the_dual_bound(self, sweep, max_calls):
         calls = []
         for raw, D, P in sweep():
@@ -995,15 +1021,16 @@ class TestRegionCNearS:
         # snap gave 4.93e-5 nats
         with pytest.raises(ConvergenceError):
             rdp([0.3, 0.1], (0.5, 0.14))
-        # within that tolerance no search runs
-        res = rdp([0.3, 0.1], (0.5, s_of_d([0.3, 0.1], 0.5).value - 5e-9))
-        assert res.region == "C" and not res.notes
+        # and within it, where the S(D)-shaped allocation was returned
+        # unsearched
+        with pytest.raises(ConvergenceError):
+            rdp([0.3, 0.1], (0.5, s_of_d([0.3, 0.1], 0.5).value - 5e-9))
 
     def test_unresolved_alpha_search_next_to_s_raises(self, monkeypatch):
-        # within the perception tolerance of S(D) the S(D)-shaped allocation
-        # is returned unsearched, and it meets both budgets by construction:
-        # an alpha search that gave up was taken as alpha = 0 with 200
-        # kernel calls, and no check caught it
+        # the alpha search for the start above sum q has no fallback: one
+        # that gave up was taken as alpha = 0 with 200 kernel calls, and
+        # within the perception tolerance of S(D), where the S(D)-shaped
+        # allocation was returned unsearched, no check caught it
         D = 0.5
         P = s_of_d([0.3, 0.1], D).value - 5e-9
 
@@ -1028,6 +1055,28 @@ class TestRegionCNearS:
         assert not res.notes
         assert res.multiplier_iterations <= 10
         assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
+
+    def test_window_next_to_s_is_within_the_dual_bound(self):
+        # within the perception tolerance of S(D) the S(D)-shaped allocation
+        # was returned with its own multipliers, whose bound lay 3.9e-9 nats
+        # below the rate of 0; searched, it is met in 8 calls
+        raw, D, P = [0.5, 1e-6], 0.5000015961342001, 4.0386458447620713e-07
+        res = rdp(raw, (D, P))
+        assert res.region == "C" and not res.notes
+        assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
+        assert res.multiplier_iterations <= 8
+
+    def test_p_above_d_within_rounding_of_sum_q(self):
+        # D rounds to sum q, on its B side by the run sum, and P is 2 ulps
+        # above D: the S(D)-shaped distortion falls to P as alpha grows, so
+        # its alpha search had no root and raised
+        raw = [0.797663446842071, 0.797663446842071, 0.349270541656845, 0.4343023943372837,
+               0.006148374173627791, 0.9134559754773555, 0.03250757731342391, 1e-300]
+        D, P = 1.3134460183196826, 1.3134460183196828
+        res = rdp(raw, (D, P))
+        assert res.region == "C" and not res.notes
+        assert res.rate - _dual_bound(raw, D, P, res) <= 1e-12
+        assert res.multiplier_iterations == 1
 
     @pytest.mark.parametrize("share, rel", [(0.8, 1e-4), (0.8, 9e-5), (0.5, 5e-5)])
     def test_many_distinct_q_next_to_s(self, share, rel):
@@ -1351,7 +1400,7 @@ def test_brackets_alone_solve_near_s(n, monkeypatch):
     D, P = budgets["near-S"]
     started = rdp(q, (D, P))
     # an alpha root below _MULTIPLIER_MIN gives no start
-    monkeypatch.setattr(br.solver, "_s_side", lambda *args: (0.0, 0.0, None, None, 0))
+    monkeypatch.setattr(br.solver, "_s_side", lambda *args: (0.0, 0))
     res = rdp(q, (D, P))
     assert res.multiplier_iterations > started.multiplier_iterations
     assert res.rate - _dual_bound(q, D, P, res) <= 1e-12
@@ -1379,41 +1428,67 @@ def _alpha_gap(d, p, q):
     return -0.5 * np.log(num / den)
 
 
+def _s_side_with_alpha(q, m, D, P):
+    """``_s_side``'s start and calls, and the alpha its search found."""
+    found = []
+
+    def search(*args, **kwargs):
+        root = _bracketed_newton(*args, **kwargs)
+        found.append(float(root[0]))
+        return root
+
+    with mock.patch.object(br.solver, "_bracketed_newton", search):
+        start, calls = _s_side(q, m, D, P)
+    return start, calls, found[0]
+
+
 class TestSSideSearch:
     """``_s_side``'s alpha search: the root of the distortion budget with
-    run k on its alpha equation."""
+    run k on its alpha equation, and the start alpha - beta it gives."""
 
     @pytest.mark.parametrize("n", [3, 30, 300, 3000])
     def test_bench_profiles_take_few_calls(self, n):
         # the search on run k's alpha gap in log alpha took 13, 18, 17 and 24
         q, budgets = _bench_profile(n)
         src = normalize(q)
-        assert _s_side(src.run_q, src.counts, *budgets["near-S"])[4] <= 8
+        start, calls = _s_side(src.run_q, src.counts, *budgets["near-S"])
+        assert start > _MULTIPLIER_MIN
+        assert calls <= 8
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(_s_side_case())
     def test_alpha_is_run_ks_alpha_gap(self, case):
         src, D, P = case
         q, m = src.run_q, src.counts
-        alpha, _, d, p, _ = _s_side(q, m, D, P)
-        n = int(m.sum())
-        assert abs(float(np.sum(m * d)) - D) <= 2 * n * math.ulp(D)
-        assert abs(float(np.sum(m * p)) - P) <= 2 * n * math.ulp(P)
-        if alpha > 0.0:
-            k = int(np.flatnonzero((p > 0.0) & (p < q))[0])
-            a_d = _alpha_slope(d[k], p[k], q[k])
+        start, _, alpha = _s_side_with_alpha(q, m, D, P)
+        if alpha > _MULTIPLIER_MIN:
+            # the allocation shaped like the S(D) optimizers at alpha: runs
+            # before k on their p = 0 edge, those after k at their corner,
+            # run k with the rest of both budgets
+            tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)
+            k = int(np.flatnonzero(tail < P)[0])
+            pk = (P - tail[k]) / m[k]
+            dk = (D - tail[k] - float(np.sum(m[:k] * _d_p_zero(alpha, q[:k])))) / m[k]
+            a_d = _alpha_slope(dk, pk, q[k])
             floor = 4.0 * (math.ulp(1.0) + abs(a_d) * math.ulp(D) / m[k])
-            assert abs(float(_alpha_gap(d[k], p[k], q[k])) - alpha) <= floor
+            assert abs(float(_alpha_gap(dk, pk, q[k])) - alpha) <= floor
+            beta = float(_beta_gap(dk, pk, q[k])) if pk < dk < 2.0 * q[k] - pk else 0.0
+            assert start == alpha - max(beta, 0.0)
+        else:
+            assert start <= _MULTIPLIER_MIN
 
     def test_root_below_multiplier_min_gives_alpha_zero(self):
         # P lies 4.6e-14 below S(D): the budget's residual is negative at
-        # _MULTIPLIER_MIN, and the first call decides
+        # _MULTIPLIER_MIN, the first call decides, and the search in log A
+        # starts at _MULTIPLIER_MIN, as it did from alpha = 0
         src = normalize([0.8573076493033616, 0.03777652896340232])
         D, P = 0.27731974030176054, 0.04494021013591801
-        alpha, _, d, p, calls = _s_side(src.run_q, src.counts, D, P)
-        assert (alpha, calls) == (0.0, 1)
-        assert d[0] == D - src.q[1] and p[1] == src.q[1]
-        assert rdp(src, (D, P)).rate == 0.0
+        start, calls, alpha = _s_side_with_alpha(src.run_q, src.counts, D, P)
+        assert (alpha, calls) == (_MULTIPLIER_MIN, 1)
+        assert start <= _MULTIPLIER_MIN
+        res = rdp(src, (D, P))
+        assert res.rate == 0.0
+        assert res.rate - _dual_bound(src.q, D, P, res) <= 1e-12
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
