@@ -17,13 +17,13 @@ plane splits into three regions:
      A the total p is piecewise linear and non-decreasing in B, and the B
      that meets P has a closed form on its piece (``_perception_piece``).
      Along that curve the total d rises in A, and one bracketed Newton
-     search in log A meets D (``_c_search``), for every budget but those
-     within the perception tolerance of P = 0 (``_p_zero_alpha``).  It
-     starts at the multipliers of T(D) below sum q, and above sum q at
-     those of the allocation shaped like the S(D) optimizers (``_s_side``),
-     whose one multiplier alpha is the root of the distortion budget,
-     which falls in alpha, found by the same 1-D Newton search as the P = 0
-     multiplier.
+     search in log A meets D (``_c_search``).  It starts at the
+     multipliers of T(D) below sum q, and above sum q at those of the
+     allocation shaped like the S(D) optimizers (``_s_shaped``), whose one
+     multiplier alpha is the root of the distortion budget, which falls in
+     alpha.  At P = 0 that allocation is the P = 0 allocation, and a budget
+     within the perception tolerance of P = 0 takes it at that alpha,
+     unsearched in log A.
 
 Region boundaries are T(D) = sum_i d_i (1-2q_i)/(1-2d_i) at the
 water-filled allocation (for D < sum q_i) and the piecewise-linear S(D)
@@ -429,17 +429,25 @@ def classify(src, budget) -> str:
 # per-component stationarity system (region C)
 
 
-def _d_p_zero(alpha: float, q: np.ndarray) -> np.ndarray:
-    """Distortion solving the stationarity condition at p = 0:
-    d = (sqrt(1 + 4q(1-q)(e^{2a}-1)) - 1) / (e^{2a}-1), written so it is
-    stable as alpha -> 0 (value -> 2q(1-q)) and alpha -> inf (value -> 0,
-    reached where e^{2a} overflows).
+def _x_of_alpha(alpha: float, p, q):
+    """x = d - p on the alpha equation at p in [0, q]: the equation is a
+    quadratic in x, whose positive root, in (0, 2(q - p)), is
+        x = 4(1-q)(q-p) / (L + sqrt(L^2 + 4(1-q)(q-p) t)),  L = 1 + p t,
+    with t = e^{2 alpha} - 1.  At p = 0 it is the p = 0 edge's distortion.
+    No square of a distortion is formed, so x keeps its digits at
+    subnormal-scale q and where it is a small part of d; it is stable as
+    alpha -> 0 and goes to 0 as alpha -> inf, reached where e^{2 alpha}
+    overflows.
     """
+    w = 4.0 * (1.0 - q) * (q - p)
     try:
         t = math.expm1(2.0 * alpha)
     except OverflowError:
         t = math.inf
-    return 4.0 * q * (1.0 - q) / (1.0 + np.sqrt(1.0 + 4.0 * q * (1.0 - q) * t))
+    if t == math.inf:
+        return 0.0 * w
+    lin = 1.0 + p * t
+    return w / (lin + np.sqrt(lin * lin + w * t))
 
 
 def _beta_gap(d, p, q):
@@ -455,18 +463,11 @@ def _beta_gap(d, p, q):
     return -0.5 * np.log(num / den)
 
 
-def _d_of_alpha(alpha: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Eliminate d through the alpha equation at given p: the equation is
-    a quadratic in d whose positive root always lies in (p, 2q - p)."""
-    s = math.exp(-2.0 * alpha)
-    c = p * p + s * (2.0 - 2.0 * q + p) * (2.0 * q - p)
-    return c / (s + np.sqrt(s * s + (1.0 - s) * c))
-
-
-def _alpha_slope(d, p, q):
-    """Partial derivative in d of the alpha gap, minus the distortion-
-    direction gradient of the ternary-branch rate; negative inside U."""
-    x, y = d - p, d + p
+def _alpha_slope(x, p, q):
+    """Partial derivative in d of the alpha gap at x = d - p, minus the
+    distortion-direction gradient of the ternary-branch rate; negative
+    inside U."""
+    y = x + 2.0 * p
     return -0.5 * (1.0 / x + 1.0 / (2.0 * (1.0 - q) - x) + 1.0 / y + 1.0 / (2.0 * q - y))
 
 
@@ -523,8 +524,8 @@ def _component_dp(A: float, b: float, q: np.ndarray, m: np.ndarray, q0: float = 
         p = (1 - q) B - q A.
     A component's beta gap falls as p grows along its fixed-alpha contour,
     so a root at or below 0 puts it on its p = 0 edge, with d from
-    ``_d_p_zero`` at alpha, and one at or above q at its (q, q) corner,
-    stored as exactly (q, q).  alpha - beta = log1p(1/A) and
+    ``_x_of_alpha`` at alpha and p = 0, and one at or above q at its (q, q)
+    corner, stored as exactly (q, q).  alpha - beta = log1p(1/A) and
     alpha + beta = log1p(1/B).
 
     B enters as its excess b over A q0 / (1 - q0), the p = 0 threshold of
@@ -558,10 +559,8 @@ def _component_dp(A: float, b: float, q: np.ndarray, m: np.ndarray, q0: float = 
     return d, p, grad
 
 
-#: The least start of the multiplier searches.  ``_s_side``'s search for
-#: the root of the distortion budget starts at this alpha, and region C's
-#: search at alpha - beta no smaller, that is at A no larger than
-#: 1 / expm1(_MULTIPLIER_MIN), about 1e12.
+#: The least start of region C's search in log A: alpha - beta no smaller,
+#: that is A no larger than 1 / expm1(_MULTIPLIER_MIN), about 1e12.
 _MULTIPLIER_MIN = 1e-12
 #: Steps of log A below this are lost to rounding.
 _LOG_XTOL = 1e-14
@@ -574,81 +573,71 @@ def _log_resid(total: float, target: float) -> float:
 
 
 def _edge_d(alpha: float, q: np.ndarray, m: np.ndarray):
-    """The p = 0 edge's distortion ``_d_p_zero`` at alpha, per run of m
+    """The p = 0 edge's distortion, ``_x_of_alpha`` at p = 0, per run of m
     equal components, and the derivative in alpha of its sum over
     components."""
-    d = _d_p_zero(alpha, q)
+    d = _x_of_alpha(alpha, 0.0, q)
+    if not d.any():  # every d is 0 before e^alpha overflows
+        return d, 0.0
     # d = 4w / (1 + r) with r = sqrt(1 + 4w expm1(2 alpha)), so
-    # dd/dalpha = -e^{2 alpha} d^2 / r = -e^{2 alpha} d^3 / (4w - d); the
-    # cubes vanish before e^{2 alpha} overflows
-    cubes = _total(m, d ** 3 / (4.0 * q * (1.0 - q) - d))
-    return d, -math.exp(2.0 * alpha) * cubes if cubes else 0.0
+    # dd/dalpha = -e^{2 alpha} d^2 / r = -(d e^alpha)^2 d / (4w - d); d e^alpha
+    # keeps its digits where d^3 underflows
+    de = d * math.exp(alpha)
+    return d, -_total(m, de * de * (d / (4.0 * q * (1.0 - q) - d)))
 
 
-def _p_zero_alpha(q: np.ndarray, m: np.ndarray, D: float) -> tuple[float, int]:
-    """The single multiplier of the P = 0 problem: sum _d_p_zero(alpha) = D,
-    strictly decreasing from sum 2q(1-q) > D at alpha = 0.  Since
-    _d_p_zero <= 2 sqrt(q(1-q) / expm1(2 alpha)), the sum is at most D at
-    alpha_hi below (in log form, finite down to the smallest D), which
-    closes the bracket; where e^{2 alpha} overflows, every d is 0.  The
-    search starts at the exact root for n equal components with the same
-    sum of sqrt(q(1-q)), which is the root itself for a homogeneous source."""
-    w = q * (1.0 - q)
-    n = int(m.sum())
-    root_w = _total(m, np.sqrt(w))
-    alpha_hi = (math.log(2.0 * root_w) - math.log(D)
-                + 0.5 * math.log1p((D / (2.0 * root_w)) ** 2))
+def _s_shaped(q: np.ndarray, m: np.ndarray, D: float, P: float) -> tuple[float, float, int]:
+    """The multipliers of the allocation shaped like the S(D) optimizers:
+    with k the first run whose sum of q after it is at most P, runs before
+    k on their p = 0 edge at alpha, those after k at their (q, q) corner,
+    and the m_k components of run k in U with equal shares of the rest of
+    both budgets.  At P = 0 this is the P = 0 allocation: k is the last
+    run and p_k = 0.
+
+    alpha is the root of the distortion budget, with run k on its alpha
+    equation at p_k: the edge distortions and run k's x = d_k - p_k
+    (``_x_of_alpha``, slope 1 / A_d) sum to D - P, and their sum falls
+    strictly in alpha.  Each term is at most 2 sqrt(q(1-q) / expm1(2 alpha)),
+    so the sum is at most D - P at alpha_hi below (in log form, finite down
+    to the smallest D - P), which closes the bracket [0, alpha_hi].  The
+    search starts where n equal components on their edge, with the same
+    sum of sqrt(q(1-q)) as the runs up to k, take all of D, which is the
+    root itself at P = 0 for a homogeneous source, and stops where the log
+    residual is within 1e-15.  There is no root with run k at its corner or
+    where P >= D, which above sum q happens only within rounding of the
+    corner D = S(D) = sum q: no search runs there, and every result is 0.
+    beta is run k's beta gap with d_k taken from the budget, or 0 where not
+    positive or run k is outside U.  Returns (alpha, beta, calls of the
+    search); a search that does not converge raises ConvergenceError."""
+    tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)  # sum of q after each run
+    k = int(np.flatnonzero(tail <= P)[0])
+    edge, m_edge, qk, mk = q[:k], m[:k], float(q[k]), m[k]
+    pk = (P - tail[k]) / mk
+    if not (pk < qk and P < D):
+        return 0.0, 0.0, 0
+    free, n = D - P, int(m[:k + 1].sum())
+    root_w = _total(m[:k + 1], np.sqrt(q[:k + 1] * (1.0 - q[:k + 1])))
+    alpha_hi = (math.log(2.0 * root_w) - math.log(free)
+                + 0.5 * math.log1p((free / (2.0 * root_w)) ** 2))
     w_eq = (root_w / n) ** 2
     s = max(4.0 * w_eq * n / D, 2.0)  # 1 + sqrt(1 + 4 w expm1(2 alpha))
     alpha0 = min(0.5 * math.log1p(s * (s - 2.0) / (4.0 * w_eq)), alpha_hi)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def f(alpha):
-        d, slope = _edge_d(alpha, q, m)
-        total = _total(m, d)
-        if total == 0.0:
-            return -math.inf, math.nan
-        # to float64 resolution: this path defines R(D, 0), the upper end of
-        # every region-C rate at this D
-        resid = _log_resid(total, D)
-        return 0.0 if abs(resid) <= 1e-15 else resid, slope / total
-
-    return _bracketed_newton(f, alpha0, 0.0, alpha_hi)
-
-
-def _s_side(q: np.ndarray, m: np.ndarray, D: float, P: float) -> tuple[float, int]:
-    """Region C's start above sum q: alpha - beta of the allocation below
-    S(D) shaped like the S(D) optimizers, runs before some k on their p = 0
-    edge at alpha, those after k at their (q, q) corner, the m_k components
-    of run k in U with equal shares of the rest of both budgets (P fixes k).
-    alpha is the root of the distortion budget with run k on its alpha
-    equation at p_k (``_d_of_alpha``, slope 1 / A_d): the sum falls
-    strictly in alpha, to P as alpha grows, and ``_p_zero_alpha``'s search
-    finds it, from _MULTIPLIER_MIN up to a step of 1e-16.  There is no root
-    with run k at its corner or where P >= D, which above sum q happens
-    only within rounding of the corner D = S(D) = sum q: no search runs
-    there, and the start is 0.  d_k is taken from the budget, and beta is
-    run k's beta gap, or 0 where not positive or run k is outside U.
-    Returns (alpha - beta, calls of the alpha search); an alpha search that
-    does not converge raises ConvergenceError."""
-    tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)  # sum of q after each run
-    k = int(np.flatnonzero(tail < P)[0])
-    edge, m_edge, qk, mk = q[:k], m[:k], float(q[k]), m[k]
-    pk = (P - tail[k]) / mk
-    if not (pk < qk and P < D):
-        return 0.0, 0
-
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def f(alpha):
         d, slope = _edge_d(alpha, edge, m_edge)
-        dk = _d_of_alpha(alpha, pk, qk)
-        total = _total(m_edge, d) + mk * dk
-        return _log_resid(total, D - tail[k]), (slope + mk / _alpha_slope(dk, pk, qk)) / total
+        xk = _x_of_alpha(alpha, pk, qk)
+        total = _total(m_edge, d) + mk * xk
+        # to float64 resolution: at P = 0 this defines R(D, 0), the upper end
+        # of every region-C rate at this D
+        resid = _log_resid(total, free)
+        return (0.0 if abs(resid) <= 1e-15 else resid,
+                (slope + mk / _alpha_slope(xk, pk, qk)) / total)
 
-    alpha, calls = _bracketed_newton(f, _MULTIPLIER_MIN, _MULTIPLIER_MIN, math.inf, xtol=1e-16)
-    dk = (D - tail[k] - _total(m_edge, _d_p_zero(alpha, edge))) / mk
+    alpha, calls = _bracketed_newton(f, alpha0, 0.0, alpha_hi)
+    dk = (D - tail[k] - _total(m_edge, _x_of_alpha(alpha, 0.0, edge))) / mk
     beta = max(0.0, float(_beta_gap(dk, pk, qk))) if pk < dk < 2.0 * qk - pk else 0.0
-    return float(alpha) - beta, calls
+    return float(alpha), beta, calls
 
 
 def _perception_piece(q: np.ndarray, m: np.ndarray, P: float):
@@ -667,7 +656,8 @@ def _perception_piece(q: np.ndarray, m: np.ndarray, P: float):
     A, and the piece is then walked, one edge or corner crossing at a time,
     until the runs' own p put B on it; a crossing that rounding reverses
     ends the walk.  On a flat piece, where P is the sum q of the runs at
-    their corner, the least root is its left end.
+    their corner, the least root is its left end.  P must be > 0: at P = 0
+    the walk does not return, and ``rdp`` takes no search in log A there.
     """
     k = q.size
     r = q / (1.0 - q)
@@ -849,10 +839,10 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     """Both budgets bind: tune the shared multipliers (alpha, beta) so the
     per-component stationarity solutions meet the budgets with equality.
     ``multiplier_iterations`` counts the evaluations of the search in log A
-    (one kernel call each), or within tol_p of P = 0 those of the 1-D alpha
-    search there; the calls of ``_s_side``'s search for the start above
-    sum q are not counted.  Raises DomainError unless ``classify`` puts
-    (D, P) in C."""
+    (one kernel call each), or within tol_p of P = 0 those of
+    ``_s_shaped``'s alpha search at P = 0; the calls of the same search for
+    the start above sum q are not counted.  Raises DomainError unless
+    ``classify`` puts (D, P) in C."""
     _check_rtol(budget_rtol)
     src, budget = _as_source(src), _as_budget(budget)
     q_all, m_all = src.run_q, src.counts
@@ -871,8 +861,8 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
     # log A would stop within tol_d / 100 of R(D, 0); every other budget is
     # searched
     if P <= tol_p:
-        alpha, iters = _p_zero_alpha(q, m, D)
-        d = _d_p_zero(alpha, q)
+        alpha, _, iters = _s_shaped(q, m, D, 0.0)
+        d = _x_of_alpha(alpha, 0.0, q)
         p = np.zeros_like(d)
         gaps = _beta_gap(d, p, q)
         beta = max(0.0, float(np.max(gaps)))  # +0.0, not the gaps' -0.0 where every d is 0
@@ -883,7 +873,8 @@ def solve_region_c(src, budget, budget_rtol: float = BUDGET_RTOL) -> RdpResult:
             # sum q when a q is 1/2)
             start = math.log((1.0 - fill.max()) / fill.max())
         else:
-            start = _s_side(q, m, D, P)[0]
+            alpha, beta, _ = _s_shaped(q, m, D, P)
+            start = alpha - beta
         x0 = -math.log(math.expm1(max(start, _MULTIPLIER_MIN)))
         alpha, beta, d, p, iters = _c_search(q, m, D, P, tol_d, x0)
         gaps = _beta_gap(d, p, q)

@@ -23,8 +23,8 @@ from bernrdp import (BernRdpError, BudgetPair, ConvergenceError, DomainError, Sc
                      water_fill)
 from bernrdp.core import h2_arr, rd_boundary_arr
 from bernrdp.solver import (_MULTIPLIER_MIN, _alpha_slope, _beta_gap, _bracketed_newton,
-                            _component_dp, _d_of_alpha, _d_p_zero, _perception_piece,
-                            _plane_boundary, _s_curve, _s_side)
+                            _component_dp, _perception_piece, _plane_boundary, _s_curve,
+                            _s_shaped, _x_of_alpha)
 
 H2_03 = 0.610864302054893463
 SUM_H2_03_01 = 0.935947275446341703           # h2(0.3) + h2(0.1)
@@ -567,7 +567,7 @@ def _kernel_at(alpha, beta, q, m):
     where alpha > beta.  At beta >= alpha every component is on its p = 0
     edge: its beta gap there is below alpha."""
     if beta >= alpha:
-        return _d_p_zero(alpha, q), np.zeros_like(q)
+        return _x_of_alpha(alpha, 0.0, q), np.zeros_like(q)
     return _component_dp(1.0 / math.expm1(alpha - beta), 1.0 / math.expm1(alpha + beta), q, m)[:2]
 
 
@@ -616,7 +616,7 @@ class TestComponentSystem:
 def _bisection_component_dp(alpha, beta, q):
     """Reference kernel: the p = 0 edge test, then 64 bisection steps on p
     in [0, q(1 - 1e-15)] along the fixed-alpha contour."""
-    d = _d_p_zero(alpha, q)
+    d = _x_of_alpha(alpha, 0.0, q)
     p = np.zeros_like(q)
     active = _beta_gap(d, p, q) > beta
     if np.any(active):
@@ -625,12 +625,12 @@ def _bisection_component_dp(alpha, beta, q):
         hi = qa * (1.0 - 1e-15)
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            above = _beta_gap(_d_of_alpha(alpha, mid, qa), mid, qa) > beta
+            above = _beta_gap(mid + _x_of_alpha(alpha, mid, qa), mid, qa) > beta
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
         pa = 0.5 * (lo + hi)
         p[active] = pa
-        d[active] = _d_of_alpha(alpha, pa, qa)
+        d[active] = pa + _x_of_alpha(alpha, pa, qa)
     return d, p
 
 
@@ -728,7 +728,7 @@ class TestComponentKernel:
         # beta = alpha puts the closed-form root at p = -inf, an adjacent
         # float next to it, and a barely active component's root at p -> 0+
         alpha, qv = 10.0 ** log_alpha, np.array([q])
-        gap = float(_beta_gap(_d_p_zero(alpha, qv), 0.0, qv)[0])  # the beta gap at p = 0
+        gap = float(_beta_gap(_x_of_alpha(alpha, 0.0, qv), 0.0, qv)[0])  # the beta gap at p = 0
         beta = {"drawn": 10.0 ** log_beta, "alpha": alpha,
                 "above alpha": math.nextafter(alpha, math.inf),
                 "below alpha": math.nextafter(alpha, -math.inf),
@@ -741,7 +741,7 @@ class TestComponentKernel:
         # u = q - p from the corner to p = 0, both ends included
         grid_p = np.append(q - q * np.logspace(-16.0, 0.0, 4001), [0.0, q * (1.0 - 1e-15)])
         grid_q = np.full(grid_p.size, q)
-        grid_d = _d_of_alpha(alpha, grid_p, grid_q)
+        grid_d = grid_p + _x_of_alpha(alpha, grid_p, grid_q)
         assert found <= np.min(_lagrangian(alpha, beta, grid_d, grid_p, grid_q)) + 1e-14
 
     @pytest.mark.parametrize("alpha", [0.01, 0.5, 3.0, 8.0])
@@ -750,7 +750,7 @@ class TestComponentKernel:
         # the root sits at p -> 0+, where rounding can put the closed form
         # at or below 0; that must not send the component to its corner
         qv = np.array([q])
-        beta = _beta_gap(_d_p_zero(alpha, qv), 0.0, qv)[0] * (1.0 - 1e-12)
+        beta = _beta_gap(_x_of_alpha(alpha, 0.0, qv), 0.0, qv)[0] * (1.0 - 1e-12)
         _, p = _kernel_at(alpha, beta, qv, _ones(qv))
         assert 0.0 <= p[0] <= 1e-8
 
@@ -763,7 +763,7 @@ class TestComponentKernel:
         assert scalar_rdp(d, p, q)[0] == 0.0
         zero = np.zeros(1)
         assert (_lagrangian(alpha, beta, d, p, q)
-                < _lagrangian(alpha, beta, _d_of_alpha(alpha, zero, q), zero, q))
+                < _lagrangian(alpha, beta, _x_of_alpha(alpha, zero, q), zero, q))
 
     def test_beta_gap_does_not_depend_on_the_input_shape(self):
         # numpy squares an np.float64 by pow() and an array by x * x, and at
@@ -840,7 +840,7 @@ class TestRegionC:
         assert not res.notes
         assert res.rate - _dual_bound(raw, D, S - 1e-7, res) <= 1e-12
         # within the perception tolerance of S(D) it is searched too, from
-        # the start ``_s_side`` gives; the allocation shaped like the S(D)
+        # the start ``_s_shaped`` gives; the allocation shaped like the S(D)
         # optimizers, returned unsearched, took 3 calls of its alpha search
         res = solve_region_c(raw, (D, S - 5e-9))
         assert not res.notes
@@ -932,15 +932,40 @@ def _half_sweep():
         yield raw, D, P
 
 
+def _p_zero_sweep():
+    """600 budgets in C at P = 0 or within the perception tolerance of it,
+    seed 36: D below and above sum q, sources with ties, q = 1/2 and
+    q = 1e-300 among their components."""
+    rng = np.random.default_rng(36)
+    kept = 0
+    while kept < 600:
+        n = int(rng.integers(1, 9))
+        raw = rng.uniform(0.02, 0.98, n)
+        raw[rng.random(n) < 0.15] = 0.5
+        raw[rng.random(n) < 0.15] = 1e-300
+        if rng.random() < 0.25:
+            raw[:n // 3 + 1] = raw[0]
+        src = normalize(raw)
+        s, caps = float(src.q.sum()), float(np.sum(2 * src.q * (1 - src.q)))
+        D = rng.uniform(0.0, s) if rng.random() < 0.5 else rng.uniform(s, caps)
+        P = 0.0 if rng.random() < 0.5 else 10 ** rng.uniform(-17, -8.1)
+        if classify(src, (D, P)) == "C":
+            kept += 1
+            yield raw, D, P
+
+
 class TestRegionCSweeps:
     """The region-C acceptance sweeps, rebuilt from CHANGES.md and solved
     through ``rdp``, each budget with no ConvergenceError.  ``max_calls`` is
     the kernel-call count of each sweep's costliest budget under the one
     search in log A; the two-level search it replaced took 41, 275 and 300
-    on the first three, and raised at one budget of the q = 1/2 sweep."""
+    on the first three, and raised at one budget of the q = 1/2 sweep.  On
+    the P = 0 sweep it counts the calls of the alpha search at P = 0, which
+    took 42 to 46 on its sources whose every q is 1e-300."""
 
     @pytest.mark.parametrize("sweep, max_calls", [
-        (_inside_sweep, 6), (_near_s_sweep, 4), (_half_sweep, 3), (_window_sweep, 1)])
+        (_inside_sweep, 6), (_near_s_sweep, 4), (_half_sweep, 3), (_window_sweep, 1),
+        (_p_zero_sweep, 7)])
     def test_solved_within_the_dual_bound(self, sweep, max_calls):
         calls = []
         for raw, D, P in sweep():
@@ -1400,7 +1425,7 @@ def test_brackets_alone_solve_near_s(n, monkeypatch):
     D, P = budgets["near-S"]
     started = rdp(q, (D, P))
     # an alpha root below _MULTIPLIER_MIN gives no start
-    monkeypatch.setattr(br.solver, "_s_side", lambda *args: (0.0, 0))
+    monkeypatch.setattr(br.solver, "_s_shaped", lambda *args: (0.0, 0.0, 0))
     res = rdp(q, (D, P))
     assert res.multiplier_iterations > started.multiplier_iterations
     assert res.rate - _dual_bound(q, D, P, res) <= 1e-12
@@ -1420,7 +1445,7 @@ def _s_side_case(draw):
 
 
 def _alpha_gap(d, p, q):
-    """The reference for ``_s_side``'s alpha: minus the distortion-direction
+    """The reference for ``_s_shaped``'s alpha: minus the distortion-direction
     gradient of the ternary-branch rate,
     -(1/2) log[(d-p)(d+p) / ((2(1-q)-(d-p))(2q-(d+p)))]."""
     num = np.maximum((d - p) * (d + p), 1e-300)
@@ -1428,31 +1453,17 @@ def _alpha_gap(d, p, q):
     return -0.5 * np.log(num / den)
 
 
-def _s_side_with_alpha(q, m, D, P):
-    """``_s_side``'s start and calls, and the alpha its search found."""
-    found = []
-
-    def search(*args, **kwargs):
-        root = _bracketed_newton(*args, **kwargs)
-        found.append(float(root[0]))
-        return root
-
-    with mock.patch.object(br.solver, "_bracketed_newton", search):
-        start, calls = _s_side(q, m, D, P)
-    return start, calls, found[0]
-
-
 class TestSSideSearch:
-    """``_s_side``'s alpha search: the root of the distortion budget with
-    run k on its alpha equation, and the start alpha - beta it gives."""
+    """``_s_shaped``'s alpha search: the root of the distortion budget with
+    run k on its alpha equation, and run k's beta gap there."""
 
     @pytest.mark.parametrize("n", [3, 30, 300, 3000])
     def test_bench_profiles_take_few_calls(self, n):
         # the search on run k's alpha gap in log alpha took 13, 18, 17 and 24
         q, budgets = _bench_profile(n)
         src = normalize(q)
-        start, calls = _s_side(src.run_q, src.counts, *budgets["near-S"])
-        assert start > _MULTIPLIER_MIN
+        alpha, beta, calls = _s_shaped(src.run_q, src.counts, *budgets["near-S"])
+        assert alpha - beta > _MULTIPLIER_MIN
         assert calls <= 8
 
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -1460,35 +1471,51 @@ class TestSSideSearch:
     def test_alpha_is_run_ks_alpha_gap(self, case):
         src, D, P = case
         q, m = src.run_q, src.counts
-        start, _, alpha = _s_side_with_alpha(q, m, D, P)
-        if alpha > _MULTIPLIER_MIN:
-            # the allocation shaped like the S(D) optimizers at alpha: runs
-            # before k on their p = 0 edge, those after k at their corner,
-            # run k with the rest of both budgets
-            tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)
-            k = int(np.flatnonzero(tail < P)[0])
-            pk = (P - tail[k]) / m[k]
-            dk = (D - tail[k] - float(np.sum(m[:k] * _d_p_zero(alpha, q[:k])))) / m[k]
-            a_d = _alpha_slope(dk, pk, q[k])
-            floor = 4.0 * (math.ulp(1.0) + abs(a_d) * math.ulp(D) / m[k])
-            assert abs(float(_alpha_gap(dk, pk, q[k])) - alpha) <= floor
-            beta = float(_beta_gap(dk, pk, q[k])) if pk < dk < 2.0 * q[k] - pk else 0.0
-            assert start == alpha - max(beta, 0.0)
-        else:
-            assert start <= _MULTIPLIER_MIN
+        alpha, beta, _ = _s_shaped(q, m, D, P)
+        # the allocation shaped like the S(D) optimizers at alpha: runs
+        # before k on their p = 0 edge, those after k at their corner, run k
+        # with the rest of both budgets
+        tail = np.append(np.cumsum((m * q)[::-1])[::-1][1:], 0.0)
+        k = int(np.flatnonzero(tail <= P)[0])
+        pk = (P - tail[k]) / m[k]
+        dk = (D - tail[k] - float(np.sum(m[:k] * _x_of_alpha(alpha, 0.0, q[:k])))) / m[k]
+        # the search stops within 1e-15 of D - P, which d_k carries
+        a_d = _alpha_slope(dk - pk, pk, q[k])
+        floor = 4.0 * (math.ulp(1.0) + abs(a_d) * (math.ulp(D) + 1e-15 * (D - P)) / m[k])
+        assert abs(float(_alpha_gap(dk, pk, q[k])) - alpha) <= floor
+        gap = float(_beta_gap(dk, pk, q[k])) if pk < dk < 2.0 * q[k] - pk else 0.0
+        assert beta == max(gap, 0.0)
 
-    def test_root_below_multiplier_min_gives_alpha_zero(self):
-        # P lies 4.6e-14 below S(D): the budget's residual is negative at
-        # _MULTIPLIER_MIN, the first call decides, and the search in log A
-        # starts at _MULTIPLIER_MIN, as it did from alpha = 0
+    def test_root_below_multiplier_min_is_found_from_zero(self):
+        # P lies 4.6e-14 below S(D), and alpha's root lies below
+        # _MULTIPLIER_MIN, where the search once started and stopped in 1
+        # call; from the bracket's lower end 0 it is found, and the search in
+        # log A starts at _MULTIPLIER_MIN, as it did from alpha = 0
         src = normalize([0.8573076493033616, 0.03777652896340232])
         D, P = 0.27731974030176054, 0.04494021013591801
-        start, calls, alpha = _s_side_with_alpha(src.run_q, src.counts, D, P)
-        assert (alpha, calls) == (_MULTIPLIER_MIN, 1)
-        assert start <= _MULTIPLIER_MIN
+        q, m = src.run_q, src.counts
+        alpha, beta, calls = _s_shaped(q, m, D, P)
+        assert 0.0 < alpha < _MULTIPLIER_MIN and calls <= 2
+        # run k is the first, with all of D and P but the second's corner
+        assert abs(float(_alpha_gap(D - q[1], P - q[1], q[0])) - alpha) <= 4.0 * math.ulp(1.0)
+        assert alpha - beta <= _MULTIPLIER_MIN
         res = rdp(src, (D, P))
         assert res.rate == 0.0
         assert res.rate - _dual_bound(src.q, D, P, res) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(log_q=st.floats(-300.0, math.log10(0.5)), share=st.floats(0.0, 1.0),
+       log_alpha=st.floats(-12.0, math.log10(354.0)))
+def test_x_of_alpha_within_the_bracket_bound(log_q, share, log_alpha):
+    # _s_shaped's bracket end alpha_hi rests on d - p <= 2 sqrt(q(1-q) /
+    # expm1(2 alpha)) at every p in [0, q]; the bound is taken in two square
+    # roots so that it does not underflow
+    q, alpha = 10.0 ** log_q, 10.0 ** log_alpha
+    p = share * q
+    x = float(_x_of_alpha(alpha, p, q))
+    bound = 2.0 * math.sqrt(q * (1.0 - q)) / math.sqrt(math.expm1(2.0 * alpha))
+    assert 0.0 <= x <= bound * (1.0 + 4.0 * math.ulp(1.0))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -1502,11 +1529,13 @@ def _gathering_component_dp(A, b, q, m, q0):
     edge, corner = p <= 0.0, p >= q
     inner = ~edge & ~corner
     d = np.empty_like(q)
-    d[edge], p[edge] = _d_p_zero(alpha, q[edge]), 0.0
+    d[edge], p[edge] = _x_of_alpha(alpha, 0.0, q[edge]), 0.0
     d[corner] = p[corner] = q[corner]
     de, qe = d[edge], q[edge]
-    cubes = float((m[edge] * (de ** 3 / (4.0 * qe * (1.0 - qe) - de))).sum())
-    d_alpha = -math.exp(2.0 * alpha) * cubes if cubes else 0.0
+    d_alpha = 0.0
+    if de.any():
+        scaled = de * math.exp(alpha)
+        d_alpha = -float((m[edge] * (scaled * scaled * (de / (4.0 * qe * (1.0 - qe) - de)))).sum())
     grad = np.array([-d_alpha / (2.0 * A * (A + 1.0)), -d_alpha / (2.0 * B * (B + 1.0))])
     if np.any(inner):
         qi, mi, u = q[inner], m[inner], q[inner] - p[inner]
@@ -2012,6 +2041,20 @@ class TestRdpPZero:
         assert res.rate == pytest.approx(h2_arr(np.array([0.3, 0.2])).sum(), abs=1e-15)
         # every d and beta gap is 0 here; the multiplier is +0.0, not -0.0
         assert math.copysign(1.0, res.certificate.mu) == 1.0
+
+    @pytest.mark.parametrize("raw, D, P, rate, max_calls", [
+        ([1e-300], 8.884087467824297e-301, 4.198777387539376e-301, 7.67139117238873e-298, 2),
+        ([1e-300], 1e-301, 0.0, 1.3121739297792509e-297, 2),
+        ([1e-300, 1e-300, 2e-300], 8.884087467824297e-301, 4.198777387539376e-301,
+         4.908057869325723e-297, 3)])
+    def test_subnormal_scale_source_takes_few_calls(self, raw, D, P, rate, max_calls):
+        # the slope of the edge distortions was taken from d^3, which
+        # underflows once d is below about 1e-103: with a zero slope the
+        # search bisected, in 45, 47 and 43 calls
+        res = rdp(raw, (D, P))
+        assert res.region == "C"
+        assert res.rate == pytest.approx(rate, rel=1e-12)
+        assert res.multiplier_iterations <= max_calls
 
     def test_plateau(self):
         caps = 2 * 0.3 * 0.7 + 2 * 0.1 * 0.9
