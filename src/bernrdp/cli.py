@@ -13,13 +13,12 @@ Every command writes through one emitter, ``_emit``.  Small records
 (bounds, the region boundaries, the verify report and the head of every
 solve) are dicts serialized value by value.  The per-component allocation
 of ``eval`` and ``curve``, the per-edge shares of ``graph`` and the cells
-of ``region`` stay numpy columns.  Once per table, its float columns are
-formatted together, each distinct value once (told apart by bit pattern,
-so that 0.0 and -0.0 stay apart) in one C-level call, and the values of
-the previous table (a curve's q) are not formatted again.  Each table is
-then one % over its interleaved columns, into whose row template the
-record's constant cells (a CSV line's D, P, rate and multipliers) are
-written once.
+of ``region`` stay numpy columns, written column by column: a column bit
+for bit equal to the previous table's column of that name (a curve's q,
+index and labels) takes its cells, a constant float column is formatted
+once, and any other float column in one C-level call.  Each table is then
+one % over its interleaved columns, into whose row template the record's
+constant cells (a CSV line's D, P, rate and multipliers) are written once.
 
 ``region`` evaluates one boundary per D, not one region test per cell.
 Each command takes only the options it reads: all six take --format, all
@@ -113,47 +112,49 @@ def _json_token(match) -> str:
     return f'\n"{cell}"' if cell in _NON_FINITE else "\n" + repr(float(cell))
 
 
-def _is_floats(v) -> bool:
-    return isinstance(v, np.ndarray) and v.dtype.kind == "f"
-
-
-def _tokens(values: np.ndarray, json_tokens: bool) -> np.ndarray:
+def _tokens(values: np.ndarray, json_tokens: bool) -> list[str]:
     """The ``_G`` strings of ``values``, or with ``json_tokens`` the JSON
-    tokens of ``_num``, as an object array: one C-level ``%`` over the
-    values, then, for JSON, one regex pass over that text."""
+    tokens of ``_num``: one C-level ``%`` over the values, then, for JSON,
+    one regex pass over that text."""
     text = ("\n" + _G) * values.size % tuple(values.tolist())
     if json_tokens:
         text = _JSON_FIX.sub(_json_token, text)
-    return np.array(text.split(), dtype=object)
+    return text.split()
 
 
-def _float_cells(tables, json_tokens: bool):
+def _column_cells(tables, json_tokens: bool):
     """For each table, a dict of values and columns, yield the cells of its
-    float columns by name: ``_G`` strings, or with ``json_tokens`` the JSON
-    tokens of ``_num``.
+    columns by name: the values of an int or label column, and for a float
+    column its ``_G`` strings, or with ``json_tokens`` the JSON tokens of
+    ``_num``.
 
-    Each distinct value of a table is formatted once, by ``_tokens``, and
-    one the previous table holds too (a curve's q, or its d along P)
-    takes that table's cell.  Values are told apart by their bit pattern,
-    not compared as floats: ``np.unique`` on the floats merges 0.0 and
-    -0.0, which are written "0" and "-0".
+    A column bit for bit equal to the previous table's column of that name
+    (a curve's index, q and labels, or its d along P in region A) takes
+    that column's cells.  A constant float column is formatted once, and
+    any other by one ``_tokens`` call.  Float columns are compared on their
+    bit patterns: compared as floats, 0.0 and -0.0 would be equal, and
+    would take one sign's cells for the other.
     """
-    old_keys, old_tokens = np.empty(0, dtype=np.uint64), np.empty(0, dtype=object)
+    held = {}  # name -> (dtype, key, cells) of the previous table
     for table in tables:
-        columns = {name: v for name, v in table.items() if _is_floats(v)}
-        if not columns:
-            yield {}
-            continue
-        flat = np.concatenate(list(columns.values()), dtype=np.float64).view(np.uint64)
-        keys, inverse = np.unique(flat, return_inverse=True)
-        known = np.isin(keys, old_keys, assume_unique=True)
-        tokens = np.empty(keys.size, dtype=object)
-        tokens[known] = old_tokens[np.searchsorted(old_keys, keys[known])]
-        tokens[~known] = _tokens(keys[~known].view(np.float64), json_tokens)
-        old_keys, old_tokens = keys, tokens
-        ends = np.cumsum([col.size for col in columns.values()]).tolist()
-        yield {name: tokens[inverse[end - col.size:end]].tolist()
-               for (name, col), end in zip(columns.items(), ends)}
+        cells, current = {}, {}
+        for name, col in table.items():
+            if not isinstance(col, np.ndarray):
+                continue
+            floats = col.dtype.kind == "f"
+            key = col.astype(np.float64, copy=False).view(np.uint64) if floats else col
+            prev = held.get(name)
+            if prev is not None and prev[0] == col.dtype and np.array_equal(prev[1], key):
+                cells[name] = prev[2]
+            elif not floats:
+                cells[name] = col.tolist()
+            elif key.size and (key == key[0]).all():
+                cells[name] = _tokens(col[:1], json_tokens) * col.size
+            else:
+                cells[name] = _tokens(col, json_tokens)
+            current[name] = col.dtype, key, cells[name]
+        held = current
+        yield cells
 
 
 def _rows(template: str, cols: list[list]) -> str:
@@ -176,10 +177,10 @@ def _jsonify(obj):
     return obj
 
 
-def _json_line(record, floats: dict) -> str:
+def _json_line(record, column_cells: dict) -> str:
     """A record as JSON: the head value by value, then its table (see
     ``_Record``) in one ``%`` of the row template over the interleaved
-    columns.  The float cells come from ``floats``, those ``_float_cells``
+    columns.  The cells come from ``column_cells``, those ``_column_cells``
     yields for the record within its output."""
     head = record.head if isinstance(record, _Record) else record
     text = json.dumps(_jsonify(head), separators=(", ", ": "))
@@ -188,7 +189,7 @@ def _json_line(record, floats: dict) -> str:
     specs, cols = [], []
     for name, col in record.columns.items():
         specs.append(f"{json.dumps(name)}: {_JSON_SPEC[col.dtype.kind]}")
-        cols.append(floats[name] if _is_floats(col) else col.tolist())
+        cols.append(column_cells[name])
     if record.key is None:
         lead = text[:-1].replace("%", "%%") + (", " if head else "")
         return _rows(lead + ", ".join(specs) + "}\n", cols)
@@ -202,15 +203,15 @@ def _csv_cell(v) -> str:
     return _G % v if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _csv_lines(row: dict, fields, floats: dict) -> str:
+def _csv_lines(row: dict, fields, column_cells: dict) -> str:
     """A row of values and columns as CSV lines, one per row of the
-    columns, through one template; float cells as in ``_json_line``."""
+    columns, through one template; column cells as in ``_json_line``."""
     cells, cols = [], []
     for name in fields:
         v = row.get(name)
         if isinstance(v, np.ndarray):
             cells.append(_CSV_SPEC[v.dtype.kind])
-            cols.append(floats[name] if _is_floats(v) else v.tolist())
+            cols.append(column_cells[name])
         else:
             cells.append(_csv_cell(v).replace("%", "%%"))
     buf = io.StringIO()
@@ -223,21 +224,20 @@ def _emit(records, fmt, out, fields) -> None:
     """Write records as JSON lines, or as one CSV table with the header
     ``fields``.  A record is a ``_Record`` or a dict written as it is.
 
-    The float columns of each record's table are formatted together, each
-    distinct value once, and values the previous table holds too are not
-    formatted again (``_float_cells``).  Distinct means a distinct bit
-    pattern: keyed on the floats, 0.0 and -0.0 would merge, and a column
-    holding both would print one sign for all.  Each table is then one
-    ``%`` over its interleaved columns."""
+    The cells of each record's table are taken column by column
+    (``_column_cells``): a column the previous record holds bit for bit
+    takes its cells, and a float column is otherwise formatted in one call,
+    or once when it is constant.  Each table is then one ``%`` over its
+    interleaved columns."""
     if fmt == "csv":
         rows = [r.csv if isinstance(r, _Record) else r for r in records]
         out.write(",".join(fields) + "\n")
-        out.writelines(_csv_lines(row, fields, floats)
-                       for row, floats in zip(rows, _float_cells(rows, False)))
+        out.writelines(_csv_lines(row, fields, cells)
+                       for row, cells in zip(rows, _column_cells(rows, False)))
     else:
         tables = [r.columns if isinstance(r, _Record) and r.columns is not None else {}
                   for r in records]
-        out.writelines(map(_json_line, records, _float_cells(tables, True)))
+        out.writelines(map(_json_line, records, _column_cells(tables, True)))
 
 
 # ---------------------------------------------------------------------------

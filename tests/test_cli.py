@@ -165,6 +165,22 @@ class TestCurve:
         code2, out2, _ = run_cli(["eval", "--q", "0.3,0.1", "-D", "0.2", "-P", "0.05"], capsys)
         assert sweep_rec == json.loads(out2)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_records_equal_per_point_eval(self, capsys, fmt):
+        # five points in region C, then two in region A whose d and rates are
+        # equal: columns that change and then repeat along the curve
+        q = "0.3,0,0.5,0.12,0.8"
+        code, out, _ = run_cli(["curve", "--q", q, "--axis", "P", "--start", "0", "--stop",
+                                "0.3", "--count", "7", "-D", "0.4", "--format", fmt], capsys)
+        assert code == 0
+        evals = []
+        for P in np.linspace(0.0, 0.3, 7).tolist():
+            code, text, _ = run_cli(["eval", "--q", q, "-D", "0.4", "-P", repr(P),
+                                     "--format", fmt], capsys)
+            assert code == 0
+            evals.append(text if fmt == "json" or not evals else text.split("\n", 1)[1])
+        assert out == "".join(evals)
+
     def test_start_above_stop_exits_2(self, capsys):
         exits_2(["curve", "--q", "0.3,0.1", "--axis", "D", "--start", "1", "--stop", "0",
                  "--count", "3"], capsys, "--start must be <= --stop")

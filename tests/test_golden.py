@@ -9,9 +9,11 @@ one certain edge and two edges at 1/2.  The eval cases use a source with a
 q = 0 and a q = 1/2 component, so region C re-inserts the zero component
 and gives the 1/2 one no perception; with the region-A and region-B points
 they pin the per-component region labels.  The curve cases cover both axes
-and formats and a CSV error row whose message holds a comma (so the CSV
-quoting is pinned); the region cases have empty T and S cells; the eval and
-bounds cases at P = inf pin how each format writes an infinite value.
+and formats, a P sweep from region C into A (whose d and rate columns
+change and then repeat), and a CSV error row whose message holds a comma
+(so the CSV quoting is pinned); the region cases have empty T and S
+cells; the eval and bounds cases at P = inf pin how each format writes an
+infinite value.
 The verify cases are the benchmark's verify sources, including its known
 scalar-oracle failure (exit 4); their files were written before the scalar
 oracle took H(X) from the binary-entropy kernel ``core.h2_arr`` and that
@@ -80,6 +82,7 @@ CASES = {
     "bounds_inf.csv": _bounds("0.3", "inf", "csv"),
     "curve_d_p0.json": _curve("D", "0", "1.5", "7", "0", "json"),
     "curve_p_a.csv": _curve("P", "0.4", "1.0", "4", "0.3", "csv"),
+    "curve_p_ca.json": _curve("P", "0", "0.3", "7", "0.4", "json"),
     "curve_error.csv": _curve("P", "-0.3", "0.3", "3", "0.3", "csv"),
     "curve_error.json": _curve("P", "-0.3", "0.3", "3", "0.3", "json"),
     "region.csv": _region("csv"),

@@ -5,9 +5,10 @@ functions that used to format every value one at a time; they are the
 reference.  A JSON float token is ``json.dumps`` of ``old_num`` and a CSV
 cell is ``old_csv_cell``.  The table cases also rebuild a record the old
 way (rows as a list of dicts) and write CSV through ``csv.writer`` cell by
-cell.  Every record is written through ``_emit``, which formats each distinct
-value of a table once; the repeating-column cases write several tables,
-whose values the next table takes from the previous one.
+cell.  Every record is written through ``_emit``, which writes a table
+column by column; the repeating-column cases write several tables, where a
+column bit for bit equal to the previous table's column of that name takes
+that column's cells.
 """
 
 import csv
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernrdp.cli import _csv_cell, _emit, _float_cells, _num, _Record
+from bernrdp.cli import _column_cells, _csv_cell, _emit, _num, _Record
 
 
 def emit(records, fmt, fields=None):
@@ -83,7 +84,7 @@ FLOATS = st.one_of(
 @given(st.lists(FLOATS, max_size=40))
 def test_bulk_floats_equal_per_value_serializer(xs):
     col = np.array(xs, dtype=float)
-    assert list(_float_cells([{"x": col}], True)) == [{"x": [old_json_token(x) for x in xs]}]
+    assert list(_column_cells([{"x": col}], True)) == [{"x": [old_json_token(x) for x in xs]}]
     rows = emit([{"k": np.arange(len(xs)), "x": col}], "csv", ["k", "x"])
     assert rows == "".join(f"{k},{old_csv_cell(x)}\n" for k, x in enumerate(xs))
 
@@ -166,6 +167,16 @@ FIXED_TABLES = [
     [{"x": np.array([math.nan, -math.nan, 0.0, math.nan])}],
     [{"x": np.array([1.0, 1e12, 1.0, 5e-324, 1e12, -0.0])}],
     [{"x": np.array([], dtype=float)}],
+    # columns the reuse of the previous table's cells must not merge: a 0.0
+    # that becomes -0.0, nan that becomes -nan, the same array under another
+    # name, equal int and label columns, and a constant column of -0.0
+    [{"x": np.array([0.5, 0.0, 0.25])}, {"x": np.array([0.5, -0.0, 0.25])}],
+    [{"x": np.array([math.nan, 1.0])}, {"x": np.array([-math.nan, 1.0])}],
+    [{"x": np.array([0.1, -0.0]), "y": np.array([0.2, 3.0])},
+     {"x": np.array([0.2, 3.0]), "y": np.array([0.1, -0.0])}],
+    [{"k": np.arange(3), "r": np.array(["S", "U", "T"]), "x": np.array([0.1, 0.2, 0.3])},
+     {"k": np.arange(3), "r": np.array(["S", "U", "T"]), "x": np.array([0.1, 0.2, 0.4])}],
+    [{"x": np.full(5, -0.0)}, {"x": np.full(5, -0.0)}],
 ]
 
 
@@ -213,5 +224,5 @@ def test_fixed_repeating_columns_equal_per_value_serializer(tables):
 def test_signed_zeros_keep_their_signs():
     # keyed on the floats, the dedupe would write every cell as the first
     col = np.array([0.0, -0.0] * 10)
-    assert list(_float_cells([{"x": col}], True)) == [{"x": ["0.0", "-0.0"] * 10}]
-    assert list(_float_cells([{"x": col}], False)) == [{"x": ["0", "-0"] * 10}]
+    assert list(_column_cells([{"x": col}], True)) == [{"x": ["0.0", "-0.0"] * 10}]
+    assert list(_column_cells([{"x": col}], False)) == [{"x": ["0", "-0"] * 10}]
