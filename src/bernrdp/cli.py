@@ -34,6 +34,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -269,6 +270,19 @@ def _check_count(flag: str, count: int) -> None:
         raise DomainError(f"{flag} must be >= 1")
 
 
+def _axis(args, lo: str, hi: str, count: int) -> np.ndarray:
+    """``count`` points from the flag ``lo`` to the flag ``hi``, which must be
+    finite and a finite distance apart: ``linspace`` turns either fault into
+    nan points."""
+    start, stop = (getattr(args, flag[2:].replace("-", "_")) for flag in (lo, hi))
+    for flag, value in ((lo, start), (hi, stop)):
+        if not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite; got {value!r}")
+    if not math.isfinite(stop - start):
+        raise DomainError(f"{hi} - {lo} overflows: {stop!r} - {start!r}")
+    return np.linspace(start, stop, count)
+
+
 def _source_from(args):
     return normalize(_parse_q(args.q))
 
@@ -325,9 +339,9 @@ def cmd_eval(args, out) -> int:
 def cmd_curve(args, out) -> int:
     src = _source_from(args)
     _check_count("--count", args.count)
+    values = _axis(args, "--start", "--stop", args.count)
     if args.start > args.stop:
         raise DomainError("--start must be <= --stop")
-    values = np.linspace(args.start, args.stop, args.count)
     records, rates = [], []  # a rate of None marks a failed point
     for v in values:
         D, P = (float(v), args.P) if args.axis == "D" else (args.D, float(v))
@@ -356,8 +370,8 @@ def cmd_region(args, out) -> int:
     src = _source_from(args)
     _check_count("--d-count", args.d_count)
     _check_count("--p-count", args.p_count)
-    d_vals = np.linspace(args.d_min, args.d_max, args.d_count).tolist()
-    p_vals = np.linspace(args.p_min, args.p_max, args.p_count).tolist()
+    d_vals = _axis(args, "--d-min", "--d-max", args.d_count).tolist()
+    p_vals = _axis(args, "--p-min", "--p-max", args.p_count).tolist()
     # each cell is a budget: checking the first row, then the first column,
     # meets the bad value a scan of the cells row by row meets first
     p_cut = np.array([BudgetPair(d_vals[0], P).P for P in p_vals])

@@ -17,15 +17,18 @@ whose objective is by definition a sum of scalar rates) the scalar RDP
 function itself.
 
 Every search runs through one driver, ``_refine``, which evaluates each
-round's grid in blocks of about ``_BLOCK_CELLS`` cells along the first
-axis.  A block's first minimum in row-major order wins only when strictly
-lower than the earlier blocks', so the winner and its tie rule are those of
-``np.argmin`` over the whole grid, and memory is bounded by the block, not
-by resolution^2.  Each objective is bounded below by 0 (a mutual
-information, a sum of rates, a total perception), so the first block that
-reaches 0 ends the search: nothing later can be strictly lower.  The
-scalar objective clamps its computed I at 0, so that cells rounded just
-below it tie and the first feasible one in row-major order wins.
+round's grid in blocks of whole slices along the first axis.  The first
+block holds about ``_BLOCK_CELLS // 16`` cells and each next one 4 times
+more, up to about ``_BLOCK_CELLS``.  A block's first minimum in row-major
+order wins only when strictly lower than the earlier blocks', so the winner
+and its tie rule are those of ``np.argmin`` over the whole grid, and memory
+is bounded by the block, not by resolution^2.  Each objective is bounded
+below by 0 (a mutual information, a sum of rates, a total perception), so
+the first block that reaches 0 ends the search: nothing later can be
+strictly lower, and a zero found in the first rows costs only the small
+first blocks.  The scalar objective clamps its computed I at 0, so that
+cells rounded just below it tie and the first feasible one in row-major
+order wins.
 
 The scalar objective works on the 1-D products u = (1-q)a and v = qb, both
 sorted.  Each block tests both budgets on its rows against every column
@@ -34,7 +37,8 @@ at D = 0 one cell a round.  At P = 0 a cell is feasible only where u == v
 as floats, since a computed u - v is 0 only between equal floats; each
 row's tied columns are one run of the sorted v, found by ``searchsorted``
 (``_tied_cells``), and the entropies are taken on those cells only, with
-the same per-cell arithmetic.
+the same per-cell arithmetic.  A block takes its rows' cells from per-row
+offsets into that list.
 
 Accuracy scales with the final grid spacing: after the requested rounds
 the boxed spacing is (range / resolution) / shrink^rounds with shrink
@@ -67,8 +71,10 @@ _N3_AXIS_CAP = 24
 
 _MAX_ROUNDS = 14
 
-#: Grid cells evaluated at once: whole slices along the first axis, at
-#: least one.  The scalar grid at resolution 400 takes 40 rows a block.
+#: Most grid cells evaluated at once: whole slices along the first axis, at
+#: least one.  A round's first block holds a 16th of it and each next block
+#: 4 times more, so the scalar grid at resolution 400 takes 2 rows, then 10,
+#: then 40 a block.
 _BLOCK_CELLS = 16384
 
 
@@ -121,12 +127,15 @@ def _refine(objective, glo, ghi, res: int, rounds: int):
     the box count as infeasible, so an objective may leave out the rows
     and columns that cannot be feasible, as the scalar one does.
 
-    Every objective is bounded below by 0.  The first block whose minimum
-    reaches 0 holds the answer, so the search ends there and skips the
-    rest of the round and the later rounds.  The winner is the whole
-    grid's first cell at 0, as long as no value lies below it; an
-    objective that can round below 0 clamps its values there, as the
-    scalar one does.
+    A round's blocks grow: the first holds ``_BLOCK_CELLS // 16`` cells
+    and each next one 4 times more, up to ``_BLOCK_CELLS``, each at least
+    one row.  Every objective is bounded below by 0.  The first block whose
+    minimum reaches 0 holds the answer, so the search ends there and skips
+    the rest of the round and the later rounds; a zero in the first rows
+    costs a few rows, not a whole block of the largest size.  The winner
+    is the whole grid's first cell at 0, as long as no value lies below
+    it; an objective that can round below 0 clamps its values there, as
+    the scalar one does.
 
     A round with no finite value ends the search, raising if nothing was
     found.  So does a round whose box has zero width on every axis: its
@@ -139,10 +148,12 @@ def _refine(objective, glo, ghi, res: int, rounds: int):
         # all cells along an axis of zero width are equal, and the first wins
         axes = [np.linspace(lo[k], hi[k], res if hi[k] > lo[k] else 1) for k in range(glo.size)]
         block = objective(*axes)
-        step = max(1, _BLOCK_CELLS // math.prod(ax.size for ax in axes[1:]))
-        top, at = math.inf, None
-        for i0 in range(0, axes[0].size, step):
-            got = block(slice(i0, i0 + step))
+        rows, row_cells = axes[0].size, math.prod(ax.size for ax in axes[1:])
+        top, at, stop, cells = math.inf, None, 0, _BLOCK_CELLS // 16
+        while stop < rows:
+            i0, stop = stop, min(rows, stop + max(1, cells // row_cells))
+            cells = min(4 * cells, _BLOCK_CELLS)
+            got = block(slice(i0, stop))
             if got is None:
                 continue
             corner, vals = got
@@ -179,17 +190,20 @@ def _tied_cells(u, v, D: float, values):
     as ``u + v`` is ``2u``, exact.  ``v`` is non-decreasing, so row i's
     tied columns are one run, from ``searchsorted`` left to right of
     ``u[i]``.  The cells are listed once a round in row-major order and
-    the objective is taken on them only; a block returns its rows' cells
-    in their bounding box, inf elsewhere, as the P > 0 blocks do.
+    the objective is taken on them only; row i's cells are
+    ``offset[i]:offset[i + 1]`` of the list, the cumulative sum of the
+    per-row counts, so a block's cells are one slice.  A block returns
+    them in their bounding box, inf elsewhere, as the P > 0 blocks do.
     """
     lo, hi = np.searchsorted(v, u, "left"), np.searchsorted(v, u, "right")
     count = np.where(u + u <= D, hi - lo, 0)
+    offset = np.concatenate(([0], np.cumsum(count)))
     ci = np.repeat(np.arange(u.size), count)
-    cj = np.arange(ci.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    cj = np.arange(ci.size) + np.repeat(lo - offset[:-1], count)
     vals = values(ci, cj)
 
     def block(rows):
-        k0, k1 = np.searchsorted(ci, [rows.start, rows.stop])
+        k0, k1 = offset[rows.start], offset[rows.stop]
         if k0 == k1:
             return None
         i, j = ci[k0:k1], cj[k0:k1]

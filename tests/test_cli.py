@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -306,6 +307,35 @@ def test_region_cells_equal_classify(case):
 def test_region_negative_grid_exits_2(capsys, bounds, needle):
     argv = ["region", "--q", "0.3,0.1", "--d-max", "0.7", "--p-max", "0.5", *bounds]
     exits_2(argv, capsys, needle)
+
+
+_CURVE = ["curve", "--q", "0.3,0.1", "--count", "3"]
+_REGION = ["region", "--q", "0.3,0.1"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (_CURVE + ["--axis", "P", "--start", "0", "--stop", "inf", "-D", "0.2"],
+     "--stop must be finite; got inf"),
+    (_CURVE + ["--axis", "D", "--start", "nan", "--stop", "1", "-P", "0.2"],
+     "--start must be finite; got nan"),
+    (_CURVE + ["--axis", "D", "--start=-1e308", "--stop", "1e308", "-P", "0.2"],
+     "--stop - --start overflows"),
+    (_REGION + ["--d-max", "0.5", "--p-max", "inf"], "--p-max must be finite; got inf"),
+    (_REGION + ["--d-max", "inf", "--p-max", "0.3"], "--d-max must be finite; got inf"),
+    (_REGION + ["--d-min", "nan", "--d-max", "0.5", "--p-max", "0.3"],
+     "--d-min must be finite; got nan"),
+    (_REGION + ["--d-max", "0.5", "--p-min=-inf", "--p-max", "0.3"],
+     "--p-min must be finite; got -inf"),
+    (_REGION + ["--d-min=-1e308", "--d-max", "1e308", "--p-max", "0.3"],
+     "--d-max - --d-min overflows"),
+    (_REGION + ["--d-max", "0.5", "--p-min=-1e308", "--p-max", "1e308"],
+     "--p-max - --p-min overflows"),
+])
+def test_bad_grid_bound_exits_2_before_linspace(capsys, argv, needle):
+    # linspace would turn each into nan points, with a RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exits_2(argv, capsys, needle)
 
 
 class TestParser:

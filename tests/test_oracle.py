@@ -137,6 +137,15 @@ class TestSearchShortcuts:
         assert ch.a + ch.b == pytest.approx(1.0, abs=1e-15)
         assert 0.1 <= ch.a <= 0.1 + 2 / 399
 
+    def test_zero_rate_budget_in_the_first_rows_stops_in_the_first_block(self, rounds):
+        # the independent channel a = 0, b = 1 meets both budgets, so row 0
+        # holds a cell at 0; a round's first block is _BLOCK_CELLS // 16
+        # cells, whole rows, and the search ends there
+        rate, ch = scalar_channel_oracle(0.05, 0.6, 0.4, GridSpec(400, 3))
+        assert rate == 0.0 and (ch.a, ch.b) == (0.0, 1.0)
+        first_block = max(1, oracle._BLOCK_CELLS // 16 // 400) * 400
+        assert len(rounds) == 1 and 0 < rounds[0] <= first_block
+
     def test_zero_distortion_evaluates_one_cell_a_round(self, rounds):
         rate, ch = scalar_channel_oracle(0.3, 0.0, 0.2, GridSpec(400, 3))
         assert rate == pytest.approx(H2_03, abs=1e-12)

@@ -329,19 +329,24 @@ def vector_cases(draw, sizes, resolutions):
 @example((0.3, 0.5973168987347762, 0.0, GridSpec(14, 2), 16384))
 @example((0.3, 0.5973168987347762, 0.0, GridSpec(14, 2), 20))
 # the verify grid: a zero-rate budget, where round 0 holds cells with a
-# computed I below 0 and the first of them ends the search, in blocks of
-# 40 rows and of one row; D = 0, where only the cell (0, 0) is feasible;
-# and P = 0
+# computed I below 0 and the first of them ends the search, in the growing
+# blocks of 2, 10 and 40 rows (its first zero lies in row 41, in the third)
+# and in blocks of one row; D = 0, where only the cell (0, 0) is feasible;
+# and P = 0, whose tied cells lie in the first four blocks
 @example((0.3, 0.6, 0.2, GridSpec(400, 3), 16384))
 @example((0.3, 0.6, 0.2, GridSpec(400, 3), 20))
 @example((0.1, 0.0, 0.2, GridSpec(400, 3), 16384))
 @example((0.35, 0.4, 0.0, GridSpec(400, 3), 16384))
-# a P = 0 budget inside the rate's support, in whole blocks of 40 rows and
-# in blocks of 3 rows, whose edges split the round's tied cells
+# zero-rate budgets whose first zero lies in the second block (rows 2-11)
+# and in the third (rows 12-51)
+@example((0.3, 0.6, 0.28, GridSpec(400, 3), 16384))
+@example((0.25, 0.4, 0.2, GridSpec(400, 3), 16384))
+# a P = 0 budget inside the rate's support, in the default blocks and in
+# blocks of 1, 1, then 3 rows, whose edges split the round's tied cells
 @example((0.35, 0.2, 0.0, GridSpec(400, 3), 16384))
 @example((0.35, 0.2, 0.0, GridSpec(400, 3), 1200))
 # 0 < P < D, where each block tests both budgets against every column, in
-# whole blocks of 40 rows and in blocks of one row
+# the default blocks and in blocks of one row
 @example((0.3, 0.4, 0.2, GridSpec(400, 3), 16384))
 @example((0.3, 0.4, 0.2, GridSpec(400, 3), 400))
 @example((0.1, 0.6, 0.4, GridSpec(400, 3), 16384))
@@ -390,6 +395,10 @@ def test_scalar_channel_at_p_zero_matches_the_box_objective(q, D, grid, cells):
 # D = P = 0: the box is one point on every axis, and one round is searched
 @example(([0.3, 0.1], 0.0, 0.0, 0.4, GridSpec(200, 2), 16384))
 @example(([0.3, 0.1], 0.0, 0.0, 0.4, GridSpec(200, 2), 5))
+# the vector grid's growing blocks of 5, 20 and 81 rows: zero-rate budgets
+# whose first zero lies in the second block and in the third
+@example(([0.3, 0.1], 1.25, 0.3, 0.5, GridSpec(200, 2), 16384))
+@example(([0.3, 0.1], 0.9, 0.01, 0.5, GridSpec(200, 2), 16384))
 def test_n2_searches_match_full_grid(case):
     qs, D, P, D_s, grid, cells = case
     with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
