@@ -16,29 +16,32 @@ they share only the entropy primitives and (for the allocation oracle,
 whose objective is by definition a sum of scalar rates) the scalar RDP
 function itself.
 
-Every search runs through one driver, ``_refine``, which evaluates each
-round's grid in blocks of whole slices along the first axis.  The first
-block holds about ``_BLOCK_CELLS // 16`` cells and each next one 4 times
-more, up to about ``_BLOCK_CELLS``.  A block's first minimum in row-major
-order wins only when strictly lower than the earlier blocks', so the winner
-and its tie rule are those of ``np.argmin`` over the whole grid, and memory
-is bounded by the block, not by resolution^2.  Each objective is bounded
-below by 0 (a mutual information, a sum of rates, a total perception), so
-the first block that reaches 0 ends the search: nothing later can be
-strictly lower, and a zero found in the first rows costs only the small
-first blocks.  The scalar objective clamps its computed I at 0, so that
-cells rounded just below it tie and the first feasible one in row-major
-order wins.
+Every search runs through one driver, ``_refine``.  Each round an
+objective yields the values of its grid in chunks, in row-major order.
+The grid objectives take them in blocks of whole slices along the first
+axis (``_blocks``): in round 0 the first block holds about
+``_BLOCK_CELLS // 16`` cells and each next one 4 times more, and the
+refined rounds take blocks of about ``_BLOCK_CELLS`` from their first row.
+A chunk's first minimum in row-major order wins only when strictly lower
+than the earlier chunks', so the winner and its tie rule are those of
+``np.argmin`` over the whole grid, and memory is bounded by the block, not
+by resolution^2.  Each objective is bounded below by 0 (a mutual
+information, a sum of rates, a total perception), so the first chunk that
+reaches 0 ends the search: nothing later can be strictly lower, and a zero
+found in the first rows costs only the small first blocks.  The scalar
+objective clamps its computed I at 0, so that cells rounded just below it
+tie and the first feasible one in row-major order wins.
 
 The scalar objective works on the 1-D products u = (1-q)a and v = qb, both
-sorted.  Each block tests both budgets on its rows against every column
+sorted.  Each block tests the budgets on its rows against every column
 and takes the entropies over the bounding box of its feasible cells only:
-at D = 0 one cell a round.  At P = 0 a cell is feasible only where u == v
-as floats, since a computed u - v is 0 only between equal floats; each
-row's tied columns are one run of the sorted v, found by ``searchsorted``
-(``_tied_cells``), and the entropies are taken on those cells only, with
-the same per-cell arithmetic.  A block takes its rows' cells from per-row
-offsets into that list.
+at D = 0 one cell a round.  At P >= D it tests the distortion budget only,
+which implies the perception one.  At P = 0 a cell is feasible only where
+u == v as floats, since a computed u - v is 0 only between equal floats;
+each row's tied columns are one run of the sorted v, found by
+``searchsorted`` (``_tied_cells``), and the entropies are taken on those
+cells only, with the same per-cell arithmetic.  Their first minimum, by
+one ``np.argmin`` over the list, is the round's one chunk.
 
 Accuracy scales with the final grid spacing: after the requested rounds
 the boxed spacing is (range / resolution) / shrink^rounds with shrink
@@ -72,9 +75,9 @@ _N3_AXIS_CAP = 24
 _MAX_ROUNDS = 14
 
 #: Most grid cells evaluated at once: whole slices along the first axis, at
-#: least one.  A round's first block holds a 16th of it and each next block
+#: least one.  Round 0's first block holds a 16th of it and each next block
 #: 4 times more, so the scalar grid at resolution 400 takes 2 rows, then 10,
-#: then 40 a block.
+#: then 40 a block; a refined round takes 40 rows a block from its first.
 _BLOCK_CELLS = 16384
 
 
@@ -115,27 +118,38 @@ class ScalarChannel:
     b: float
 
 
+def _blocks(rows: int, row_cells: int, cells: int):
+    """Slices of whole rows, each at least one: the first holds about
+    ``cells`` cells, and each next one 4 times more, up to ``_BLOCK_CELLS``."""
+    stop = 0
+    while stop < rows:
+        start, stop = stop, min(rows, stop + max(1, cells // row_cells))
+        cells = min(4 * cells, _BLOCK_CELLS)
+        yield slice(start, stop)
+
+
 def _refine(objective, glo, ghi, res: int, rounds: int):
     """Minimize over the box [glo, ghi] by ``1 + rounds`` rounds of a
     ``res``-point grid per axis, each box ``_HALO`` spacings around the
     incumbent, which moves only to a strictly lower value.
 
-    ``objective(*axes)`` returns ``block(rows)``: None if no cell on those
-    rows of axis 0 is feasible, else ``(corner, values)``, the values on a
-    box of the block whose first cell lies at index ``corner`` of the block
-    (an int stands for every axis), inf where infeasible.  Cells outside
-    the box count as infeasible, so an objective may leave out the rows
+    ``objective(blocks, *axes)`` yields the round's values in chunks
+    ``(i0, corner, values)``, in row-major order: ``values`` on a box of
+    the grid whose first cell lies at index ``corner`` (an int stands for
+    every axis) moved ``i0`` along axis 0, inf where infeasible.  Cells in
+    no chunk count as infeasible, so an objective may leave out the rows
     and columns that cannot be feasible, as the scalar one does.
+    ``blocks`` are the slices of rows a grid objective takes a chunk on
+    (``_blocks``): round 0's start small, where zero-rate searches stop,
+    and a refined round's take ``_BLOCK_CELLS`` cells from its first row.
 
-    A round's blocks grow: the first holds ``_BLOCK_CELLS // 16`` cells
-    and each next one 4 times more, up to ``_BLOCK_CELLS``, each at least
-    one row.  Every objective is bounded below by 0.  The first block whose
-    minimum reaches 0 holds the answer, so the search ends there and skips
-    the rest of the round and the later rounds; a zero in the first rows
-    costs a few rows, not a whole block of the largest size.  The winner
-    is the whole grid's first cell at 0, as long as no value lies below
-    it; an objective that can round below 0 clamps its values there, as
-    the scalar one does.
+    Every objective is bounded below by 0.  The first chunk whose minimum
+    reaches 0 holds the answer, so the search ends there and skips the
+    rest of the round and the later rounds; a zero in the first rows costs
+    a few rows, not a whole block of the largest size.  The winner is the
+    whole grid's first cell at 0, as long as no value lies below it; an
+    objective that can round below 0 clamps its values there, as the
+    scalar one does.
 
     A round with no finite value ends the search, raising if nothing was
     found.  So does a round whose box has zero width on every axis: its
@@ -144,19 +158,13 @@ def _refine(objective, glo, ghi, res: int, rounds: int):
     """
     glo, ghi = np.asarray(glo, dtype=float), np.asarray(ghi, dtype=float)
     lo, hi, best, best_z = glo, ghi, math.inf, glo
-    for _ in range(1 + rounds):
+    for r in range(1 + rounds):
         # all cells along an axis of zero width are equal, and the first wins
         axes = [np.linspace(lo[k], hi[k], res if hi[k] > lo[k] else 1) for k in range(glo.size)]
-        block = objective(*axes)
-        rows, row_cells = axes[0].size, math.prod(ax.size for ax in axes[1:])
-        top, at, stop, cells = math.inf, None, 0, _BLOCK_CELLS // 16
-        while stop < rows:
-            i0, stop = stop, min(rows, stop + max(1, cells // row_cells))
-            cells = min(4 * cells, _BLOCK_CELLS)
-            got = block(slice(i0, stop))
-            if got is None:
-                continue
-            corner, vals = got
+        blocks = _blocks(axes[0].size, math.prod(ax.size for ax in axes[1:]),
+                         _BLOCK_CELLS if r else _BLOCK_CELLS // 16)
+        top, at = math.inf, None
+        for i0, corner, vals in objective(blocks, *axes):
             k = int(np.argmin(vals))
             if vals.flat[k] < top:
                 top = float(vals.flat[k])
@@ -181,8 +189,9 @@ def _refine(objective, glo, ghi, res: int, rounds: int):
 
 
 def _tied_cells(u, v, D: float, values):
-    """The scalar objective's blocks at P = 0, where ``values(i, j)`` gives
-    the objective on the cells listed by row and column index.
+    """The scalar objective's one chunk a round at P = 0, where
+    ``values(i, j)`` gives the objective on the cells listed by row and
+    column index.
 
     At P = 0 a cell passes the perception test only when ``u == v`` as
     floats: a computed difference is 0 only between equal floats, and
@@ -190,28 +199,20 @@ def _tied_cells(u, v, D: float, values):
     as ``u + v`` is ``2u``, exact.  ``v`` is non-decreasing, so row i's
     tied columns are one run, from ``searchsorted`` left to right of
     ``u[i]``.  The cells are listed once a round in row-major order and
-    the objective is taken on them only; row i's cells are
-    ``offset[i]:offset[i + 1]`` of the list, the cumulative sum of the
-    per-row counts, so a block's cells are one slice.  A block returns
-    them in their bounding box, inf elsewhere, as the P > 0 blocks do.
+    the objective is taken on them only.  Its values are clamped at 0, so
+    never NaN, and one ``np.argmin`` over the list finds the first minimum
+    in row-major order, the cell that ``_refine`` would pick from the
+    whole grid; it is yielded as a one-cell chunk.
     """
     lo, hi = np.searchsorted(v, u, "left"), np.searchsorted(v, u, "right")
     count = np.where(u + u <= D, hi - lo, 0)
-    offset = np.concatenate(([0], np.cumsum(count)))
     ci = np.repeat(np.arange(u.size), count)
-    cj = np.arange(ci.size) + np.repeat(lo - offset[:-1], count)
-    vals = values(ci, cj)
-
-    def block(rows):
-        k0, k1 = offset[rows.start], offset[rows.stop]
-        if k0 == k1:
-            return None
-        i, j = ci[k0:k1], cj[k0:k1]
-        i0, j0 = i[0], j.min()
-        box = np.full((i[-1] - i0 + 1, j.max() - j0 + 1), np.inf)
-        box[i - i0, j - j0] = vals[k0:k1]
-        return (i0 - rows.start, j0), box
-    return block
+    if ci.size:
+        # row i's cells start at the list index cumsum(count)[i] - count[i]
+        cj = np.arange(ci.size) + np.repeat(lo - np.cumsum(count) + count, count)
+        vals = values(ci, cj)
+        k = int(np.argmin(vals))
+        yield ci[k], (0, cj[k]), vals[k:k + 1, None]
 
 
 def scalar_channel_oracle(q: float, D: float, P: float,
@@ -226,21 +227,21 @@ def scalar_channel_oracle(q: float, D: float, P: float,
     counts as 0, so at a zero-rate budget the first feasible cell with
     I <= 0 is returned.  A budget with P >= D returns the rate and channel
     of P = D, bit for bit: u = (1-q)a and v = qb are >= 0, so the computed
-    |u - v| is at most the computed u + v, and every perception test is
-    implied by the distortion test it is joined with.  At P = 0 the
-    feasible cells are the ties u == v with 2u <= D; the search lists them
-    a round by ``searchsorted`` and takes the entropies on them only, with
-    the answer of a 2-D test of both budgets, bit for bit.  H(X) is
-    ``h2_arr(q)``; it equals ``-q ln q - (1-q) ln(1-q)`` in float arithmetic
-    for q in {0, 0.05, ..., 0.5}, and for about 0.2% of other q differs by
-    1-2 ulps.
+    |u - v| is at most the computed u + v, every perception test is implied
+    by the distortion test, and only that one runs.  At P = 0 the feasible
+    cells are the ties u == v with 2u <= D; the search lists them a round
+    by ``searchsorted``, takes the entropies on them only and hands the
+    driver their first minimum: the answer of a 2-D test of both budgets,
+    bit for bit.  H(X) is ``h2_arr(q)``; it equals ``-q ln q - (1-q)
+    ln(1-q)`` in float arithmetic for q in {0, 0.05, ..., 0.5}, and for
+    about 0.2% of other q differs by 1-2 ulps.
     """
     q, budget, grid = _as_unit(_real(q, "q"), "q", hi=0.5), BudgetPair(D, P), _as_grid(grid)
     q, D, P, hx = float(q), budget.D, budget.P, float(h2_arr(q))
     if math.isinf(P):
         raise DomainError("the grid oracle needs a finite P")
 
-    def information(a, b):
+    def information(blocks, a, b):
         ua, vb, qb = (1.0 - q) * a, q * b, q * (1.0 - b)
         xa = _xlogx((1.0 - q) * (1.0 - a)) + _xlogx(ua)
         xb1, xb2 = _xlogx(vb), _xlogx(qb)
@@ -253,18 +254,18 @@ def scalar_channel_oracle(q: float, D: float, P: float,
                               0.0)
 
         if P == 0.0:
-            return _tied_cells(ua, vb, D, info_at)
-
-        def block(rows):
+            yield from _tied_cells(ua, vb, D, info_at)
+            return
+        for rows in blocks:
             u = ua[rows, None]
-            ok = (u + vb <= D) & (np.abs(u - vb) <= P)
+            ok = u + vb <= D
+            if P < D:  # at P >= D the distortion test implies the perception one
+                ok &= np.abs(u - vb) <= P
             i, j = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
-            if i.size == 0:
-                return None
-            ok, corner = ok[i[0]:i[-1] + 1, j[0]:j[-1] + 1], (i[0], j[0])
-            i, j = slice(rows.start + i[0], rows.start + i[-1] + 1), slice(j[0], j[-1] + 1)
-            return corner, np.where(ok, info_at((i, None), j), np.inf)
-        return block
+            if i.size:
+                ok, corner = ok[i[0]:i[-1] + 1, j[0]:j[-1] + 1], (i[0], j[0])
+                i, j = slice(rows.start + i[0], rows.start + i[-1] + 1), slice(j[0], j[-1] + 1)
+                yield rows.start, corner, np.where(ok, info_at((i, None), j), np.inf)
 
     best, (a, b) = _refine(information, [0.0, 0.0], [1.0, 1.0], grid.resolution,
                            grid.refinement_rounds)
@@ -305,27 +306,27 @@ def allocation_grid_oracle(src, budget, grid: GridSpec = VECTOR_GRID):
         return rate, (np.array([min(D, 1.0)]), np.array([P]))
 
     if src.n == 2:
-        def pair_rate(d1, p1):
-            return lambda rows: (0, scalar_rdp(d1[rows, None], p1, q[0])
-                                 + scalar_rdp(D - d1[rows, None], P - p1, q[1]))
+        def pair_rate(blocks, d1, p1):
+            for rows in blocks:
+                yield rows.start, 0, (scalar_rdp(d1[rows, None], p1, q[0])
+                                      + scalar_rdp(D - d1[rows, None], P - p1, q[1]))
         best, (d1, p1) = _refine(pair_rate, [max(0.0, D - 1.0), 0.0], [min(1.0, D), P],
                                  grid.resolution, grid.refinement_rounds)
         return best, (np.array([d1, D - d1]), np.array([p1, P - p1]))
 
     # n == 3: grid over (d1, d2, p1, p2) with the last component eliminated
-    def triple_rate(d1, d2, p1, p2):
+    def triple_rate(blocks, d1, d2, p1, p2):
         d1, d2 = d1[:, None, None, None], d2[None, :, None, None]
         p1, p2 = p1[None, None, :, None], p2[None, None, None, :]
         head, middle = scalar_rdp(d1, p1, q[0]), scalar_rdp(d2, p2, q[1])
         p3 = P - p1 - p2
 
-        def block(rows):
+        for rows in blocks:
             d3 = D - d1[rows] - d2
             feasible = (d3 >= 0.0) & (d3 <= 1.0) & (p3 >= 0.0)
             total = (head[rows] + middle
                      + scalar_rdp_arr(np.clip(d3, 0.0, 1.0), np.maximum(p3, 0.0), q[2]))
-            return 0, np.where(feasible, total, np.inf)
-        return block
+            yield rows.start, 0, np.where(feasible, total, np.inf)
 
     res = min(grid.resolution, _N3_AXIS_CAP)
     dmax = min(1.0, D)
@@ -361,23 +362,22 @@ def s_of_d_oracle(src, D: float, grid: GridSpec = VECTOR_GRID) -> float:
         return float(p_needed(np.array([D]), q[0])[0])
 
     if src.n == 2:
-        def pair_spare(d1):
-            return lambda rows: (0, p_needed(d1[rows], q[0]) + p_needed(D - d1[rows], q[1]))
+        def pair_spare(blocks, d1):
+            for rows in blocks:
+                yield rows.start, 0, p_needed(d1[rows], q[0]) + p_needed(D - d1[rows], q[1])
         return _refine(pair_spare, [max(q[0], D - 1.0)], [min(1.0, D - q[1])], grid.resolution,
                        grid.refinement_rounds)[0]
 
     # D - d1 - d2 can round a hair below q3 (at D = sum q the box is a point)
     slack = 1e-12 * max(1.0, D)
 
-    def triple_spare(d1, d2):
+    def triple_spare(blocks, d1, d2):
         tail = p_needed(d2, q[1])
-
-        def block(rows):
+        for rows in blocks:
             d3 = D - d1[rows, None] - d2
             d3 = np.where(np.abs(d3 - q[2]) <= slack, q[2], d3)
-            return 0, p_needed(d1[rows, None], q[0]) + tail \
+            yield rows.start, 0, p_needed(d1[rows, None], q[0]) + tail \
                 + np.where((d3 >= q[2]) & (d3 <= 1.0), p_needed(np.clip(d3, q[2], 1.0), q[2]), np.inf)
-        return block
 
     return _refine(triple_spare, [q[0], q[1]],
                    [min(1.0, D - q[1] - q[2]), min(1.0, D - q[0] - q[2])], grid.resolution,

@@ -107,21 +107,17 @@ class TestScalarChannelOracle:
 class TestSearchShortcuts:
     @pytest.fixture
     def rounds(self):
-        """The number of cells the blocks return, one entry a round."""
+        """The cells of each chunk the objective hands the driver, one list
+        a round."""
         rounds = []
         refine = oracle._refine
 
         def counted(objective, *args, **kwargs):
-            def round_objective(*axes):
-                block = objective(*axes)
-                rounds.append(0)
-
-                def counted_block(rows):
-                    got = block(rows)
-                    if got is not None:
-                        rounds[-1] += got[1].size
-                    return got
-                return counted_block
+            def round_objective(blocks, *axes):
+                rounds.append([])
+                for chunk in objective(blocks, *axes):
+                    rounds[-1].append(chunk[2].size)
+                    yield chunk
             return refine(round_objective, *args, **kwargs)
 
         with mock.patch.object(oracle, "_refine", counted):
@@ -130,7 +126,7 @@ class TestSearchShortcuts:
     def test_zero_rate_budget_stops_inside_round_0(self, rounds):
         rate, ch = scalar_channel_oracle(0.3, 0.6, 0.2, GridSpec(400, 3))
         assert rate == 0.0
-        assert len(rounds) == 1 and rounds[0] < 400 * 400
+        assert len(rounds) == 1 and sum(rounds[0]) < 400 * 400
         # the first feasible cell with a computed I <= 0 is an independent
         # channel, a + b = 1, near the start of that line's feasible part:
         # |(1-q)a - qb| = |a - q| <= 0.2 from a = 0.1 on
@@ -144,23 +140,45 @@ class TestSearchShortcuts:
         rate, ch = scalar_channel_oracle(0.05, 0.6, 0.4, GridSpec(400, 3))
         assert rate == 0.0 and (ch.a, ch.b) == (0.0, 1.0)
         first_block = max(1, oracle._BLOCK_CELLS // 16 // 400) * 400
-        assert len(rounds) == 1 and 0 < rounds[0] <= first_block
+        assert len(rounds) == 1 and 0 < sum(rounds[0]) <= first_block
 
     def test_zero_distortion_evaluates_one_cell_a_round(self, rounds):
         rate, ch = scalar_channel_oracle(0.3, 0.0, 0.2, GridSpec(400, 3))
         assert rate == pytest.approx(H2_03, abs=1e-12)
         assert (ch.a, ch.b) == (0.0, 0.0)
-        assert rounds == [1, 1, 1, 1]
+        assert rounds == [[1]] * 4
 
     @pytest.mark.parametrize("qs, budget, cells", [([0.3, 0.1], (0.6, 0.2), 200 ** 2),
                                                    ([0.3, 0.25, 0.05], (0.9, 0.6), 24 ** 4)])
     def test_vector_zero_rate_budget_stops_inside_round_0(self, rounds, qs, budget, cells):
         assert allocation_grid_oracle(qs, budget, GridSpec(200, 2))[0] == 0.0
-        assert len(rounds) == 1 and rounds[0] < cells
+        assert len(rounds) == 1 and sum(rounds[0]) < cells
 
     def test_positive_rate_runs_every_round(self, rounds):
         scalar_channel_oracle(0.3, 0.2, 0.1, GridSpec(400, 3))
         assert len(rounds) == 4
+
+    def test_refined_rounds_take_whole_blocks_from_their_first_row(self):
+        # only round 0 starts small, where zero-rate searches stop: a refined
+        # round's 400 rows take 40-row blocks, 10 of them, not 2 + 10 + 40...
+        drawn = []
+        blocks = oracle._blocks
+
+        def counted(*args):
+            drawn.append(0)
+            for rows in blocks(*args):
+                drawn[-1] += 1
+                yield rows
+
+        with mock.patch.object(oracle, "_blocks", counted):
+            scalar_channel_oracle(0.3, 0.2, 0.1, oracle.SCALAR_GRID)
+        assert len(drawn) == 4 and max(drawn[1:]) <= 10
+
+    def test_p_zero_hands_the_driver_one_answer_a_round(self, rounds):
+        # the first minimum of a round's tied cells, not blocks of them
+        rate, _ = scalar_channel_oracle(0.35, 0.2, 0.0, oracle.SCALAR_GRID)
+        assert rate > 0.0
+        assert rounds == [[1]] * 4
 
     @pytest.mark.parametrize("q, D", [(0.35, 0.2), (0.3, 0.4), (0.5, 0.3)])
     def test_p_zero_evaluates_only_tied_cells(self, rounds, q, D):
@@ -184,7 +202,7 @@ class TestSearchShortcuts:
         rate, (d, p) = allocation_grid_oracle(qs, (0.0, 0.0), GridSpec(200, 2))
         assert rate == pytest.approx(sum(scalar_rdp(0.0, 0.0, v) for v in qs), abs=1e-12)
         assert not d.any() and not p.any()
-        assert rounds == [1]
+        assert rounds == [[1]]
 
 
 class TestAllocationGridOracle:

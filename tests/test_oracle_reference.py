@@ -5,7 +5,8 @@ one ``np.argmin`` over it, as the oracles did before ``_refine`` evaluated
 grids in blocks.  The blocked searches must return the same rate and the
 same channel or allocation to the last bit: same grids, same per-cell
 arithmetic, same row-major tie rule.  Block boundaries are exercised by
-patching ``_BLOCK_CELLS`` down to a few cells.
+patching ``_BLOCK_CELLS`` down to a few cells.  The driver alone is checked
+the same way, on a fixed array of values against one ``np.argmin``.
 
 ``_box_scalar_channel`` is a copy of the scalar oracle's objective before
 it took the tied cells u = v directly at P = 0: a budget box a round, then
@@ -218,32 +219,30 @@ def _box_budget_box(u, v, D, P):
 def _box_scalar_channel(q, D, P, grid):
     hx = float(h2_arr(np.float64(q)))
 
-    def information(a, b):
+    def information(blocks, a, b):
         ua, vb, qb = (1.0 - q) * a, q * b, q * (1.0 - b)
         xa = _xlogx((1.0 - q) * (1.0 - a)) + _xlogx(ua)
         xb1, xb2 = _xlogx(vb), _xlogx(qb)
         box = _box_budget_box(ua, vb, D, P)
-
-        def block(rows):
-            if box is None:
-                return None
-            bi, bj = box
+        if box is None:
+            return
+        bi, bj = box
+        for rows in blocks:
             lo, hi = max(rows.start, bi.start), min(rows.stop, bi.stop)
             if lo >= hi:
-                return None
+                continue
             u = ua[lo:hi, None]
             ok = (u + vb[bj] <= D) & (np.abs(u - vb[bj]) <= P)
             i, j = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
             if i.size == 0:
-                return None
+                continue
             ok = ok[i[0]:i[-1] + 1, j[0]:j[-1] + 1]
             i = slice(lo + i[0], lo + i[-1] + 1)
             j = slice(bj.start + j[0], bj.start + j[-1] + 1)
             joint = xa[i, None] + xb1[j] + xb2[j]
             qhat = ua[i, None] + qb[j]
             info = hx + joint - _xlogx(qhat) - _xlogx(1.0 - qhat)
-            return (i.start - rows.start, j.start), np.where(ok, np.maximum(info, 0.0), np.inf)
-        return block
+            yield i.start, (0, j.start), np.where(ok, np.maximum(info, 0.0), np.inf)
 
     best, (a, b) = oracle._refine(information, [0.0, 0.0], [1.0, 1.0], grid.resolution,
                                   grid.refinement_rounds)
@@ -351,6 +350,12 @@ def vector_cases(draw, sizes, resolutions):
 @example((0.3, 0.4, 0.2, GridSpec(400, 3), 400))
 @example((0.1, 0.6, 0.4, GridSpec(400, 3), 16384))
 @example((0.1, 0.6, 0.4, GridSpec(400, 3), 400))
+# P = D, the known failure's positive-rate budgets, where each block tests
+# the distortion budget only, in the default blocks and in blocks of one row
+@example((0.35, 0.2, 0.2, GridSpec(400, 3), 16384))
+@example((0.35, 0.2, 0.2, GridSpec(400, 3), 400))
+@example((0.2, 0.2, 0.2, GridSpec(400, 3), 16384))
+@example((0.2, 0.2, 0.2, GridSpec(400, 3), 400))
 def test_scalar_channel_matches_full_grid(case):
     q, D, P, grid, cells = case
     with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
@@ -422,6 +427,52 @@ def test_n3_searches_match_full_grid(case):
 def test_n1_s_of_d_matches(case):
     qs, _, _, D_s, grid, _ = case
     _assert_same(s_of_d_oracle, _reference_s_of_d, qs, D_s, grid)
+
+
+# ---------------------------------------------------------------------------
+# the driver alone, on a fixed array of values
+
+
+@st.composite
+def value_grids(draw):
+    """A res^ndim array of values >= 0 with ties, exact zeros and inf cells
+    (none, some or all of them inf)."""
+    res, ndim = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.choice([0.25, 0.5, 1.0], res ** ndim) + rng.choice([0.0, 1.0], res ** ndim) \
+        * rng.random(res ** ndim)
+    for share, value in ((draw(st.sampled_from([0.0, 0.01, 0.1])), 0.0),
+                         (draw(st.sampled_from([0.0, 0.3, 0.9])), np.inf)):
+        values[rng.random(values.size) < share] = value
+    return values.reshape((res,) * ndim)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value_grids(), BLOCK_CELLS)
+def test_driver_returns_the_first_minimum_in_row_major_order(values, cells):
+    res, ndim = values.shape[0], values.ndim
+    drawn = []
+
+    def objective(blocks, *axes):
+        for rows in blocks:
+            drawn.append(rows)
+            yield rows.start, 0, values[rows]
+
+    with mock.patch.object(oracle, "_BLOCK_CELLS", cells):
+        # the axes are 0, 1, ..., res - 1: a point is its index
+        try:
+            best, point = oracle._refine(objective, [0.0] * ndim, [res - 1.0] * ndim, res, 0)
+        except ConvergenceError:
+            assert np.isinf(values).all()
+            return
+    k = int(np.argmin(values))
+    assert best == values.flat[k]
+    assert tuple(point) == np.unravel_index(k, values.shape)
+    if (values == 0.0).any():
+        # the first 0, and the search stops in the block that holds it
+        first = np.unravel_index(int(np.argmax(values == 0.0)), values.shape)
+        assert tuple(point) == first
+        assert drawn[-1].start <= first[0] < drawn[-1].stop
 
 
 # ---------------------------------------------------------------------------
