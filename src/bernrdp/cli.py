@@ -475,7 +475,7 @@ def cmd_verify(args, out) -> int:
 
         worst = 0.0
         for D in np.linspace(sum_q, caps, args.budget_count):
-            oracle = s_of_d_oracle(src, float(D), vector_grid)
+            oracle = s_of_d_oracle(src, float(D))
             worst = max(worst, abs(oracle - s_of_d(src, float(D)).value))
         stage("s_curve", worst, args.vector_tol)
 
@@ -546,12 +546,11 @@ def _parser() -> argparse.ArgumentParser:
                    help="run only the scalar channel stage, which takes any n; "
                         "the vector stages need n <= 3")
     p.add_argument("--grid-resolution", type=int, default=None,
-                   help=f"grid points per axis of every oracle (default: "
-                        f"{SCALAR_GRID.resolution} scalar, {VECTOR_GRID.resolution} vector)")
+                   help=f"grid points per axis of the scalar and allocation oracles "
+                        f"(default: {SCALAR_GRID.resolution} and {VECTOR_GRID.resolution})")
     p.add_argument("--refine-rounds", type=int, default=None,
-                   help=f"refinement rounds of every oracle (default: "
-                        f"{SCALAR_GRID.refinement_rounds} scalar, "
-                        f"{VECTOR_GRID.refinement_rounds} vector)")
+                   help=f"refinement rounds of the scalar and allocation oracles (default: "
+                        f"{SCALAR_GRID.refinement_rounds} and {VECTOR_GRID.refinement_rounds})")
     p.add_argument("--budget-count", type=int, default=4,
                    help="points per budget axis: the scalar stage takes D and P on "
                         "[0, 0.6] for each distinct q; the vector stage D on "

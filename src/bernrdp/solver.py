@@ -359,9 +359,8 @@ def _s_curve(q: np.ndarray, m: np.ndarray, D: float) -> SCurvePoint:
     # the active segment k is the first whose right end reaches D; a run
     # of m equal components is one segment m times as long
     fits = np.flatnonzero(D <= prefix_caps[1:] + suffix_q[1:] + 1e-15)
-    if fits.size == 0:
-        raise ConvergenceError("S(D) segment scan failed")  # pragma: no cover
-    k = int(fits[0]) + 1
+    # none fits only where rounding puts the last right end below D < sum caps
+    k = int(fits[0]) + 1 if fits.size else q.size
     d_k = (D - prefix_caps[k - 1] - suffix_q[k]) / m[k - 1]
     d_k = min(max(d_k, q[k - 1]), caps[k - 1])
     # a run at q = 1/2 is a segment of length 0, with p_k = 0
@@ -509,7 +508,7 @@ def _bracketed_newton(f, x: float, lo: float, hi: float, xtol: float = 0.0) -> t
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _component_dp(A: float, b: float, q: np.ndarray, m: np.ndarray, q0: float = 0.0):
+def _component_dp(A: float, b: float, q: np.ndarray, m: np.ndarray, q0: float):
     """Per-component minimizer of R(d, p, q) + alpha d + beta p over
     d, p >= 0 at alpha > |beta|, vectorized over runs of m equal
     components, in the variables A = 1 / expm1(alpha - beta) and

@@ -612,16 +612,19 @@ class TestVerify:
         # each oracle returns the closed form, so every stage passes
         oracles = {"scalar_channel_oracle": lambda q, D, P, grid: (scalar_rdp(D, P, q), None),
                    "allocation_grid_oracle": lambda src, b, grid: (rdp(src, b).rate, None),
-                   "s_of_d_oracle": lambda src, D, grid: s_of_d(src, D).value}
+                   "s_of_d_oracle": lambda src, D: s_of_d(src, D).value}
         with contextlib.ExitStack() as stack:
             mocks = {name: stack.enter_context(mock.patch.object(cli, name, side_effect=fn))
                      for name, fn in oracles.items()}
             code, out, _ = run_cli(["verify", "--q", "0.3,0.1", "--budget-count", "2"], capsys)
         assert code == 0
-        grids = {name: {call.args[-1] for call in m.call_args_list} for name, m in mocks.items()}
+        grids = {name: {call.args[-1] for call in m.call_args_list} for name, m in mocks.items()
+                 if name != "s_of_d_oracle"}
         assert grids == {"scalar_channel_oracle": {oracle.SCALAR_GRID},
-                         "allocation_grid_oracle": {oracle.VECTOR_GRID},
-                         "s_of_d_oracle": {oracle.VECTOR_GRID}}
+                         "allocation_grid_oracle": {oracle.VECTOR_GRID}}
+        # the S(D) program is exact and takes no grid
+        assert {(len(call.args), len(call.kwargs))
+                for call in mocks["s_of_d_oracle"].call_args_list} == {(2, 0)}
         tols = {name: stage["tolerance"] for name, stage in json.loads(out)["stages"].items()}
         assert tols == {"scalar_channel": oracle.SCALAR_TOL, "vector_allocation": oracle.VECTOR_TOL,
                         "s_curve": oracle.VECTOR_TOL}

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernrdp import (BudgetPair, DomainError, GridSpec, SizeError,
                      allocation_grid_oracle, normalize, oracle, rdp, s_of_d,
@@ -244,16 +246,45 @@ class TestAllocationGridOracle:
             allocation_grid_oracle([0.3, 0.1], (0.2, math.inf))
 
 
+def _slack(S: float) -> float:
+    return 1e-12 * max(1.0, S)
+
+
+@st.composite
+def s_of_d_cases(draw):
+    """A raw source of n = 1-40 with ties, q at 0, 1e-300 and 1/2 and above
+    1/2, and D at sum q, within ``DOMAIN_TOL`` below it, between it and
+    sum 2q(1-q), at that sum, beyond it and above n.
+
+    Free q keep 1 - 2q >= 2e-3.  Near 1/2, S's slope 1/(1 - 2q) turns a
+    rounding of D into that many times more perception, so the LP and
+    ``s_of_d`` round apart by more than the slack there;
+    ``test_near_half_within_the_conditioning`` bounds them by that slope."""
+    free = st.floats(0.0, 1.0).filter(lambda x: abs(x - 0.5) >= 1e-3)
+    n = draw(st.integers(1, 40))
+    raw = draw(st.lists(st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 1.0]), free),
+                        min_size=n, max_size=n))
+    ties = draw(st.integers(0, n - 1))
+    raw[1:1 + ties] = [raw[0]] * ties
+    src = normalize(raw)
+    sum_q, caps = float(src.q.sum()), float((2.0 * src.q * (1.0 - src.q)).sum())
+    f = draw(st.floats(0.0, 1.0))
+    D = draw(st.sampled_from([sum_q, sum_q - 0.5 * f * oracle.DOMAIN_TOL,
+                              sum_q + (caps - sum_q) * f, caps, caps * (1.0 + f),
+                              n * (1.0 + f)]))
+    return raw, D
+
+
 class TestSOfDOracle:
     def test_plateau_is_zero(self):
         caps = 2 * 0.3 * 0.7 + 2 * 0.1 * 0.9
         assert s_of_d_oracle([0.3, 0.1], caps) == 0.0
 
     def test_left_endpoint(self):
-        assert s_of_d_oracle([0.3, 0.1], 0.4, GridSpec(200, 3)) == pytest.approx(0.4, abs=2e-3)
+        assert s_of_d_oracle([0.3, 0.1], 0.4) == pytest.approx(0.4, abs=1e-15)
 
     def test_worked_value(self):
-        assert s_of_d_oracle([0.3, 0.1], 0.5, GridSpec(200, 3)) == pytest.approx(0.15, abs=2e-3)
+        assert s_of_d_oracle([0.3, 0.1], 0.5) == pytest.approx(0.15, abs=1e-15)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(44)
@@ -263,17 +294,44 @@ class TestSOfDOracle:
                 sum_q = float(src.q.sum())
                 caps = float((2 * src.q * (1 - src.q)).sum())
                 D = float(rng.uniform(sum_q, caps))
-                oracle = s_of_d_oracle(src, D, GridSpec(200, 3))
-                assert abs(oracle - s_of_d(src, D).value) <= 2e-3
+                S = s_of_d(src, D).value
+                assert abs(s_of_d_oracle(src, D) - S) <= _slack(S)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(s_of_d_cases())
+    def test_linear_program_is_the_closed_form(self, case):
+        raw, D = case
+        S = s_of_d(raw, D).value
+        assert abs(s_of_d_oracle(raw, D) - S) <= _slack(S), (raw, D)
+
+    @pytest.mark.parametrize("q", [0.4999, 0.49999999, 0.4999999999, 0.49999999999999994])
+    def test_near_half_within_the_conditioning(self, q):
+        # a rounding of D, eps times its size, moves S by 1/(1 - 2q) times it
+        raw = [q, 0.3, 1.0 - q, 0.1, 0.0]
+        src = normalize(raw)
+        sum_q, caps = float(src.q.sum()), float((2.0 * src.q * (1.0 - src.q)).sum())
+        for D in np.linspace(sum_q, caps, 7):
+            S = s_of_d(raw, float(D)).value
+            bound = _slack(S) + 8.0 * np.finfo(float).eps * caps / (1.0 - 2.0 * q)
+            assert abs(s_of_d_oracle(raw, float(D)) - S) <= bound, D
+
+    def test_grid_is_ignored(self):
+        # the benchmark's checks pass the vector grid positionally
+        for raw in ([0.3, 0.1], [0.05, 0.25, 0.45], [0.7, 0.25, 0.05]):
+            src = normalize(raw)
+            sum_q, caps = float(src.q.sum()), float((2.0 * src.q * (1.0 - src.q)).sum())
+            for D in np.linspace(sum_q, caps, 5).tolist():
+                assert s_of_d_oracle(raw, D, GridSpec(200, 2)) == s_of_d_oracle(raw, D)
 
     def test_box_collapsed_to_a_point(self):
-        # at D = sum q the distortion box is the single split d = q, where
-        # D - d1 - d2 rounds a hair below q3
+        # at D = sum q the grid's distortion box was the single split d = q,
+        # where D - d1 - d2 rounded a hair below q3
         src = normalize([0.05, 0.25, 0.45])
-        assert s_of_d_oracle(src, 0.75) >= s_of_d(src, 0.75).value - 1e-9
+        assert abs(s_of_d_oracle(src, 0.75) - s_of_d(src, 0.75).value) <= _slack(0.75)
 
     def test_errors(self):
-        with pytest.raises(SizeError):
-            s_of_d_oracle([0.1] * 4, 1.0)
+        # any n: four components are the closed form, not a SizeError
+        S = s_of_d([0.1] * 4, 0.5).value
+        assert abs(s_of_d_oracle([0.1] * 4, 0.5) - S) <= _slack(S)
         with pytest.raises(DomainError):
             s_of_d_oracle([0.3, 0.1], 0.1)

@@ -375,6 +375,26 @@ class TestSCurve:
         with pytest.raises(DomainError):
             s_of_d([0.3, 0.1], 0.2)
 
+    def test_budget_past_the_rounded_last_segment(self):
+        # D = sum 2q(1-q) summed per component lies below the per-run sum, so
+        # the plateau test fails, and above the rounded cumulative sum, so no
+        # segment's right end reached it: the scan raised ConvergenceError
+        raw = [0.5] * 5 + [0.48117123381932925, 0.4317018195093947, 0.3899087051913199,
+                           0.38377607792169144, 0.3808720256841527, 0.37078160880075794,
+                           0.3583391583417178, 0.35060178581261425, 0.3226389678921343,
+                           0.307380518840092, 0.30160516744540644, 0.27228329230993786,
+                           0.2518445425072767, 0.21258423938379323, 0.19040966294681205,
+                           0.17240551005900795, 0.16433615294568937, 0.160011938813862,
+                           0.1451617038620121, 0.12892727132880166, 0.12067344529963453,
+                           0.10387069911468272, 0.08197388646628312, 0.06357824059515871,
+                           0.04357609028482201, 0.04250218266390948, 0.019000721292208755,
+                           0.018640747174116346] + [1e-300] * 5 + [0.0]
+        src = normalize(raw)
+        D = float((2.0 * src.q * (1.0 - src.q)).sum())
+        assert s_of_d(src, D).value == 0.0
+        assert classify(src, (D, 0.0)) == "B"
+        assert rdp(src, (D, 0.0)).rate == 0.0
+
 
 class TestClassify:
     def test_large_distortion_is_b(self):
@@ -568,7 +588,8 @@ def _kernel_at(alpha, beta, q, m):
     edge: its beta gap there is below alpha."""
     if beta >= alpha:
         return _x_of_alpha(alpha, 0.0, q), np.zeros_like(q)
-    return _component_dp(1.0 / math.expm1(alpha - beta), 1.0 / math.expm1(alpha + beta), q, m)[:2]
+    A, B = 1.0 / math.expm1(alpha - beta), 1.0 / math.expm1(alpha + beta)
+    return _component_dp(A, B, q, m, 0.0)[:2]
 
 
 def _one_component(alpha, beta, q):
@@ -699,9 +720,9 @@ class TestComponentKernel:
     def test_runs_match_their_expanded_components(self):
         counts = np.array([3, 1, 2, 4, 1])
         for A, B in ((0.5, 0.1), (1.5, 0.5), (4.0, 0.01), (0.01, 10.0), (50.0, 40.0)):
-            d, p, grad = _component_dp(A, B, self.Q, counts)
+            d, p, grad = _component_dp(A, B, self.Q, counts, 0.0)
             q_all = np.repeat(self.Q, counts)
-            d_all, p_all, grad_all = _component_dp(A, B, q_all, _ones(q_all))
+            d_all, p_all, grad_all = _component_dp(A, B, q_all, _ones(q_all), 0.0)
             assert np.repeat(d, counts).tobytes() == d_all.tobytes()
             assert np.repeat(p, counts).tobytes() == p_all.tobytes()
             np.testing.assert_allclose(grad, grad_all, rtol=1e-13, atol=0.0)
@@ -711,11 +732,12 @@ class TestComponentKernel:
         q = np.array([0.05, 0.2, 0.35, 0.45])
         m = _ones(q)
         for A, B in ((1.0, 0.3), (0.5, 0.35), (0.2, 0.31), (4.0, 2.5), (4.0, 0.25), (40.0, 33.0)):
-            _, p, grad = _component_dp(A, B, q, m)
+            _, p, grad = _component_dp(A, B, q, m, 0.0)
             assert np.any((p > 0.0) & (p < q))
             for j, step in enumerate(((1e-6 * A, 0.0), (0.0, 1e-6 * B))):
-                fd = (_component_dp(A + step[0], B + step[1], q, m)[0].sum()
-                      - _component_dp(A - step[0], B - step[1], q, m)[0].sum()) / (2.0 * sum(step))
+                fd = (_component_dp(A + step[0], B + step[1], q, m, 0.0)[0].sum()
+                      - _component_dp(A - step[0], B - step[1], q, m, 0.0)[0].sum()) \
+                    / (2.0 * sum(step))
                 assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-9), (A, B, j)
 
     @settings(derandomize=True, max_examples=600, deadline=None)
@@ -975,6 +997,13 @@ class TestRegionCSweeps:
             assert res.rate - _dual_bound(raw, D, P, res) <= slack
             calls.append(res.multiplier_iterations)
         assert max(calls) <= max_calls
+
+    @pytest.mark.parametrize("sweep", [_near_s_sweep, _window_sweep, _half_sweep])
+    def test_s_of_d_oracle_is_the_closed_form(self, sweep):
+        # the zero-rate linear program at each budget's D, n up to 12
+        for raw, D, _ in sweep():
+            S = s_of_d(raw, D).value
+            assert abs(br.s_of_d_oracle(raw, D) - S) <= 1e-12 * max(1.0, S), (raw, D)
 
 
 class TestRegionCNearS:
